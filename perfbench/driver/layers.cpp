@@ -19,6 +19,15 @@ double p(const std::vector<double>& v, double pct) { return or_zero(percentile(v
 
 double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
+// A tail metric under the tail rule; records which percentile it reports.
+double tail(const std::vector<double>& v, double pct, const std::string& name,
+            JsonObject& tails) {
+  double used = 0.0;
+  const double value = supported_tail(v, pct, &used);
+  tails.obj(name, JsonObject().count("samples", v.size()).num("pct", used));
+  return or_zero(value);
+}
+
 }  // namespace
 
 LayerReport layer_metrics(const LayerInputs& in) {
@@ -129,13 +138,14 @@ LayerReport layer_metrics(const LayerInputs& in) {
   const double lanes_d = static_cast<double>(lanes);
   JsonObject& m = out.metrics;
   m.num("server.head_ms.p50", p(head_ms, 50.0))
-      .num("server.head_ms.p95", p(head_ms, 95.0))
+      .num("server.head_ms.p95", tail(head_ms, 95.0, "server.head_ms.p95", out.tails))
       .num("server.first_flush_ms.p50", p(first_flush_ms, 50.0))
       .num("server.token_flush_us.p50", p(token_flush_us, 50.0))
       .count("server.rejected", in.rejected)
       .count("server.conn_errors", in.conn_errors)
       .num("engine_host.queue_wait_ms.p50", p(queue_wait_ms, 50.0))
-      .num("engine_host.queue_wait_ms.p95", p(queue_wait_ms, 95.0))
+      .num("engine_host.queue_wait_ms.p95",
+           tail(queue_wait_ms, 95.0, "engine_host.queue_wait_ms.p95", out.tails))
       .num("engine.self_us_per_step.p50", p(self_us, 50.0))
       .num("engine.busy_frac", ratio(busy_s, in.wall_s))
       .count("engine.decode_steps", r.steps.size())
@@ -153,7 +163,7 @@ LayerReport layer_metrics(const LayerInputs& in) {
       .num("model.prefill_ms.p50", p(wave_ms, 50.0))
       .num("model.prefill_us_per_token", ratio(wave_s * 1e6, static_cast<double>(computed)))
       .num("model.decode_step_ms.p50", p(step_ms, 50.0))
-      .num("model.decode_step_ms.p99", p(step_ms, 99.0))
+      .num("model.decode_step_ms.p99", tail(step_ms, 99.0, "model.decode_step_ms.p99", out.tails))
       .num("model.decode_us_per_lane_token", ratio(step_s * 1e6, lanes_d))
       .num("model.decode_ctx_mean", ratio(ctx_sum, lanes_d))
       .num("model.decode_gbps", ratio(bytes / 1e9, step_s))

@@ -28,6 +28,9 @@ struct LayerInputs {
 struct LayerReport {
   JsonObject metrics;        // every per-layer metric, by name
   JsonObject decomposition;  // TTFT parts vs the client's TTFT (served only)
+  // For each tail metric, its sample count and the percentile it reports:
+  // the named one, or the highest below it that the samples support.
+  JsonObject tails;
 };
 
 LayerReport layer_metrics(const LayerInputs& in);

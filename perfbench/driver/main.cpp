@@ -1,18 +1,20 @@
 // perfbench_driver: one measurement of one benchmark workload.
 //
-//   perfbench_driver --workload=<name> --mode=served|offline --seed=<n>
+//   perfbench_driver --workload=chat_prefix|offline_quant --seed=<n>
 //                    --seconds=<s> --trace=0|1 [--serve-bin=<orinsim_serve>]
-//                    [workload shape flags, see ServedConfig / OfflineConfig]
 //
-// Served mode starts the orinsim_serve binary (several times, for set-up
+// Each workload's shape is a constant below (kChatPrefix, kOfflineQuant).
+// chat_prefix starts the orinsim_serve binary (several times, for set-up
 // time), warms it, offers the seeded open-loop schedule for --seconds, and
 // checks every streamed completion against an in-process offline reference
-// of the same stack. Offline mode runs the whole request batch (all due at
+// of the same stack. offline_quant runs the whole request batch (all due at
 // t = 0) through ContinuousEngine over FunctionalTokenBackend repeatedly for
 // --seconds and checks the output digest against an unconstrained KV pool.
-// With --trace=1 the run is repeated with a TimingBackend decorator (served:
-// an in-process server built from the same flags) and the per-layer
-// metrics, the TTFT decomposition and the tracing overhead are reported.
+// With --trace=1 the untraced measurement covers only the first half of the
+// window, as the overhead baseline; the whole window then runs again behind
+// a TimingBackend decorator (chat_prefix: an in-process server built from
+// the same flags), and the per-layer metrics, the TTFT decomposition and the
+// tracing overhead are reported.
 //
 // The last stdout line is "PERFBENCH_REPORT <json>"; perfbench/run.py turns
 // it into the benchmark's result line.
@@ -152,51 +154,80 @@ class ServerProcess {
 };
 
 // ---------------------------------------------------------------------------
-// Workload configuration (values come from perfbench/workloads.json)
+// Workloads
 // ---------------------------------------------------------------------------
 
-struct ServedConfig {
-  bool chat = true;
-  orinsim::workload::ChatWorkloadConfig chat_shape;
-  std::size_t input_tokens = 0;     // unique prompts (chat = false)
-  std::size_t distinct_prefix = 32;  // unique prompts: no shared prefix this long
-  std::size_t max_tokens = 32;
-  double rate_rps = 1.0;
-  std::size_t connections = 4;
-  double ttft_slo_ms = 0.0;
-  double itl_slo_ms = 0.0;
-  std::size_t warmup = 8;
-  std::size_t setup_reps = 5;
-  double max_lateness_p99_ms = 5.0;
-  double min_rate_frac = 0.9;
-  std::size_t chunks = 5;  // latency metrics: median over this many chunks
-};
+// Set-up time is the median of this many server starts or stack builds.
+constexpr std::size_t kSetupReps = 7;
 
-ServedConfig served_config(const orinsim::CliArgs& args) {
-  ServedConfig c;
-  c.chat = args.get("prompts", "chat") == "chat";
-  c.chat_shape.system_prompts = static_cast<std::size_t>(args.get_int("system-prompts", 8));
-  c.chat_shape.zipf_s = args.get_double("zipf-s", 1.1);
-  c.chat_shape.system_tokens = static_cast<std::size_t>(args.get_int("system-tokens", 192));
-  c.chat_shape.user_tokens = static_cast<std::size_t>(args.get_int("user-tokens", 32));
-  c.input_tokens = static_cast<std::size_t>(args.get_int("input-tokens", 512));
-  c.distinct_prefix = static_cast<std::size_t>(args.get_int("distinct-prefix", 32));
-  c.max_tokens = static_cast<std::size_t>(args.get_int("max-tokens", 32));
-  c.rate_rps = args.get_double("rate-rps", 1.0);
-  c.connections = static_cast<std::size_t>(args.get_int("connections", 4));
-  c.ttft_slo_ms = args.get_double("ttft-slo-ms", 1000.0);
-  c.itl_slo_ms = args.get_double("itl-slo-ms", 100.0);
-  c.warmup = static_cast<std::size_t>(args.get_int("warmup", 8));
-  c.setup_reps = static_cast<std::size_t>(args.get_int("setup-reps", 5));
-  c.max_lateness_p99_ms = args.get_double("max-lateness-p99-ms", 5.0);
-  c.min_rate_frac = args.get_double("min-rate-frac", 0.9);
-  c.chunks = static_cast<std::size_t>(args.get_int("chunks", 5));
-  return c;
-}
+// Served load: one generator thread over at most nproc (4) connections.
+constexpr std::size_t kConnections = 4;
+// Latency p50s are the median over this many consecutive request chunks.
+constexpr std::size_t kChunks = 5;
+// A served run is invalid when the generator ran late or sent less than
+// kMinRateFrac of the offered rate. Latencies are timed from the due time,
+// so lateness is charged to TTFT: the p50 bound keeps a steady lag out of
+// ttft_p50_ms, the p99 bound catches a generator stalled long enough to
+// skew the tail (single stalls of ~10 ms occur on an idle 4-vCPU VM).
+constexpr double kMaxLatenessP50Ms = 1.0;
+constexpr double kMaxLatenessP99Ms = 50.0;
+constexpr double kMinRateFrac = 0.9;
 
 // The daemon's flags for the served stack (perfbench/stack.h mirrors them).
 const std::vector<std::string> kServedFlags = {
     "--max-concurrency=4", "--prefix-cache", "--power-proxy-model=llama3"};
+
+struct ServedWorkload {
+  orinsim::workload::ChatWorkloadConfig chat;
+  std::size_t max_tokens = 0;
+  double rate_rps = 0.0;
+  double ttft_slo_ms = 0.0;
+  double itl_slo_ms = 0.0;  // on each request's mean inter-token gap
+  std::size_t warmup = 0;   // requests before the window (every system prompt first)
+};
+
+// Short chat requests on 8 Zipfian shared system prompts (192 tokens, six
+// 32-token prefix-cache blocks) plus a 32-token user suffix, 32 output
+// tokens, at a rate that keeps the engine lightly loaded.
+const ServedWorkload kChatPrefix = {
+    .chat = {.system_prompts = 8, .zipf_s = 1.1, .system_tokens = 192, .user_tokens = 32},
+    .max_tokens = 32,
+    .rate_rps = 6.0,
+    .ttft_slo_ms = 100.0,
+    .itl_slo_ms = 10.0,
+    .warmup = 16,
+};
+
+struct OfflineWorkload {
+  std::size_t requests = 0;
+  std::size_t input_tokens = 0;
+  std::size_t max_tokens = 0;
+  std::size_t lanes = 0;
+  std::size_t workers = 0;   // lane-parallel decode pool, fewer than nproc
+  double kv_fraction = 0.0;  // of the blocks `lanes` full sequences need
+  orinsim::DType dtype = orinsim::DType::kF32;
+  orinsim::KVStorage kv_storage = orinsim::KVStorage::kF32;
+  double ttft_slo_ms = 0.0;
+  double itl_slo_ms = 0.0;
+};
+
+// A batch at least this many times per run, however short the window.
+constexpr std::size_t kMinOfflineReps = 3;
+
+// 24 requests due at t = 0 on int4 weights and int8 KV, 8 lanes over a KV
+// pool half the size 8 full sequences need, so the engine preempts.
+const OfflineWorkload kOfflineQuant = {
+    .requests = 24,
+    .input_tokens = 128,
+    .max_tokens = 64,
+    .lanes = 8,
+    .workers = 3,
+    .kv_fraction = 0.5,
+    .dtype = orinsim::DType::kI4,
+    .kv_storage = orinsim::KVStorage::kI8,
+    .ttft_slo_ms = 10000.0,
+    .itl_slo_ms = 50.0,
+};
 
 struct ServedInputs {
   std::vector<Prompt> prompts;  // measured, in schedule order
@@ -204,51 +235,53 @@ struct ServedInputs {
   std::vector<Prompt> warmup;
 };
 
-ServedInputs make_served_inputs(const ServedConfig& c, const orinsim::Tokenizer& tokenizer,
+ServedInputs make_served_inputs(const ServedWorkload& w, const orinsim::Tokenizer& tokenizer,
                                 const orinsim::workload::PromptPool& pool,
                                 std::uint64_t seed, double window_s) {
   ServedInputs in;
-  in.due_s = poisson_schedule(c.rate_rps, window_s, seed);
+  in.due_s = poisson_schedule(w.rate_rps, window_s, seed);
   const std::size_t n = in.due_s.size();
   orinsim::Rng rng(seed ^ 0x5bd1e995ULL);
-  if (c.chat) {
-    // Spares after the measured prompts warm the prefix cache with every
-    // system prompt first, so the window sees the steady hit rate.
-    std::vector<Prompt> all =
-        chat_prompts(pool, tokenizer, n + 4 * c.warmup + 64, c.chat_shape, rng);
-    in.prompts.assign(all.begin(), all.begin() + static_cast<long>(n));
-    std::set<std::vector<TokenId>> systems;
-    std::vector<Prompt> rest;
-    for (std::size_t i = n; i < all.size(); ++i) {
-      std::vector<TokenId> sys(all[i].tokens.begin(),
-                               all[i].tokens.begin() +
-                                   static_cast<long>(c.chat_shape.system_tokens));
-      if (systems.insert(sys).second) {
-        in.warmup.push_back(all[i]);
-      } else {
-        rest.push_back(all[i]);
-      }
+  // Spares after the measured prompts warm the prefix cache with every
+  // system prompt first, so the window sees the steady hit rate.
+  std::vector<Prompt> all = chat_prompts(pool, tokenizer, n + 4 * w.warmup + 64, w.chat, rng);
+  in.prompts.assign(all.begin(), all.begin() + static_cast<long>(n));
+  std::set<std::vector<TokenId>> systems;
+  std::vector<Prompt> rest;
+  for (std::size_t i = n; i < all.size(); ++i) {
+    std::vector<TokenId> sys(all[i].tokens.begin(),
+                             all[i].tokens.begin() + static_cast<long>(w.chat.system_tokens));
+    if (systems.insert(sys).second) {
+      in.warmup.push_back(all[i]);
+    } else {
+      rest.push_back(all[i]);
     }
-    for (std::size_t i = 0; in.warmup.size() < c.warmup && i < rest.size(); ++i) {
-      in.warmup.push_back(rest[i]);
-    }
-  } else {
-    std::vector<Prompt> all =
-        unique_prompts(pool, tokenizer, n + c.warmup, c.input_tokens, c.distinct_prefix, rng);
-    in.prompts.assign(all.begin(), all.begin() + static_cast<long>(n));
-    in.warmup.assign(all.begin() + static_cast<long>(n), all.end());
+  }
+  for (std::size_t i = 0; in.warmup.size() < w.warmup && i < rest.size(); ++i) {
+    in.warmup.push_back(rest[i]);
   }
   return in;
+}
+
+// The requests due before `window_s`: the untraced baseline of a traced run.
+ServedInputs schedule_head(const ServedInputs& in, double window_s) {
+  ServedInputs head = in;
+  const auto n = static_cast<std::size_t>(
+      std::lower_bound(in.due_s.begin(), in.due_s.end(), window_s) - in.due_s.begin());
+  head.prompts.resize(n);
+  head.due_s.resize(n);
+  return head;
 }
 
 // ---------------------------------------------------------------------------
 // End-to-end summaries
 // ---------------------------------------------------------------------------
 
-// A latency distribution at a few fixed percentiles.
+// A latency distribution at the fixed percentiles the samples support.
 JsonObject distribution(const std::vector<double>& v) {
   JsonObject d;
   for (double p : {50.0, 75.0, 90.0, 95.0, 99.0, 99.9}) {
+    if (!tail_supported(v.size(), p)) break;
     char key[16];
     std::snprintf(key, sizeof(key), "p%g", p);
     d.num(key, percentile(v, p));
@@ -263,7 +296,8 @@ struct E2E {
   std::size_t conn_errors = 0;  // socket / stream errors
   std::vector<double> ttft_ms, itl_ms;  // pooled samples
   double ttft_p50_ms = 0.0, ttft_p95_ms = 0.0, itl_p50_ms = 0.0, itl_p99_ms = 0.0;
-  std::size_t chunks = 1;
+  double ttft_tail_pct = 0.0, itl_tail_pct = 0.0;  // what the two tails report
+  std::vector<double> chunk_ttft_p50_ms, chunk_itl_p50_ms;
   std::vector<std::string> errors;  // first distinct failure reasons
   double goodput_rps = 0.0;
   double output_tok_s = 0.0;
@@ -292,11 +326,11 @@ struct E2E {
   JsonObject samples() const {
     JsonObject s;
     s.count("ttft", ttft_ms.size())
-        .count("chunks", chunks)
+        .nums("chunk_ttft_p50_ms", chunk_ttft_p50_ms)
+        .nums("chunk_itl_p50_ms", chunk_itl_p50_ms)
         .count("itl", itl_ms.size())
-        .flag("ttft_p95_supported", tail_supported(ttft_ms.size(), 95.0))
-        .flag("itl_p99_supported", tail_supported(itl_ms.size(), 99.0))
-        .num("ttft_highest_supported_pct", highest_supported_tail(ttft_ms.size()))
+        .num("ttft_p95_ms_reports_pct", ttft_tail_pct)
+        .num("itl_p99_ms_reports_pct", itl_tail_pct)
         .obj("ttft_ms", distribution(ttft_ms))
         .obj("itl_ms", distribution(itl_ms))
         .count("setup_reps", setup_reps)
@@ -307,37 +341,34 @@ struct E2E {
   }
 };
 
-// Latency metrics as the median over `chunks` of each chunk's percentile.
-// A chunk is a run of consecutive requests (schedule order) with their
-// token gaps, so a disturbance of the host shorter than a chunk moves one
-// chunk's value and not the reported median.
+// The p50s are the median over chunks of each chunk's median. A chunk is a
+// run of consecutive requests (schedule order) with their token gaps, so a
+// disturbance of the host shorter than a chunk moves one chunk's value and
+// not the reported median. The tails come from the pooled samples, at the
+// highest percentile up to p95 / p99 that the pool supports (stats.h).
 void set_latencies(E2E& e, const std::vector<std::vector<double>>& ttft,
                    const std::vector<std::vector<double>>& itl) {
-  std::vector<double> t50, t95, i50, i99;
   for (std::size_t k = 0; k < ttft.size(); ++k) {
     if (ttft[k].empty()) continue;  // every request of the chunk failed
-    t50.push_back(percentile(ttft[k], 50.0));
-    t95.push_back(percentile(ttft[k], 95.0));
-    i50.push_back(percentile(itl[k], 50.0));
-    i99.push_back(percentile(itl[k], 99.0));
+    e.chunk_ttft_p50_ms.push_back(median(ttft[k]));
+    e.chunk_itl_p50_ms.push_back(median(itl[k]));
   }
-  e.chunks = ttft.size();
-  e.ttft_p50_ms = median(t50);
-  e.ttft_p95_ms = median(t95);
-  e.itl_p50_ms = median(i50);
-  e.itl_p99_ms = median(i99);
+  e.ttft_p50_ms = median(e.chunk_ttft_p50_ms);
+  e.itl_p50_ms = median(e.chunk_itl_p50_ms);
+  e.ttft_p95_ms = supported_tail(e.ttft_ms, 95.0, &e.ttft_tail_pct);
+  e.itl_p99_ms = supported_tail(e.itl_ms, 99.0, &e.itl_tail_pct);
 }
 
 // Client-side metrics of one served run. A request that failed counts as an
 // SLO miss; its partial timings are not used.
-E2E summarize_served(const std::vector<ClientRecord>& records, const ServedConfig& c,
+E2E summarize_served(const std::vector<ClientRecord>& records, const ServedWorkload& w,
                      double window_s) {
   E2E e;
   e.attempted = records.size();
   std::size_t good = 0, tokens = 0;
   double last_done = window_s;
   const std::size_t chunks =
-      std::clamp<std::size_t>(c.chunks, 1, std::max<std::size_t>(1, records.size()));
+      std::clamp<std::size_t>(kChunks, 1, std::max<std::size_t>(1, records.size()));
   std::vector<std::vector<double>> ttft_chunks(chunks), itl_chunks(chunks);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const ClientRecord& r = records[i];
@@ -368,7 +399,7 @@ E2E summarize_served(const std::vector<ClientRecord>& records, const ServedConfi
       itl_chunks[k].push_back(x * 1e3);
     }
     const double tpot = g.empty() ? 0.0 : mean(g) * 1e3;
-    if (ttft <= c.ttft_slo_ms && tpot <= c.itl_slo_ms) ++good;
+    if (ttft <= w.ttft_slo_ms && tpot <= w.itl_slo_ms) ++good;
   }
   set_latencies(e, ttft_chunks, itl_chunks);
   e.goodput_rps = static_cast<double>(good) / window_s;
@@ -396,8 +427,7 @@ struct GeneratorHealth {
   }
 };
 
-GeneratorHealth generator_health(const std::vector<ClientRecord>& records,
-                                 const ServedConfig& c, double window_s) {
+GeneratorHealth generator_health(const std::vector<ClientRecord>& records, double window_s) {
   GeneratorHealth h;
   double last_launch = 0.0;
   std::size_t launched = 0;
@@ -410,15 +440,20 @@ GeneratorHealth generator_health(const std::vector<ClientRecord>& records,
   }
   h.offered_rps = static_cast<double>(records.size()) / window_s;
   h.achieved_rps = static_cast<double>(launched) / std::max(window_s, last_launch);
+  const double late_p50 = percentile(h.lateness_ms, 50.0);
   const double late_p99 = percentile(h.lateness_ms, 99.0);
-  if (!(late_p99 <= c.max_lateness_p99_ms)) {
+  if (!(late_p50 <= kMaxLatenessP50Ms)) {
+    h.valid = false;
+    h.reason = "generator lateness p50 " + std::to_string(late_p50) + " ms exceeds " +
+               std::to_string(kMaxLatenessP50Ms) + " ms";
+  } else if (!(late_p99 <= kMaxLatenessP99Ms)) {
     h.valid = false;
     h.reason = "generator lateness p99 " + std::to_string(late_p99) + " ms exceeds " +
-               std::to_string(c.max_lateness_p99_ms) + " ms";
-  } else if (h.achieved_rps < c.min_rate_frac * h.offered_rps) {
+               std::to_string(kMaxLatenessP99Ms) + " ms";
+  } else if (h.achieved_rps < kMinRateFrac * h.offered_rps) {
     h.valid = false;
     h.reason = "achieved rate " + std::to_string(h.achieved_rps) + " rps below " +
-               std::to_string(c.min_rate_frac) + " x offered " +
+               std::to_string(kMinRateFrac) + " x offered " +
                std::to_string(h.offered_rps) + " rps (backlog grew)";
   }
   return h;
@@ -516,10 +551,10 @@ std::vector<PlannedRequest> plan_for(const std::vector<Prompt>& prompts,
 }
 
 // Warm-up: closed batch, all due at once, outside the measured window.
-bool warm_up(std::uint16_t port, const ServedInputs& in, const ServedConfig& c) {
+bool warm_up(std::uint16_t port, const ServedInputs& in, const ServedWorkload& w) {
   const std::vector<ClientRecord> warm =
-      run_open_loop(port, plan_for(in.warmup, {}, c.max_tokens), c.connections,
-                    Clock::now(), 120.0);
+      run_open_loop(port, plan_for(in.warmup, {}, w.max_tokens), kConnections, Clock::now(),
+                    120.0);
   return std::all_of(warm.begin(), warm.end(), [](const ClientRecord& r) { return r.ok(); });
 }
 
@@ -534,7 +569,7 @@ double prometheus_value(const std::string& text, const std::string& name) {
 }
 
 // The daemon's modeled-energy counter and its token counters, read off
-// /metrics (outside the measured window: before it starts, after it ends).
+// /metrics.
 struct EnergyReading {
   double joules = std::nan("");
   double tokens = std::nan("");
@@ -547,12 +582,42 @@ EnergyReading read_energy(std::uint16_t port) {
                            prometheus_value(text, "orinsim_completion_tokens_total")};
 }
 
-// Modeled joules per prompt+completion token over the window (the same
-// per-token basis as the daemon's orinsim_energy_per_token_joules gauge).
-double joules_per_token(const EnergyReading& before, const EnergyReading& after) {
-  const double tokens = after.tokens - before.tokens;
-  return tokens > 0.0 ? (after.joules - before.joules) / tokens : std::nan("");
-}
+// Modeled joules per prompt+completion token (the per-token basis of the
+// daemon's orinsim_energy_per_token_joules gauge) as the median over kChunks
+// time segments of the window. /metrics is read when the meter is made
+// (before the window), from a second thread at each inner segment boundary,
+// and in joules_per_token() (after the last request). The model charges
+// energy for measured step durations, so a host stall inflates one segment
+// instead of the whole ratio.
+class EnergyMeter {
+ public:
+  EnergyMeter(std::uint16_t port, Clock::time_point epoch, double window_s)
+      : port_(port), readings_{read_energy(port)}, sampler_([this, epoch, window_s] {
+          for (std::size_t k = 1; k < kChunks; ++k) {
+            const double at_s = window_s * static_cast<double>(k) / static_cast<double>(kChunks);
+            std::this_thread::sleep_until(
+                epoch + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(at_s)));
+            readings_.push_back(read_energy(port_));
+          }
+        }) {}
+
+  double joules_per_token() {
+    sampler_.join();
+    readings_.push_back(read_energy(port_));
+    std::vector<double> segments;
+    for (std::size_t i = 1; i < readings_.size(); ++i) {
+      const double tokens = readings_[i].tokens - readings_[i - 1].tokens;
+      if (tokens > 0.0) segments.push_back((readings_[i].joules - readings_[i - 1].joules) / tokens);
+    }
+    return median(segments);
+  }
+
+ private:
+  std::uint16_t port_;
+  std::vector<EnergyReading> readings_;  // the sampler's until it is joined
+  std::jthread sampler_;                 // last: it uses the members above
+};
 
 struct ServedRun {
   std::vector<ClientRecord> records;
@@ -561,30 +626,29 @@ struct ServedRun {
 };
 
 // The untraced measurement: the shipped binary, timed from outside.
-ServedRun run_served_binary(const std::string& bin, const ServedConfig& c,
+ServedRun run_served_binary(const std::string& bin, const ServedWorkload& w,
                             const ServedInputs& in, double window_s) {
   ServedRun run;
   std::vector<double> setups;
   auto server = std::make_unique<ServerProcess>();
   std::vector<std::string> flags = kServedFlags;
   flags.push_back("--port=0");
-  const std::size_t reps = std::max<std::size_t>(1, c.setup_reps);
-  for (std::size_t i = 0; i < reps; ++i) {
+  for (std::size_t i = 0; i < kSetupReps; ++i) {
     if (i > 0) server = std::make_unique<ServerProcess>();
     const double s = server->start(bin, flags);
     if (s < 0.0) throw std::runtime_error("orinsim_serve did not start: " + bin);
     setups.push_back(s);
-    if (i + 1 < reps) server->stop();
+    if (i + 1 < kSetupReps) server->stop();
   }
-  if (!warm_up(server->port(), in, c)) throw std::runtime_error("warm-up requests failed");
+  if (!warm_up(server->port(), in, w)) throw std::runtime_error("warm-up requests failed");
 
-  const EnergyReading before = read_energy(server->port());
   const Clock::time_point epoch = Clock::now() + std::chrono::milliseconds(20);
-  run.records = run_open_loop(server->port(), plan_for(in.prompts, in.due_s, c.max_tokens),
-                              c.connections, epoch, window_s + 40.0);
-  run.e2e = summarize_served(run.records, c, window_s);
-  run.health = generator_health(run.records, c, window_s);
-  run.e2e.joules_per_token = joules_per_token(before, read_energy(server->port()));
+  EnergyMeter energy(server->port(), epoch, window_s);
+  run.records = run_open_loop(server->port(), plan_for(in.prompts, in.due_s, w.max_tokens),
+                              kConnections, epoch, window_s + 40.0);
+  run.e2e = summarize_served(run.records, w, window_s);
+  run.health = generator_health(run.records, window_s);
+  run.e2e.joules_per_token = energy.joules_per_token();
   run.e2e.peak_rss_mb = peak_rss_mb(std::to_string(server->pid()));
   run.e2e.setup_s = median(setups);
   run.e2e.setup_reps = setups.size();
@@ -599,7 +663,7 @@ struct TracedServed {
   LayerReport layers;
 };
 
-TracedServed run_served_traced(const orinsim::Tokenizer& tokenizer, const ServedConfig& c,
+TracedServed run_served_traced(const orinsim::Tokenizer& tokenizer, const ServedWorkload& w,
                                const ServedInputs& in, double window_s) {
   TracedServed out;
   const Clock::time_point t0 = Clock::now();
@@ -621,18 +685,17 @@ TracedServed run_served_traced(const orinsim::Tokenizer& tokenizer, const Served
   if (!server.start(&error)) throw std::runtime_error("in-process server: " + error);
   out.run.e2e.setup_s = since(t0, Clock::now());
   out.run.e2e.setup_reps = 1;
-  if (!warm_up(server.port(), in, c)) throw std::runtime_error("warm-up requests failed");
+  if (!warm_up(server.port(), in, w)) throw std::runtime_error("warm-up requests failed");
 
-  const EnergyReading before = read_energy(server.port());
   const Clock::time_point epoch = Clock::now() + std::chrono::milliseconds(20);
+  EnergyMeter energy(server.port(), epoch, window_s);
   timing.reset(epoch, engine_epoch);
-  out.run.records = run_open_loop(server.port(),
-                                  plan_for(in.prompts, in.due_s, c.max_tokens),
-                                  c.connections, epoch, window_s + 40.0);
+  out.run.records = run_open_loop(server.port(), plan_for(in.prompts, in.due_s, w.max_tokens),
+                                  kConnections, epoch, window_s + 40.0);
   const TimingBackend::Records records = timing.snapshot();
-  out.run.e2e = summarize_served(out.run.records, c, window_s);
-  out.run.health = generator_health(out.run.records, c, window_s);
-  out.run.e2e.joules_per_token = joules_per_token(before, read_energy(server.port()));
+  out.run.e2e = summarize_served(out.run.records, w, window_s);
+  out.run.health = generator_health(out.run.records, window_s);
+  out.run.e2e.joules_per_token = energy.joules_per_token();
   out.run.e2e.peak_rss_mb = peak_rss_mb("self");
   server.shutdown();
 
@@ -651,16 +714,15 @@ TracedServed run_served_traced(const orinsim::Tokenizer& tokenizer, const Served
   return out;
 }
 
-// Traced-over-untraced ratio of each end-to-end metric the trace can move.
+// Traced-over-untraced ratio of each end-to-end metric the trace can move
+// that does not depend on how many requests the window held (the served
+// baseline offers only the first half of the schedule).
 JsonObject overhead(const E2E& untraced, const E2E& traced) {
   auto rel = [](double t, double u) { return u != 0.0 ? t / u : std::nan(""); };
   JsonObject o;
   o.num("ttft_p50_ms", rel(traced.ttft_p50_ms, untraced.ttft_p50_ms))
-      .num("ttft_p95_ms", rel(traced.ttft_p95_ms, untraced.ttft_p95_ms))
       .num("itl_p50_ms", rel(traced.itl_p50_ms, untraced.itl_p50_ms))
-      .num("itl_p99_ms", rel(traced.itl_p99_ms, untraced.itl_p99_ms))
-      .num("goodput_rps", rel(traced.goodput_rps, untraced.goodput_rps))
-      .num("output_tok_s", rel(traced.output_tok_s, untraced.output_tok_s));
+      .num("joules_per_token", rel(traced.joules_per_token, untraced.joules_per_token));
   return o;
 }
 
@@ -668,51 +730,18 @@ JsonObject overhead(const E2E& untraced, const E2E& traced) {
 // Offline batch workload
 // ---------------------------------------------------------------------------
 
-struct OfflineConfig {
-  std::size_t requests = 24;
-  std::size_t input_tokens = 128;
-  std::size_t max_tokens = 128;
-  std::size_t lanes = 8;
-  std::size_t workers = 3;
-  double kv_fraction = 0.5;  // of what `lanes` full sequences need
-  orinsim::DType dtype = orinsim::DType::kI4;
-  orinsim::KVStorage kv_storage = orinsim::KVStorage::kI8;
-  double ttft_slo_ms = 1000.0;
-  double itl_slo_ms = 100.0;
-  std::size_t setup_reps = 5;
-  std::size_t min_reps = 3;
-};
-
-OfflineConfig offline_config(const orinsim::CliArgs& args) {
-  OfflineConfig c;
-  c.requests = static_cast<std::size_t>(args.get_int("requests", 24));
-  c.input_tokens = static_cast<std::size_t>(args.get_int("input-tokens", 128));
-  c.max_tokens = static_cast<std::size_t>(args.get_int("max-tokens", 128));
-  c.lanes = static_cast<std::size_t>(args.get_int("lanes", 8));
-  c.workers = static_cast<std::size_t>(args.get_int("workers", 3));
-  c.kv_fraction = args.get_double("kv-fraction", 0.5);
-  c.dtype = orinsim::parse_dtype(args.get("dtype", "i4"));
-  c.kv_storage = args.get("kv-storage", "i8") == "i8" ? orinsim::KVStorage::kI8
-                                                       : orinsim::KVStorage::kF32;
-  c.ttft_slo_ms = args.get_double("ttft-slo-ms", 1000.0);
-  c.itl_slo_ms = args.get_double("itl-slo-ms", 100.0);
-  c.setup_reps = static_cast<std::size_t>(args.get_int("setup-reps", 5));
-  c.min_reps = static_cast<std::size_t>(args.get_int("min-reps", 3));
-  return c;
-}
-
-StackSpec offline_spec(const OfflineConfig& c, bool constrained) {
+StackSpec offline_spec(const OfflineWorkload& w, bool constrained) {
   StackSpec spec;
-  spec.dtype = c.dtype;
-  spec.decode_workers = c.workers;
-  spec.backend.max_lanes = c.lanes;
-  spec.backend.max_seq = c.input_tokens + c.max_tokens;
-  spec.backend.kv_storage = c.kv_storage;
+  spec.dtype = w.dtype;
+  spec.decode_workers = w.workers;
+  spec.backend.max_lanes = w.lanes;
+  spec.backend.max_seq = w.input_tokens + w.max_tokens;
+  spec.backend.kv_storage = w.kv_storage;
   spec.backend.power_proxy_model = "llama3";
   if (constrained) {
     const std::size_t block = spec.backend.block_tokens;
-    const std::size_t full = c.lanes * ((spec.backend.max_seq + block - 1) / block);
-    const double blocks = std::round(c.kv_fraction * static_cast<double>(full));
+    const std::size_t full = w.lanes * ((spec.backend.max_seq + block - 1) / block);
+    const double blocks = std::round(w.kv_fraction * static_cast<double>(full));
     spec.backend.kv_blocks = std::max<std::size_t>(1, static_cast<std::size_t>(blocks));
   }
   return spec;
@@ -733,7 +762,7 @@ struct OfflineRep {
 // wall time.
 OfflineRep offline_rep(orinsim::serving::TokenBackend& backend,
                        const std::vector<std::vector<TokenId>>& prompts,
-                       const OfflineConfig& c) {
+                       const OfflineWorkload& w) {
   OfflineRep rep;
   std::vector<std::vector<double>> times(prompts.size());
   orinsim::serving::ContinuousEngine engine(backend);
@@ -742,7 +771,7 @@ OfflineRep offline_rep(orinsim::serving::TokenBackend& backend,
     orinsim::serving::Request req;
     req.prompt = prompts[i];
     req.prompt_tokens = prompts[i].size();
-    req.max_new_tokens = c.max_tokens;
+    req.max_new_tokens = w.max_tokens;
     orinsim::serving::StreamCallbacks cb;
     cb.on_token = [&times, t0, i](const orinsim::serving::Request&, TokenId) {
       times[i].push_back(since(t0, Clock::now()));
@@ -768,7 +797,7 @@ OfflineRep offline_rep(orinsim::serving::TokenBackend& backend,
     const std::vector<double> g = gaps(t);
     for (double x : g) rep.itl_ms.push_back(x * 1e3);
     const double tpot = g.empty() ? 0.0 : mean(g) * 1e3;
-    if (ttft <= c.ttft_slo_ms && tpot <= c.itl_slo_ms) ++rep.good;
+    if (ttft <= w.ttft_slo_ms && tpot <= w.itl_slo_ms) ++rep.good;
   }
   return rep;
 }
@@ -778,14 +807,18 @@ struct OfflineRun {
   std::vector<OfflineRep> reps;
 };
 
-// Repeats the batch until `seconds` of measurement have passed.
+// Repeats the batch until `seconds` of measurement have passed. Peak RSS is
+// read after the first batch: every batch is the same, so the engine's peak
+// is reached there, and later the driver's own sample storage (growing with
+// the number of batches the host fits in the window) would count too.
 OfflineRun offline_measure(orinsim::serving::TokenBackend& backend,
                            const std::vector<std::vector<TokenId>>& prompts,
-                           const OfflineConfig& c, double seconds) {
+                           const OfflineWorkload& w, double seconds) {
   OfflineRun run;
   const Clock::time_point start = Clock::now();
-  while (run.reps.size() < c.min_reps || since(start, Clock::now()) < seconds) {
-    run.reps.push_back(offline_rep(backend, prompts, c));
+  while (run.reps.size() < kMinOfflineReps || since(start, Clock::now()) < seconds) {
+    run.reps.push_back(offline_rep(backend, prompts, w));
+    if (run.reps.size() == 1) run.e2e.peak_rss_mb = peak_rss_mb("self");
   }
   std::vector<double> tok_s, goodput, jpt;
   for (const OfflineRep& r : run.reps) {
@@ -816,11 +849,12 @@ struct Outcome {
   JsonObject per_layer;
 };
 
-Outcome served_mode(const orinsim::CliArgs& args, std::uint64_t seed, double seconds,
-                    bool trace) {
+// A traced run measures untraced over the first half of the window (the
+// overhead baseline) and then traced over the whole window, so the traced
+// tails have as many samples as an untraced run's.
+Outcome served_mode(const ServedWorkload& w, const std::string& bin, std::uint64_t seed,
+                    double seconds, bool trace) {
   Outcome o;
-  const ServedConfig c = served_config(args);
-  const std::string bin = args.get("serve-bin", "");
   if (bin.empty() || ::access(bin.c_str(), X_OK) != 0) {
     throw std::runtime_error("--serve-bin must name the orinsim_serve executable");
   }
@@ -829,22 +863,10 @@ Outcome served_mode(const orinsim::CliArgs& args, std::uint64_t seed, double sec
       orinsim::workload::generate_corpus(orinsim::workload::CorpusSpec::wikitext2());
   const orinsim::workload::PromptPool pool(corpus, tokenizer);
 
-  // A traced run splits its window: the binary first, untraced, for the
-  // overhead baseline, then the in-process traced server on the same
-  // schedule.
+  const ServedInputs in = make_served_inputs(w, tokenizer, pool, seed, seconds);
   const double window = trace ? seconds / 2.0 : seconds;
-  const ServedInputs in = make_served_inputs(c, tokenizer, pool, seed, window);
-  if (!c.chat) {
-    std::vector<std::vector<TokenId>> all;
-    for (const Prompt& p : in.prompts) all.push_back(p.tokens);
-    for (const Prompt& p : in.warmup) all.push_back(p.tokens);
-    if (any_shared_prefix(all, c.distinct_prefix)) {
-      o.check.fail("two unique prompts share a " + std::to_string(c.distinct_prefix) +
-                   "-token prefix");
-    }
-  }
-
-  const ServedRun run = run_served_binary(bin, c, in, window);
+  const ServedInputs& measured = trace ? schedule_head(in, window) : in;
+  const ServedRun run = run_served_binary(bin, w, measured, window);
   o.e2e = run.e2e;
   o.valid = run.health.valid;
   // The traced run goes before the reference: the reference's decode pool
@@ -852,62 +874,59 @@ Outcome served_mode(const orinsim::CliArgs& args, std::uint64_t seed, double sec
   // latencies, and the traced run must see the same process state the
   // binary starts from.
   std::optional<TracedServed> traced;
-  if (trace) traced = run_served_traced(tokenizer, c, in, window);
+  if (trace) traced = run_served_traced(tokenizer, w, in, seconds);
   const std::map<std::string, std::string> reference =
-      served_reference(tokenizer, in.prompts, c.max_tokens);
-  check_served(run.records, in.prompts, reference, c.max_tokens, "served", o.check);
+      served_reference(tokenizer, in.prompts, w.max_tokens);
+  check_served(run.records, measured.prompts, reference, w.max_tokens, "served", o.check);
 
   o.report.obj("generator", run.health.json())
       .obj("samples", run.e2e.samples())
       .count("distinct_prompts", reference.size())
       .strings("served_flags", kServedFlags)
       .num("window_s", window)
-      .num("offered_rps", c.rate_rps)
-      .num("ttft_slo_ms", c.ttft_slo_ms)
-      .num("itl_slo_ms", c.itl_slo_ms);
+      .num("offered_rps", w.rate_rps)
+      .num("ttft_slo_ms", w.ttft_slo_ms)
+      .num("itl_slo_ms", w.itl_slo_ms);
 
   if (traced) {
-    check_served(traced->run.records, in.prompts, reference, c.max_tokens, "traced", o.check);
+    check_served(traced->run.records, in.prompts, reference, w.max_tokens, "traced", o.check);
     o.valid = o.valid && traced->run.health.valid;
     o.per_layer = traced->layers.metrics;
     o.report.obj("traced_e2e", traced->run.e2e.metrics())
         .obj("traced_generator", traced->run.health.json())
         .obj("tracing_overhead", overhead(run.e2e, traced->run.e2e))
-        .obj("decomposition", traced->layers.decomposition);
+        .obj("decomposition", traced->layers.decomposition)
+        .obj("per_layer_tails", traced->layers.tails);
   }
   return o;
 }
 
-Outcome offline_mode(const orinsim::CliArgs& args, std::uint64_t seed, double seconds,
-                     bool trace) {
+Outcome offline_mode(const OfflineWorkload& w, std::uint64_t seed, double seconds, bool trace) {
   Outcome o;
-  const OfflineConfig c = offline_config(args);
   const orinsim::Tokenizer tokenizer = serving_tokenizer();
   const orinsim::workload::Corpus corpus =
       orinsim::workload::generate_corpus(orinsim::workload::CorpusSpec::wikitext2());
   const orinsim::workload::PromptPool pool(corpus, tokenizer);
   orinsim::Rng rng(seed ^ 0x5bd1e995ULL);
   const std::vector<std::vector<TokenId>> prompts =
-      pool.sample_batch(c.requests, c.input_tokens, rng);
+      pool.sample_batch(w.requests, w.input_tokens, rng);
 
   // Set-up: weight init + quantization + backend construction, repeated;
   // only one stack is alive at a time.
   std::vector<double> setups;
   Stack stack;
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, c.setup_reps); ++i) {
+  for (std::size_t i = 0; i < kSetupReps; ++i) {
     stack.release();
     const Clock::time_point t0 = Clock::now();
-    stack = build_stack(tokenizer, offline_spec(c, true));
+    stack = build_stack(tokenizer, offline_spec(w, true));
     setups.push_back(since(t0, Clock::now()));
   }
 
-  // A traced run spends half its window untraced (the overhead baseline)
-  // and half behind the TimingBackend decorator.
+  // As in served_mode: untraced over half the window, then traced over all.
   const double window = trace ? seconds / 2.0 : seconds;
-  OfflineRun run = offline_measure(*stack.backend, prompts, c, window);
+  OfflineRun run = offline_measure(*stack.backend, prompts, w, window);
   run.e2e.setup_s = median(setups);
   run.e2e.setup_reps = setups.size();
-  run.e2e.peak_rss_mb = peak_rss_mb("self");
   o.e2e = run.e2e;
 
   std::size_t preemptions = 0;
@@ -920,16 +939,16 @@ Outcome offline_mode(const orinsim::CliArgs& args, std::uint64_t seed, double se
   o.report.obj("samples", run.e2e.samples())
       .count("reps", run.reps.size())
       .count("preemptions", preemptions)
-      .count("kv_blocks", offline_spec(c, true).backend.kv_blocks)
-      .str("dtype", orinsim::dtype_name(c.dtype))
-      .num("ttft_slo_ms", c.ttft_slo_ms)
-      .num("itl_slo_ms", c.itl_slo_ms);
+      .count("kv_blocks", offline_spec(w, true).backend.kv_blocks)
+      .str("dtype", orinsim::dtype_name(w.dtype))
+      .num("ttft_slo_ms", w.ttft_slo_ms)
+      .num("itl_slo_ms", w.itl_slo_ms);
 
   if (trace) {
     TimingBackend timing(*stack.backend);
     const Clock::time_point epoch = Clock::now();
     timing.reset(epoch, epoch);
-    OfflineRun traced = offline_measure(timing, prompts, c, window);
+    OfflineRun traced = offline_measure(timing, prompts, w, seconds);
     const TimingBackend::Records records = timing.snapshot();
     double wall = 0.0;
     for (const OfflineRep& r : traced.reps) {
@@ -940,16 +959,18 @@ Outcome offline_mode(const orinsim::CliArgs& args, std::uint64_t seed, double se
     li.records = &records;
     li.wall_s = wall;
     li.weight_bytes = stack.model->weight_bytes();
-    li.block_tokens = offline_spec(c, true).backend.block_tokens;
-    o.per_layer = layer_metrics(li).metrics;
+    li.block_tokens = offline_spec(w, true).backend.block_tokens;
+    const LayerReport layers = layer_metrics(li);
+    o.per_layer = layers.metrics;
     o.report.obj("traced_e2e", traced.e2e.metrics())
-        .obj("tracing_overhead", overhead(run.e2e, traced.e2e));
+        .obj("tracing_overhead", overhead(run.e2e, traced.e2e))
+        .obj("per_layer_tails", layers.tails);
   }
 
   // Lossless preemption: the same batch with an unconstrained pool.
   stack.release();
-  Stack full = build_stack(tokenizer, offline_spec(c, false));
-  const OfflineRep reference = offline_rep(*full.backend, prompts, c);
+  Stack full = build_stack(tokenizer, offline_spec(w, false));
+  const OfflineRep reference = offline_rep(*full.backend, prompts, w);
   if (reference.preemptions != 0) o.check.fail("the unconstrained pool preempted");
   if (reference.digest != run.reps.front().digest) {
     o.check.fail("output digest differs from the unconstrained-pool run");
@@ -962,27 +983,25 @@ Outcome offline_mode(const orinsim::CliArgs& args, std::uint64_t seed, double se
 int main(int argc, char** argv) {
   const orinsim::CliArgs args(argc, argv);
   const std::string workload = args.get("workload", "");
-  const std::string mode = args.get("mode", "");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const double seconds = args.get_double("seconds", 10.0);
   const bool trace = args.get_int("trace", 0) != 0;
   try {
     Outcome o;
-    if (mode == "served") {
-      o = served_mode(args, seed, seconds, trace);
-    } else if (mode == "offline") {
-      o = offline_mode(args, seed, seconds, trace);
+    if (workload == "chat_prefix") {
+      o = served_mode(kChatPrefix, args.get("serve-bin", ""), seed, seconds, trace);
+    } else if (workload == "offline_quant") {
+      o = offline_mode(kOfflineQuant, seed, seconds, trace);
     } else {
-      std::fprintf(stderr, "perfbench_driver: --mode must be served or offline\n");
+      std::fprintf(stderr, "perfbench_driver: --workload must be chat_prefix or offline_quant\n");
       return 2;
     }
     JsonObject report;
     report.str("workload", workload)
-        .str("mode", mode)
         .count("seed", seed)
         .num("seconds", seconds)
         .flag("trace", trace)
-        .flag("correct", o.check.ok())
+        .flag("correct", o.check.ok() && o.valid)
         .flag("outputs_match", o.check.ok())
         .flag("generator_valid", o.valid)
         .strings("problems", o.check.problems)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 
 namespace perfbench {
@@ -61,39 +60,6 @@ std::vector<Prompt> chat_prompts(const orinsim::workload::PromptPool& pool,
     throw std::runtime_error("chat_prompts: too few prompts survive the round trip");
   }
   return out;
-}
-
-std::vector<Prompt> unique_prompts(const orinsim::workload::PromptPool& pool,
-                                   const orinsim::Tokenizer& tokenizer, std::size_t count,
-                                   std::size_t input_tokens, std::size_t distinct_prefix,
-                                   orinsim::Rng& rng) {
-  std::set<std::vector<TokenId>> prefixes;
-  std::vector<Prompt> out;
-  out.reserve(count);
-  const std::size_t max_draws = 64 * count + 256;
-  for (std::size_t draw = 0; draw < max_draws && out.size() < count; ++draw) {
-    std::vector<TokenId> tokens = pool.sample_batch(1, input_tokens, rng).front();
-    const std::size_t k = std::min(distinct_prefix, tokens.size());
-    std::vector<TokenId> head(tokens.begin(), tokens.begin() + static_cast<long>(k));
-    if (prefixes.count(head) > 0 || !round_trips(tokenizer, tokens)) continue;
-    prefixes.insert(std::move(head));
-    std::string text = tokenizer.decode(tokens);
-    out.push_back(Prompt{std::move(tokens), std::move(text)});
-  }
-  if (out.size() < count) {
-    throw std::runtime_error("unique_prompts: the prompt pool cannot supply " +
-                             std::to_string(count) + " prompts with distinct prefixes");
-  }
-  return out;
-}
-
-bool any_shared_prefix(const std::vector<std::vector<TokenId>>& prompts, std::size_t prefix) {
-  std::set<std::vector<TokenId>> seen;
-  for (const auto& p : prompts) {
-    const std::size_t k = std::min(prefix, p.size());
-    if (!seen.emplace(p.begin(), p.begin() + static_cast<long>(k)).second) return true;
-  }
-  return false;
 }
 
 std::uint64_t token_hash(const std::vector<TokenId>& tokens, std::uint64_t seed) {

@@ -47,20 +47,6 @@ std::vector<Prompt> chat_prompts(const orinsim::workload::PromptPool& pool,
                                  const orinsim::workload::ChatWorkloadConfig& config,
                                  orinsim::Rng& rng);
 
-// `count` prompts of `input_tokens` from PromptPool::sample_batch, no two of
-// which share their first `distinct_prefix` tokens (so a prefix cache with
-// that granularity can never hit across them). Throws when the pool cannot
-// supply that many.
-std::vector<Prompt> unique_prompts(const orinsim::workload::PromptPool& pool,
-                                   const orinsim::Tokenizer& tokenizer, std::size_t count,
-                                   std::size_t input_tokens, std::size_t distinct_prefix,
-                                   orinsim::Rng& rng);
-
-// True when two of the prompts share their first `prefix` tokens (prompts
-// shorter than `prefix` compare whole).
-bool any_shared_prefix(const std::vector<std::vector<orinsim::TokenId>>& prompts,
-                       std::size_t prefix);
-
 // FNV-1a over token ids; order-sensitive.
 std::uint64_t token_hash(const std::vector<orinsim::TokenId>& tokens,
                          std::uint64_t seed = 1469598103934665603ULL);

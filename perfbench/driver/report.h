@@ -13,12 +13,7 @@ namespace perfbench {
 
 class JsonObject {
  public:
-  JsonObject& num(const std::string& key, double value) {
-    if (!std::isfinite(value)) return raw(key, "null");
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return raw(key, buf);
-  }
+  JsonObject& num(const std::string& key, double value) { return raw(key, number(value)); }
   JsonObject& count(const std::string& key, std::size_t value) {
     return raw(key, std::to_string(value));
   }
@@ -39,6 +34,14 @@ class JsonObject {
     }
     return raw(key, out + "]");
   }
+  JsonObject& nums(const std::string& key, const std::vector<double>& values) {
+    std::string out = "[";
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (i > 0) out += ",";
+      out += number(values[i]);
+    }
+    return raw(key, out + "]");
+  }
   JsonObject& raw(const std::string& key, std::string json) {
     fields_.emplace_back(key, std::move(json));
     return *this;
@@ -54,6 +57,13 @@ class JsonObject {
   }
 
  private:
+  static std::string number(double value) {
+    if (!std::isfinite(value)) return "null";
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+  }
+
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 

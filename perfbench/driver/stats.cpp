@@ -1,5 +1,8 @@
 #include "driver/stats.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace perfbench {
 
 bool tail_supported(std::size_t n, double p, std::size_t beyond) {
@@ -15,6 +18,12 @@ double highest_supported_tail(std::size_t n, std::size_t beyond) {
     if (tail_supported(n, p, beyond)) return p;
   }
   return 0.0;
+}
+
+double supported_tail(std::span<const double> values, double p, double* used_pct) {
+  const double pct = std::min(p, highest_supported_tail(values.size()));
+  if (used_pct != nullptr) *used_pct = pct;
+  return pct > 0.0 ? percentile(values, pct) : std::nan("");
 }
 
 std::vector<double> gaps(std::span<const double> times) {

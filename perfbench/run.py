@@ -6,9 +6,11 @@
 Run from the root of a checkout. The first call configures and builds the
 benchmark driver and orinsim_serve from this checkout's sources into
 .bench_build/ (later calls rebuild incrementally); then the driver measures
-one workload from perfbench/workloads.json. With --trace 0 the result line
-carries every end-to-end metric, with --trace 1 every per-layer metric of
-the traced run. The full report (generator health, sample counts, the TTFT
+one workload of BENCHMARK.json (its shape is fixed in perfbench/driver/main.cpp).
+With --trace 0 the result line carries every end-to-end metric, with
+--trace 1 every per-layer metric of the traced run. perfbench/per_layer.json
+records which end-to-end metric each per-layer metric should move, and on
+which workload. The full report (generator health, sample counts, the TTFT
 decomposition, tracing overhead, host and build record) is written to
 .bench_out/<workload>-seed<n>-trace<t>.json and summarized on stdout.
 
@@ -30,6 +32,13 @@ BUILD = os.path.join(ROOT, ".bench_build")
 OUT = os.path.join(ROOT, ".bench_out")
 BUILD_TYPE = "Release"
 DRIVER_TIMEOUT_S = 170
+# OpenMP threads of the driver and of the orinsim_serve it starts: one core of
+# the four is left to the load generator and the daemon's connection threads.
+# With four spinning OpenMP workers the latencies measured the scheduler's
+# contention more than the stack: on a 4-vCPU Xeon VM, chat_prefix itl_p50
+# over five seeds of 20 s had an IQR/median of 0.20 with four threads and
+# 0.08 with three.
+OMP_THREADS = "3"
 
 
 def fail(message):
@@ -90,13 +99,6 @@ def git_sha():
     return "unknown"
 
 
-def driver_args(workload, spec):
-    args = [f"--workload={workload}", f"--mode={spec['mode']}"]
-    for key, value in spec["args"].items():
-        args.append(f"--{key}={value}")
-    return args
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
@@ -105,23 +107,28 @@ def main():
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     opts = parser.parse_args()
 
-    with open(os.path.join(HERE, "workloads.json")) as f:
-        config = json.load(f)
-    if opts.workload not in config["workloads"]:
-        fail(f"unknown workload {opts.workload!r}; known: {sorted(config['workloads'])}")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    with open(os.path.join(HERE, "per_layer.json")) as f:
+        per_layer_map = json.load(f)
+    workloads = [w["name"] for w in bench["workloads"]]
+    if opts.workload not in workloads:
+        fail(f"unknown workload {opts.workload!r}; known: {workloads}")
     if opts.seconds <= 0:
         fail("--seconds must be positive")
-    spec = config["workloads"][opts.workload]
+    if sorted(per_layer_map) != sorted(m["name"] for m in bench["per_layer"]):
+        fail("perfbench/per_layer.json and BENCHMARK.json name different per-layer metrics")
 
     started = time.monotonic()
     driver, serve = build()
     build_s = time.monotonic() - started
 
-    cmd = [driver, *driver_args(opts.workload, spec), f"--seed={opts.seed}",
+    cmd = [driver, f"--workload={opts.workload}", f"--seed={opts.seed}",
            f"--seconds={opts.seconds}", f"--trace={opts.trace}", f"--serve-bin={serve}"]
+    env = dict(os.environ, OMP_NUM_THREADS=OMP_THREADS)
     try:
         run = subprocess.run(cmd, capture_output=True, text=True, timeout=DRIVER_TIMEOUT_S,
-                             cwd=ROOT)
+                             cwd=ROOT, env=env)
     except subprocess.TimeoutExpired:
         fail(f"driver exceeded {DRIVER_TIMEOUT_S} s")
     sys.stderr.write(run.stderr)
@@ -130,6 +137,8 @@ def main():
         fail(f"driver failed with exit code {run.returncode}")
     report = json.loads(lines[-1].split(" ", 1)[1])
 
+    details = report.get("details", {})
+    served_flags = details.get("served_flags")
     model, flags = cpu_record()
     report["host"] = {
         "cpu_model": model,
@@ -137,26 +146,28 @@ def main():
         "nproc": os.cpu_count(),
         "kernels": report.pop("kernels"),
         "kernels_env": os.environ.get("ORINSIM_KERNELS", ""),
+        "omp_num_threads": OMP_THREADS,
         "build_type": BUILD_TYPE,
         "git_sha": git_sha(),
         "seed": opts.seed,
-        "served_command": config["served_command"] if spec["mode"] == "served" else None,
+        "served_command": " ".join(["orinsim_serve", *served_flags]) if served_flags else None,
         "build_s": round(build_s, 3),
     }
 
+    # The driver's "correct" already requires matching outputs and a healthy
+    # load generator (see "outputs_match" and "generator_valid").
     correct = bool(report["correct"])
     if opts.trace:
-        source, units = report.get("per_layer", {}), {
-            name: m["unit"] for name, m in config["per_layer"].items()}
+        source, specs = report.get("per_layer", {}), bench["per_layer"]
     else:
-        source, units = report["e2e"], config["end_to_end"]
+        source, specs = report["e2e"], bench["end_to_end"]
     metrics = {}
-    for name, unit in units.items():
-        value = source.get(name)
+    for spec in specs:
+        value = source.get(spec["name"])
         if not isinstance(value, (int, float)):
             correct = False  # a metric with no samples: the run measured nothing
             value = 0.0
-        metrics[name] = {"value": value, "unit": unit}
+        metrics[spec["name"]] = {"value": value, "unit": spec["unit"]}
 
     os.makedirs(OUT, exist_ok=True)
     out_path = os.path.join(OUT, f"{opts.workload}-seed{opts.seed}-trace{opts.trace}.json")
@@ -167,13 +178,13 @@ def main():
           f"{'correct' if correct else 'NOT CORRECT'}; report in {os.path.relpath(out_path, ROOT)}")
     for problem in report.get("problems", []):
         print(f"  problem: {problem}")
-    details = report.get("details", {})
-    generator = details.get("generator")
-    if generator:
-        print(f"  generator: lateness p50 {generator['lateness_p50_ms']:.3f} ms, "
-              f"p99 {generator['lateness_p99_ms']:.3f} ms; offered {generator['offered_rps']:.2f} "
-              f"rps, achieved {generator['achieved_rps']:.2f} rps; "
-              f"{'valid' if generator['valid'] else 'INVALID: ' + generator['reason']}")
+    for key in ("generator", "traced_generator"):
+        g = details.get(key)
+        if g:
+            print(f"  {key}: lateness p50 {g['lateness_p50_ms']:.3f} ms, "
+                  f"p99 {g['lateness_p99_ms']:.3f} ms; offered {g['offered_rps']:.2f} rps, "
+                  f"achieved {g['achieved_rps']:.2f} rps; "
+                  f"{'valid' if g['valid'] else 'INVALID: ' + g['reason']}")
     failed_frac = report["e2e"].get("failed_frac")
     print(f"  failed_frac {failed_frac} (ratio; {report['failed']} of {report['attempted']})")
     if "decomposition" in details:

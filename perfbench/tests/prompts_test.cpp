@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "driver/stack.h"
 #include "workload/corpus.h"
 
@@ -41,15 +44,6 @@ TEST(PoissonSchedule, GapsLookExponential) {
   EXPECT_NEAR(scv, 1.0, 0.1);
 }
 
-TEST(SharedPrefix, DetectsAnyPairSharingThePrefix) {
-  const std::vector<TokenId> a = {1, 2, 3, 4}, b = {1, 2, 3, 9}, c = {1, 2, 7, 4};
-  EXPECT_TRUE(any_shared_prefix({a, b}, 3));
-  EXPECT_FALSE(any_shared_prefix({a, b}, 4));
-  EXPECT_FALSE(any_shared_prefix({a, c}, 3));
-  EXPECT_TRUE(any_shared_prefix({c, a, b}, 2));
-  EXPECT_FALSE(any_shared_prefix({a}, 1));
-}
-
 class PromptsFromPool : public ::testing::Test {
  protected:
   PromptsFromPool()
@@ -61,32 +55,6 @@ class PromptsFromPool : public ::testing::Test {
   orinsim::workload::Corpus corpus_;
   orinsim::workload::PromptPool pool_;
 };
-
-TEST_F(PromptsFromPool, UniquePromptsHaveDistinctPrefixesAndRoundTrip) {
-  orinsim::Rng rng(17);
-  const std::vector<Prompt> prompts = unique_prompts(pool_, tokenizer_, 48, 512, 32, rng);
-  ASSERT_EQ(prompts.size(), 48u);
-  std::vector<std::vector<TokenId>> tokens;
-  for (const Prompt& p : prompts) {
-    EXPECT_EQ(p.tokens.size(), 512u);
-    EXPECT_EQ(tokenizer_.encode(p.text), p.tokens);
-    tokens.push_back(p.tokens);
-  }
-  EXPECT_FALSE(any_shared_prefix(tokens, 32));
-}
-
-TEST_F(PromptsFromPool, UniquePromptsAreSeeded) {
-  orinsim::Rng a(3), b(3);
-  const auto x = unique_prompts(pool_, tokenizer_, 8, 512, 32, a);
-  const auto y = unique_prompts(pool_, tokenizer_, 8, 512, 32, b);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i].tokens, y[i].tokens);
-}
-
-TEST_F(PromptsFromPool, UniquePromptsThrowWhenThePoolRunsOut) {
-  orinsim::Rng rng(1);
-  EXPECT_THROW(unique_prompts(pool_, tokenizer_, pool_.size() + 1, 512, 32, rng),
-               std::runtime_error);
-}
 
 TEST_F(PromptsFromPool, ChatPromptsShareSystemPrefixes) {
   orinsim::workload::ChatWorkloadConfig chat;

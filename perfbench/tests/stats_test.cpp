@@ -37,6 +37,22 @@ TEST(Stats, HighestSupportedTail) {
   EXPECT_DOUBLE_EQ(highest_supported_tail(19), 0.0);
 }
 
+TEST(Stats, SupportedTailFallsBackToTheHighestSupported) {
+  std::vector<double> v(300);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<double>(i);
+  double pct = -1.0;
+  EXPECT_DOUBLE_EQ(supported_tail(v, 95.0, &pct), percentile(v, 95.0));
+  EXPECT_DOUBLE_EQ(pct, 95.0);
+  v.resize(150);  // 7.5 samples beyond p95; p90 leaves 15
+  EXPECT_DOUBLE_EQ(supported_tail(v, 95.0, &pct), percentile(v, 90.0));
+  EXPECT_DOUBLE_EQ(pct, 90.0);
+  EXPECT_DOUBLE_EQ(supported_tail(v, 50.0, &pct), median(v));  // never above p
+  EXPECT_DOUBLE_EQ(pct, 50.0);
+  v.resize(19);
+  EXPECT_TRUE(std::isnan(supported_tail(v, 95.0, &pct)));
+  EXPECT_DOUBLE_EQ(pct, 0.0);
+}
+
 TEST(Stats, GapsBetweenConsecutiveTokens) {
   EXPECT_TRUE(gaps(std::vector<double>{}).empty());
   EXPECT_TRUE(gaps(std::vector<double>{1.0}).empty());
