@@ -28,7 +28,8 @@ void BM_Decode(benchmark::State& state) {
   Model model(master, dt);
   const TransformerConfig& cfg = model.config();
   KVCache cache(cfg, 1, cfg.max_seq);
-  std::vector<float> hidden(cfg.d_model);
+  InferenceWorkspace ws(cfg);
+  const std::size_t seq = 0;
   TokenId token = 5;
   std::size_t produced = 0;
   for (auto _ : state) {
@@ -37,7 +38,7 @@ void BM_Decode(benchmark::State& state) {
       cache.reset();
       state.ResumeTiming();
     }
-    model.forward_token(token, 0, cache, hidden);
+    model.forward({&token, 1}, {&seq, 1}, cache, ws.hidden, ws);
     token = static_cast<TokenId>((token * 31 + 7) % cfg.vocab);
     ++produced;
   }
@@ -74,7 +75,8 @@ void BM_FamilyDecode(benchmark::State& state) {
   Model model(master, DType::kF16);
   const TransformerConfig& cfg = model.config();
   KVCache cache(cfg, 1, cfg.max_seq);
-  std::vector<float> hidden(cfg.d_model);
+  InferenceWorkspace ws(cfg);
+  const std::size_t seq = 0;
   TokenId token = 3;
   for (auto _ : state) {
     if (cache.seq_len(0) + 1 >= cfg.max_seq) {
@@ -82,7 +84,7 @@ void BM_FamilyDecode(benchmark::State& state) {
       cache.reset();
       state.ResumeTiming();
     }
-    model.forward_token(token, 0, cache, hidden);
+    model.forward({&token, 1}, {&seq, 1}, cache, ws.hidden, ws);
     token = static_cast<TokenId>((token * 17 + 11) % cfg.vocab);
   }
   state.SetLabel(family);

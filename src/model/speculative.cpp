@@ -9,11 +9,13 @@ namespace orinsim {
 
 namespace {
 
+constexpr std::size_t kSeq = 0;
+
 // Feed one token, return the greedy next token.
-TokenId greedy_step(Model& model, KVCache& cache, TokenId token, std::vector<float>& hidden,
+TokenId greedy_step(Model& model, KVCache& cache, TokenId token, InferenceWorkspace& ws,
                     std::vector<float>& logits) {
-  model.forward_token(token, 0, cache, hidden);
-  model.logits_from_hidden(hidden, logits);
+  model.forward({&token, 1}, {&kSeq, 1}, cache, ws.hidden, ws);
+  model.logits_from_hidden(ws.hidden, logits);
   return static_cast<TokenId>(kernels::argmax(logits));
 }
 
@@ -34,8 +36,8 @@ Model::GenerateResult speculative_generate(Model& target, Model& draft,
 
   KVCache target_cache(target.config(), 1, need);
   KVCache draft_cache(draft.config(), 1, need);
-  std::vector<float> t_hidden(target.config().d_model), t_logits(target.config().vocab);
-  std::vector<float> d_hidden(draft.config().d_model), d_logits(draft.config().vocab);
+  InferenceWorkspace t_ws(target.config()), d_ws(draft.config());
+  std::vector<float> t_logits(target.config().vocab), d_logits(draft.config().vocab);
 
   SpeculativeStats local_stats;
   Model::GenerateResult result;
@@ -49,9 +51,9 @@ Model::GenerateResult speculative_generate(Model& target, Model& draft,
   TokenId pending = 0;
   for (std::size_t i = 0; i < prompt.size(); ++i) {
     const TokenId t = prompt[i];
-    pending = greedy_step(target, target_cache, t, t_hidden, t_logits);
+    pending = greedy_step(target, target_cache, t, t_ws, t_logits);
     ++local_stats.target_forwards;
-    draft.forward_token(t, 0, draft_cache, d_hidden);
+    draft.forward({&t, 1}, {&kSeq, 1}, draft_cache, {}, d_ws);
   }
 
   auto emit = [&](TokenId t) {
@@ -72,7 +74,7 @@ Model::GenerateResult speculative_generate(Model& target, Model& draft,
     // short after a fully-accepted round, or hold rejected tokens).
     draft_cache.truncate(0, std::min(draft_cache.seq_len(0), context.size()));
     for (std::size_t i = draft_cache.seq_len(0); i < context.size(); ++i) {
-      draft.forward_token(context[i], 0, draft_cache, d_hidden);
+      draft.forward({&context[i], 1}, {&kSeq, 1}, draft_cache, {}, d_ws);
     }
 
     // Draft proposes k tokens continuing from `pending`.
@@ -80,7 +82,7 @@ Model::GenerateResult speculative_generate(Model& target, Model& draft,
     proposals.reserve(k);
     TokenId draft_feed = pending;
     for (std::size_t i = 0; i < k; ++i) {
-      draft_feed = greedy_step(draft, draft_cache, draft_feed, d_hidden, d_logits);
+      draft_feed = greedy_step(draft, draft_cache, draft_feed, d_ws, d_logits);
       proposals.push_back(draft_feed);
     }
     // Target verifies: feed pending, compare its next choice to proposal i.
@@ -93,7 +95,7 @@ Model::GenerateResult speculative_generate(Model& target, Model& draft,
     std::size_t accepted = 0;
     bool rejected = false;
     for (std::size_t i = 0; i < k; ++i) {
-      const TokenId c = greedy_step(target, target_cache, verify_feed, t_hidden, t_logits);
+      const TokenId c = greedy_step(target, target_cache, verify_feed, t_ws, t_logits);
       ++local_stats.target_forwards;
       ++local_stats.proposed;
       if (c == proposals[i]) {
@@ -114,7 +116,7 @@ Model::GenerateResult speculative_generate(Model& target, Model& draft,
       // Every proposal accepted. The verification loop fed `pending` and
       // proposals[0..k-2]; feeding the final accepted proposal both restores
       // the cache == context invariant and yields the bonus token.
-      pending = greedy_step(target, target_cache, verify_feed, t_hidden, t_logits);
+      pending = greedy_step(target, target_cache, verify_feed, t_ws, t_logits);
       ++local_stats.target_forwards;
     }
     // Invariant: the target cache holds exactly `context` here (rejection

@@ -136,368 +136,152 @@ std::size_t Model::outlier_columns() const noexcept {
   return total;
 }
 
-void Model::attention(std::size_t layer, std::size_t b, KVCache& cache,
-                      std::span<const float> normed, std::span<float> out,
-                      InferenceWorkspace& ws) {
-  const TransformerConfig& c = master_->config;
-  const std::size_t head_dim = c.head_dim();
-  const std::size_t group = c.n_heads / c.n_kv_heads;
-  const std::size_t kv_dim = c.kv_dim();
-
-  // Fused QKV: INT8 weights quantize the shared activation once.
-  quant::matvec_qkv(layers_[layer].wq, layers_[layer].wk, layers_[layer].wv, normed,
-                    ws.q, ws.k, ws.v, ws.act8);
-
-  const std::size_t pos = cache.seq_len(b);
-  rope_.apply(ws.q, c.n_heads, head_dim, pos);
-  rope_.apply(ws.k, c.n_kv_heads, head_dim, pos);
-  cache.append(layer, b, ws.k, ws.v);
-
-  // Dequantize the whole K/V prefix once (positions 0..pos, the staged entry
-  // included). The former per-(head, position) key()/value() reads repeated
-  // the full-row dequantization n_heads times under quantized storage; FP32
-  // storage returns a zero-copy view either way.
-  const auto keys = cache.key_rows(layer, b, pos + 1, ws.kv_rows_k);
-  const auto values = cache.value_rows(layer, b, pos + 1, ws.kv_rows_v);
-
-  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  std::fill(out.begin(), out.end(), 0.0f);
-  for (std::size_t h = 0; h < c.n_heads; ++h) {
-    const std::size_t g = h / group;
-    const std::span<const float> qh(ws.q.data() + h * head_dim, head_dim);
-    for (std::size_t p = 0; p <= pos; ++p) {
-      ws.scores[p] =
-          kernels::dot(qh, keys.subspan(p * kv_dim + g * head_dim, head_dim)) * inv_sqrt_d;
-    }
-    kernels::softmax_rows(std::span<float>(ws.scores.data(), pos + 1), 1, pos + 1);
-    float* oh = out.data() + h * head_dim;
-    for (std::size_t p = 0; p <= pos; ++p) {
-      const float* vp = values.data() + p * kv_dim + g * head_dim;
-      const float s = ws.scores[p];
-      for (std::size_t i = 0; i < head_dim; ++i) oh[i] += s * vp[i];
-    }
+void Model::project(const quant::WeightMatrix& w, std::span<const float> x,
+                    std::span<float> y, std::size_t rows, bool chunk, InferenceWorkspace& ws) {
+  if (chunk) {
+    w.matmul(x, y, rows);
+  } else {
+    w.matvec_multi(x, y, rows, ws.act8);
   }
 }
 
-void Model::attention_lanes(std::size_t layer, std::span<const std::size_t> seqs,
-                            KVCache& cache, std::span<const float> normed,
-                            std::span<float> out, std::size_t n, InferenceWorkspace& ws) {
+void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std::size_t run,
+                      bool chunk, KVCache& cache, InferenceWorkspace& ws) {
   const TransformerConfig& c = master_->config;
+  const std::size_t rows = seqs.size() * run;
   const std::size_t head_dim = c.head_dim();
   const std::size_t group = c.n_heads / c.n_kv_heads;
   const std::size_t kv_dim = c.kv_dim();
   const std::size_t d = c.d_model;
+  const LayerQuant& lq = layers_[layer];
 
-  // Fused lane-batched QKV: every weight row is streamed once for the whole
-  // lane batch (and INT8/INT4 quantize the activation batch once, shared
-  // across Q/K/V). Per-lane results are bit-identical to matvec_qkv.
-  quant::matvec_qkv_multi(layers_[layer].wq, layers_[layer].wk, layers_[layer].wv, normed,
-                          std::span<float>(ws.cq.data(), n * d),
-                          std::span<float>(ws.ck.data(), n * kv_dim),
-                          std::span<float>(ws.cv.data(), n * kv_dim), n, ws.act8_chunk);
+  // Fused QKV: INT8/INT4 quantize the shared activation rows once.
+  const std::span<const float> normed(ws.normed.data(), rows * d);
+  const std::span<float> q(ws.q.data(), rows * d);
+  const std::span<float> k(ws.k.data(), rows * kv_dim);
+  const std::span<float> v(ws.v.data(), rows * kv_dim);
+  if (chunk) {
+    quant::matmul_qkv(lq.wq, lq.wk, lq.wv, normed, q, k, v, rows, ws.act8);
+  } else {
+    quant::matvec_qkv_multi(lq.wq, lq.wk, lq.wv, normed, q, k, v, rows, ws.act8);
+  }
 
-  // RoPE, cache append, and the score/softmax/V loop run per lane in the
-  // exact op order of attention(); lanes touch distinct cache sequences, so
-  // each lane's path is independent of its batch-mates.
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  std::fill(out.begin(), out.end(), 0.0f);
-  for (std::size_t t = 0; t < n; ++t) {
-    const std::size_t b = seqs[t];
-    const std::span<float> q_row(ws.cq.data() + t * d, d);
-    const std::span<float> k_row(ws.ck.data() + t * kv_dim, kv_dim);
-    const std::span<const float> v_row(ws.cv.data() + t * kv_dim, kv_dim);
-
-    const std::size_t pos = cache.seq_len(b);
-    rope_.apply(q_row, c.n_heads, head_dim, pos);
-    rope_.apply(k_row, c.n_kv_heads, head_dim, pos);
-    cache.append(layer, b, k_row, v_row);
-
-    const auto keys = cache.key_rows(layer, b, pos + 1, ws.kv_rows_k);
-    const auto values = cache.value_rows(layer, b, pos + 1, ws.kv_rows_v);
-
-    float* out_row = out.data() + t * d;
-    for (std::size_t h = 0; h < c.n_heads; ++h) {
-      const std::size_t g = h / group;
-      const std::span<const float> qh(q_row.data() + h * head_dim, head_dim);
-      for (std::size_t p = 0; p <= pos; ++p) {
-        ws.scores[p] =
-            kernels::dot(qh, keys.subspan(p * kv_dim + g * head_dim, head_dim)) * inv_sqrt_d;
-      }
-      kernels::softmax_rows(std::span<float>(ws.scores.data(), pos + 1), 1, pos + 1);
-      float* oh = out_row + h * head_dim;
-      for (std::size_t p = 0; p <= pos; ++p) {
-        const float* vp = values.data() + p * kv_dim + g * head_dim;
-        const float s = ws.scores[p];
-        for (std::size_t i = 0; i < head_dim; ++i) oh[i] += s * vp[i];
-      }
+  std::fill_n(ws.attn.begin(), rows * d, 0.0f);
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    const std::size_t b = seqs[i];
+    const std::size_t r0 = i * run;
+    const std::size_t first = cache.seq_len(b);
+    for (std::size_t t = 0; t < run; ++t) {
+      rope_.apply(q.subspan((r0 + t) * d, d), c.n_heads, head_dim, first + t);
+      rope_.apply(k.subspan((r0 + t) * kv_dim, kv_dim), c.n_kv_heads, head_dim, first + t);
     }
-  }
-}
+    // Stage the run's K/V rows; forward commits once after all layers.
+    cache.append_many(layer, b, k.subspan(r0 * kv_dim, run * kv_dim),
+                      v.subspan(r0 * kv_dim, run * kv_dim), run);
 
-void Model::attention_chunk(std::size_t layer, std::size_t b, KVCache& cache,
-                            std::span<const float> normed, std::span<float> out,
-                            std::size_t tokens, InferenceWorkspace& ws) {
-  const TransformerConfig& c = master_->config;
-  const std::size_t head_dim = c.head_dim();
-  const std::size_t group = c.n_heads / c.n_kv_heads;
-  const std::size_t kv_dim = c.kv_dim();
-  const std::size_t d = c.d_model;
+    // Dequantize the sequence's K/V prefix (staged rows included) once per
+    // layer; FP32 storage returns a zero-copy view.
+    const auto keys = cache.key_rows(layer, b, first + run, ws.kv_rows_k);
+    const auto values = cache.value_rows(layer, b, first + run, ws.kv_rows_v);
 
-  // Fused chunk QKV: INT8 weights quantize the whole chunk's activations once.
-  quant::matmul_qkv(layers_[layer].wq, layers_[layer].wk, layers_[layer].wv, normed,
-                    std::span<float>(ws.cq.data(), tokens * d),
-                    std::span<float>(ws.ck.data(), tokens * kv_dim),
-                    std::span<float>(ws.cv.data(), tokens * kv_dim), tokens, ws.act8_chunk);
-
-  const std::size_t first = cache.seq_len(b);
-  for (std::size_t t = 0; t < tokens; ++t) {
-    rope_.apply(std::span<float>(ws.cq.data() + t * d, d), c.n_heads, head_dim, first + t);
-    rope_.apply(std::span<float>(ws.ck.data() + t * kv_dim, kv_dim), c.n_kv_heads, head_dim,
-                first + t);
-  }
-  // Stage the chunk's K/V rows; forward_chunk commits once after all layers.
-  cache.append_many(layer, b, std::span<const float>(ws.ck.data(), tokens * kv_dim),
-                    std::span<const float>(ws.cv.data(), tokens * kv_dim), tokens);
-
-  const std::size_t total = first + tokens;
-  const auto keys = cache.key_rows(layer, b, total, ws.kv_rows_k);
-  const auto values = cache.value_rows(layer, b, total, ws.kv_rows_v);
-
-  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  std::fill(out.begin(), out.end(), 0.0f);
-  for (std::size_t h = 0; h < c.n_heads; ++h) {
-    const std::size_t g = h / group;
-    // Causal scores matrix for this head: chunk row t attends to positions
-    // 0..first+t. Rows are ragged, so the softmax runs per row over exactly
-    // the valid prefix — the same op sequence as the one-token path.
-    for (std::size_t t = 0; t < tokens; ++t) {
+    // Causal: row t attends to positions 0..first+t, and the softmax runs
+    // per row over exactly that prefix, so every (row, head) is the same op
+    // sequence whatever the step's shape.
+    for (std::size_t t = 0; t < run; ++t) {
       const std::size_t n_pos = first + t + 1;
-      const std::span<const float> qh(ws.cq.data() + t * d + h * head_dim, head_dim);
-      float* srow = ws.cscores.data() + t * c.max_seq;
-      for (std::size_t p = 0; p < n_pos; ++p) {
-        srow[p] =
-            kernels::dot(qh, keys.subspan(p * kv_dim + g * head_dim, head_dim)) * inv_sqrt_d;
-      }
-      kernels::softmax_rows(std::span<float>(srow, n_pos), 1, n_pos);
-      float* oh = out.data() + t * d + h * head_dim;
-      for (std::size_t p = 0; p < n_pos; ++p) {
-        const float* vp = values.data() + p * kv_dim + g * head_dim;
-        const float s = srow[p];
-        for (std::size_t i = 0; i < head_dim; ++i) oh[i] += s * vp[i];
+      const float* q_row = ws.q.data() + (r0 + t) * d;
+      float* out_row = ws.attn.data() + (r0 + t) * d;
+      for (std::size_t h = 0; h < c.n_heads; ++h) {
+        const std::size_t g = h / group;
+        const std::span<const float> qh(q_row + h * head_dim, head_dim);
+        for (std::size_t p = 0; p < n_pos; ++p) {
+          ws.scores[p] =
+              kernels::dot(qh, keys.subspan(p * kv_dim + g * head_dim, head_dim)) * inv_sqrt_d;
+        }
+        kernels::softmax_rows(std::span<float>(ws.scores.data(), n_pos), 1, n_pos);
+        float* oh = out_row + h * head_dim;
+        for (std::size_t p = 0; p < n_pos; ++p) {
+          const float* vp = values.data() + p * kv_dim + g * head_dim;
+          const float s = ws.scores[p];
+          for (std::size_t j = 0; j < head_dim; ++j) oh[j] += s * vp[j];
+        }
       }
     }
   }
 }
 
-void Model::mlp_swiglu(std::size_t layer, std::span<const float> normed,
-                       std::span<float> out, InferenceWorkspace& ws) {
-  layers_[layer].w_gate.matvec(normed, ws.gate);
-  layers_[layer].w_up.matvec(normed, ws.up);
-  kernels::swiglu(ws.gate, ws.up, ws.ff);
-  layers_[layer].w_down.matvec(ws.ff, out);
-}
-
-void Model::mlp_gelu(std::size_t layer, std::span<const float> normed, std::span<float> out,
-                     InferenceWorkspace& ws) {
-  layers_[layer].w_gate.matvec(normed, ws.ff);  // fc1
-  kernels::gelu_inplace(std::span<float>(ws.ff));
-  layers_[layer].w_down.matvec(ws.ff, out);  // fc2
-}
-
-void Model::mlp_swiglu_lanes(std::size_t layer, std::span<const float> normed,
-                             std::span<float> out, std::size_t n, InferenceWorkspace& ws) {
-  const std::size_t ff = master_->config.d_ff;
-  const std::span<float> gate(ws.cgate.data(), n * ff);
-  const std::span<float> up(ws.cup.data(), n * ff);
-  const std::span<float> act(ws.cff.data(), n * ff);
-  layers_[layer].w_gate.matvec_multi(normed, gate, n, ws.act8_chunk);
-  layers_[layer].w_up.matvec_multi(normed, up, n, ws.act8_chunk);
-  kernels::swiglu(gate, up, act);
-  layers_[layer].w_down.matvec_multi(act, out, n, ws.act8_chunk);
-}
-
-void Model::mlp_gelu_lanes(std::size_t layer, std::span<const float> normed,
-                           std::span<float> out, std::size_t n, InferenceWorkspace& ws) {
-  const std::size_t ff = master_->config.d_ff;
-  const std::span<float> act(ws.cff.data(), n * ff);
-  layers_[layer].w_gate.matvec_multi(normed, act, n, ws.act8_chunk);  // fc1
-  kernels::gelu_inplace(act);
-  layers_[layer].w_down.matvec_multi(act, out, n, ws.act8_chunk);  // fc2
-}
-
-void Model::mlp_swiglu_chunk(std::size_t layer, std::span<const float> normed,
-                             std::span<float> out, std::size_t tokens,
-                             InferenceWorkspace& ws) {
-  const std::size_t ff = master_->config.d_ff;
-  const std::span<float> gate(ws.cgate.data(), tokens * ff);
-  const std::span<float> up(ws.cup.data(), tokens * ff);
-  const std::span<float> act(ws.cff.data(), tokens * ff);
-  layers_[layer].w_gate.matmul(normed, gate, tokens);
-  layers_[layer].w_up.matmul(normed, up, tokens);
-  kernels::swiglu(gate, up, act);
-  layers_[layer].w_down.matmul(act, out, tokens);
-}
-
-void Model::mlp_gelu_chunk(std::size_t layer, std::span<const float> normed,
-                           std::span<float> out, std::size_t tokens, InferenceWorkspace& ws) {
-  const std::size_t ff = master_->config.d_ff;
-  const std::span<float> act(ws.cff.data(), tokens * ff);
-  layers_[layer].w_gate.matmul(normed, act, tokens);  // fc1
-  kernels::gelu_inplace(act);
-  layers_[layer].w_down.matmul(act, out, tokens);  // fc2
-}
-
-void Model::forward_token(TokenId token, std::size_t b, KVCache& cache,
-                          std::span<float> hidden_out, InferenceWorkspace& ws) {
+void Model::mlp(std::size_t layer, bool chunk, std::size_t rows, InferenceWorkspace& ws) {
   const TransformerConfig& c = master_->config;
-  const std::size_t d = c.d_model;
-  ORINSIM_CHECK(token < c.vocab, "token id out of vocab range");
-  ORINSIM_CHECK(hidden_out.size() == d, "hidden_out must be d_model");
-
-  const float* emb = master_->embedding.data() + static_cast<std::size_t>(token) * d;
-  std::copy(emb, emb + d, ws.x.begin());
-
-  for (std::size_t l = 0; l < c.n_layers; ++l) {
-    const LayerMaster& lm = master_->layers[l];
-    if (c.style == BlockStyle::kPreNormSwiGLU) {
-      kernels::rmsnorm_rows(ws.x, lm.norm_gain, ws.normed, 1, d);
-      attention(l, b, cache, ws.normed, ws.attn, ws);
-      layers_[l].wo.matvec(ws.attn, ws.attn_proj);
-      kernels::add_inplace(std::span<float>(ws.x), ws.attn_proj);
-
-      kernels::rmsnorm_rows(ws.x, lm.norm2_gain, ws.normed, 1, d);
-      mlp_swiglu(l, ws.normed, ws.mlp_out, ws);
-      kernels::add_inplace(std::span<float>(ws.x), ws.mlp_out);
-    } else {
-      // Phi-2 parallel block: one LayerNorm feeds both attention and MLP.
-      kernels::layernorm_rows(ws.x, lm.norm_gain, lm.norm_bias, ws.normed, 1, d);
-      attention(l, b, cache, ws.normed, ws.attn, ws);
-      layers_[l].wo.matvec(ws.attn, ws.attn_proj);
-      mlp_gelu(l, ws.normed, ws.mlp_out, ws);
-      kernels::add_inplace(std::span<float>(ws.x), ws.attn_proj);
-      kernels::add_inplace(std::span<float>(ws.x), ws.mlp_out);
-    }
-  }
-  cache.commit(b);
-
+  const LayerQuant& lq = layers_[layer];
+  const std::span<const float> normed(ws.normed.data(), rows * c.d_model);
+  const std::span<float> act(ws.ff.data(), rows * c.d_ff);
   if (c.style == BlockStyle::kPreNormSwiGLU) {
-    kernels::rmsnorm_rows(ws.x, master_->final_norm_gain, hidden_out, 1, d);
+    const std::span<float> gate(ws.gate.data(), rows * c.d_ff);
+    const std::span<float> up(ws.up.data(), rows * c.d_ff);
+    project(lq.w_gate, normed, gate, rows, chunk, ws);
+    project(lq.w_up, normed, up, rows, chunk, ws);
+    kernels::swiglu(gate, up, act);
   } else {
-    kernels::layernorm_rows(ws.x, master_->final_norm_gain, master_->final_norm_bias,
-                            hidden_out, 1, d);
+    project(lq.w_gate, normed, act, rows, chunk, ws);  // fc1
+    kernels::gelu_inplace(act);
   }
+  const std::span<float> out(ws.mlp_out.data(), rows * c.d_model);
+  project(lq.w_down, act, out, rows, chunk, ws);  // fc2 in the GELU style
 }
 
-void Model::forward_tokens(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
-                           KVCache& cache, std::span<float> hidden_rows,
-                           InferenceWorkspace& ws) {
+void Model::forward(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
+                    KVCache& cache, std::span<float> hidden_rows, InferenceWorkspace& ws) {
   const TransformerConfig& c = master_->config;
   const std::size_t d = c.d_model;
   const std::size_t n = tokens.size();
-  ORINSIM_CHECK(n > 0, "forward_tokens: empty lane batch");
-  ORINSIM_CHECK(seqs.size() == n, "forward_tokens: tokens/seqs size mismatch");
-  ORINSIM_CHECK(hidden_rows.size() == n * d,
-                "forward_tokens: hidden_rows must be [lanes, d_model]");
-  ws.ensure_chunk(c, n);
-
-  for (std::size_t t = 0; t < n; ++t) {
-    ORINSIM_CHECK(tokens[t] < c.vocab, "token id out of vocab range");
-    const float* emb = master_->embedding.data() + static_cast<std::size_t>(tokens[t]) * d;
-    std::copy(emb, emb + d, ws.cx.begin() + static_cast<std::ptrdiff_t>(t * d));
-  }
-
-  const std::span<float> cx(ws.cx.data(), n * d);
-  const std::span<float> cnormed(ws.cnormed.data(), n * d);
-  const std::span<float> cattn(ws.cattn.data(), n * d);
-  const std::span<float> cattn_proj(ws.cattn_proj.data(), n * d);
-  const std::span<float> cmlp_out(ws.cmlp_out.data(), n * d);
-
-  // The row-wise norms, element-wise adds/activations, and per-lane attention
-  // loop are all bit-identical per row to the one-token path; the projections
-  // go through matvec_multi, whose per-lane bit-identity contract makes the
-  // whole step match forward_token lane by lane (kF32/kI8/kI4; kF16 scalar).
-  for (std::size_t l = 0; l < c.n_layers; ++l) {
-    const LayerMaster& lm = master_->layers[l];
-    if (c.style == BlockStyle::kPreNormSwiGLU) {
-      kernels::rmsnorm_rows(cx, lm.norm_gain, cnormed, n, d);
-      attention_lanes(l, seqs, cache, cnormed, cattn, n, ws);
-      layers_[l].wo.matvec_multi(cattn, cattn_proj, n, ws.act8_chunk);
-      kernels::add_inplace(cx, cattn_proj);
-
-      kernels::rmsnorm_rows(cx, lm.norm2_gain, cnormed, n, d);
-      mlp_swiglu_lanes(l, cnormed, cmlp_out, n, ws);
-      kernels::add_inplace(cx, cmlp_out);
-    } else {
-      // Phi-2 parallel block: one LayerNorm feeds both attention and MLP.
-      kernels::layernorm_rows(cx, lm.norm_gain, lm.norm_bias, cnormed, n, d);
-      attention_lanes(l, seqs, cache, cnormed, cattn, n, ws);
-      layers_[l].wo.matvec_multi(cattn, cattn_proj, n, ws.act8_chunk);
-      mlp_gelu_lanes(l, cnormed, cmlp_out, n, ws);
-      kernels::add_inplace(cx, cattn_proj);
-      kernels::add_inplace(cx, cmlp_out);
-    }
-  }
-  // One commit per lane after all layers — the same staging discipline as
-  // forward_token, so every lane's cache sequence advances exactly once.
-  for (std::size_t t = 0; t < n; ++t) cache.commit(seqs[t]);
-
-  if (c.style == BlockStyle::kPreNormSwiGLU) {
-    kernels::rmsnorm_rows(cx, master_->final_norm_gain, hidden_rows, n, d);
-  } else {
-    kernels::layernorm_rows(cx, master_->final_norm_gain, master_->final_norm_bias,
-                            hidden_rows, n, d);
-  }
-}
-
-void Model::forward_chunk(std::span<const TokenId> tokens, std::size_t b, KVCache& cache,
-                          std::span<float> hidden_rows, InferenceWorkspace& ws) {
-  const TransformerConfig& c = master_->config;
-  const std::size_t d = c.d_model;
-  const std::size_t n = tokens.size();
-  ORINSIM_CHECK(n > 0, "forward_chunk: empty chunk");
+  ORINSIM_CHECK(n > 0, "forward: no rows");
+  ORINSIM_CHECK(seqs.size() == 1 || seqs.size() == n,
+                "forward: seqs must name one sequence or one per row");
   ORINSIM_CHECK(hidden_rows.empty() || hidden_rows.size() == d || hidden_rows.size() == n * d,
-                "forward_chunk: hidden_rows must be empty, [d_model], or [tokens, d_model]");
-  ws.ensure_chunk(c, n);
+                "forward: hidden_rows must be empty, [d_model], or [rows, d_model]");
+  // Only a multi-row chunk takes the GEMMs; width 1 runs the lane kernels.
+  const bool chunk = seqs.size() == 1 && n > 1;
+  const std::size_t run = n / seqs.size();  // rows per sequence
+  ws.ensure_rows(c, n);
 
   for (std::size_t t = 0; t < n; ++t) {
     ORINSIM_CHECK(tokens[t] < c.vocab, "token id out of vocab range");
     const float* emb = master_->embedding.data() + static_cast<std::size_t>(tokens[t]) * d;
-    std::copy(emb, emb + d, ws.cx.begin() + static_cast<std::ptrdiff_t>(t * d));
+    std::copy(emb, emb + d, ws.x.begin() + static_cast<std::ptrdiff_t>(t * d));
   }
 
-  const std::span<float> cx(ws.cx.data(), n * d);
-  const std::span<float> cnormed(ws.cnormed.data(), n * d);
-  const std::span<float> cattn(ws.cattn.data(), n * d);
-  const std::span<float> cattn_proj(ws.cattn_proj.data(), n * d);
-  const std::span<float> cmlp_out(ws.cmlp_out.data(), n * d);
-
+  const std::span<float> x(ws.x.data(), n * d);
+  const std::span<float> normed(ws.normed.data(), n * d);
+  const std::span<const float> attn(ws.attn.data(), n * d);
+  const std::span<float> attn_proj(ws.attn_proj.data(), n * d);
+  const std::span<const float> mlp_out(ws.mlp_out.data(), n * d);
   for (std::size_t l = 0; l < c.n_layers; ++l) {
     const LayerMaster& lm = master_->layers[l];
     if (c.style == BlockStyle::kPreNormSwiGLU) {
-      kernels::rmsnorm_rows(cx, lm.norm_gain, cnormed, n, d);
-      attention_chunk(l, b, cache, cnormed, cattn, n, ws);
-      layers_[l].wo.matmul(cattn, cattn_proj, n);
-      kernels::add_inplace(cx, cattn_proj);
+      kernels::rmsnorm_rows(x, lm.norm_gain, normed, n, d);
+      attention(l, seqs, run, chunk, cache, ws);
+      project(layers_[l].wo, attn, attn_proj, n, chunk, ws);
+      kernels::add_inplace(x, attn_proj);
 
-      kernels::rmsnorm_rows(cx, lm.norm2_gain, cnormed, n, d);
-      mlp_swiglu_chunk(l, cnormed, cmlp_out, n, ws);
-      kernels::add_inplace(cx, cmlp_out);
+      kernels::rmsnorm_rows(x, lm.norm2_gain, normed, n, d);
+      mlp(l, chunk, n, ws);
+      kernels::add_inplace(x, mlp_out);
     } else {
       // Phi-2 parallel block: one LayerNorm feeds both attention and MLP.
-      kernels::layernorm_rows(cx, lm.norm_gain, lm.norm_bias, cnormed, n, d);
-      attention_chunk(l, b, cache, cnormed, cattn, n, ws);
-      layers_[l].wo.matmul(cattn, cattn_proj, n);
-      mlp_gelu_chunk(l, cnormed, cmlp_out, n, ws);
-      kernels::add_inplace(cx, cattn_proj);
-      kernels::add_inplace(cx, cmlp_out);
+      kernels::layernorm_rows(x, lm.norm_gain, lm.norm_bias, normed, n, d);
+      attention(l, seqs, run, chunk, cache, ws);
+      project(layers_[l].wo, attn, attn_proj, n, chunk, ws);
+      mlp(l, chunk, n, ws);
+      kernels::add_inplace(x, attn_proj);
+      kernels::add_inplace(x, mlp_out);
     }
   }
-  cache.commit(b, n);
+  for (const std::size_t b : seqs) cache.commit(b, run);
 
   if (hidden_rows.empty()) return;
   const std::size_t out_rows = hidden_rows.size() / d;
-  const std::size_t first_row = n - out_rows;  // 0 (all rows) or n-1 (last only)
-  const std::span<const float> x_rows(ws.cx.data() + first_row * d, out_rows * d);
+  const std::span<const float> x_rows = x.last(out_rows * d);  // every row, or the last
   if (c.style == BlockStyle::kPreNormSwiGLU) {
     kernels::rmsnorm_rows(x_rows, master_->final_norm_gain, hidden_rows, out_rows, d);
   } else {
@@ -526,19 +310,13 @@ void Model::logits_from_hidden_rows(std::span<const float> hidden_rows,
 void Model::prefill(std::span<const TokenId> prompt, std::size_t b, KVCache& cache,
                     std::span<float> last_hidden, InferenceWorkspace& ws) {
   ORINSIM_CHECK(!prompt.empty(), "prefill: empty prompt");
-  if (prefill_chunk_ >= 2) {
-    // Chunked multi-token prefill: the prompt flows through the batched layer
-    // ops in prefill_chunk_-token chunks (plus a remainder chunk). Each chunk
-    // leaves its last position's hidden state in ws.hidden, so after the loop
-    // ws.hidden holds the prompt's final hidden exactly like the token path.
-    for (std::size_t start = 0; start < prompt.size(); start += prefill_chunk_) {
-      const std::size_t n = std::min(prefill_chunk_, prompt.size() - start);
-      forward_chunk(prompt.subspan(start, n), b, cache, ws.hidden, ws);
-    }
-  } else {
-    for (std::size_t i = 0; i < prompt.size(); ++i) {
-      forward_token(prompt[i], b, cache, ws.hidden, ws);
-    }
+  // prefill_chunk_-token chunks plus a remainder chunk. Each leaves its last
+  // position's hidden state in ws.hidden, so after the loop ws.hidden holds
+  // the prompt's final hidden.
+  const std::size_t chunk = std::max<std::size_t>(prefill_chunk_, 1);
+  for (std::size_t start = 0; start < prompt.size(); start += chunk) {
+    const std::size_t n = std::min(chunk, prompt.size() - start);
+    forward(prompt.subspan(start, n), {&b, 1}, cache, ws.hidden, ws);
   }
   if (!last_hidden.empty()) {
     ORINSIM_CHECK(last_hidden.size() == ws.hidden.size(), "last_hidden size mismatch");
@@ -578,48 +356,31 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
   ws.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) ws.emplace_back(c);
 
-  // Runs body(workspace, lane) for every lane; lanes touch disjoint cache
-  // sequences and per-lane logits, so this is safe to shard.
-  auto for_each_lane = [&](const std::function<void(InferenceWorkspace&, std::size_t)>& body) {
-    if (options.pool != nullptr) {
-      options.pool->parallel_for(
-          0, lanes, [&](std::size_t shard, std::size_t b) { body(ws[shard], b); });
-    } else {
-      for (std::size_t b = 0; b < lanes; ++b) body(ws[0], b);
-    }
-  };
-
   auto pick = [&](std::span<const float> l) {
     return options.sampler != nullptr ? options.sampler->sample(l)
                                       : static_cast<TokenId>(kernels::argmax(l));
   };
 
-  // Lane-batched decode scratch: active lane ids (ascending), their last
-  // tokens, and contiguous [n_active, *] hidden/logits rows.
+  // Decode scratch: active lane ids (ascending), their last tokens, and
+  // contiguous [n_active, *] hidden/logits rows.
   std::vector<std::size_t> active_ids;
   std::vector<TokenId> batch_tokens;
-  std::vector<float> hidden_rows;
-  std::vector<float> step_logits;
-  if (options.lane_batched_decode) {
-    active_ids.reserve(lanes);
-    batch_tokens.reserve(lanes);
-    hidden_rows.resize(lanes * c.d_model);
-    step_logits.resize(lanes * c.vocab);
-  }
+  active_ids.reserve(lanes);
+  batch_tokens.reserve(lanes);
+  std::vector<float> hidden_rows(lanes * c.d_model);
+  std::vector<float> step_logits(lanes * c.vocab);
 
-  // One decode step over the active lanes via forward_tokens. Serial runs
-  // take the whole active set as one batch; pooled runs split it into
-  // min(shard_count, n_active) contiguous groups. Batch composition never
-  // changes a lane's result (forward_tokens contract), so both shapes are
-  // bitwise identical to each other and to the per-lane loop.
-  auto decode_step_batched = [&]() {
+  // One decode step over the active lanes. Serial runs take the whole
+  // active set as one forward; pooled runs split it into
+  // min(shard_count, n_active) contiguous groups. Lane rows are
+  // composition-independent (forward contract), so both shapes are bitwise
+  // identical.
+  auto decode_step = [&]() {
     const std::size_t n_active = active_ids.size();
     auto run_group = [&](InferenceWorkspace& w, std::size_t begin, std::size_t len) {
-      forward_tokens(std::span<const TokenId>(batch_tokens.data() + begin, len),
-                     std::span<const std::size_t>(active_ids.data() + begin, len), cache,
-                     std::span<float>(hidden_rows.data() + begin * c.d_model,
-                                      len * c.d_model),
-                     w);
+      forward(std::span<const TokenId>(batch_tokens.data() + begin, len),
+              std::span<const std::size_t>(active_ids.data() + begin, len), cache,
+              std::span<float>(hidden_rows.data() + begin * c.d_model, len * c.d_model), w);
     };
     if (options.pool != nullptr && shard_count > 1 && n_active > 1) {
       const std::size_t n_groups = std::min(shard_count, n_active);
@@ -642,11 +403,19 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
     }
   };
 
-  Stopwatch watch;
-  for_each_lane([&](InferenceWorkspace& w, std::size_t b) {
+  // Prefill: lanes touch disjoint cache sequences and per-lane logits, so
+  // they shard across the pool with one workspace per shard.
+  auto prefill_lane = [&](InferenceWorkspace& w, std::size_t b) {
     prefill(prompts[b], b, cache, {}, w);
     logits_from_hidden(w.hidden, lane_logits(b));
-  });
+  };
+  Stopwatch watch;
+  if (options.pool != nullptr) {
+    options.pool->parallel_for(
+        0, lanes, [&](std::size_t shard, std::size_t b) { prefill_lane(ws[shard], b); });
+  } else {
+    for (std::size_t b = 0; b < lanes; ++b) prefill_lane(ws[0], b);
+  }
   for (std::size_t b = 0; b < lanes; ++b) {
     last[b] = pick(lane_logits(b));
     result.input_tokens += prompts[b].size();
@@ -675,22 +444,14 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
       ++result.output_tokens;
     }
     if (step + 1 < max_new_tokens) {  // no need to forward the final token
-      if (options.lane_batched_decode) {
-        active_ids.clear();
-        batch_tokens.clear();
-        for (std::size_t b = 0; b < lanes; ++b) {
-          if (!lane_active[b]) continue;
-          active_ids.push_back(b);
-          batch_tokens.push_back(last[b]);
-        }
-        decode_step_batched();
-      } else {
-        for_each_lane([&](InferenceWorkspace& w, std::size_t b) {
-          if (!lane_active[b]) return;
-          forward_token(last[b], b, cache, w.hidden, w);
-          logits_from_hidden(w.hidden, lane_logits(b));
-        });
+      active_ids.clear();
+      batch_tokens.clear();
+      for (std::size_t b = 0; b < lanes; ++b) {
+        if (!lane_active[b]) continue;
+        active_ids.push_back(b);
+        batch_tokens.push_back(last[b]);
       }
+      decode_step();
       // Sampling replays serially in lane order: the same sequence of
       // sampler->sample() calls as a fully serial run.
       for (std::size_t b = 0; b < lanes; ++b) {
@@ -732,24 +493,15 @@ Model::NllResult Model::sequence_nll(std::span<const TokenId> tokens,
   };
 
   const std::size_t n_fwd = tokens.size() - 1;  // feed tokens[0..n_fwd)
-  if (prefill_chunk_ >= 2) {
-    const std::size_t d = c.d_model;
-    std::vector<float> hidden_rows(std::min(prefill_chunk_, n_fwd) * d);
-    for (std::size_t start = 0; start < n_fwd; start += prefill_chunk_) {
-      const std::size_t n = std::min(prefill_chunk_, n_fwd - start);
-      hidden_rows.resize(n * d);
-      forward_chunk(tokens.subspan(start, n), 0, cache,
-                    std::span<float>(hidden_rows.data(), n * d), default_ws_);
-      for (std::size_t t = 0; t < n; ++t) {
-        score(std::span<const float>(hidden_rows.data() + t * d, d), start + t);
-      }
-    }
-  } else {
-    std::vector<float> hidden(c.d_model);
-    for (std::size_t i = 0; i < n_fwd; ++i) {
-      forward_token(tokens[i], 0, cache, hidden);
-      score(hidden, i);
-    }
+  const std::size_t chunk = std::max<std::size_t>(prefill_chunk_, 1);
+  const std::size_t d = c.d_model;
+  const std::size_t seq = 0;
+  std::vector<float> hidden_rows(std::min(chunk, n_fwd) * d);
+  for (std::size_t start = 0; start < n_fwd; start += chunk) {
+    const std::size_t n = std::min(chunk, n_fwd - start);
+    const std::span<float> rows(hidden_rows.data(), n * d);
+    forward(tokens.subspan(start, n), {&seq, 1}, cache, rows, default_ws_);
+    for (std::size_t t = 0; t < n; ++t) score(rows.subspan(t * d, d), start + t);
   }
   return result;
 }

@@ -8,12 +8,16 @@
 // Building FP16/INT8/INT4 models from one master is the engine's analogue of
 // loading the same HuggingFace checkpoint at different quantization levels.
 //
+// Every prefill chunk, decode step and verify pass goes through one entry
+// point, Model::forward, over rows of (sequence, token); see DESIGN.md "One
+// forward step".
+//
 // Threading model: a Model's weights are immutable after construction and
 // shared-read; all mutable forward-pass state lives in an InferenceWorkspace.
-// The workspace-taking overloads are re-entrant — concurrent callers need one
-// workspace each (and distinct KVCache sequences). The convenience overloads
-// without a workspace use a single Model-owned default workspace and are NOT
-// thread-safe. See DESIGN.md "Threading model".
+// forward and the workspace-taking overloads are re-entrant — concurrent
+// callers need one workspace each (and distinct KVCache sequences). The
+// convenience overloads without a workspace use a single Model-owned default
+// workspace and are NOT thread-safe. See DESIGN.md "Threading model".
 #pragma once
 
 #include <memory>
@@ -89,36 +93,30 @@ class Model {
   // Total INT8 outlier columns across all matrices (0 for other precisions).
   std::size_t outlier_columns() const noexcept;
 
-  // Process one token for sequence b: extends the cache by one position and
-  // writes the final hidden state (post final-norm) to hidden_out [d_model].
-  // The workspace-taking overload is re-entrant: concurrent callers must use
-  // distinct workspaces and distinct cache sequences b.
-  void forward_token(TokenId token, std::size_t b, KVCache& cache,
-                     std::span<float> hidden_out, InferenceWorkspace& ws);
-  void forward_token(TokenId token, std::size_t b, KVCache& cache,
-                     std::span<float> hidden_out) {
-    forward_token(token, b, cache, hidden_out, default_ws_);
-  }
+  // One forward step over tokens.size() rows. Rows come in one of two
+  // shapes (width 1 is both):
+  //  - chunk: seqs has one entry b, and the tokens are b's next positions;
+  //  - lanes: seqs has one entry per token, one token each for distinct
+  //    sequences (a decode batch).
+  // Each sequence's cache advances by its rows and commits once per step.
+  //
+  // The shape alone picks the projection kernels. A chunk of more than one
+  // row runs the chunk GEMMs (matmul, matmul_qkv: compute-bound prefill,
+  // bit-identical to width-1 steps under ORINSIM_KERNELS=scalar). Everything
+  // else runs the lane kernels (matvec_multi, matvec_qkv_multi), which stream
+  // each weight row once for the whole batch and are composition-independent:
+  // a lane's hidden state and cache contents equal a width-1 step at either
+  // kernel level, whatever other lanes share the step.
+  //
+  // hidden_rows receives the final-norm hidden states: pass an empty span to
+  // discard, a [d_model] span for the last row only, or a [rows, d_model]
+  // span for every row. Re-entrant: concurrent callers use distinct
+  // workspaces and disjoint sequence sets.
+  void forward(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
+               KVCache& cache, std::span<float> hidden_rows, InferenceWorkspace& ws);
 
   // logits [vocab] from a final hidden state. Re-entrant (reads weights only).
   void logits_from_hidden(std::span<const float> hidden, std::span<float> logits) const;
-
-  // Lane-batched decode step: advances tokens.size() independent sequences by
-  // one token each. tokens[t] is fed to cache sequence seqs[t]; the final
-  // hidden states land in hidden_rows [lanes, d_model]. All weight-streaming
-  // ops (QKV, attention output, MLP, norms) run as lane-batched multi-column
-  // matvecs — each weight row is read once for the whole batch instead of
-  // once per lane, which is the decode-batching win on a memory-bound step.
-  //
-  // Contract: lane t's result (hidden state AND cache contents) is
-  // bit-identical to forward_token(tokens[t], seqs[t], ...) at the active
-  // kernel level for kF32/kI8/kI4 weights, and independent of which other
-  // lanes share the batch for every dtype (the matvec_multi contract). kF16
-  // matches bit-exactly at kScalar and within FMA tolerance at kNative.
-  // Sequences in seqs must be distinct; re-entrant under the same rules as
-  // forward_token (distinct workspaces, disjoint sequence sets).
-  void forward_tokens(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
-                      KVCache& cache, std::span<float> hidden_rows, InferenceWorkspace& ws);
 
   // Batched counterpart of logits_from_hidden: hidden_rows is
   // [lanes, d_model], logits_rows is [lanes, vocab]. Lane t's row is
@@ -127,24 +125,11 @@ class Model {
   void logits_from_hidden_rows(std::span<const float> hidden_rows,
                                std::span<float> logits_rows, std::size_t lanes) const;
 
-  // Process `tokens` consecutive prompt tokens for sequence b as one batched
-  // pass: every layer op runs over the whole [tokens, features] chunk (GEMM
-  // projections, multi-row norms/activations, causal-masked batched
-  // attention, one append_many + commit per layer chunk). Under
-  // ORINSIM_KERNELS=scalar the result is bit-identical to feeding the tokens
-  // through forward_token one at a time.
-  //
-  // hidden_rows receives the final-norm hidden states: pass an empty span to
-  // discard, a [d_model] span for the last position only, or a
-  // [tokens, d_model] span for every position (perplexity scoring).
-  void forward_chunk(std::span<const TokenId> tokens, std::size_t b, KVCache& cache,
-                     std::span<float> hidden_rows, InferenceWorkspace& ws);
-
   // Default number of prompt tokens per chunked-prefill pass.
   static constexpr std::size_t kDefaultPrefillChunk = 32;
 
-  // Chunk size used by prefill()/generate()/sequence_nll(); 0 or 1 selects
-  // the token-at-a-time path.
+  // Chunk size used by prefill()/generate()/sequence_nll(); 0 or 1 runs
+  // width-1 steps.
   std::size_t prefill_chunk() const noexcept { return prefill_chunk_; }
   void set_prefill_chunk(std::size_t chunk) noexcept { prefill_chunk_ = chunk; }
 
@@ -167,18 +152,12 @@ class Model {
   struct GenerateOptions {
     Sampler* sampler = nullptr;               // nullptr: greedy argmax
     trace::ExecutionTimeline* timeline = nullptr;
-    // Non-null: prefill and per-step decode run lanes in parallel on the
-    // pool with one workspace per shard. Sampling stays serialized in lane
+    // Non-null: prefill runs lanes in parallel on the pool, and each decode
+    // step splits the active lanes into contiguous groups, one forward per
+    // group, with one workspace per shard. Sampling stays serialized in lane
     // order after each parallel section, so outputs are bit-identical to a
     // serial run (pool == nullptr) for any worker count.
     ThreadPool* pool = nullptr;
-    // Decode via forward_tokens (one lane-batched step over all active lanes,
-    // sharded into contiguous lane groups when a pool is set) instead of the
-    // per-lane forward_token loop. Outputs are bit-identical between the two
-    // paths for kF32/kI8/kI4 models at either kernel level (and for kF16
-    // under ORINSIM_KERNELS=scalar); kF16 at kNative stays within FMA
-    // tolerance. Exists so benchmarks can measure looped-vs-batched decode.
-    bool lane_batched_decode = true;
   };
 
   // Batched generation: each prompt is prefilled, then up to max_new_tokens
@@ -213,33 +192,17 @@ class Model {
     quant::WeightMatrix wq, wk, wv, wo, w_gate, w_up, w_down;
   };
 
-  void attention(std::size_t layer, std::size_t b, KVCache& cache,
-                 std::span<const float> normed, std::span<float> out,
-                 InferenceWorkspace& ws);
-  void mlp_swiglu(std::size_t layer, std::span<const float> normed, std::span<float> out,
-                  InferenceWorkspace& ws);
-  void mlp_gelu(std::size_t layer, std::span<const float> normed, std::span<float> out,
-                InferenceWorkspace& ws);
-
-  // Lane-batched counterparts (one row per decode lane): projections are
-  // multi-column matvecs sharing each weight stream across lanes; the
-  // per-lane attention score/softmax/V loop is unchanged from attention().
-  void attention_lanes(std::size_t layer, std::span<const std::size_t> seqs, KVCache& cache,
-                       std::span<const float> normed, std::span<float> out, std::size_t n,
-                       InferenceWorkspace& ws);
-  void mlp_swiglu_lanes(std::size_t layer, std::span<const float> normed,
-                        std::span<float> out, std::size_t n, InferenceWorkspace& ws);
-  void mlp_gelu_lanes(std::size_t layer, std::span<const float> normed, std::span<float> out,
-                      std::size_t n, InferenceWorkspace& ws);
-
-  // Chunked counterparts: `normed` is [tokens, d_model] row-major.
-  void attention_chunk(std::size_t layer, std::size_t b, KVCache& cache,
-                       std::span<const float> normed, std::span<float> out,
-                       std::size_t tokens, InferenceWorkspace& ws);
-  void mlp_swiglu_chunk(std::size_t layer, std::span<const float> normed,
-                        std::span<float> out, std::size_t tokens, InferenceWorkspace& ws);
-  void mlp_gelu_chunk(std::size_t layer, std::span<const float> normed, std::span<float> out,
-                      std::size_t tokens, InferenceWorkspace& ws);
+  // Q/K/V projection, RoPE and KV append for every row, then causal
+  // attention per row over its sequence's prefix. `chunk` selects the
+  // projection kernels (see forward); seqs[i] owns rows [i*run, (i+1)*run).
+  void attention(std::size_t layer, std::span<const std::size_t> seqs, std::size_t run,
+                 bool chunk, KVCache& cache, InferenceWorkspace& ws);
+  // The block's MLP over ws.normed into ws.mlp_out.
+  void mlp(std::size_t layer, bool chunk, std::size_t rows, InferenceWorkspace& ws);
+  // y = W x over `rows` rows through the chunk or lane kernels.
+  static void project(const quant::WeightMatrix& w, std::span<const float> x,
+                      std::span<float> y, std::size_t rows, bool chunk,
+                      InferenceWorkspace& ws);
 
   std::shared_ptr<const MasterWeights> master_;
   DType dtype_;

@@ -1,10 +1,11 @@
-// Per-forward-pass scratch for the functional transformer engine.
+// Per-forward-step scratch for the functional transformer engine.
 //
-// A Model shares immutable quantized weights; everything a forward pass
-// mutates lives here. One workspace per concurrently-executing lane/worker
-// makes forward_token re-entrant: the batched decode loop runs lanes in
-// parallel on a ThreadPool with one workspace per shard, while serial
-// callers use the Model's built-in default workspace.
+// A Model shares immutable quantized weights; everything Model::forward
+// mutates lives here, as row-major [rows, features] buffers — one row per
+// token of a prefill chunk or per decode lane. One workspace per
+// concurrently-executing caller makes forward re-entrant: the batched decode
+// loop runs lane groups in parallel on a ThreadPool with one workspace per
+// shard, while serial callers use the Model's built-in default workspace.
 #pragma once
 
 #include <vector>
@@ -16,70 +17,45 @@ namespace orinsim {
 
 struct InferenceWorkspace {
   explicit InferenceWorkspace(const TransformerConfig& c)
-      : x(c.d_model),
-        normed(c.d_model),
-        q(c.d_model),
-        k(c.kv_dim()),
-        v(c.kv_dim()),
-        attn(c.d_model),
-        attn_proj(c.d_model),
-        gate(c.d_ff),
-        up(c.d_ff),
-        ff(c.d_ff),
-        mlp_out(c.d_model),
-        scores(c.max_seq),
-        kv_key(c.kv_dim()),
-        kv_value(c.kv_dim()),
+      : scores(c.max_seq),
         kv_rows_k(c.max_seq * c.kv_dim()),
         kv_rows_v(c.max_seq * c.kv_dim()),
-        hidden(c.d_model) {}
-
-  // Grow the chunked-prefill buffers to hold `chunk` tokens (no-op once
-  // sized; vectors never shrink, so alternating chunk sizes stay
-  // allocation-free after the first pass).
-  void ensure_chunk(const TransformerConfig& c, std::size_t chunk) {
-    if (chunk <= chunk_capacity) return;
-    cx.resize(chunk * c.d_model);
-    cnormed.resize(chunk * c.d_model);
-    cq.resize(chunk * c.d_model);
-    ck.resize(chunk * c.kv_dim());
-    cv.resize(chunk * c.kv_dim());
-    cattn.resize(chunk * c.d_model);
-    cattn_proj.resize(chunk * c.d_model);
-    cgate.resize(chunk * c.d_ff);
-    cup.resize(chunk * c.d_ff);
-    cff.resize(chunk * c.d_ff);
-    cmlp_out.resize(chunk * c.d_model);
-    cscores.resize(chunk * c.max_seq);
-    chunk_capacity = chunk;
+        hidden(c.d_model) {
+    ensure_rows(c, 1);
   }
 
-  // One-token block scratch (residual stream, projections, MLP, attention
-  // scores), sized once so the hot loop never allocates.
-  std::vector<float> x, normed, q, k, v, attn, attn_proj, gate, up, ff, mlp_out, scores;
-  // Caller-side scratch for quantized KVCache::key()/value() reads: each
-  // reader dequantizes into its own buffer (no shared cache-side state).
-  std::vector<float> kv_key, kv_value;
-  // Whole-prefix dequantization scratch for KVCache::key_rows()/value_rows():
-  // attention dequantizes the full K/V prefix once per layer instead of once
-  // per (head, position).
-  std::vector<float> kv_rows_k, kv_rows_v;
-  // Final hidden state of the lane currently being advanced.
-  std::vector<float> hidden;
-  // Reused INT8 activation codes for the fused QKV projection.
-  quant::ActivationInt8 act8;
+  // Grow the row buffers to hold `rows` rows (no-op once sized; vectors never
+  // shrink, so alternating widths stay allocation-free after the first pass).
+  void ensure_rows(const TransformerConfig& c, std::size_t rows) {
+    if (rows <= row_capacity) return;
+    x.resize(rows * c.d_model);
+    normed.resize(rows * c.d_model);
+    q.resize(rows * c.d_model);
+    k.resize(rows * c.kv_dim());
+    v.resize(rows * c.kv_dim());
+    attn.resize(rows * c.d_model);
+    attn_proj.resize(rows * c.d_model);
+    gate.resize(rows * c.d_ff);
+    up.resize(rows * c.d_ff);
+    ff.resize(rows * c.d_ff);
+    mlp_out.resize(rows * c.d_model);
+    row_capacity = rows;
+  }
 
-  // Chunked-prefill scratch: row-major [chunk, features] views of the same
-  // quantities as the one-token buffers above, sized by ensure_chunk().
-  // forward_tokens (lane-batched decode) reuses these with one row per
-  // decode lane — a decode batch of n lanes has exactly the shape of an
-  // n-token prefill chunk, so no separate buffers are needed.
-  std::vector<float> cx, cnormed, cq, ck, cv, cattn, cattn_proj, cgate, cup, cff, cmlp_out;
-  // Per-head causal score rows for one chunk: [chunk, max_seq].
-  std::vector<float> cscores;
-  // Reused INT8 activation codes for the fused chunk QKV projection.
-  quant::ActivationBatchInt8 act8_chunk;
-  std::size_t chunk_capacity = 0;
+  // Residual stream, projections and MLP activations, [rows, features].
+  std::vector<float> x, normed, q, k, v, attn, attn_proj, gate, up, ff, mlp_out;
+  // Causal score row of the (row, head) being attended: [max_seq].
+  std::vector<float> scores;
+  // Whole-prefix dequantization scratch for KVCache::key_rows()/value_rows():
+  // attention dequantizes a sequence's K/V prefix once per layer instead of
+  // once per (head, position).
+  std::vector<float> kv_rows_k, kv_rows_v;
+  // Final hidden state of the last row advanced through this workspace
+  // (prefill() leaves the prompt's last position here).
+  std::vector<float> hidden;
+  // Reused INT8 activation codes, shared by the fused QKV projection.
+  quant::ActivationBatchInt8 act8;
+  std::size_t row_capacity = 0;
 };
 
 }  // namespace orinsim

@@ -204,17 +204,21 @@ void matvec_int8_multi(const RowwiseInt8& q, std::span<const float> x,
   ORINSIM_CHECK(acts.tokens == lanes && acts.cols == q.cols,
                 "int8 multi matvec: activation batch shape mismatch");
   const std::size_t n_out = q.outlier_cols.size();
-#pragma omp parallel if (q.rows >= 256)
-  {
-    std::vector<std::int64_t> dots(lanes);
-#pragma omp for
-    for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-      const auto r = static_cast<std::size_t>(rs);
-      const std::int8_t* codes = q.codes.data() + r * q.cols;
-      simd::dot_i8_multi(codes, acts.codes.data(), q.cols, lanes, q.cols, dots.data());
-      const float* w_out = q.outlier_f32.data() + r * n_out;
-      for (std::size_t t = 0; t < lanes; ++t) {
-        float result = static_cast<float>(dots[t]) * q.row_scale[r] * acts.scales[t];
+  // Lanes go through dot_i8_multi in stack tiles (exact integer dots, so
+  // the tile never changes a lane), keeping the hot loop allocation-free.
+  constexpr std::size_t kLaneTile = 8;
+#pragma omp parallel for if (q.rows >= 256)
+  for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
+    const auto r = static_cast<std::size_t>(rs);
+    const std::int8_t* codes = q.codes.data() + r * q.cols;
+    const float* w_out = q.outlier_f32.data() + r * n_out;
+    std::int64_t dots[kLaneTile];
+    for (std::size_t t0 = 0; t0 < lanes; t0 += kLaneTile) {
+      const std::size_t tile = std::min(kLaneTile, lanes - t0);
+      simd::dot_i8_multi(codes, acts.codes.data() + t0 * q.cols, q.cols, tile, q.cols, dots);
+      for (std::size_t i = 0; i < tile; ++i) {
+        const std::size_t t = t0 + i;
+        float result = static_cast<float>(dots[i]) * q.row_scale[r] * acts.scales[t];
         // Exactly matvec_int8's outlier order (no reassociation, gathered
         // activations) so every lane is bit-identical to the single matvec
         // at both kernel levels.

@@ -1,5 +1,6 @@
 #include "quant/weight_matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -77,27 +78,6 @@ void WeightMatrix::matvec(std::span<const float> x, std::span<float> out) const 
   }
 }
 
-void WeightMatrix::matvec(std::span<const float> x, std::span<float> out,
-                          ActivationInt8& act_scratch) const {
-  if (dtype_ == DType::kI8) {
-    ORINSIM_CHECK(x.size() == in_features_ && out.size() == out_features_,
-                  "WeightMatrix::matvec shape mismatch");
-    quantize_activation_int8(x, act_scratch);
-    matvec_int8(i8_, x, act_scratch, out);
-    return;
-  }
-  if (dtype_ == DType::kI4 && simd::active_level() == simd::Level::kNative) {
-    ORINSIM_CHECK(x.size() == in_features_ && out.size() == out_features_,
-                  "WeightMatrix::matvec shape mismatch");
-    // The packed-int4 kernel consumes int8 activation codes; quantize into
-    // the caller's scratch instead of allocating inside matvec_int4.
-    quantize_activation_int8(x, act_scratch);
-    matvec_int4(i4_, x, act_scratch, out);
-    return;
-  }
-  matvec(x, out);
-}
-
 void WeightMatrix::matvec_multi(std::span<const float> x, std::span<float> y,
                                 std::size_t lanes, ActivationBatchInt8& act_scratch) const {
   ORINSIM_CHECK(x.size() == lanes * in_features_ && y.size() == lanes * out_features_,
@@ -105,16 +85,23 @@ void WeightMatrix::matvec_multi(std::span<const float> x, std::span<float> y,
   switch (dtype_) {
     case DType::kF32: {
       // dot_f32_multi replicates the single-dot float sequence per lane at
-      // both levels, so each lane equals matvec bit-for-bit.
-#pragma omp parallel if (out_features_ >= 256)
-      {
-        std::vector<float> tmp(lanes);
-#pragma omp for
-        for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(out_features_); ++rs) {
-          const auto r = static_cast<std::size_t>(rs);
-          const float* wr = f32_.data() + r * in_features_;
-          simd::dot_f32_multi(wr, x.data(), in_features_, lanes, in_features_, tmp.data());
-          for (std::size_t t = 0; t < lanes; ++t) y[t * out_features_ + r] = tmp[t];
+      // both levels, so each lane equals matvec bit-for-bit; one lane is
+      // matvec itself.
+      if (lanes == 1) {
+        matvec(x, y);
+        return;
+      }
+      constexpr std::size_t kLaneTile = 8;
+#pragma omp parallel for if (out_features_ >= 256)
+      for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(out_features_); ++rs) {
+        const auto r = static_cast<std::size_t>(rs);
+        const float* wr = f32_.data() + r * in_features_;
+        float tmp[kLaneTile];
+        for (std::size_t t0 = 0; t0 < lanes; t0 += kLaneTile) {
+          const std::size_t tile = std::min(kLaneTile, lanes - t0);
+          simd::dot_f32_multi(wr, x.data() + t0 * in_features_, in_features_, tile,
+                              in_features_, tmp);
+          for (std::size_t t = 0; t < tile; ++t) y[(t0 + t) * out_features_ + r] = tmp[t];
         }
       }
       return;
@@ -232,39 +219,6 @@ std::size_t WeightMatrix::storage_bytes() const noexcept {
 
 std::size_t WeightMatrix::outlier_column_count() const noexcept {
   return dtype_ == DType::kI8 ? i8_.outlier_cols.size() : 0;
-}
-
-void matvec_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
-                std::span<const float> x, std::span<float> q, std::span<float> k,
-                std::span<float> v, ActivationInt8& act_scratch) {
-  if (wq.dtype_ == DType::kI8 && wk.dtype_ == DType::kI8 && wv.dtype_ == DType::kI8) {
-    ORINSIM_CHECK(wq.in_features_ == x.size() && wk.in_features_ == x.size() &&
-                      wv.in_features_ == x.size(),
-                  "matvec_qkv: input shape mismatch");
-    ORINSIM_CHECK(q.size() == wq.out_features_ && k.size() == wk.out_features_ &&
-                      v.size() == wv.out_features_,
-                  "matvec_qkv: output shape mismatch");
-    quantize_activation_int8(x, act_scratch);
-    matvec_int8(wq.i8_, x, act_scratch, q);
-    matvec_int8(wk.i8_, x, act_scratch, k);
-    matvec_int8(wv.i8_, x, act_scratch, v);
-    return;
-  }
-  if (wq.dtype_ == DType::kI4 && wk.dtype_ == DType::kI4 && wv.dtype_ == DType::kI4 &&
-      simd::active_level() == simd::Level::kNative) {
-    // The packed-int4 path also consumes int8-quantized activations: share
-    // one quantization pass across Q/K/V (deterministic codes, so results
-    // equal three independent matvecs). kScalar falls through — the float
-    // reference reads x directly.
-    quantize_activation_int8(x, act_scratch);
-    matvec_int4(wq.i4_, x, act_scratch, q);
-    matvec_int4(wk.i4_, x, act_scratch, k);
-    matvec_int4(wv.i4_, x, act_scratch, v);
-    return;
-  }
-  wq.matvec(x, q);
-  wk.matvec(x, k);
-  wv.matvec(x, v);
 }
 
 void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,

@@ -30,14 +30,9 @@ class WeightMatrix {
   std::size_t in_features() const noexcept { return in_features_; }
   DType dtype() const noexcept { return dtype_; }
 
-  // out[r] = sum_c W[r,c] * x[c]; dispatches on storage precision.
+  // out[r] = sum_c W[r,c] * x[c]; dispatches on storage precision. The
+  // single-column reference the lane kernels are pinned against.
   void matvec(std::span<const float> x, std::span<float> out) const;
-
-  // As above, but INT8 quantizes the activation into caller-owned scratch
-  // instead of allocating per call (the decode hot path passes the workspace
-  // buffer). Other precisions ignore the scratch.
-  void matvec(std::span<const float> x, std::span<float> out,
-              ActivationInt8& act_scratch) const;
 
   // Y[t, :] = W * X[t, :] for t in [0, tokens); X is [tokens, in], Y is
   // [tokens, out]. INT8/INT4 use the blocked multi-token kernels (each
@@ -49,7 +44,7 @@ class WeightMatrix {
   // [lanes, in], Y is [lanes, out]), one weight stream shared by all lanes —
   // decode is memory-bound, so this amortization is the batching win.
   //
-  // Contract (what lets Model::generate batch arbitrary subsets of lanes):
+  // Contract (what lets Model::forward batch arbitrary subsets of lanes):
   // lane t's result is bit-identical to matvec(X[t]) at the active kernel
   // level for kF32/kI8/kI4, and independent of the batch composition for
   // every dtype. kF16 is batch-independent too, but only bit-matches the
@@ -69,10 +64,6 @@ class WeightMatrix {
   std::size_t outlier_column_count() const noexcept;
 
  private:
-  friend void matvec_qkv(const WeightMatrix& wq, const WeightMatrix& wk,
-                         const WeightMatrix& wv, std::span<const float> x,
-                         std::span<float> q, std::span<float> k, std::span<float> v,
-                         ActivationInt8& act_scratch);
   friend void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk,
                          const WeightMatrix& wv, std::span<const float> x,
                          std::span<float> q, std::span<float> k, std::span<float> v,
@@ -92,26 +83,16 @@ class WeightMatrix {
   BlockInt4 i4_;
 };
 
-// Fused QKV projection: q = Wq·x, k = Wk·x, v = Wv·x. When all three
-// matrices are INT8, the shared activation x is dynamically quantized ONCE
-// into act_scratch and reused (amortizing the per-token activation pass the
-// three separate matvecs would each repeat); results are bit-identical to
-// three independent matvec calls. Other precisions fall through to matvec.
-// act_scratch is caller-owned so the decode hot loop does not allocate.
-void matvec_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
-                std::span<const float> x, std::span<float> q, std::span<float> k,
-                std::span<float> v, ActivationInt8& act_scratch);
-
-// Chunked counterpart of matvec_qkv: X is [tokens, in], Q/K/V are
-// [tokens, out_q/k/v]. When all three matrices are INT8 the chunk is
-// quantized ONCE into act_scratch and reused; per-token results are
-// bit-identical to three independent matmul calls. Other precisions fall
-// through to matmul.
+// Fused QKV projection of a prefill chunk: X is [tokens, in], Q/K/V are
+// [tokens, out_q/k/v]. When all three matrices are INT8 (or INT4 on the
+// native packed path) the chunk is quantized ONCE into act_scratch and
+// reused; per-token results are bit-identical to three independent matmul
+// calls. Other precisions fall through to matmul.
 void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
                 std::span<const float> x, std::span<float> q, std::span<float> k,
                 std::span<float> v, std::size_t tokens, ActivationBatchInt8& act_scratch);
 
-// Lane-batched counterpart of matvec_qkv: X holds one activation column per
+// Lane-batched counterpart of matmul_qkv: X holds one activation column per
 // lane. When all three matrices are INT8 (or INT4 on the native packed path)
 // the lane batch is quantized ONCE into act_scratch and reused across
 // Q/K/V; activation quantization is deterministic, so results stay

@@ -975,7 +975,7 @@ StepCost FunctionalTokenBackend::prefill(
   for_each(admitted, [&](InferenceWorkspace& ws, Request& r) {
     if (r.generated == 0) {
       // A prefix-cache hit attached seq_len(lane) prompt tokens as ready-made
-      // KV blocks; only the suffix runs forward_chunk. The attach is aligned
+      // KV blocks; only the suffix is prefilled. The attach is aligned
       // to the chunk schedule, so these are the same chunks a from-scratch
       // prefill would have run from that offset (bit-identical, pinned).
       const std::size_t attached = cache_.seq_len(r.lane);
@@ -985,14 +985,13 @@ StepCost FunctionalTokenBackend::prefill(
     } else {
       // Resume: rebuild the pre-preemption cache *bit-exactly* — the prompt
       // through the same chunked prefill as the original admission, then the
-      // recorded output replayed token-at-a-time exactly as decode produced
-      // it (chunked and token-wise KV entries differ under SIMD kernels, so
-      // re-prefilling the whole history in one chunk would perturb later
-      // tokens). The last output token is not replayed: the next decode
-      // step feeds it.
+      // recorded output replayed in width-1 steps exactly as decode produced
+      // it (chunk and lane kernels differ under SIMD, so re-prefilling the
+      // whole history in one chunk would perturb later tokens). The last
+      // output token is not replayed: the next decode step feeds it.
       model_.prefill(r.prompt, r.lane, cache_, {}, ws);
       for (std::size_t j = 0; j + 1 < r.output.size(); ++j) {
-        model_.forward_token(r.output[j], r.lane, cache_, ws.hidden, ws);
+        model_.forward({&r.output[j], 1}, {&r.lane, 1}, cache_, ws.hidden, ws);
       }
     }
   });
@@ -1030,7 +1029,7 @@ StepCost FunctionalTokenBackend::decode_step(
   for (const Request* r : active) mean_ctx += static_cast<double>(r->context());
   mean_ctx /= static_cast<double>(active.size());
   for_each(active, [&](InferenceWorkspace& ws, Request& r) {
-    model_.forward_token(r.output.back(), r.lane, cache_, ws.hidden, ws);
+    model_.forward({&r.output.back(), 1}, {&r.lane, 1}, cache_, ws.hidden, ws);
     model_.logits_from_hidden(ws.hidden, lane_logits(r.lane));
   });
   // Sampling replays serially in active order after the parallel section.
@@ -1097,7 +1096,7 @@ StepCost FunctionalTokenBackend::speculative_decode_step(
     const std::size_t k = plan_k_[r.lane];
     TokenId feed = r.output.back();
     for (std::size_t i = 0; i < k; ++i) {
-      draft_->forward_token(feed, branch, cache_, dws.hidden, dws);
+      draft_->forward({&feed, 1}, {&branch, 1}, cache_, dws.hidden, dws);
       draft_->logits_from_hidden(dws.hidden, dlogits);
       feed = static_cast<TokenId>(kernels::argmax(dlogits));
       proposals_[r.lane * cap + i] = feed;
@@ -1116,16 +1115,15 @@ StepCost FunctionalTokenBackend::speculative_decode_step(
   for (Request* r : drafting) cache_.free_sequence(branch_of(r->lane));
   const double draft_s = draft_watch.elapsed_s();
 
-  // Parallel verify: speculating lanes run one forward_chunk over
-  // output.back() + proposals (k+1 positions through the batched GEMM path;
-  // bit-identical to the token loop under scalar kernels), plain lanes the
-  // ordinary single-token forward.
+  // Parallel verify: speculating lanes run one k+1-row chunk over
+  // output.back() + proposals (the GEMM path; bit-identical to width-1 steps
+  // under scalar kernels), plain lanes the ordinary width-1 step.
   Stopwatch verify_watch;
   auto verify_one = [&](std::size_t shard, Request& r) {
     InferenceWorkspace& ws = workspaces_[shard];
     const std::size_t k = plan_k_[r.lane];
     if (k == 0) {
-      model_.forward_token(r.output.back(), r.lane, cache_, ws.hidden, ws);
+      model_.forward({&r.output.back(), 1}, {&r.lane, 1}, cache_, ws.hidden, ws);
       model_.logits_from_hidden(ws.hidden, lane_logits(r.lane));
       return;
     }
@@ -1134,7 +1132,7 @@ StepCost FunctionalTokenBackend::speculative_decode_step(
     for (std::size_t i = 0; i < k; ++i) chunk[1 + i] = proposals_[r.lane * cap + i];
     const std::span<float> hidden(
         verify_hidden_.data() + shard * (cap + 1) * d_model, (k + 1) * d_model);
-    model_.forward_chunk(chunk, r.lane, cache_, hidden, ws);
+    model_.forward(chunk, {&r.lane, 1}, cache_, hidden, ws);
     model_.logits_from_hidden_rows(
         hidden,
         std::span<float>(verify_logits_.data() + r.lane * (cap + 1) * vocab,

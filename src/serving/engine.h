@@ -457,8 +457,8 @@ class SimTokenBackend : public TokenBackend {
   std::vector<double> spec_carry_;
 };
 
-// Real token-by-token decoding over a paged KVCache: Model::forward_token
-// per lane per step, greedy argmax sampling (deterministic, so preemption
+// Real token-by-token decoding over a paged KVCache: one width-1
+// Model::forward per lane per step, greedy argmax sampling (deterministic, so preemption
 // recompute is lossless), measured wall-clock costs, optional lane-parallel
 // decode on a ThreadPool (one workspace per shard; sampling replayed
 // serially in lane order, so outputs are bit-identical for any worker
@@ -499,7 +499,7 @@ class FunctionalTokenBackend : public TokenBackend {
     // model at construction. Each lane's draft branch is a copy-on-write
     // fork of its KV sequence (sequence lane + max_lanes), rolled back with
     // truncate() after verification; accepted proposals are verified in one
-    // forward_chunk pass over K+1 positions.
+    // K+1-row chunk forward.
     SpeculationConfig speculation;
   };
 

@@ -13,7 +13,7 @@
 // Match granularity: callers pass `granularity_tokens` (the lcm of the KV
 // block size and the model's prefill chunk) and a `max_tokens` cap (prompt
 // length minus one). Trimming every match to that boundary makes the
-// cache-hit suffix prefill issue the same forward_chunk calls at the same
+// cache-hit suffix prefill run the same chunk forwards at the same
 // absolute chunk offsets as a from-scratch prefill, so greedy outputs are
 // bit-identical with the cache on or off, for every weight precision and KV
 // storage. Only full blocks are ever shared, so the first append after an

@@ -187,15 +187,18 @@ void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<
   ORINSIM_CHECK(a.size() == rows * cols && x.size() == lanes * cols &&
                     out.size() == lanes * rows,
                 "matvec_multi: shape mismatch");
-#pragma omp parallel if (rows >= 64)
-  {
-    std::vector<float> tmp(lanes);
-#pragma omp for
-    for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(rows); ++rs) {
-      const auto r = static_cast<std::size_t>(rs);
-      const float* ar = a.data() + r * cols;
-      simd::dot_f32_multi(ar, x.data(), cols, lanes, cols, tmp.data());
-      for (std::size_t t = 0; t < lanes; ++t) out[t * rows + r] = tmp[t];
+  // Columns go through dot_f32_multi in stack tiles (its per-column results
+  // do not depend on the tile), so the hot loop never allocates.
+  constexpr std::size_t kLaneTile = 8;
+#pragma omp parallel for if (rows >= 64)
+  for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(rows); ++rs) {
+    const auto r = static_cast<std::size_t>(rs);
+    const float* ar = a.data() + r * cols;
+    float tmp[kLaneTile];
+    for (std::size_t t0 = 0; t0 < lanes; t0 += kLaneTile) {
+      const std::size_t tile = std::min(kLaneTile, lanes - t0);
+      simd::dot_f32_multi(ar, x.data() + t0 * cols, cols, tile, cols, tmp);
+      for (std::size_t t = 0; t < tile; ++t) out[(t0 + t) * rows + r] = tmp[t];
     }
   }
 }

@@ -22,13 +22,14 @@ void extract_features(Model& model, std::span<const TokenId> tokens, std::size_t
   const std::size_t d = model.config().d_model;
   const std::size_t n = tokens.size();
   features.assign(n * d, 0.0f);
-  std::vector<float> hidden(d);
+  InferenceWorkspace ws(model.config());
+  const std::size_t seq = 0;
   for (std::size_t start = 0; start < n; start += window) {
     const std::size_t end = std::min(start + window, n);
     KVCache cache(model.config(), 1, end - start);
     for (std::size_t i = start; i < end; ++i) {
-      model.forward_token(tokens[i], 0, cache, hidden);
-      std::copy(hidden.begin(), hidden.end(), features.begin() + i * d);
+      model.forward(tokens.subspan(i, 1), {&seq, 1}, cache,
+                    std::span<float>(features).subspan(i * d, d), ws);
     }
   }
 }

@@ -52,10 +52,12 @@ TEST_P(GenerationPropertyTest, HiddenStatesFiniteOverLongRollout) {
   Model model(master(), dt);
   const TransformerConfig& cfg = model.config();
   KVCache cache(cfg, 1, 48);
+  InferenceWorkspace ws(cfg);
+  const std::size_t seq = 0;
   std::vector<float> hidden(cfg.d_model);
   TokenId token = 1;
   for (int i = 0; i < 48; ++i) {
-    model.forward_token(token, 0, cache, hidden);
+    model.forward({&token, 1}, {&seq, 1}, cache, hidden, ws);
     token = static_cast<TokenId>((token * 31 + 17) % kVocab);
     for (float v : hidden) ASSERT_TRUE(std::isfinite(v));
   }

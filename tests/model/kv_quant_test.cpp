@@ -135,10 +135,12 @@ TEST(KVQuantTest, HiddenStatesCloseToFp32Cache) {
 
   KVCache c_exact(cfg, 1, 16, KVStorage::kF32);
   KVCache c_quant(cfg, 1, 16, KVStorage::kI8);
+  InferenceWorkspace ws(cfg);
+  const std::size_t seq = 0;
   std::vector<float> h_exact(cfg.d_model), h_quant(cfg.d_model);
   for (TokenId t : {3u, 9u, 27u, 81u, 12u, 36u}) {
-    exact.forward_token(t, 0, c_exact, h_exact);
-    quant.forward_token(t, 0, c_quant, h_quant);
+    exact.forward({&t, 1}, {&seq, 1}, c_exact, h_exact, ws);
+    quant.forward({&t, 1}, {&seq, 1}, c_quant, h_quant, ws);
   }
   double err = 0.0, norm = 0.0;
   for (std::size_t i = 0; i < h_exact.size(); ++i) {

@@ -1,12 +1,14 @@
-// Lane-batched decode: Model::forward_tokens and the batched generate path
-// must be bit-identical to the per-lane forward_token loop (the seed path)
-// for kF32/kI8/kI4 weights, composition-independent for every dtype, and
-// invariant under serial-vs-pooled group sharding. These are the contracts
-// that let generate() batch whichever lanes are active without changing any
-// lane's tokens.
+// Lane-batched decode: a Model::forward over n lane rows must equal n
+// width-1 forwards bit for bit, in hidden states and cache contents, at
+// both kernel levels for every dtype (the lane kernels are
+// composition-independent), and generate() must be invariant under
+// serial-vs-pooled group sharding. These are the contracts that let
+// generate() batch whichever lanes are active without changing any lane's
+// tokens.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/thread_pool.h"
@@ -57,10 +59,8 @@ std::vector<std::vector<TokenId>> five_prompts() {
           {1, 90, 13, 60, 31, 18}};
 }
 
-Model::GenerateResult run_generate(Model& model, bool lane_batched,
-                                   std::size_t workers = 0) {
+Model::GenerateResult run_generate(Model& model, std::size_t workers = 0) {
   Model::GenerateOptions options;
-  options.lane_batched_decode = lane_batched;
   std::unique_ptr<ThreadPool> pool;
   if (workers > 0) {
     pool = std::make_unique<ThreadPool>(workers);
@@ -69,10 +69,17 @@ Model::GenerateResult run_generate(Model& model, bool lane_batched,
   return model.generate(five_prompts(), 12, options);
 }
 
-// forward_tokens vs a forward_token loop, directly: hidden states AND the
+std::size_t argmax_row(std::span<const float> logits) {
+  std::size_t best = 0;
+  for (std::size_t v = 1; v < logits.size(); ++v) {
+    if (logits[v] > logits[best]) best = v;
+  }
+  return best;
+}
+
+// One n-lane forward vs n width-1 forwards, directly: hidden states AND the
 // cache contents a later step reads back must agree bit for bit.
-void check_forward_tokens_matches_loop(DType dtype, KVStorage kv_storage,
-                                       bool expect_exact) {
+void check_lanes_match_width1(DType dtype, KVStorage kv_storage) {
   const auto cfg = decode_test_config();
   auto master = MasterWeights::init_random(cfg, 61);
   Model model(master, dtype, kv_storage);
@@ -80,62 +87,68 @@ void check_forward_tokens_matches_loop(DType dtype, KVStorage kv_storage,
 
   // Two independent models would be cleaner but weights are shared and
   // immutable; two caches over one model give the same isolation.
-  KVCache batched_cache(cfg, lanes, cfg.max_seq);
-  KVCache looped_cache(cfg, lanes, cfg.max_seq);
+  KVCache batched_cache(cfg, lanes, cfg.max_seq, model.kv_options());
+  KVCache looped_cache(cfg, lanes, cfg.max_seq, model.kv_options());
+  InferenceWorkspace ws(cfg);
 
-  // Seed each lane with a distinct short prompt, both paths via the same
-  // per-token code so the starting caches are identical.
+  // Seed each lane with a distinct short prompt, both caches via the same
+  // width-1 steps so they start identical.
   const std::vector<std::vector<TokenId>> prompts = {
       {3, 9, 27}, {81, 12}, {5, 6, 7, 8}, {44}};
-  std::vector<float> hidden(cfg.d_model);
   for (std::size_t b = 0; b < lanes; ++b) {
-    for (TokenId tok : prompts[b]) {
-      model.forward_token(tok, b, batched_cache, hidden);
-      model.forward_token(tok, b, looped_cache, hidden);
+    for (const TokenId& tok : prompts[b]) {
+      model.forward({&tok, 1}, {&b, 1}, batched_cache, {}, ws);
+      model.forward({&tok, 1}, {&b, 1}, looped_cache, {}, ws);
     }
   }
 
   // Three decode steps, batched vs looped, feeding each path its own output.
-  InferenceWorkspace ws(cfg);
   std::vector<TokenId> batched_tokens = {10, 20, 30, 40};
   std::vector<TokenId> looped_tokens = batched_tokens;
   const std::vector<std::size_t> seqs = {0, 1, 2, 3};
   for (int step = 0; step < 3; ++step) {
     std::vector<float> batched_rows(lanes * cfg.d_model);
-    model.forward_tokens(batched_tokens, seqs, batched_cache, batched_rows, ws);
+    model.forward(batched_tokens, seqs, batched_cache, batched_rows, ws);
     std::vector<float> batched_logits(lanes * cfg.vocab);
     model.logits_from_hidden_rows(batched_rows, batched_logits, lanes);
 
     for (std::size_t t = 0; t < lanes; ++t) {
       std::vector<float> looped_hidden(cfg.d_model);
-      model.forward_token(looped_tokens[t], seqs[t], looped_cache, looped_hidden);
+      model.forward({&looped_tokens[t], 1}, {&seqs[t], 1}, looped_cache, looped_hidden, ws);
       std::vector<float> looped_logits(cfg.vocab);
       model.logits_from_hidden(looped_hidden, looped_logits);
 
       for (std::size_t i = 0; i < cfg.d_model; ++i) {
-        const float batched = batched_rows[t * cfg.d_model + i];
-        if (expect_exact) {
-          EXPECT_EQ(batched, looped_hidden[i])
-              << "step=" << step << " t=" << t << " i=" << i;
-        } else {
-          EXPECT_NEAR(batched, looped_hidden[i], 1e-3f)
-              << "step=" << step << " t=" << t << " i=" << i;
-        }
+        EXPECT_EQ(batched_rows[t * cfg.d_model + i], looped_hidden[i])
+            << "step=" << step << " t=" << t << " i=" << i;
       }
       // Greedy argmax from each path's logits picks the next token.
-      std::size_t batched_arg = 0, looped_arg = 0;
-      for (std::size_t v = 1; v < cfg.vocab; ++v) {
-        if (batched_logits[t * cfg.vocab + v] >
-            batched_logits[t * cfg.vocab + batched_arg]) {
-          batched_arg = v;
-        }
-        if (looped_logits[v] > looped_logits[looped_arg]) looped_arg = v;
-      }
-      if (expect_exact) {
-        EXPECT_EQ(batched_arg, looped_arg) << "step=" << step << " t=" << t;
-      }
+      const std::size_t batched_arg =
+          argmax_row(std::span<const float>(batched_logits).subspan(t * cfg.vocab, cfg.vocab));
+      const std::size_t looped_arg = argmax_row(looped_logits);
+      EXPECT_EQ(batched_arg, looped_arg) << "step=" << step << " t=" << t;
       batched_tokens[t] = static_cast<TokenId>(batched_arg);
       looped_tokens[t] = static_cast<TokenId>(looped_arg);
+    }
+  }
+
+  // Every committed K/V row, as a later step reads it back.
+  std::vector<float> s1(cfg.kv_dim()), s2(cfg.kv_dim());
+  for (std::size_t b = 0; b < lanes; ++b) {
+    ASSERT_EQ(batched_cache.seq_len(b), looped_cache.seq_len(b));
+    for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+      for (std::size_t p = 0; p < batched_cache.seq_len(b); ++p) {
+        const auto k1 = batched_cache.key(l, b, p, s1);
+        const auto k2 = looped_cache.key(l, b, p, s2);
+        for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
+          ASSERT_EQ(k1[i], k2[i]) << "key b=" << b << " l=" << l << " p=" << p;
+        }
+        const auto v1 = batched_cache.value(l, b, p, s1);
+        const auto v2 = looped_cache.value(l, b, p, s2);
+        for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
+          ASSERT_EQ(v1[i], v2[i]) << "value b=" << b << " l=" << l << " p=" << p;
+        }
+      }
     }
   }
 }
@@ -143,69 +156,31 @@ void check_forward_tokens_matches_loop(DType dtype, KVStorage kv_storage,
 TEST(LaneBatchedDecodeTest, ForwardTokensMatchesLoopBitwiseF32) {
   for (simd::Level level : levels_to_test()) {
     ScopedLevel scoped(level);
-    check_forward_tokens_matches_loop(DType::kF32, KVStorage::kF32, true);
+    check_lanes_match_width1(DType::kF32, KVStorage::kF32);
   }
 }
 
 TEST(LaneBatchedDecodeTest, ForwardTokensMatchesLoopBitwiseInt8QuantizedKv) {
   for (simd::Level level : levels_to_test()) {
     ScopedLevel scoped(level);
-    check_forward_tokens_matches_loop(DType::kI8, KVStorage::kI8, true);
+    check_lanes_match_width1(DType::kI8, KVStorage::kI8);
   }
 }
 
 TEST(LaneBatchedDecodeTest, ForwardTokensMatchesLoopBitwiseInt4) {
   for (simd::Level level : levels_to_test()) {
     ScopedLevel scoped(level);
-    check_forward_tokens_matches_loop(DType::kI4, KVStorage::kI8, true);
+    check_lanes_match_width1(DType::kI4, KVStorage::kI8);
   }
 }
 
 TEST(LaneBatchedDecodeTest, ForwardTokensMatchesLoopF16) {
-  // kF16 is bit-exact at kScalar; at kNative the multi path reorders fp32
-  // accumulation (matmul-style row dequant), so only closeness is promised.
-  {
-    ScopedLevel scoped(simd::Level::kScalar);
-    check_forward_tokens_matches_loop(DType::kF16, KVStorage::kF32, true);
+  // Width 1 runs the lane kernels too, so kF16 is exact at both levels
+  // (at kNative both sides reorder the fp32 accumulation the same way).
+  for (simd::Level level : levels_to_test()) {
+    ScopedLevel scoped(level);
+    check_lanes_match_width1(DType::kF16, KVStorage::kF32);
   }
-  if (simd::native_available()) {
-    ScopedLevel scoped(simd::Level::kNative);
-    check_forward_tokens_matches_loop(DType::kF16, KVStorage::kF32, false);
-  }
-}
-
-// The full generate path: lane-batched decode must reproduce the per-lane
-// loop's outputs token for token.
-TEST(LaneBatchedDecodeTest, GenerateBatchedMatchesLoopedAllDtypes) {
-  const auto cfg = decode_test_config();
-  struct Case {
-    DType dtype;
-    KVStorage kv;
-  };
-  const Case cases[] = {{DType::kF32, KVStorage::kF32},
-                        {DType::kI8, KVStorage::kI8},
-                        {DType::kI4, KVStorage::kI8}};
-  for (const Case& c : cases) {
-    auto master = MasterWeights::init_random(cfg, 67);
-    Model model(master, c.dtype, c.kv);
-    for (simd::Level level : levels_to_test()) {
-      ScopedLevel scoped(level);
-      const auto looped = run_generate(model, false);
-      const auto batched = run_generate(model, true);
-      EXPECT_EQ(batched.outputs, looped.outputs)
-          << dtype_name(c.dtype) << " @ " << simd::level_name(level);
-    }
-  }
-}
-
-TEST(LaneBatchedDecodeTest, GenerateBatchedMatchesLoopedF16Scalar) {
-  ScopedLevel scoped(simd::Level::kScalar);
-  const auto cfg = decode_test_config();
-  auto master = MasterWeights::init_random(cfg, 71);
-  Model model(master, DType::kF16, KVStorage::kF32);
-  const auto looped = run_generate(model, false);
-  const auto batched = run_generate(model, true);
-  EXPECT_EQ(batched.outputs, looped.outputs);
 }
 
 // Composition independence at the generate level: pooled batched decode
@@ -215,10 +190,10 @@ TEST(LaneBatchedDecodeTest, BatchedSerialVsPooledBitIdentical) {
   const auto cfg = decode_test_config();
   auto master = MasterWeights::init_random(cfg, 73);
   Model model(master, DType::kI4, KVStorage::kI8);
-  const auto serial = run_generate(model, true, 0);
+  const auto serial = run_generate(model);
   ASSERT_EQ(serial.outputs.size(), 5u);
   for (std::size_t workers : {1u, 2u, 3u, 8u}) {
-    const auto pooled = run_generate(model, true, workers);
+    const auto pooled = run_generate(model, workers);
     EXPECT_EQ(pooled.outputs, serial.outputs) << "workers=" << workers;
   }
 }

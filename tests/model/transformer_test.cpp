@@ -32,9 +32,12 @@ TEST_P(TransformerStyleTest, ForwardProducesFiniteBoundedHidden) {
   auto master = MasterWeights::init_random(cfg, 7);
   Model model(master, DType::kF32);
   KVCache cache(cfg, 1, 16);
+  InferenceWorkspace ws(cfg);
+  const std::size_t seq = 0;
   std::vector<float> hidden(cfg.d_model);
   for (int t = 0; t < 16; ++t) {
-    model.forward_token(static_cast<TokenId>(t % cfg.vocab), 0, cache, hidden);
+    const auto token = static_cast<TokenId>(t % cfg.vocab);
+    model.forward({&token, 1}, {&seq, 1}, cache, hidden, ws);
     for (float v : hidden) {
       EXPECT_TRUE(std::isfinite(v));
       EXPECT_LT(std::fabs(v), 100.0f);
@@ -48,10 +51,12 @@ TEST_P(TransformerStyleTest, DeterministicAcrossInstances) {
   auto master = MasterWeights::init_random(cfg, 13);
   Model a(master, DType::kF32), b(master, DType::kF32);
   KVCache ca(cfg, 1, 8), cb(cfg, 1, 8);
+  InferenceWorkspace wa(cfg), wb(cfg);
+  const std::size_t seq = 0;
   std::vector<float> ha(cfg.d_model), hb(cfg.d_model);
   for (TokenId t : {3u, 14u, 15u, 9u}) {
-    a.forward_token(t, 0, ca, ha);
-    b.forward_token(t, 0, cb, hb);
+    a.forward({&t, 1}, {&seq, 1}, ca, ha, wa);
+    b.forward({&t, 1}, {&seq, 1}, cb, hb, wb);
   }
   for (std::size_t i = 0; i < ha.size(); ++i) EXPECT_EQ(ha[i], hb[i]);
 }
@@ -71,12 +76,14 @@ TEST(TransformerTest, BatchSequencesIsolated) {
   auto master = MasterWeights::init_random(cfg, 21);
   Model model(master, DType::kF32);
   KVCache cache(cfg, 2, 8);
+  InferenceWorkspace ws(cfg);
+  const std::size_t seqs[] = {0, 1};
   std::vector<float> h0(cfg.d_model), h1(cfg.d_model);
   const std::vector<TokenId> prompt = {5, 9, 2};
   // Interleave the two sequences.
   for (TokenId t : prompt) {
-    model.forward_token(t, 0, cache, h0);
-    model.forward_token(t, 1, cache, h1);
+    model.forward({&t, 1}, {&seqs[0], 1}, cache, h0, ws);
+    model.forward({&t, 1}, {&seqs[1], 1}, cache, h1, ws);
   }
   for (std::size_t i = 0; i < h0.size(); ++i) EXPECT_EQ(h0[i], h1[i]);
 }
@@ -92,8 +99,10 @@ TEST(TransformerTest, PrefillEqualsStepByStep) {
   model.prefill(prompt, 0, c1, via_prefill);
 
   KVCache c2(cfg, 1, 8);
+  InferenceWorkspace ws(cfg);
+  const std::size_t seq = 0;
   std::vector<float> via_steps(cfg.d_model);
-  for (TokenId t : prompt) model.forward_token(t, 0, c2, via_steps);
+  for (TokenId t : prompt) model.forward({&t, 1}, {&seq, 1}, c2, via_steps, ws);
 
   for (std::size_t i = 0; i < via_prefill.size(); ++i) {
     EXPECT_EQ(via_prefill[i], via_steps[i]);
@@ -105,8 +114,11 @@ TEST(TransformerTest, LogitsShapeAndFiniteness) {
   auto master = MasterWeights::init_random(cfg, 41);
   Model model(master, DType::kF32);
   KVCache cache(cfg, 1, 4);
+  InferenceWorkspace ws(cfg);
+  const TokenId token = 7;
+  const std::size_t seq = 0;
   std::vector<float> hidden(cfg.d_model), logits(cfg.vocab);
-  model.forward_token(7, 0, cache, hidden);
+  model.forward({&token, 1}, {&seq, 1}, cache, hidden, ws);
   model.logits_from_hidden(hidden, logits);
   for (float v : logits) EXPECT_TRUE(std::isfinite(v));
 }
@@ -151,8 +163,10 @@ TEST(TransformerTest, QuantizedModelsTrackFp32) {
 
   auto hidden_for = [&](Model& m) {
     KVCache cache(cfg, 1, 8);
+    InferenceWorkspace ws(cfg);
+    const std::size_t seq = 0;
     std::vector<float> h(cfg.d_model);
-    for (TokenId t : prompt) m.forward_token(t, 0, cache, h);
+    for (TokenId t : prompt) m.forward({&t, 1}, {&seq, 1}, cache, h, ws);
     return h;
   };
   const auto h32 = hidden_for(f32);

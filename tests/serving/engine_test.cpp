@@ -395,56 +395,78 @@ class FunctionalEngineTest : public ::testing::Test {
   std::shared_ptr<MasterWeights> master_;
 };
 
+// Every weight precision at the active kernel level, with int8 KV for the
+// quantized ones: resume replay must rebuild the cache exactly as prefill
+// and width-1 decode first wrote it.
+struct PrecisionCase {
+  DType dtype;
+  KVStorage kv;
+};
+constexpr PrecisionCase kPrecisions[] = {{DType::kF32, KVStorage::kF32},
+                                         {DType::kF16, KVStorage::kI8},
+                                         {DType::kI8, KVStorage::kI8},
+                                         {DType::kI4, KVStorage::kI8}};
+
 TEST_F(FunctionalEngineTest, PreemptionRecomputeIsLossless) {
-  FunctionalEngineConfig cfg;
-  cfg.arrivals.kind = workload::ArrivalKind::kPoisson;
-  cfg.arrivals.rate_rps = 1000.0;  // flood: all requests arrive near t=0
-  cfg.arrivals.total_requests = 6;
-  cfg.seq = workload::SeqConfig{24, 8, 16};
-  cfg.max_concurrency = 3;
-  cfg.block_tokens = 4;
+  for (const PrecisionCase& p : kPrecisions) {
+    SCOPED_TRACE(dtype_name(p.dtype));
+    FunctionalEngineConfig cfg;
+    cfg.arrivals.kind = workload::ArrivalKind::kPoisson;
+    cfg.arrivals.rate_rps = 1000.0;  // flood: all requests arrive near t=0
+    cfg.arrivals.total_requests = 6;
+    cfg.seq = workload::SeqConfig{24, 8, 16};
+    cfg.max_concurrency = 3;
+    cfg.block_tokens = 4;
+    cfg.kv_storage = p.kv;
 
-  // Baseline: unlimited pool, no preemption.
-  const EngineResult baseline = run_functional_continuous(master_, DType::kF32, pool_, cfg);
-  EXPECT_EQ(baseline.preemptions, 0u);
-  ASSERT_EQ(baseline.requests.size(), 6u);
+    // Baseline: unlimited pool, no preemption.
+    const EngineResult baseline = run_functional_continuous(master_, p.dtype, pool_, cfg);
+    EXPECT_EQ(baseline.preemptions, 0u);
+    ASSERT_EQ(baseline.requests.size(), 6u);
 
-  // Pressured: 3 lanes at 24 tokens need 18 blocks; 12 forces eviction.
-  cfg.kv_blocks = 12;
-  const EngineResult pressured = run_functional_continuous(master_, DType::kF32, pool_, cfg);
-  EXPECT_GT(pressured.preemptions, 0u);
-  ASSERT_EQ(pressured.requests.size(), 6u);
+    // Pressured: 3 lanes at 24 tokens need 18 blocks; 12 forces eviction.
+    cfg.kv_blocks = 12;
+    const EngineResult pressured = run_functional_continuous(master_, p.dtype, pool_, cfg);
+    EXPECT_GT(pressured.preemptions, 0u);
+    ASSERT_EQ(pressured.requests.size(), 6u);
 
-  // Greedy decoding makes recompute-on-resume reproduce the interrupted
-  // sequence exactly: token streams match the no-pressure run bit for bit.
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(pressured.requests[i].prompt, baseline.requests[i].prompt);
-    EXPECT_EQ(pressured.requests[i].output, baseline.requests[i].output) << "request " << i;
-    EXPECT_EQ(pressured.requests[i].generated, 16u);
+    // Greedy decoding makes recompute-on-resume reproduce the interrupted
+    // sequence exactly: token streams match the no-pressure run bit for bit.
+    for (std::size_t i = 0; i < 6; ++i) {
+      EXPECT_EQ(pressured.requests[i].prompt, baseline.requests[i].prompt);
+      EXPECT_EQ(pressured.requests[i].output, baseline.requests[i].output)
+          << "request " << i;
+      EXPECT_EQ(pressured.requests[i].generated, 16u);
+    }
   }
 }
 
 TEST_F(FunctionalEngineTest, ParallelDecodeMatchesSerialUnderPreemption) {
-  FunctionalEngineConfig cfg;
-  cfg.arrivals.kind = workload::ArrivalKind::kPoisson;
-  cfg.arrivals.rate_rps = 1000.0;
-  cfg.arrivals.total_requests = 6;
-  cfg.seq = workload::SeqConfig{24, 8, 16};
-  cfg.max_concurrency = 3;
-  cfg.block_tokens = 4;
-  cfg.kv_blocks = 12;
+  for (const PrecisionCase& p : kPrecisions) {
+    SCOPED_TRACE(dtype_name(p.dtype));
+    FunctionalEngineConfig cfg;
+    cfg.arrivals.kind = workload::ArrivalKind::kPoisson;
+    cfg.arrivals.rate_rps = 1000.0;
+    cfg.arrivals.total_requests = 6;
+    cfg.seq = workload::SeqConfig{24, 8, 16};
+    cfg.max_concurrency = 3;
+    cfg.block_tokens = 4;
+    cfg.kv_blocks = 12;
+    cfg.kv_storage = p.kv;
 
-  const EngineResult serial = run_functional_continuous(master_, DType::kF32, pool_, cfg);
-  cfg.decode_workers = 4;
-  const EngineResult pooled = run_functional_continuous(master_, DType::kF32, pool_, cfg);
-  ASSERT_EQ(pooled.requests.size(), serial.requests.size());
-  for (std::size_t i = 0; i < serial.requests.size(); ++i) {
-    EXPECT_EQ(pooled.requests[i].output, serial.requests[i].output) << "request " << i;
+    const EngineResult serial = run_functional_continuous(master_, p.dtype, pool_, cfg);
+    cfg.decode_workers = 4;
+    const EngineResult pooled = run_functional_continuous(master_, p.dtype, pool_, cfg);
+    ASSERT_EQ(pooled.requests.size(), serial.requests.size());
+    for (std::size_t i = 0; i < serial.requests.size(); ++i) {
+      EXPECT_EQ(pooled.requests[i].output, serial.requests[i].output) << "request " << i;
+    }
+    // Preemption *counts* are schedule-dependent (measured wall-clock drives
+    // admission timing), but under a flooded queue both runs must hit
+    // pressure.
+    EXPECT_GT(serial.preemptions, 0u);
+    EXPECT_GT(pooled.preemptions, 0u);
   }
-  // Preemption *counts* are schedule-dependent (measured wall-clock drives
-  // admission timing), but under a flooded queue both runs must hit pressure.
-  EXPECT_GT(serial.preemptions, 0u);
-  EXPECT_GT(pooled.preemptions, 0u);
 }
 
 TEST_F(FunctionalEngineTest, PowerProxyAttributesEnergyAndConservesUnderPreemption) {
