@@ -40,7 +40,6 @@
 #include "core/thread_pool.h"
 #include "core/units.h"
 #include "model/transformer.h"
-#include "serving/batch_scheduler.h"
 #include "serving/engine.h"
 #include "tensor/simd.h"
 #include "train/readout_trainer.h"
@@ -268,15 +267,11 @@ int main(int argc, char** argv) {
   // real engine before the next launches. Its KV footprint is the dense
   // reservation for max_lanes full sequences.
   serving::FunctionalSession session(serving_master, DType::kF32, pool);
-  serving::SchedulerConfig static_config;
-  static_config.max_batch = max_lanes;
-  static_config.seq = seq;
-  const std::vector<double> arrival_times = arrivals.generate();
-  const serving::ScheduleResult st = simulate_serving(session, static_config, arrival_times);
+  const serving::EngineResult st = serving::StaticBatchPolicy(session, max_lanes, seq)
+                                        .run(serving::requests_from_arrivals(
+                                            arrivals.generate(), seq));
   const KVCache static_cache(serving_master->config, max_lanes, seq.total);
   const double static_kv_bytes = static_cast<double>(static_cache.reserved_bytes());
-  const double static_tps =
-      static_cast<double>(serving_requests * seq.total) / st.makespan_s;
 
   // Continuous: token-level admit/retire over the paged cache; peak KV bytes
   // are what the block pool actually handed out.
@@ -294,7 +289,7 @@ int main(int argc, char** argv) {
                        "Peak KV bytes"});
   serving_table.new_row()
       .add_cell("static")
-      .add_number(static_tps, 0)
+      .add_number(st.throughput_tps(), 0)
       .add_number(st.mean_latency_s(), 3)
       .add_number(st.p95_latency_s(), 3)
       .add_number(static_kv_bytes, 0);
@@ -574,17 +569,8 @@ int main(int argc, char** argv) {
     flood.kind = workload::ArrivalKind::kPoisson;
     flood.rate_rps = 1000.0;
     flood.total_requests = 8;
-    std::vector<serving::Request> sim_requests;
-    for (double t : flood.generate()) {
-      serving::Request r;
-      r.id = sim_requests.size();
-      r.arrival_s = t;
-      r.prompt_tokens = sim_bc.seq.input;
-      r.max_new_tokens = sim_bc.seq.output;
-      sim_requests.push_back(r);
-    }
-    const serving::EngineResult gv =
-        serving::ContinuousPolicy(sim_backend, gov).run(std::move(sim_requests));
+    const serving::EngineResult gv = serving::ContinuousPolicy(sim_backend, gov).run(
+        serving::requests_from_arrivals(flood.generate(), sim_bc.seq));
     double worst_after = 0.0;
     const double last_action_t = gv.timeline.governor_events().empty()
                                      ? 0.0

@@ -5,9 +5,9 @@
 #include <cstdio>
 
 #include "core/cli.h"
+#include "core/error.h"
 #include "core/table.h"
-#include "serving/batch_scheduler.h"
-#include "serving/continuous_batching.h"
+#include "serving/engine.h"
 #include "trace/export.h"
 
 using namespace orinsim;
@@ -29,30 +29,38 @@ int main(int argc, char** argv) {
                "Throughput (tok/s)", "Energy/request (J)", "Mean occupancy"});
 
   SimSession session(model, DType::kF16, workload::Dataset::kWikiText2);
+  const workload::SeqConfig seq = workload::seq_config_default();
+  SimTokenBackend::Config cc;
+  cc.model_key = model;
+  cc.max_concurrency = 32;
+  cc.seq = seq;
   for (double rps : {0.5, 2.0, 5.0, 10.0}) {
+    workload::ArrivalConfig arrivals;
+    arrivals.rate_rps = rps;
+    arrivals.total_requests = requests;
+    const std::vector<double> arrival_times = arrivals.generate();
     // Static batching (the paper's regime), best-of max-batch {8, 32}.
     for (std::size_t max_batch : {std::size_t{8}, std::size_t{32}}) {
-      SchedulerConfig sc;
-      sc.max_batch = max_batch;
-      sc.arrivals.rate_rps = rps;
-      sc.arrivals.total_requests = requests;
-      const ScheduleResult r = simulate_serving(session, sc);
+      const EngineResult r = StaticBatchPolicy(session, max_batch, seq)
+                                 .run(requests_from_arrivals(arrival_times, seq));
       table.new_row()
           .add_number(rps, 1)
           .add_cell("static bs<=" + std::to_string(max_batch))
           .add_number(r.mean_latency_s(), 2)
           .add_number(r.p95_latency_s(), 2)
-          .add_number(r.achieved_rps() * 96.0, 1)
-          .add_number(r.total_energy_j / static_cast<double>(requests), 0)
-          .add_number(r.mean_batch_occupancy, 1);
+          .add_number(r.throughput_tps(), 1)
+          .add_number(r.energy_j / static_cast<double>(requests), 0)
+          .add_number(r.timeline.mean_batch(trace::Phase::kDecode), 1);
     }
-    // Continuous batching at the same concurrency cap.
-    ContinuousConfig cc;
-    cc.model_key = model;
-    cc.arrivals.rate_rps = rps;
-    cc.arrivals.total_requests = requests;
-    cc.max_concurrency = 32;
-    const ContinuousResult r = simulate_continuous(cc);
+    // Continuous batching at the same concurrency cap. Memory gate: the
+    // steady state is max_concurrency sequences at full length.
+    ORINSIM_CHECK(sim::MemoryModel().workload_fits(sim::model_by_key(model), cc.dtype,
+                                                   cc.max_concurrency, seq.input,
+                                                   seq.output),
+                  "continuous: concurrency does not fit in device memory");
+    SimTokenBackend backend(cc);
+    const EngineResult r =
+        ContinuousPolicy(backend).run(requests_from_arrivals(arrival_times, seq));
     table.new_row()
         .add_number(rps, 1)
         .add_cell("continuous c<=32")

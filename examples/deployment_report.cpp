@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
     const MemoryModel mm(dev.spec);
     std::string fit = "does not fit";
     for (DType dt : kAllDTypes) {
-      const auto mem = mm.workload_memory(spec, dt, 32, 32, 64);
-      if (!mm.model_oom(spec, dt) && !mm.workload_oom(mem)) {
+      if (mm.workload_fits(spec, dt, 32, 32, 64)) {
+        const auto mem = mm.workload_memory(spec, dt, 32, 32, 64);
         fit = dtype_name(dt) + " (" + format_double(mem.total_gb(), 1) + " GB of " +
               format_double(mm.usable_gb(), 1) + " usable)";
         break;

@@ -11,7 +11,7 @@
 
 #include "core/cli.h"
 #include "core/table.h"
-#include "serving/offload.h"
+#include "serving/engine.h"
 
 using namespace orinsim;
 using namespace orinsim::serving;
@@ -26,30 +26,36 @@ int main(int argc, char** argv) {
               model.c_str(), rps);
 
   SimSession session(model, DType::kF16, workload::Dataset::kWikiText2);
-  HybridConfig config;
-  config.scheduler.max_batch = 32;
-  config.scheduler.arrivals.rate_rps = rps;
-  config.scheduler.arrivals.total_requests = requests;
-  config.queue_threshold =
+  const workload::SeqConfig seq = workload::seq_config_default();
+  workload::ArrivalConfig arrivals;
+  arrivals.rate_rps = rps;
+  arrivals.total_requests = requests;
+  const std::vector<double> arrival_times = arrivals.generate();
+  StaticBatchPolicy::Offload offload;
+  offload.queue_threshold =
       static_cast<std::size_t>(args.get_int("queue-threshold", 32));
-  config.latency_slo_s = args.get_double("slo-s", 30.0);
+  offload.latency_slo_s = args.get_double("slo-s", 30.0);
 
   Table table({"Policy", "Edge reqs", "Cloud reqs", "mean latency (s)", "p95 (s)",
                "Edge energy (J)", "Cloud cost ($)", "Prompts leaving device"});
   for (OffloadPolicy policy :
        {OffloadPolicy::kEdgeOnly, OffloadPolicy::kCloudOnly, OffloadPolicy::kQueueDepth,
         OffloadPolicy::kLatencyThreshold}) {
-    config.policy = policy;
-    const HybridResult r = simulate_hybrid(session, config);
+    offload.policy = policy;
+    const EngineResult r = StaticBatchPolicy(session, 32, seq, offload)
+                               .run(requests_from_arrivals(arrival_times, seq));
+    const std::size_t cloud = r.timeline.count(trace::Phase::kOffload);
     table.new_row()
         .add_cell(offload_policy_name(policy))
-        .add_cell(std::to_string(r.edge_requests))
-        .add_cell(std::to_string(r.cloud_requests))
+        .add_cell(std::to_string(r.latencies_s.size() - cloud))
+        .add_cell(std::to_string(cloud))
         .add_number(r.mean_latency_s(), 2)
         .add_number(r.p95_latency_s(), 2)
-        .add_number(r.edge_energy_j, 0)
-        .add_number(r.cloud_cost_usd, 4)
-        .add_cell(r.cloud_requests == 0 ? "none" : "yes");
+        .add_number(r.energy_j, 0)
+        .add_number(static_cast<double>(cloud) *
+                        offload.cloud.request_cost_usd(seq.input, seq.output),
+                    4)
+        .add_cell(cloud == 0 ? "none" : "yes");
   }
   std::fputs(table.to_markdown().c_str(), stdout);
 

@@ -39,8 +39,6 @@
 #include "core/stats.h"
 #include "core/table.h"
 #include "core/units.h"
-#include "serving/batch_scheduler.h"
-#include "serving/continuous_batching.h"
 #include "serving/engine.h"
 #include "serving/serving_device.h"
 #include "tensor/simd.h"
@@ -51,28 +49,38 @@ using namespace orinsim::serving;
 
 namespace {
 
+std::vector<Request> request_stream(double rps, std::size_t requests,
+                                    const workload::SeqConfig& seq) {
+  workload::ArrivalConfig arrivals;
+  arrivals.rate_rps = rps;
+  arrivals.total_requests = requests;
+  return requests_from_arrivals(arrivals.generate(), seq);
+}
+
+double achieved_rps(const EngineResult& r) {
+  return r.makespan_s > 0.0 ? static_cast<double>(r.latencies_s.size()) / r.makespan_s
+                            : 0.0;
+}
+
 int plan_static(const std::string& model, DType dtype, double rps, double slo_s,
                 std::size_t requests) {
   SimSession session(model, dtype, workload::Dataset::kWikiText2);
+  const workload::SeqConfig seq = workload::seq_config_default();
   Table table({"max batch", "batches", "mean occupancy", "p95 latency (s)",
                "achieved req/s", "energy/request (J)", "meets SLO"});
   std::size_t best_batch = 0;
   double best_energy = 1e99;
   for (std::size_t max_batch : {1, 2, 4, 8, 16, 32, 64}) {
-    SchedulerConfig config;
-    config.max_batch = max_batch;
-    config.arrivals.rate_rps = rps;
-    config.arrivals.total_requests = requests;
-    const ScheduleResult r = simulate_serving(session, config);
-    const double energy_per_req =
-        r.total_energy_j / static_cast<double>(r.requests.size());
+    const EngineResult r =
+        StaticBatchPolicy(session, max_batch, seq).run(request_stream(rps, requests, seq));
+    const double energy_per_req = r.energy_per_request_j();
     const bool meets = r.p95_latency_s() <= slo_s;
     table.new_row()
         .add_cell(std::to_string(max_batch))
-        .add_cell(std::to_string(r.batches_run))
-        .add_number(r.mean_batch_occupancy, 1)
+        .add_cell(std::to_string(r.decode_steps))
+        .add_number(r.timeline.mean_batch(trace::Phase::kDecode), 1)
         .add_number(r.p95_latency_s(), 1)
-        .add_number(r.achieved_rps(), 2)
+        .add_number(achieved_rps(r), 2)
         .add_number(energy_per_req, 0)
         .add_cell(meets ? "yes" : "no");
     if (meets && energy_per_req < best_energy) {
@@ -101,14 +109,12 @@ int plan_continuous(const std::string& model, DType dtype, double rps, double sl
                "J/request", "J/token", "step-downs", "meets SLO"});
   std::size_t best_cap = 0;
   double best_energy = 1e99;
-  const sim::InferenceSim sim;
+  const sim::MemoryModel memory;
   const sim::ModelSpec& spec = sim::model_by_key(model);
   const workload::SeqConfig seq = workload::seq_config_default();
   for (std::size_t cap : {1, 2, 4, 8, 16, 32, 64}) {
     // Memory gate: steady state is `cap` sequences at full length.
-    const sim::MemoryBreakdown mem =
-        sim.memory_model().workload_memory(spec, dtype, cap, seq.input, seq.output);
-    if (sim.memory_model().workload_oom(mem) || sim.memory_model().model_oom(spec, dtype)) {
+    if (!memory.workload_fits(spec, dtype, cap, seq.input, seq.output)) {
       table.new_row()
           .add_cell(std::to_string(cap))
           .add_cell("-")
@@ -127,31 +133,16 @@ int plan_continuous(const std::string& model, DType dtype, double rps, double sl
     dc.seq = seq;
     dc.governor.power_cap_w = power_cap_w;  // 0 leaves the governor off
     ServingDevice device(dc);
-    workload::ArrivalConfig arrivals;
-    arrivals.rate_rps = rps;
-    arrivals.total_requests = requests;
-    std::vector<Request> stream;
-    for (double t : arrivals.generate()) {
-      Request rq;
-      rq.id = stream.size();
-      rq.arrival_s = t;
-      rq.prompt_tokens = seq.input;
-      rq.max_new_tokens = seq.output;
-      stream.push_back(rq);
-    }
-    const EngineResult r = device.run(std::move(stream));
+    const EngineResult r = device.run(request_stream(rps, requests, seq));
     // Energy columns come from per-request attribution off the event stream
     // (their sum conserves the timeline total by construction).
     const double energy_per_req = r.energy_per_request_j();
-    const double achieved_rps =
-        r.makespan_s > 0.0 ? static_cast<double>(r.latencies_s.size()) / r.makespan_s
-                           : 0.0;
     const bool meets = r.p95_latency_s() <= slo_s;
     table.new_row()
         .add_cell(std::to_string(cap))
         .add_number(r.mean_active, 1)
         .add_number(r.p95_latency_s(), 1)
-        .add_number(achieved_rps, 2)
+        .add_number(achieved_rps(r), 2)
         .add_number(energy_per_req, 0)
         .add_number(r.energy_per_token_j(), 2)
         .add_cell(std::to_string(r.governor_step_downs))

@@ -289,30 +289,23 @@ FleetResult FleetRouter::run(std::vector<serving::Request> requests) {
 
 std::vector<serving::Request> sim_fleet_requests(const SimFleetConfig& config) {
   ORINSIM_CHECK(config.tenants > 0, "fleet: tenants must be > 0");
-  const std::vector<double> arrivals = config.arrivals.generate();
+  std::vector<serving::Request> requests =
+      serving::requests_from_arrivals(config.arrivals.generate(), config.seq);
   Rng rng(config.prompt_seed);
   ZipfSampler tenant_ranks(config.tenants, config.tenant_zipf_s);
-
-  std::vector<serving::Request> requests;
-  requests.reserve(arrivals.size());
   const std::size_t prefix =
       std::min(config.options.affinity_tokens, config.seq.input);
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    serving::Request req;
-    req.id = i;
-    req.arrival_s = arrivals[i];
-    req.prompt_tokens = config.seq.input;
-    req.max_new_tokens = config.seq.output;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
     // Tenant-tagged prompt: a shared per-tenant prefix (what prefix_affinity
     // hashes and a prefix cache would reuse) plus a unique per-request tail.
     // The sim backend never reads these tokens; they exist for routing.
     const std::size_t tenant = tenant_ranks.sample(rng);
-    req.prompt.resize(config.seq.input);
+    std::vector<TokenId>& prompt = requests[i].prompt;
+    prompt.resize(config.seq.input);
     for (std::size_t j = 0; j < config.seq.input; ++j) {
-      req.prompt[j] = j < prefix ? static_cast<TokenId>(1 + tenant)
-                                 : static_cast<TokenId>(1 + config.tenants + i);
+      prompt[j] = j < prefix ? static_cast<TokenId>(1 + tenant)
+                             : static_cast<TokenId>(1 + config.tenants + i);
     }
-    requests.push_back(std::move(req));
   }
   return requests;
 }

@@ -123,7 +123,7 @@ class EngineHost {
     // Speculative decoding (zero / false when the backend runs none).
     // decode_steps above counts kDecode + kVerify events, so step counts
     // stay comparable between speculative and plain serving.
-    serving::EngineResult::SpeculationSummary speculation;
+    serving::SpeculationStats speculation;
     bool speculation_enabled = false;
     std::size_t draft_steps = 0;  // kDraft events emitted
     std::size_t kv_used_blocks = 0;

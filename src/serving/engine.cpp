@@ -32,7 +32,9 @@ void finalize(EngineResult& result, std::vector<Request> requests,
               const TokenBackend* backend) {
   const trace::ExecutionTimeline& timeline = result.timeline;
   result.latencies_s = timeline.request_latencies();
-  result.makespan_s = timeline.now();
+  // End of the last event on any track: the device cursor, or an offloaded
+  // request still running in the cloud.
+  result.makespan_s = timeline.makespan_s();
   result.energy_j = timeline.total_energy_j();
   result.mean_active = timeline.time_weighted_batch();
   // A speculative round's target pass lands as kVerify instead of kDecode;
@@ -43,10 +45,7 @@ void finalize(EngineResult& result, std::vector<Request> requests,
   result.total_tokens = 0;
   for (const Request& r : requests) {
     result.total_tokens += r.prompt_tokens + r.generated;
-    result.speculation.rounds += r.spec.rounds;
-    result.speculation.proposed += r.spec.proposed;
-    result.speculation.accepted += r.spec.accepted;
-    result.speculation.emitted += r.spec.emitted;
+    result.speculation += r.spec;
   }
   result.mean_kv_utilization = timeline.mean_kv_utilization();
   result.peak_kv_blocks = timeline.peak_kv_blocks();
@@ -183,6 +182,18 @@ std::vector<std::size_t> descending_lane_list(std::size_t lanes) {
 }
 
 }  // namespace
+
+std::vector<Request> requests_from_arrivals(const std::vector<double>& arrival_times,
+                                            const workload::SeqConfig& seq) {
+  std::vector<Request> requests(arrival_times.size());
+  for (std::size_t i = 0; i < arrival_times.size(); ++i) {
+    requests[i].id = i;
+    requests[i].arrival_s = arrival_times[i];
+    requests[i].prompt_tokens = seq.input;
+    requests[i].max_new_tokens = seq.output;
+  }
+  return requests;
+}
 
 double EngineResult::mean_latency_s() const {
   return trace::LatencySummary::from(latencies_s).mean_s;
@@ -523,14 +534,9 @@ const trace::ExecutionTimeline& ContinuousEngine::timeline() const {
   return impl_->result.timeline;
 }
 
-EngineResult::SpeculationSummary ContinuousEngine::speculation() const {
-  EngineResult::SpeculationSummary s;
-  for (const Request& r : impl_->requests) {
-    s.rounds += r.spec.rounds;
-    s.proposed += r.spec.proposed;
-    s.accepted += r.spec.accepted;
-    s.emitted += r.spec.emitted;
-  }
+SpeculationStats ContinuousEngine::speculation() const {
+  SpeculationStats s;
+  for (const Request& r : impl_->requests) s += r.spec;
   return s;
 }
 
@@ -579,7 +585,10 @@ EngineResult StaticBatchPolicy::run(std::vector<Request> requests) {
 
   EngineResult result;
   trace::ExecutionTimeline& timeline = result.timeline;
-  for (const Request& r : requests) timeline.begin_request(r.arrival_s);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].id = i;  // the timeline indexes requests by position
+    timeline.begin_request(requests[i].arrival_s);
+  }
 
   // Cache batch latencies/energies per occupancy (latency depends only on
   // the batch size for fixed sequence config).
@@ -598,18 +607,9 @@ EngineResult StaticBatchPolicy::run(std::vector<Request> requests) {
     return latency_by_bs[bs];
   };
 
-  const std::size_t total = requests.size();
-  std::size_t next = 0;  // first unscheduled request
-  while (next < total) {
-    // Wait until at least one request has arrived.
-    timeline.stall_until(requests[next].arrival_s);
-    const double now = timeline.now();
-    // Take everything that has arrived by `now`, up to max_batch.
-    std::size_t take = 0;
-    while (next + take < total && take < max_batch_ &&
-           requests[next + take].arrival_s <= now) {
-      ++take;
-    }
+  // Runs requests [first, first + take) as one batch dispatched at `at`.
+  auto run_on_edge = [&](std::size_t first, std::size_t take, double at) {
+    timeline.stall_until(at);
     const double latency = batch_cost(take);
     // One batch-granularity event; mean power reproduces the backend-reported
     // batch energy exactly (power * duration == energy).
@@ -618,17 +618,61 @@ EngineResult StaticBatchPolicy::run(std::vector<Request> requests) {
     const std::size_t eid = timeline.emit(trace::Phase::kDecode, latency, take,
                                           static_cast<double>(seq_.total), power);
     std::vector<std::size_t> batch_ids(take);
-    for (std::size_t i = 0; i < take; ++i) batch_ids[i] = requests[next + i].id;
+    std::iota(batch_ids.begin(), batch_ids.end(), first);
     timeline.set_participants(eid, batch_ids);
-    for (std::size_t i = 0; i < take; ++i) {
-      Request& r = requests[next + i];
-      timeline.start_request(r.id, now);
-      timeline.request_event(r.id, trace::RequestEventKind::kAdmit, now);
-      timeline.finish_request(r.id, timeline.now());
-      timeline.request_event(r.id, trace::RequestEventKind::kRetire, timeline.now());
-      r.state = RequestState::kFinished;
-      r.generated = r.max_new_tokens;  // the batch runs to completion
+    for (std::size_t id = first; id < first + take; ++id) {
+      timeline.start_request(id, at);
+      timeline.request_event(id, trace::RequestEventKind::kAdmit, at);
+      timeline.finish_request(id, timeline.now());
+      timeline.request_event(id, trace::RequestEventKind::kRetire, timeline.now());
+      requests[id].state = RequestState::kFinished;
+      requests[id].generated = requests[id].max_new_tokens;  // runs to completion
     }
+  };
+
+  // Cloud work overlaps the edge device: the event is pinned at the arrival
+  // instant, off the sequential cursor, with power unset.
+  auto run_in_cloud = [&](std::size_t id) {
+    const double arrival = requests[id].arrival_s;
+    const double latency = offload_.cloud.request_latency_s(seq_.input, seq_.output);
+    timeline.append_at(arrival, trace::Phase::kOffload, latency, 1,
+                       static_cast<double>(seq_.total));
+    timeline.start_request(id, arrival);
+    timeline.finish_request(id, arrival + latency);
+    requests[id].state = RequestState::kFinished;
+    requests[id].generated = requests[id].max_new_tokens;
+  };
+
+  const std::size_t total = requests.size();
+  std::size_t next = 0;  // first unscheduled request
+  while (next < total) {
+    if (offload_.policy == OffloadPolicy::kCloudOnly) {
+      run_in_cloud(next++);
+      continue;
+    }
+    // Dispatch when the device frees up, or at the next arrival if idle;
+    // everything arrived by then is waiting.
+    const double at = std::max(requests[next].arrival_s, timeline.now());
+    std::size_t waiting = 0;
+    while (next + waiting < total && requests[next + waiting].arrival_s <= at) ++waiting;
+    const std::size_t take = std::min(waiting, max_batch_);
+
+    if (offload_.policy == OffloadPolicy::kQueueDepth &&
+        waiting > offload_.queue_threshold) {
+      // One full batch stays on the edge; the newer overflow goes out.
+      for (std::size_t i = take; i < waiting; ++i) run_in_cloud(next + i);
+      run_on_edge(next, take, at);
+      next += waiting;
+      continue;
+    }
+    if (offload_.policy == OffloadPolicy::kLatencyThreshold &&
+        at + batch_cost(take) - requests[next].arrival_s > offload_.latency_slo_s) {
+      // The edge would miss the SLO for the batch's oldest member.
+      for (std::size_t i = 0; i < take; ++i) run_in_cloud(next + i);
+      next += take;
+      continue;
+    }
+    run_on_edge(next, take, at);
     next += take;
   }
 
@@ -778,7 +822,6 @@ StepCost SimTokenBackend::speculative_decode_step(const std::vector<Request*>& a
     // rounds that stopped short of the bonus token.
     r->spec.proposed += (n - 1) + (n - 1 < k ? 1 : 0);
     r->spec.emitted += n;
-    r->spec.target_forwards += k + 1;
   }
 
   auto scaled = [](const trace::StepBreakdown& b, double s) {
@@ -1181,7 +1224,6 @@ StepCost FunctionalTokenBackend::speculative_decode_step(
     r->spec.accepted += m;
     r->spec.proposed += m + (m < k ? 1 : 0);
     r->spec.emitted += m + 1;
-    r->spec.target_forwards += k + 1;
   }
   const double verify_s = verify_watch.elapsed_s();
 
@@ -1287,13 +1329,10 @@ EngineResult run_functional_continuous(std::shared_ptr<const MasterWeights> mast
           ? pool.sample_chat_batch(arrivals.size(), config.chat, rng)
           : pool.sample_batch(arrivals.size(), config.seq.input, rng);
 
-  std::vector<Request> requests(arrivals.size());
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    requests[i].id = i;
-    requests[i].arrival_s = arrivals[i];
+  std::vector<Request> requests = requests_from_arrivals(arrivals, config.seq);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
     requests[i].prompt = prompts[i];
     requests[i].prompt_tokens = prompts[i].size();
-    requests[i].max_new_tokens = config.seq.output;
   }
 
   Model model(master, dtype);

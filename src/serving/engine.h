@@ -2,16 +2,18 @@
 //
 // One scheduler spine runs every serving experiment in the repo:
 //
-//   RequestScheduler (policy)          TokenBackend (execution)
-//   ------------------------          -------------------------
-//   StaticBatchPolicy                  (drives an InferenceBackend directly)
+//   Policy                             Execution
+//   ------                             ---------
+//   StaticBatchPolicy                  InferenceBackend (whole batches), with
+//                                      optional edge-cloud offload routing
 //   ContinuousPolicy          x        SimTokenBackend     (roofline + power)
 //                                      FunctionalTokenBackend (real decode
 //                                                         over a paged KVCache)
 //
-// Policies own the clock and the queue: they admit requests, charge step
-// costs into a trace::ExecutionTimeline (StepEvents plus per-request
-// admit/preempt/retire RequestEvents), and preempt on KV block exhaustion.
+// Both policies return EngineResult. Policies own the clock and the queue:
+// they admit requests, charge step costs into a trace::ExecutionTimeline
+// (StepEvents plus per-request admit/preempt/retire RequestEvents), and
+// preempt on KV block exhaustion.
 // Backends own the work: claim KV capacity, run/charge a prefill wave or a
 // decode step, release capacity. Every metric the engine reports — latency
 // percentiles, makespan, energy, occupancy, KV-block utilization — is read
@@ -35,6 +37,7 @@
 
 #include "core/thread_pool.h"
 #include "model/transformer.h"
+#include "serving/offload.h"
 #include "serving/prefix_cache.h"
 #include "serving/request.h"
 #include "serving/session.h"
@@ -210,23 +213,7 @@ struct EngineResult {
   // counts kDecode + kVerify events, so a speculative run's step count stays
   // comparable to its plain counterpart (one target pass per step either
   // way).
-  struct SpeculationSummary {
-    std::size_t rounds = 0;
-    std::size_t proposed = 0;  // draft tokens the target compared
-    std::size_t accepted = 0;
-    std::size_t emitted = 0;   // tokens retired by speculative rounds
-
-    double acceptance_rate() const {
-      return proposed > 0
-                 ? static_cast<double>(accepted) / static_cast<double>(proposed)
-                 : 0.0;
-    }
-    double tokens_per_round() const {
-      return rounds > 0 ? static_cast<double>(emitted) / static_cast<double>(rounds)
-                        : 0.0;
-    }
-  };
-  SpeculationSummary speculation;
+  SpeculationStats speculation;
 
   // Per-request energy attribution, indexed by request id. Sums to energy_j
   // (the conservation invariant, pinned by test): every powered step's
@@ -246,14 +233,10 @@ struct EngineResult {
   double energy_per_token_j() const;
 };
 
-// A scheduling policy: consumes the request list (arrivals pre-filled) and
-// produces the executed schedule.
-class RequestScheduler {
- public:
-  virtual ~RequestScheduler() = default;
-  virtual EngineResult run(std::vector<Request> requests) = 0;
-  virtual std::string policy_name() const = 0;
-};
+// One request per arrival time (ids 0..n-1, seq.input prompt tokens,
+// seq.output tokens to generate): the request list both policies consume.
+std::vector<Request> requests_from_arrivals(const std::vector<double>& arrival_times,
+                                            const workload::SeqConfig& seq);
 
 // Per-request streaming hooks, fired by ContinuousEngine as the backend
 // produces tokens. on_token fires once per *newly generated* token in
@@ -341,7 +324,7 @@ class ContinuousEngine {
   // Live speculative-decoding counters (sum over submitted requests; all
   // zero when the backend runs no speculation). The serving daemon's
   // /metrics reads this without waiting for finish().
-  EngineResult::SpeculationSummary speculation() const;
+  SpeculationStats speculation() const;
 
   // Fleet integration. set_device_id tags the engine's timeline (and thus
   // every exported event) with the owning device; single-device callers
@@ -361,15 +344,14 @@ class ContinuousEngine {
 };
 
 // Token-level admit/retire scheduling (Orca/vLLM style) over any
-// TokenBackend, with preemption on KV block exhaustion. Reproduces
-// simulate_continuous exactly when the backend never runs out of blocks.
-class ContinuousPolicy : public RequestScheduler {
+// TokenBackend, with preemption on KV block exhaustion: submit-all +
+// step-until-idle + finish over a ContinuousEngine.
+class ContinuousPolicy {
  public:
   explicit ContinuousPolicy(TokenBackend& backend, GovernorConfig governor = {})
       : backend_(backend), governor_(std::move(governor)) {}
 
-  EngineResult run(std::vector<Request> requests) override;
-  std::string policy_name() const override { return "continuous"; }
+  EngineResult run(std::vector<Request> requests);
 
  private:
   TokenBackend& backend_;
@@ -377,26 +359,56 @@ class ContinuousPolicy : public RequestScheduler {
 };
 
 // The paper's static batching: wait for arrivals, take up to max_batch, run
-// the whole batch to completion through an InferenceBackend, repeat.
-// Identical schedule to simulate_serving (which now adapts onto this).
-class StaticBatchPolicy : public RequestScheduler {
+// the whole batch to completion through an InferenceBackend, repeat. Each
+// batch is one kDecode event on the device cursor. Request ids are assigned
+// by position (requests[i].id = i), so the timeline, latencies and
+// per-request energy always index the caller's order.
+//
+// Edge-cloud offload (the paper's "coupling edge inferencing with cloud
+// endpoints" future work) is a routing decision taken at each dispatch:
+//
+//   kEdgeOnly (default)     : plain static batching, nothing leaves the edge
+//   kCloudOnly              : every request goes to the cloud
+//   kQueueDepth             : when more than `queue_threshold` requests wait,
+//                             run one full batch on the edge and send the
+//                             newer overflow to the cloud
+//   kLatencyThreshold       : send the whole batch to the cloud when its
+//                             oldest member would miss `latency_slo_s`
+//
+// A cloud request is an unpowered kOffload event placed at its arrival,
+// off the device cursor (cloud capacity is elastic and its joules are not
+// the board's). EngineResult::makespan_s covers both tracks; energy_j stays
+// edge-only; cloud cost is timeline.count(kOffload) x
+// cloud.request_cost_usd(seq.input, seq.output).
+class StaticBatchPolicy {
  public:
+  struct Offload {
+    CloudEndpoint cloud;
+    OffloadPolicy policy = OffloadPolicy::kEdgeOnly;
+    std::size_t queue_threshold = 16;  // kQueueDepth
+    double latency_slo_s = 30.0;       // kLatencyThreshold
+  };
+
+  StaticBatchPolicy(InferenceBackend& backend, std::size_t max_batch,
+                    workload::SeqConfig seq, Offload offload)
+      : backend_(backend), max_batch_(max_batch), seq_(seq), offload_(offload) {}
   StaticBatchPolicy(InferenceBackend& backend, std::size_t max_batch,
                     workload::SeqConfig seq)
-      : backend_(backend), max_batch_(max_batch), seq_(seq) {}
+      : StaticBatchPolicy(backend, max_batch, seq, Offload{}) {}
 
-  EngineResult run(std::vector<Request> requests) override;
-  std::string policy_name() const override { return "static"; }
+  EngineResult run(std::vector<Request> requests);
 
  private:
   InferenceBackend& backend_;
   std::size_t max_batch_ = 32;
   workload::SeqConfig seq_;
+  Offload offload_;
 };
 
-// Roofline + power-model backend: charges the exact per-step costs of the
-// original continuous-batching simulator, plus block accounting so
-// preemption studies run without the functional engine. Resume-after-
+// Roofline + power-model backend: charges one roofline prefill wave per
+// admission and one roofline decode step per active set, with the power
+// model's wattage, plus block accounting so preemption studies run without
+// the functional engine. Resume-after-
 // preemption recharges prefill at the prompt length (the simulator does not
 // model partial-context recompute).
 class SimTokenBackend : public TokenBackend {
@@ -413,7 +425,7 @@ class SimTokenBackend : public TokenBackend {
     // specs so each device yields its own roofline-consistent step costs.
     sim::DeviceSpec device = sim::orin_agx_64gb();
     // Block pool. 0 blocks = capacity for max_concurrency full sequences
-    // (never exhausts, exact simulate_continuous behaviour).
+    // (never exhausts; the run reports no KV occupancy).
     std::size_t kv_blocks = 0;
     std::size_t block_tokens = kDefaultKVBlockTokens;
     // Speculative decoding: each decode step becomes one draft/verify round

@@ -1,10 +1,11 @@
-// Edge-cloud hybrid serving: the coupling of edge inferencing with cloud
-// endpoints that the paper's conclusion points to as future work.
+// Edge-cloud offload: the coupling of edge inferencing with cloud endpoints
+// that the paper's conclusion points to as future work.
 //
 // A CloudEndpoint models a hosted LLM API (network RTT + uplink transfer +
 // provider queue + prefill/decode service rates + per-token price). The
-// hybrid simulator runs the same arrival process as the edge batch
-// scheduler, but a routing policy may send requests to the cloud:
+// routing itself is part of the static-batching policy
+// (StaticBatchPolicy::Offload in serving/engine.h): at each dispatch an
+// OffloadPolicy may send requests to the cloud instead of the edge batch,
 //
 //   kEdgeOnly / kCloudOnly : baselines
 //   kQueueDepth            : overflow to the cloud when more than
@@ -12,22 +13,13 @@
 //   kLatencyThreshold      : route to the cloud when the predicted edge
 //                            completion time exceeds `latency_slo_s`
 //
-// The schedule is emitted as one trace::ExecutionTimeline: edge batches are
-// sequential kDecode events on the device cursor, cloud requests are
-// overlapping kOffload events placed at their arrival time (power unset —
-// cloud joules are not the edge board's). Counts, latencies, energy and
-// makespan are derived from the timeline, which keeps edge energy (joules)
-// separate from cloud cost (USD) so the trade-off the paper motivates —
-// privacy/cost vs latency — is quantified per policy.
+// and the run's EngineResult keeps edge energy (joules) separate from
+// cloud work (unpowered kOffload events), so the trade-off the paper
+// motivates — privacy/cost vs latency — is quantified per policy.
 #pragma once
 
 #include <cstddef>
 #include <string>
-#include <vector>
-
-#include "serving/batch_scheduler.h"
-#include "serving/session.h"
-#include "trace/timeline.h"
 
 namespace orinsim::serving {
 
@@ -51,31 +43,5 @@ struct CloudEndpoint {
 enum class OffloadPolicy { kEdgeOnly, kCloudOnly, kQueueDepth, kLatencyThreshold };
 
 std::string offload_policy_name(OffloadPolicy policy);
-
-struct HybridConfig {
-  SchedulerConfig scheduler;            // arrivals, max batch, sequence config
-  CloudEndpoint cloud;
-  OffloadPolicy policy = OffloadPolicy::kQueueDepth;
-  std::size_t queue_threshold = 16;     // kQueueDepth
-  double latency_slo_s = 30.0;          // kLatencyThreshold
-};
-
-struct HybridResult {
-  std::size_t edge_requests = 0;
-  std::size_t cloud_requests = 0;
-  std::vector<double> latencies_s;      // per request, arrival -> completion
-  double edge_energy_j = 0.0;
-  double cloud_cost_usd = 0.0;
-  double makespan_s = 0.0;
-
-  // The full event stream the metrics above are derived from (cloud work as
-  // overlapping kOffload events, edge batches on the sequential cursor).
-  trace::ExecutionTimeline timeline;
-
-  double mean_latency_s() const;
-  double p95_latency_s() const;
-};
-
-HybridResult simulate_hybrid(InferenceBackend& backend, const HybridConfig& config);
 
 }  // namespace orinsim::serving

@@ -12,12 +12,43 @@
 #include <cstddef>
 #include <vector>
 
-#include "model/speculative.h"
 #include "tokenizer/tokenizer.h"
 
 namespace orinsim::serving {
 
 enum class RequestState { kQueued, kPrefilling, kDecoding, kFinished, kPreempted };
+
+// Greedy draft/verify accounting, per request and summed per run. `proposed`
+// counts only draft tokens the target actually compared: a rejection cuts
+// the round short, so per round proposed == accepted + (1 if a proposal was
+// rejected else 0). Drafts the round never compared (past a rejection, or
+// past max_new_tokens) are not counted, otherwise they would be booked as
+// rejected and deflate acceptance_rate() on short generations. Invariants
+// pinned by test: accepted <= proposed <= accepted + rounds, and
+// emitted == accepted + rounds (each round adds one target token).
+struct SpeculationStats {
+  std::size_t rounds = 0;
+  std::size_t proposed = 0;  // draft tokens the target compared
+  std::size_t accepted = 0;
+  std::size_t emitted = 0;   // tokens retired by speculative rounds
+
+  double acceptance_rate() const {
+    return proposed > 0 ? static_cast<double>(accepted) / static_cast<double>(proposed)
+                        : 0.0;
+  }
+  // Tokens emitted per verification round (the parallel-verify unit the
+  // device-level speedup model consumes).
+  double tokens_per_round() const {
+    return rounds > 0 ? static_cast<double>(emitted) / static_cast<double>(rounds) : 0.0;
+  }
+  SpeculationStats& operator+=(const SpeculationStats& other) {
+    rounds += other.rounds;
+    proposed += other.proposed;
+    accepted += other.accepted;
+    emitted += other.emitted;
+    return *this;
+  }
+};
 
 struct Request {
   static constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
@@ -49,7 +80,7 @@ struct Request {
   // speculatively (all zero otherwise). Survives preemption: recompute
   // replays recorded tokens without re-running rounds, so the counters keep
   // describing the rounds that actually executed.
-  SpeculativeStats spec;
+  SpeculationStats spec;
 
   // Tokens in (or due in) the KV cache: prompt plus everything generated.
   std::size_t context() const { return prompt_tokens + generated; }

@@ -28,4 +28,10 @@ bool MemoryModel::workload_oom(const MemoryBreakdown& mem) const {
   return mem.total_gb() > usable_gb();
 }
 
+bool MemoryModel::workload_fits(const ModelSpec& m, DType dt, std::size_t batch,
+                                std::size_t in_tokens, std::size_t out_tokens) const {
+  return !model_oom(m, dt) &&
+         !workload_oom(workload_memory(m, dt, batch, in_tokens, out_tokens));
+}
+
 }  // namespace orinsim::sim

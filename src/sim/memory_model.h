@@ -55,6 +55,11 @@ class MemoryModel {
   // True if the workload (weights + incremental) exceeds usable RAM.
   bool workload_oom(const MemoryBreakdown& mem) const;
 
+  // The serving memory gate: the weights load and `batch` sequences of
+  // in_tokens + out_tokens fit beside them (neither OOM above).
+  bool workload_fits(const ModelSpec& m, DType dt, std::size_t batch,
+                     std::size_t in_tokens, std::size_t out_tokens) const;
+
   double usable_gb() const { return device_.usable_ram_gb(); }
 
  private:

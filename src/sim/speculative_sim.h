@@ -9,8 +9,8 @@
 //     speedup = E * t_target(1) / (t_target(K+1 positions) + K * t_draft(1))
 //
 // The acceptance rate is an input here; the functional engine measures it
-// for real model pairs (model::speculative_generate), and the extension
-// bench feeds one into the other.
+// for real self-draft pairs (serving::FunctionalTokenBackend with a
+// SpeculationConfig), and the extension bench feeds one into the other.
 #pragma once
 
 #include <cstddef>

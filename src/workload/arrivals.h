@@ -45,10 +45,10 @@ struct ArrivalSpec {
 // `count` arrival timestamps, non-decreasing, starting at t >= 0.
 std::vector<double> generate_arrivals(const ArrivalSpec& spec, std::size_t count);
 
-// The arrival model every serving scheduler consumes. One struct instead of
-// the kind/rate/seed/count fields formerly copied across SchedulerConfig,
-// ContinuousConfig and the hybrid offload config, so a workload definition
-// moves between schedulers without field-by-field copying.
+// The arrival model every serving run consumes: generate() feeds
+// serving::requests_from_arrivals for the static and continuous policies,
+// the functional engine and the fleet, so one workload definition moves
+// between schedulers without field-by-field copying.
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::kDeterministic;
   double rate_rps = 2.0;

@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "eval/perplexity.h"
-#include "serving/batch_scheduler.h"
+#include "serving/engine.h"
 #include "serving/session.h"
 #include "sim/inference_sim.h"
 #include "train/readout_trainer.h"
@@ -106,14 +106,16 @@ TEST(SimulatedEndToEndTest, ServingPlannerFindsBatchTradeoff) {
   // The §3.1 trade-off at the request level: larger batches raise achieved
   // throughput under load.
   serving::SimSession session("llama3", DType::kF16, workload::Dataset::kWikiText2);
-  serving::SchedulerConfig config;
-  config.arrivals.rate_rps = 20.0;
-  config.arrivals.total_requests = 64;
-  config.max_batch = 1;
-  const double rps_b1 = simulate_serving(session, config).achieved_rps();
-  config.max_batch = 32;
-  const double rps_b32 = simulate_serving(session, config).achieved_rps();
-  EXPECT_GT(rps_b32, rps_b1 * 4.0);
+  const workload::SeqConfig seq = workload::seq_config_default();
+  workload::ArrivalConfig arrivals;
+  arrivals.rate_rps = 20.0;
+  arrivals.total_requests = 64;
+  const auto tps = [&](std::size_t max_batch) {
+    return serving::StaticBatchPolicy(session, max_batch, seq)
+        .run(serving::requests_from_arrivals(arrivals.generate(), seq))
+        .throughput_tps();
+  };
+  EXPECT_GT(tps(32), tps(1) * 4.0);
 }
 
 }  // namespace

@@ -124,6 +124,12 @@ TEST(KVCacheTest, BytesAccountingPagedTracksBlocksInUse) {
   cache.truncate(0, 2);
   EXPECT_EQ(cache.blocks_in_use(), 1u);
   EXPECT_EQ(cache.peak_bytes(), 2 * cache.block_bytes());
+  EXPECT_EQ(cache.seq_len(0), 2u);
+  // Truncation only shortens, and growth after the rollback reuses the slots.
+  EXPECT_THROW(cache.truncate(0, 3), ContractViolation);
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, 0, k, v);
+  cache.commit(0);
+  EXPECT_EQ(cache.seq_len(0), 3u);
 }
 
 TEST(KVCacheTest, ResetClearsLengths) {

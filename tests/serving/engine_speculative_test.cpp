@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/error.h"
 #include "sim/speculative_sim.h"
 #include "tensor/dtype.h"
 #include "tensor/simd.h"
@@ -191,7 +192,7 @@ TEST_F(SpeculativeEngineTest, EmitsDraftVerifyPhasesWithExactAccounting) {
   EXPECT_EQ(spec.decode_steps, spec.timeline.count(trace::Phase::kDecode) +
                                    spec.timeline.count(trace::Phase::kVerify));
 
-  const EngineResult::SpeculationSummary& s = spec.speculation;
+  const SpeculationStats& s = spec.speculation;
   EXPECT_GT(s.rounds, 0u);
   // Each round emits its accepted prefix plus exactly one target token
   // (corrective or bonus), and verifies at most one losing proposal.
@@ -203,6 +204,157 @@ TEST_F(SpeculativeEngineTest, EmitsDraftVerifyPhasesWithExactAccounting) {
   for (const Request& r : plain.requests) plain_tokens += r.output.size();
   for (const Request& r : spec.requests) spec_tokens += r.output.size();
   EXPECT_EQ(spec_tokens, plain_tokens);
+}
+
+// ---------------------------------------------------------------------------
+// Single-sequence pairings
+// ---------------------------------------------------------------------------
+
+// One prompt served on one lane, against Model::generate as the plain greedy
+// reference. Drafts here share the target's geometry (the backend's draft
+// and target read the same paged KV sequences) but not always its weights:
+// an unrelated random master is the rejection-heavy extreme.
+class SpeculativeTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kVocab = 61;
+
+  // d_model 64: a multiple of the INT4 block so quantized drafts work.
+  static TransformerConfig spec_config() {
+    TransformerConfig c;
+    c.vocab = kVocab;
+    c.d_model = 64;
+    c.n_layers = 2;
+    c.n_heads = 4;
+    c.n_kv_heads = 2;
+    c.d_ff = 128;
+    c.max_seq = 128;
+    c.validate();
+    return c;
+  }
+
+  SpeculativeTest()
+      : target_master_(MasterWeights::init_random(spec_config(), 5)),
+        unrelated_master_(MasterWeights::init_random(spec_config(), 777)) {}
+
+  static FunctionalTokenBackend::Config backend_config(std::size_t prompt,
+                                                       std::size_t new_tokens,
+                                                       std::size_t k) {
+    FunctionalTokenBackend::Config bc;
+    bc.max_lanes = 1;
+    bc.max_seq = prompt + new_tokens;
+    bc.speculation.enabled = true;
+    bc.speculation.draft_tokens = k;
+    return bc;
+  }
+
+  // Serves `prompt` with `draft` proposing k tokens per round; checks the
+  // stream against the target's plain greedy decode.
+  Request serve(Model& draft, const std::vector<TokenId>& prompt, std::size_t new_tokens,
+                std::size_t k) {
+    Model target(target_master_, DType::kF32);
+    FunctionalTokenBackend backend(target, backend_config(prompt.size(), new_tokens, k),
+                                   nullptr, &draft);
+    std::vector<Request> request(1);
+    request[0].prompt = prompt;
+    request[0].prompt_tokens = prompt.size();
+    request[0].max_new_tokens = new_tokens;
+    Request served = ContinuousPolicy(backend).run(std::move(request)).requests[0];
+    EXPECT_EQ(served.output, target.generate({prompt}, new_tokens).outputs[0]);
+    return served;
+  }
+
+  ScopedLevel scalar_{simd::Level::kScalar};
+  std::shared_ptr<MasterWeights> target_master_;
+  std::shared_ptr<MasterWeights> unrelated_master_;
+};
+
+TEST_F(SpeculativeTest, OutputIdenticalToTargetGreedy) {
+  // The defining property: speculative decoding never changes the output.
+  Model draft(unrelated_master_, DType::kF32);
+  const Request r = serve(draft, {3, 7, 11, 13}, 24, 4);
+  EXPECT_EQ(r.output.size(), 24u);
+  // The prefill samples the first token; rounds retire the rest, except
+  // that a lane owing a single token takes a plain step.
+  EXPECT_GT(r.spec.rounds, 0u);
+  EXPECT_LE(r.spec.emitted + 1, r.output.size());
+}
+
+TEST_F(SpeculativeTest, SelfDraftAcceptsEverything) {
+  // Draft == target: every proposal is accepted and rounds retire K + 1.
+  Model draft(target_master_, DType::kF32);
+  const Request r = serve(draft, {2, 4, 6}, 20, 4);
+  EXPECT_DOUBLE_EQ(r.spec.acceptance_rate(), 1.0);
+  EXPECT_GE(r.spec.tokens_per_round(), 4.0);  // K accepted + bonus, minus tail
+}
+
+TEST_F(SpeculativeTest, RandomDraftStillCorrect) {
+  // A draft that disagrees almost always: acceptance near zero, output still
+  // exactly the target's (checked in serve()), accounting still exact.
+  Model draft(unrelated_master_, DType::kF32);
+  const Request r = serve(draft, {1, 2, 3}, 16, 3);
+  EXPECT_LT(r.spec.acceptance_rate(), 0.9);
+  EXPECT_LE(r.spec.accepted, r.spec.proposed);
+  EXPECT_LE(r.spec.proposed, r.spec.accepted + r.spec.rounds);
+}
+
+TEST_F(SpeculativeTest, QuantizedDraftOfSameFamily) {
+  // A realistic pairing: the INT8-quantized target acts as its own draft.
+  // (Untrained logits are nearly flat, so even small quantization noise
+  // flips argmax often; INT8 stays close, INT4 would not — trained-model
+  // acceptance is measured in bench_ext_speculative.)
+  Model draft(target_master_, DType::kI8);
+  const Request r = serve(draft, {9, 18, 27}, 20, 4);
+  EXPECT_GT(r.spec.acceptance_rate(), 0.5);
+}
+
+TEST_F(SpeculativeTest, ProposedCountsOnlyVerifiedDrafts) {
+  // A rejection cuts the verify short: the drafts past it were never
+  // compared, so they must not count as proposed. Per round the target
+  // verifies accepted + (1 if rejected) proposals, so across the run
+  // proposed <= accepted + rounds.
+  Model unrelated(unrelated_master_, DType::kF32);
+  const Request r = serve(unrelated, {1, 2, 3}, 24, 4);
+  EXPECT_LE(r.spec.accepted, r.spec.proposed);
+  EXPECT_LE(r.spec.proposed, r.spec.accepted + r.spec.rounds);
+  // An unrelated draft rejects on nearly every round, so the bound is tight:
+  // counting every proposal would make proposed ~4x rounds.
+  EXPECT_GT(r.spec.rounds, 1u);
+
+  // Self-draft never rejects: acceptance is exactly 1.0 even though the
+  // last round is cut short by max_new_tokens.
+  Model self(target_master_, DType::kF32);
+  const Request s = serve(self, {2, 4, 6}, 18, 4);
+  EXPECT_EQ(s.spec.proposed, s.spec.accepted);
+  EXPECT_DOUBLE_EQ(s.spec.acceptance_rate(), 1.0);
+}
+
+TEST_F(SpeculativeTest, StatsAreConsistent) {
+  Model draft(unrelated_master_, DType::kI8);
+  const Request r = serve(draft, {5, 10, 15}, 20, 4);
+  EXPECT_LE(r.spec.accepted, r.spec.proposed);
+  EXPECT_GE(r.spec.rounds, 1u);
+  // Each round retires its accepted prefix plus one target token.
+  EXPECT_EQ(r.spec.emitted, r.spec.accepted + r.spec.rounds);
+  EXPECT_LE(r.spec.emitted + 1, r.output.size());
+  EXPECT_EQ(r.output.size(), 20u);
+}
+
+TEST_F(SpeculativeTest, InvalidConfigsRejected) {
+  Model target(target_master_, DType::kF32);
+  Model draft(unrelated_master_, DType::kF32);
+  // Speculation without a draft model.
+  EXPECT_THROW(FunctionalTokenBackend(target, backend_config(4, 8, 4)), ContractViolation);
+  // K = 0 proposes nothing.
+  EXPECT_THROW(FunctionalTokenBackend(target, backend_config(4, 8, 0), nullptr, &draft),
+               ContractViolation);
+  // A draft with another geometry cannot share the target's KV sequences.
+  TransformerConfig small = spec_config();
+  small.d_model = 32;
+  small.d_ff = 64;
+  Model mismatched(MasterWeights::init_random(small, 4), DType::kF32);
+  EXPECT_THROW(
+      FunctionalTokenBackend(target, backend_config(4, 8, 4), nullptr, &mismatched),
+      ContractViolation);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,16 +374,7 @@ TEST(SimSpeculativeEngineTest, CalibratedAcceptanceMatchesExpectedTokensPerRound
   arrivals.kind = workload::ArrivalKind::kPoisson;
   arrivals.total_requests = 16;
   const auto make_requests = [&] {
-    std::vector<Request> requests;
-    for (double t : arrivals.generate()) {
-      Request r;
-      r.id = requests.size();
-      r.arrival_s = t;
-      r.prompt_tokens = bc.seq.input;
-      r.max_new_tokens = bc.seq.output;
-      requests.push_back(r);
-    }
-    return requests;
+    return requests_from_arrivals(arrivals.generate(), bc.seq);
   };
 
   SimTokenBackend plain_backend(bc);

@@ -23,16 +23,7 @@ std::vector<Request> poisson_stream(std::size_t count, double rps,
   arrivals.kind = workload::ArrivalKind::kPoisson;
   arrivals.rate_rps = rps;
   arrivals.total_requests = count;
-  std::vector<Request> stream;
-  for (double t : arrivals.generate()) {
-    Request rq;
-    rq.id = stream.size();
-    rq.arrival_s = t;
-    rq.prompt_tokens = seq.input;
-    rq.max_new_tokens = seq.output;
-    stream.push_back(rq);
-  }
-  return stream;
+  return requests_from_arrivals(arrivals.generate(), seq);
 }
 
 TEST(ServingDeviceTest, ReproducesHandAssembledEngineExactly) {

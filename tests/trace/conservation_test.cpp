@@ -4,9 +4,9 @@
 // make the timeline the single source of truth.
 #include <gtest/gtest.h>
 
-#include "serving/batch_scheduler.h"
-#include "serving/continuous_batching.h"
-#include "serving/offload.h"
+#include <algorithm>
+
+#include "serving/engine.h"
 #include "sim/inference_sim.h"
 #include "sim/speculative_sim.h"
 #include "trace/timeline.h"
@@ -18,6 +18,22 @@ constexpr double kRelTol = 1e-9;
 
 void expect_near_rel(double actual, double expected) {
   EXPECT_NEAR(actual, expected, std::abs(expected) * kRelTol + 1e-12);
+}
+
+std::vector<serving::Request> deterministic_stream(double rps, std::size_t count) {
+  workload::ArrivalConfig arrivals;
+  arrivals.rate_rps = rps;
+  arrivals.total_requests = count;
+  return serving::requests_from_arrivals(arrivals.generate(),
+                                         workload::seq_config_default());
+}
+
+serving::EngineResult run_static(std::size_t max_batch, double rps, std::size_t count,
+                                 serving::StaticBatchPolicy::Offload offload = {}) {
+  serving::SimSession session("llama3", DType::kF16, workload::Dataset::kWikiText2);
+  return serving::StaticBatchPolicy(session, max_batch, workload::seq_config_default(),
+                                    offload)
+      .run(deterministic_stream(rps, count));
 }
 
 TEST(TraceConservationTest, SimRunDurationsSumToLatency) {
@@ -49,23 +65,19 @@ TEST(TraceConservationTest, SimRunDurationsSumToLatency) {
 }
 
 TEST(TraceConservationTest, SchedulerMetricsMatchTimeline) {
-  serving::SimSession session("llama3", DType::kF16, workload::Dataset::kWikiText2);
-  serving::SchedulerConfig config;
-  config.max_batch = 8;
-  config.arrivals.rate_rps = 4.0;
-  config.arrivals.total_requests = 32;
-  const serving::ScheduleResult r = simulate_serving(session, config);
+  const serving::EngineResult r = run_static(8, 4.0, 32);
   const trace::ExecutionTimeline& tl = r.timeline;
 
   // Gap-free device schedule: stalls + batches tile the makespan.
   expect_near_rel(tl.duration_sum_s(), r.makespan_s);
-  EXPECT_DOUBLE_EQ(tl.total_energy_j(), r.total_energy_j);
-  EXPECT_EQ(tl.count(trace::Phase::kDecode), r.batches_run);
+  EXPECT_DOUBLE_EQ(tl.total_energy_j(), r.energy_j);
+  EXPECT_EQ(tl.count(trace::Phase::kDecode), r.decode_steps);
 
   // Request bookkeeping is consistent between views.
   ASSERT_EQ(tl.requests().size(), r.requests.size());
+  ASSERT_EQ(r.latencies_s.size(), r.requests.size());
   for (std::size_t i = 0; i < r.requests.size(); ++i) {
-    EXPECT_DOUBLE_EQ(tl.requests()[i].latency_s(), r.requests[i].total_latency_s());
+    EXPECT_DOUBLE_EQ(tl.requests()[i].latency_s(), r.latencies_s[i]);
   }
   const trace::LatencySummary summary = tl.latency_summary();
   EXPECT_DOUBLE_EQ(summary.mean_s, r.mean_latency_s());
@@ -73,11 +85,11 @@ TEST(TraceConservationTest, SchedulerMetricsMatchTimeline) {
 }
 
 TEST(TraceConservationTest, ContinuousMetricsMatchTimeline) {
-  serving::ContinuousConfig config;
-  config.max_concurrency = 16;
-  config.arrivals.rate_rps = 2.0;
-  config.arrivals.total_requests = 32;
-  const serving::ContinuousResult r = simulate_continuous(config);
+  serving::SimTokenBackend::Config bc;
+  bc.max_concurrency = 16;
+  serving::SimTokenBackend backend(bc);
+  const serving::EngineResult r =
+      serving::ContinuousPolicy(backend).run(deterministic_stream(2.0, 32));
   const trace::ExecutionTimeline& tl = r.timeline;
 
   expect_near_rel(tl.duration_sum_s(), r.makespan_s);
@@ -89,47 +101,52 @@ TEST(TraceConservationTest, ContinuousMetricsMatchTimeline) {
 }
 
 TEST(TraceConservationTest, HybridEdgeOnlyMatchesStaticScheduler) {
-  // The same arrival stream through the hybrid simulator with cloud disabled
-  // must reproduce the static scheduler's energy and latency stats exactly —
-  // both are derived from equivalent event streams.
-  serving::SimSession session("llama3", DType::kF16, workload::Dataset::kWikiText2);
-  serving::SchedulerConfig sc;
-  sc.max_batch = 16;
-  sc.arrivals.rate_rps = 4.0;
-  sc.arrivals.total_requests = 48;
-  const serving::ScheduleResult stat = simulate_serving(session, sc);
-
-  serving::HybridConfig hc;
-  hc.scheduler = sc;
-  hc.policy = serving::OffloadPolicy::kEdgeOnly;
-  const serving::HybridResult hybrid = simulate_hybrid(session, hc);
-
-  EXPECT_EQ(hybrid.edge_requests, sc.arrivals.total_requests);
-  EXPECT_DOUBLE_EQ(hybrid.edge_energy_j, stat.total_energy_j);
-  EXPECT_DOUBLE_EQ(hybrid.mean_latency_s(), stat.mean_latency_s());
-  EXPECT_DOUBLE_EQ(hybrid.makespan_s, stat.makespan_s);
+  // Offload routing that never fires must reproduce plain static batching
+  // exactly: kEdgeOnly, a queue-depth threshold above any queue, and an SLO
+  // no batch can miss all emit the same event stream.
+  const serving::EngineResult stat = run_static(16, 4.0, 48);
+  serving::StaticBatchPolicy::Offload quiet_queue;
+  quiet_queue.policy = serving::OffloadPolicy::kQueueDepth;
+  quiet_queue.queue_threshold = 48;
+  serving::StaticBatchPolicy::Offload quiet_slo;
+  quiet_slo.policy = serving::OffloadPolicy::kLatencyThreshold;
+  quiet_slo.latency_slo_s = 1e9;
+  for (const auto& offload :
+       {serving::StaticBatchPolicy::Offload{}, quiet_queue, quiet_slo}) {
+    const serving::EngineResult hybrid = run_static(16, 4.0, 48, offload);
+    EXPECT_EQ(hybrid.timeline.count(trace::Phase::kOffload), 0u);
+    EXPECT_EQ(hybrid.latencies_s, stat.latencies_s);
+    EXPECT_EQ(hybrid.energy_j, stat.energy_j);
+    EXPECT_EQ(hybrid.makespan_s, stat.makespan_s);
+    EXPECT_EQ(hybrid.decode_steps, stat.decode_steps);
+  }
 }
 
 TEST(TraceConservationTest, HybridCloudEventsOverlapOffDevice) {
-  serving::SimSession session("llama3", DType::kF16, workload::Dataset::kWikiText2);
-  serving::HybridConfig hc;
-  hc.scheduler.max_batch = 16;
-  hc.scheduler.arrivals.rate_rps = 50.0;  // flood -> spill
-  hc.scheduler.arrivals.total_requests = 48;
-  hc.policy = serving::OffloadPolicy::kQueueDepth;
-  hc.queue_threshold = 4;
-  const serving::HybridResult r = simulate_hybrid(session, hc);
+  serving::StaticBatchPolicy::Offload offload;
+  offload.policy = serving::OffloadPolicy::kQueueDepth;
+  offload.queue_threshold = 4;
+  const serving::EngineResult r = run_static(16, 50.0, 48, offload);  // flood -> spill
   const trace::ExecutionTimeline& tl = r.timeline;
 
-  ASSERT_GT(r.cloud_requests, 0u);
-  EXPECT_EQ(tl.count(trace::Phase::kOffload), r.cloud_requests);
+  const std::size_t cloud = tl.count(trace::Phase::kOffload);
+  ASSERT_GT(cloud, 0u);
+  EXPECT_EQ(r.latencies_s.size(), 48u);
   // Offload events carry no power: the edge energy is the powered subset.
-  EXPECT_DOUBLE_EQ(tl.total_energy_j(), r.edge_energy_j);
+  EXPECT_DOUBLE_EQ(tl.total_energy_j(), r.energy_j);
+  double cloud_end = 0.0;
   for (const auto& e : tl.events()) {
-    if (e.phase == trace::Phase::kOffload) EXPECT_FALSE(e.has_power());
+    if (e.phase != trace::Phase::kOffload) continue;
+    EXPECT_FALSE(e.has_power());
+    cloud_end = std::max(cloud_end, e.t_end_s());
   }
-  // Makespan covers both tracks.
+  // Cloud work overlaps the device: it sits off the sequential cursor, so
+  // the event durations exceed the makespan, and the makespan covers both
+  // tracks.
+  EXPECT_GT(tl.duration_sum_s(), r.makespan_s);
   EXPECT_GE(r.makespan_s, tl.now());
+  EXPECT_GE(r.makespan_s, cloud_end);
+  EXPECT_EQ(r.makespan_s, tl.makespan_s());
 }
 
 TEST(TraceConservationTest, SpeculativeRoundTimelineSumsToRoundCost) {
