@@ -14,9 +14,10 @@
 // peaks above the static policy's dense reservation.
 //
 // A lane-batched section compares a loop of width-1 Model::forward calls
-// against generate()'s one multi-lane forward per step, on one thread per
-// dtype; int4 must reach >= 2x under --strict, and every dtype's token
-// streams must match the loop bit for bit.
+// against generate()'s one multi-lane forward per step and against the same
+// prompts served through FunctionalTokenBackend, on one thread per dtype;
+// int4 batched must reach >= 2x under --strict, and every dtype's generate
+// and served token streams must match the loop bit for bit.
 //
 // A speculative section serves the same engine with an INT8 self-draft
 // (K=4): scalar streams must stay bit-identical to plain greedy, and under
@@ -114,6 +115,36 @@ RunStats run_looped(Model& model, const std::vector<std::vector<TokenId>>& promp
   return s;
 }
 
+// The served engine: the same prompts as requests through ContinuousPolicy
+// over a serial FunctionalTokenBackend, one lane each and a full KV pool.
+// Its decode steps run Model::decode, the step generate() takes.
+RunStats run_served(Model& model, const std::vector<std::vector<TokenId>>& prompts,
+                    std::size_t new_tokens) {
+  std::size_t max_prompt = 0;
+  for (const auto& p : prompts) max_prompt = std::max(max_prompt, p.size());
+  serving::FunctionalTokenBackend::Config bc;
+  bc.max_lanes = prompts.size();
+  bc.max_seq = max_prompt + new_tokens;
+  bc.kv_storage = model.kv_storage();
+  serving::FunctionalTokenBackend backend(model, bc);
+  std::vector<serving::Request> requests(prompts.size());
+  for (std::size_t i = 0; i < prompts.size(); ++i) {
+    requests[i].prompt = prompts[i];
+    requests[i].prompt_tokens = prompts[i].size();
+    requests[i].max_new_tokens = new_tokens;
+  }
+  const serving::EngineResult r = serving::ContinuousPolicy(backend).run(std::move(requests));
+  RunStats s;
+  std::size_t produced = 0;
+  for (const serving::Request& req : r.requests) {
+    produced += req.output.size();
+    s.outputs.push_back(req.output);
+  }
+  s.decode_s = r.timeline.phase_time_s(trace::Phase::kDecode);
+  s.decode_tps = static_cast<double>(produced) / s.decode_s;
+  return s;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -195,8 +226,8 @@ int main(int argc, char** argv) {
   auto batched_master = MasterWeights::init_random(batched_cfg, 7);
   std::printf("\n== Lane-batched decode: %s, %zu lanes, looped vs batched (1 thread) ==\n",
               batched_cfg.name.c_str(), lanes);
-  Table batched_table({"Dtype", "KV", "Looped tok/s", "Batched tok/s", "Speedup",
-                       "Bit-identical"});
+  Table batched_table({"Dtype", "KV", "Looped tok/s", "Batched tok/s", "Served tok/s",
+                       "Speedup", "Bit-identical"});
   double int4_batched_speedup = 0.0;
   bool batched_identity_ok = true;
   const Case batched_cases[] = {
@@ -211,15 +242,17 @@ int main(int argc, char** argv) {
     // Best-of-3 per mode: the ratio of two ~0.1 s single runs is too noisy
     // for an exit-code bar; the fastest repeat of each mode is the stable
     // estimate of what the path can do. Identity is checked on every repeat.
-    RunStats looped, batched;
+    RunStats looped, batched, served;
     bool identical = true;
     const int reps = c.dtype == DType::kI4 ? 3 : 1;  // only int4 carries a bar
     for (int rep = 0; rep < reps; ++rep) {
       RunStats lo = run_looped(model, prompts, new_tokens);
       RunStats ba = run_once(model, prompts, new_tokens, nullptr);
-      identical = identical && lo.outputs == ba.outputs;
+      RunStats se = run_served(model, prompts, new_tokens);
+      identical = identical && lo.outputs == ba.outputs && lo.outputs == se.outputs;
       if (rep == 0 || lo.decode_tps > looped.decode_tps) looped = std::move(lo);
       if (rep == 0 || ba.decode_tps > batched.decode_tps) batched = std::move(ba);
+      if (rep == 0 || se.decode_tps > served.decode_tps) served = std::move(se);
     }
     batched_identity_ok = batched_identity_ok && identical;
     const double speedup = batched.decode_tps / looped.decode_tps;
@@ -229,6 +262,7 @@ int main(int argc, char** argv) {
         .add_cell(c.kv_name)
         .add_number(looped.decode_tps, 0)
         .add_number(batched.decode_tps, 0)
+        .add_number(served.decode_tps, 0)
         .add_cell(format_double(speedup, 2) + "x")
         .add_cell(identical ? "yes" : "NO");
   }
@@ -237,7 +271,7 @@ int main(int argc, char** argv) {
               lanes);
   std::printf("lanes (enforced with --strict; advisory otherwise).\n");
   if (!batched_identity_ok) {
-    std::printf("ERROR: batched decode outputs diverged from the per-lane loop\n");
+    std::printf("ERROR: batched or served decode outputs diverged from the per-lane loop\n");
     return 1;
   }
   if (strict && int4_batched_speedup < 2.0) {
@@ -278,8 +312,8 @@ int main(int argc, char** argv) {
   serving::FunctionalEngineConfig cont_config;
   cont_config.arrivals = arrivals;
   cont_config.seq = seq;
-  cont_config.max_concurrency = max_lanes;
-  cont_config.block_tokens = 4;
+  cont_config.backend.max_lanes = max_lanes;
+  cont_config.backend.block_tokens = 4;
   const serving::EngineResult ct =
       run_functional_continuous(serving_master, DType::kF32, pool, cont_config);
 
@@ -326,10 +360,10 @@ int main(int argc, char** argv) {
     pc_cfg.arrivals.rate_rps = 1000.0;  // flooded: TTFT is pure prefill time
     pc_cfg.arrivals.total_requests = 16;
     pc_cfg.seq = workload::SeqConfig{288, 256, 32};
-    pc_cfg.max_concurrency = 1;
+    pc_cfg.backend.max_lanes = 1;
     // Room for the active lane plus all four system-prompt chains: with the
     // lane-sized default pool the tree would thrash on every retirement.
-    pc_cfg.kv_blocks = 128;
+    pc_cfg.backend.kv_blocks = 128;
     pc_cfg.chat.system_prompts = 4;
     pc_cfg.chat.zipf_s = 1.1;
     pc_cfg.chat.system_tokens = 224;  // a multiple of lcm(block, chunk) = 32
@@ -337,7 +371,7 @@ int main(int argc, char** argv) {
 
     const serving::EngineResult off =
         run_functional_continuous(serving_master, DType::kF32, pool, pc_cfg);
-    pc_cfg.prefix_cache = true;
+    pc_cfg.backend.prefix_cache = true;
     const serving::EngineResult on =
         run_functional_continuous(serving_master, DType::kF32, pool, pc_cfg);
 
@@ -441,7 +475,7 @@ int main(int argc, char** argv) {
     sp_cfg.arrivals.rate_rps = 1000.0;  // flooded: pure decode throughput
     sp_cfg.arrivals.total_requests = 12;
     sp_cfg.seq = workload::SeqConfig{96, 32, 64};
-    sp_cfg.max_concurrency = 2;
+    sp_cfg.backend.max_lanes = 2;
 
     // Identity first, under the reference kernels: chunked verification is
     // bit-identical to the token loop only at the scalar level (the same
@@ -453,9 +487,9 @@ int main(int argc, char** argv) {
     id_cfg.seq = workload::SeqConfig{48, 16, 32};
     const serving::EngineResult id_plain =
         run_functional_continuous(spec_master, DType::kF16, pool, id_cfg);
-    id_cfg.speculation.enabled = true;
-    id_cfg.speculation.draft_tokens = 4;
-    id_cfg.speculation.draft_dtype = DType::kI8;
+    id_cfg.backend.speculation.enabled = true;
+    id_cfg.backend.speculation.draft_tokens = 4;
+    id_cfg.backend.speculation.draft_dtype = DType::kI8;
     const serving::EngineResult id_spec =
         run_functional_continuous(spec_master, DType::kF16, pool, id_cfg);
     simd::set_level(active);
@@ -477,9 +511,9 @@ int main(int argc, char** argv) {
     };
     const serving::EngineResult sp_plain =
         run_functional_continuous(spec_master, DType::kF16, pool, sp_cfg);
-    sp_cfg.speculation.enabled = true;
-    sp_cfg.speculation.draft_tokens = 4;
-    sp_cfg.speculation.draft_dtype = DType::kI8;
+    sp_cfg.backend.speculation.enabled = true;
+    sp_cfg.backend.speculation.draft_tokens = 4;
+    sp_cfg.backend.speculation.draft_dtype = DType::kI8;
     const serving::EngineResult sp_spec =
         run_functional_continuous(spec_master, DType::kF16, pool, sp_cfg);
 
@@ -520,7 +554,7 @@ int main(int argc, char** argv) {
   // The same continuous run with the calibrated power proxy: every measured
   // step carries the PowerModel estimate for the paper-scale model, and the
   // per-request energy split must conserve the timeline total.
-  cont_config.power_proxy_model = "llama3";
+  cont_config.backend.power_proxy_model = "llama3";
   const serving::EngineResult pw =
       run_functional_continuous(serving_master, DType::kF32, pool, cont_config);
   double attributed_j = 0.0;

@@ -190,15 +190,15 @@ int plan_prefix_cache(std::size_t requests) {
   cfg.arrivals.rate_rps = 1000.0;  // flooded: TTFT is pure prefill time
   cfg.arrivals.total_requests = requests;
   cfg.seq = workload::SeqConfig{288, 256, 32};
-  cfg.max_concurrency = 1;  // one lane: every admission is its own prefill
-  cfg.kv_blocks = 128;      // the lane plus all cached system-prompt chains
+  cfg.backend.max_lanes = 1;  // one lane: every admission is its own prefill
+  cfg.backend.kv_blocks = 128;      // the lane plus all cached system-prompt chains
   cfg.chat.system_prompts = 4;
   cfg.chat.zipf_s = 1.1;
   cfg.chat.system_tokens = 224;
   cfg.chat.user_tokens = 32;
 
   const EngineResult off = run_functional_continuous(master, DType::kF32, pool, cfg);
-  cfg.prefix_cache = true;
+  cfg.backend.prefix_cache = true;
   const EngineResult on = run_functional_continuous(master, DType::kF32, pool, cfg);
 
   // TTFT per request: first admission to the end of its prefill wave.
@@ -272,12 +272,12 @@ int plan_speculative(std::size_t requests) {
   cfg.arrivals.rate_rps = 1000.0;  // flooded: pure decode throughput
   cfg.arrivals.total_requests = requests;
   cfg.seq = workload::SeqConfig{96, 32, 64};  // the paper's default split
-  cfg.max_concurrency = 2;
+  cfg.backend.max_lanes = 2;
 
   const EngineResult plain = run_functional_continuous(master, DType::kF32, pool, cfg);
-  cfg.speculation.enabled = true;
-  cfg.speculation.draft_tokens = 4;
-  cfg.speculation.draft_dtype = DType::kI8;
+  cfg.backend.speculation.enabled = true;
+  cfg.backend.speculation.draft_tokens = 4;
+  cfg.backend.speculation.draft_dtype = DType::kI8;
   const EngineResult spec = run_functional_continuous(master, DType::kF32, pool, cfg);
   simd::set_level(prev);
 

@@ -236,11 +236,12 @@ void Model::forward(std::span<const TokenId> tokens, std::span<const std::size_t
   const std::size_t d = c.d_model;
   const std::size_t n = tokens.size();
   ORINSIM_CHECK(n > 0, "forward: no rows");
-  ORINSIM_CHECK(seqs.size() == 1 || seqs.size() == n,
-                "forward: seqs must name one sequence or one per row");
+  ORINSIM_CHECK(!seqs.empty() && n % seqs.size() == 0,
+                "forward: seqs must split the rows into equal runs");
   ORINSIM_CHECK(hidden_rows.empty() || hidden_rows.size() == d || hidden_rows.size() == n * d,
                 "forward: hidden_rows must be empty, [d_model], or [rows, d_model]");
-  // Only a multi-row chunk takes the GEMMs; width 1 runs the lane kernels.
+  // Only a one-sequence chunk of >1 row takes the GEMMs; width 1, lanes and
+  // multi-sequence chunks run the lane kernels.
   const bool chunk = seqs.size() == 1 && n > 1;
   const std::size_t run = n / seqs.size();  // rows per sequence
   ws.ensure_rows(c, n);
@@ -324,6 +325,32 @@ void Model::prefill(std::span<const TokenId> prompt, std::size_t b, KVCache& cac
   }
 }
 
+void Model::decode(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
+                   KVCache& cache, std::span<float> logits_rows,
+                   std::span<InferenceWorkspace> workspaces, ThreadPool* pool) {
+  const TransformerConfig& c = master_->config;
+  const std::size_t rows = tokens.size();
+  ORINSIM_CHECK(rows > 0 && seqs.size() == rows && logits_rows.size() == rows * c.vocab,
+                "decode: need one sequence and one logits row per token");
+  const std::size_t groups = pool != nullptr ? std::min(pool->shard_count(), rows) : 1;
+  ORINSIM_CHECK(workspaces.size() >= groups, "decode: need one workspace per shard");
+  auto run_group = [&](InferenceWorkspace& ws, std::size_t begin, std::size_t len) {
+    ws.ensure_rows(c, len);
+    const std::span<float> hidden(ws.hidden_rows.data(), len * c.d_model);
+    forward(tokens.subspan(begin, len), seqs.subspan(begin, len), cache, hidden, ws);
+    logits_from_hidden_rows(hidden, logits_rows.subspan(begin * c.vocab, len * c.vocab), len);
+  };
+  if (groups == 1) {
+    run_group(workspaces[0], 0, rows);
+    return;
+  }
+  const std::size_t base = rows / groups;
+  const std::size_t rem = rows % groups;
+  pool->parallel_for(0, groups, [&](std::size_t shard, std::size_t g) {
+    run_group(workspaces[shard], g * base + std::min(g, rem), base + (g < rem ? 1 : 0));
+  });
+}
+
 Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& prompts,
                                       std::size_t max_new_tokens,
                                       const GenerateOptions& options) {
@@ -341,15 +368,17 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
   GenerateResult result;
   result.outputs.resize(lanes);
   std::vector<TokenId> last(lanes);
-  // Per-lane logits so sampling can be replayed serially in lane order after
-  // each parallel section (identical RNG sequence regardless of workers).
+  // Logits rows: prefill fills row b for lane b, each decode step rows
+  // [0, n_active) for the active lanes in ascending order. Sampling replays
+  // serially in lane order after each parallel section (identical RNG
+  // sequence regardless of workers).
   std::vector<float> logits(lanes * c.vocab);
-  auto lane_logits = [&](std::size_t b) {
-    return std::span<float>(logits.data() + b * c.vocab, c.vocab);
+  auto logits_row = [&](std::size_t i) {
+    return std::span<float>(logits.data() + i * c.vocab, c.vocab);
   };
 
   // One workspace per shard; shard identity comes from parallel_for, with at
-  // most one lane running per shard at a time. Serial runs use shard 0 only.
+  // most one lane group running per shard at a time. Serial runs use shard 0.
   const std::size_t shard_count =
       options.pool != nullptr ? std::min(options.pool->shard_count(), lanes) : 1;
   std::vector<InferenceWorkspace> ws;
@@ -361,53 +390,17 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
                                       : static_cast<TokenId>(kernels::argmax(l));
   };
 
-  // Decode scratch: active lane ids (ascending), their last tokens, and
-  // contiguous [n_active, *] hidden/logits rows.
+  // Decode scratch: active lane ids (ascending) and their last tokens.
   std::vector<std::size_t> active_ids;
   std::vector<TokenId> batch_tokens;
   active_ids.reserve(lanes);
   batch_tokens.reserve(lanes);
-  std::vector<float> hidden_rows(lanes * c.d_model);
-  std::vector<float> step_logits(lanes * c.vocab);
-
-  // One decode step over the active lanes. Serial runs take the whole
-  // active set as one forward; pooled runs split it into
-  // min(shard_count, n_active) contiguous groups. Lane rows are
-  // composition-independent (forward contract), so both shapes are bitwise
-  // identical.
-  auto decode_step = [&]() {
-    const std::size_t n_active = active_ids.size();
-    auto run_group = [&](InferenceWorkspace& w, std::size_t begin, std::size_t len) {
-      forward(std::span<const TokenId>(batch_tokens.data() + begin, len),
-              std::span<const std::size_t>(active_ids.data() + begin, len), cache,
-              std::span<float>(hidden_rows.data() + begin * c.d_model, len * c.d_model), w);
-    };
-    if (options.pool != nullptr && shard_count > 1 && n_active > 1) {
-      const std::size_t n_groups = std::min(shard_count, n_active);
-      const std::size_t base = n_active / n_groups;
-      const std::size_t rem = n_active % n_groups;
-      options.pool->parallel_for(0, n_groups, [&](std::size_t shard, std::size_t g) {
-        run_group(ws[shard], g * base + std::min(g, rem), base + (g < rem ? 1 : 0));
-      });
-    } else {
-      run_group(ws[0], 0, n_active);
-    }
-    logits_from_hidden_rows(
-        std::span<const float>(hidden_rows.data(), n_active * c.d_model),
-        std::span<float>(step_logits.data(), n_active * c.vocab), n_active);
-    // Scatter the contiguous logits rows back to per-lane slots (a copy, so
-    // bit-exact) for the serial lane-order sampling pass below.
-    for (std::size_t i = 0; i < n_active; ++i) {
-      const float* src = step_logits.data() + i * c.vocab;
-      std::copy(src, src + c.vocab, lane_logits(active_ids[i]).begin());
-    }
-  };
 
   // Prefill: lanes touch disjoint cache sequences and per-lane logits, so
   // they shard across the pool with one workspace per shard.
   auto prefill_lane = [&](InferenceWorkspace& w, std::size_t b) {
     prefill(prompts[b], b, cache, {}, w);
-    logits_from_hidden(w.hidden, lane_logits(b));
+    logits_from_hidden(w.hidden, logits_row(b));
   };
   Stopwatch watch;
   if (options.pool != nullptr) {
@@ -417,7 +410,7 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
     for (std::size_t b = 0; b < lanes; ++b) prefill_lane(ws[0], b);
   }
   for (std::size_t b = 0; b < lanes; ++b) {
-    last[b] = pick(lane_logits(b));
+    last[b] = pick(logits_row(b));
     result.input_tokens += prompts[b].size();
   }
   if (options.timeline != nullptr) {
@@ -427,36 +420,27 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
                            trace::kPowerUnset, {},
                            prefill_chunk_ >= 2 ? prefill_chunk_ : 0);
   }
-  std::vector<char> lane_active(lanes, 0);
   for (std::size_t step = 0; step < max_new_tokens; ++step) {
     watch.reset();
-    std::size_t active = 0;
+    active_ids.clear();
+    batch_tokens.clear();
     for (std::size_t b = 0; b < lanes; ++b) {
-      lane_active[b] = cache.seq_len(b) < max_seq ? 1 : 0;
-      active += lane_active[b];
+      if (cache.seq_len(b) >= max_seq) continue;
+      result.outputs[b].push_back(last[b]);
+      active_ids.push_back(b);
+      batch_tokens.push_back(last[b]);
     }
+    const std::size_t active = active_ids.size();
     // Every lane at capacity: spinning further steps would only emit
     // zero-active decode events — stop the timeline and the loop here.
     if (active == 0) break;
-    for (std::size_t b = 0; b < lanes; ++b) {
-      if (!lane_active[b]) continue;
-      result.outputs[b].push_back(last[b]);
-      ++result.output_tokens;
-    }
+    result.output_tokens += active;
     if (step + 1 < max_new_tokens) {  // no need to forward the final token
-      active_ids.clear();
-      batch_tokens.clear();
-      for (std::size_t b = 0; b < lanes; ++b) {
-        if (!lane_active[b]) continue;
-        active_ids.push_back(b);
-        batch_tokens.push_back(last[b]);
-      }
-      decode_step();
+      decode(batch_tokens, active_ids, cache, std::span<float>(logits.data(), active * c.vocab),
+             ws, options.pool);
       // Sampling replays serially in lane order: the same sequence of
       // sampler->sample() calls as a fully serial run.
-      for (std::size_t b = 0; b < lanes; ++b) {
-        if (lane_active[b]) last[b] = pick(lane_logits(b));
-      }
+      for (std::size_t i = 0; i < active; ++i) last[active_ids[i]] = pick(logits_row(i));
     }
     if (options.timeline != nullptr) {
       options.timeline->emit(trace::Phase::kDecode, watch.elapsed_s(), active,

@@ -9,8 +9,9 @@
 // loading the same HuggingFace checkpoint at different quantization levels.
 //
 // Every prefill chunk, decode step and verify pass goes through one entry
-// point, Model::forward, over rows of (sequence, token); see DESIGN.md "One
-// forward step".
+// point, Model::forward, over rows of (sequence, token), and every decode or
+// draft step through Model::decode's lane groups; see DESIGN.md "One forward
+// step".
 //
 // Threading model: a Model's weights are immutable after construction and
 // shared-read; all mutable forward-pass state lives in an InferenceWorkspace.
@@ -93,20 +94,23 @@ class Model {
   // Total INT8 outlier columns across all matrices (0 for other precisions).
   std::size_t outlier_columns() const noexcept;
 
-  // One forward step over tokens.size() rows. Rows come in one of two
-  // shapes (width 1 is both):
-  //  - chunk: seqs has one entry b, and the tokens are b's next positions;
-  //  - lanes: seqs has one entry per token, one token each for distinct
-  //    sequences (a decode batch).
-  // Each sequence's cache advances by its rows and commits once per step.
+  // One forward step over tokens.size() rows, split into equal runs:
+  // seqs[i] owns rows [i*run, (i+1)*run), run = rows / seqs.size(), the
+  // next positions of distinct sequences. Three shapes (width 1 is all):
+  //  - chunk: one sequence (a prefill chunk);
+  //  - lanes: run 1, one token each for distinct sequences (a decode batch);
+  //  - multi-sequence chunk: several sequences, run > 1 (speculative
+  //    verify of equal-length drafts).
+  // Each sequence's cache advances by its run and commits once per step.
   //
-  // The shape alone picks the projection kernels. A chunk of more than one
-  // row runs the chunk GEMMs (matmul, matmul_qkv: compute-bound prefill,
-  // bit-identical to width-1 steps under ORINSIM_KERNELS=scalar). Everything
-  // else runs the lane kernels (matvec_multi, matvec_qkv_multi), which stream
-  // each weight row once for the whole batch and are composition-independent:
-  // a lane's hidden state and cache contents equal a width-1 step at either
-  // kernel level, whatever other lanes share the step.
+  // The shape alone picks the projection kernels. A one-sequence chunk of
+  // more than one row runs the chunk GEMMs (matmul, matmul_qkv:
+  // compute-bound prefill, bit-identical to width-1 steps under
+  // ORINSIM_KERNELS=scalar). Everything else runs the lane kernels
+  // (matvec_multi, matvec_qkv_multi), which stream each weight row once for
+  // the whole batch and are composition-independent: a row's hidden state
+  // and cache contents equal width-1 steps at either kernel level, whatever
+  // other rows share the step.
   //
   // hidden_rows receives the final-norm hidden states: pass an empty span to
   // discard, a [d_model] span for the last row only, or a [rows, d_model]
@@ -124,6 +128,15 @@ class Model {
   // levels. Re-entrant (reads weights only).
   void logits_from_hidden_rows(std::span<const float> hidden_rows,
                                std::span<float> logits_rows, std::size_t lanes) const;
+
+  // One decode step: row i feeds tokens[i] to distinct sequence seqs[i] and
+  // gets its logits in logits_rows[i] ([rows, vocab]). The rows split into
+  // min(shards, rows) contiguous lane groups (one group without a pool), one
+  // forward + logits_from_hidden_rows per group on workspaces[shard]; lane
+  // rows make every grouping bitwise equal to width-1 steps.
+  void decode(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
+              KVCache& cache, std::span<float> logits_rows,
+              std::span<InferenceWorkspace> workspaces, ThreadPool* pool);
 
   // Default number of prompt tokens per chunked-prefill pass.
   static constexpr std::size_t kDefaultPrefillChunk = 32;
@@ -153,8 +166,8 @@ class Model {
     Sampler* sampler = nullptr;               // nullptr: greedy argmax
     trace::ExecutionTimeline* timeline = nullptr;
     // Non-null: prefill runs lanes in parallel on the pool, and each decode
-    // step splits the active lanes into contiguous groups, one forward per
-    // group, with one workspace per shard. Sampling stays serialized in lane
+    // step runs the active lanes through decode's contiguous groups, with
+    // one workspace per shard. Sampling stays serialized in lane
     // order after each parallel section, so outputs are bit-identical to a
     // serial run (pool == nullptr) for any worker count.
     ThreadPool* pool = nullptr;

@@ -3,9 +3,9 @@
 // A Model shares immutable quantized weights; everything Model::forward
 // mutates lives here, as row-major [rows, features] buffers — one row per
 // token of a prefill chunk or per decode lane. One workspace per
-// concurrently-executing caller makes forward re-entrant: the batched decode
-// loop runs lane groups in parallel on a ThreadPool with one workspace per
-// shard, while serial callers use the Model's built-in default workspace.
+// concurrently-executing caller makes forward re-entrant: Model::decode runs
+// lane groups in parallel on a ThreadPool with one workspace per shard, while
+// serial callers use the Model's built-in default workspace.
 #pragma once
 
 #include <vector>
@@ -39,6 +39,7 @@ struct InferenceWorkspace {
     up.resize(rows * c.d_ff);
     ff.resize(rows * c.d_ff);
     mlp_out.resize(rows * c.d_model);
+    hidden_rows.resize(rows * c.d_model);
     row_capacity = rows;
   }
 
@@ -53,6 +54,8 @@ struct InferenceWorkspace {
   // Final hidden state of the last row advanced through this workspace
   // (prefill() leaves the prompt's last position here).
   std::vector<float> hidden;
+  // Final hidden states of a Model::decode lane group, [rows, d_model].
+  std::vector<float> hidden_rows;
   // Reused INT8 activation codes, shared by the fused QKV projection.
   quant::ActivationBatchInt8 act8;
   std::size_t row_capacity = 0;

@@ -61,8 +61,13 @@ RowwiseInt8 quantize_rowwise_int8(std::span<const float> weights, std::size_t ro
   // fp32 mirror of the outlier weights, converted once at quantize time so
   // no matvec/matmul call pays a per-row fp16 conversion.
   q.outlier_f32.resize(q.outlier_values.size());
-  for (std::size_t i = 0; i < q.outlier_values.size(); ++i) {
-    q.outlier_f32[i] = fp16_to_float(q.outlier_values[i]);
+  q.outlier_f32_by_col.resize(q.outlier_values.size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t o = 0; o < n_out; ++o) {
+      const float v = fp16_to_float(q.outlier_values[r * n_out + o]);
+      q.outlier_f32[r * n_out + o] = v;
+      q.outlier_f32_by_col[o * rows + r] = v;
+    }
   }
   return q;
 }
@@ -89,37 +94,46 @@ void quantize_activation_int8(std::span<const float> x, ActivationInt8& act) {
   }
 }
 
-void matvec_int8(const RowwiseInt8& q, std::span<const float> x,
-                 const ActivationInt8& act, std::span<float> out) {
-  ORINSIM_CHECK(x.size() == q.cols && out.size() == q.rows, "int8 matvec: shape mismatch");
-  ORINSIM_CHECK(act.codes.size() == q.cols, "int8 matvec: activation shape mismatch");
+namespace {
 
-  const std::int8_t* xq = act.codes.data();
-  const float x_scale = act.scale;
-  const std::size_t n_out = q.outlier_cols.size();
-#pragma omp parallel for if (q.rows >= 256)
-  for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-    const auto r = static_cast<std::size_t>(rs);
-    const std::int8_t* codes = q.codes.data() + r * q.cols;
-    const std::int64_t acc = simd::dot_i8(codes, xq, q.cols);
-    float result = static_cast<float>(acc) * q.row_scale[r] * x_scale;
-    // Outlier part in full precision with the *original* activations. The
-    // fp16 weights were converted once at quantize time (outlier_f32), so
-    // this loop streams floats — same values, same accumulation order.
-    const float* w_out = q.outlier_f32.data() + r * n_out;
-    for (std::size_t o = 0; o < n_out; ++o) {
-      result += w_out[o] * x[q.outlier_cols[o]];
+constexpr std::size_t kLaneTile = 8;    // lanes per stack tile of the int8 matvecs
+constexpr std::size_t kRowChunk = 64;   // rows per parallel chunk of the int8 matvecs
+
+// Rows [r0, r1) of W x for `lanes` (<= kLaneTile) activation columns
+// x/codes/scales, into y[i * y_stride + r]. The int8 dots are exact; the
+// outlier part adds w[r, o] * x[col_o] in full precision over the original
+// activations, o ascending, so every (lane, row) sum has one fixed order.
+// Running o outermost over the column-major outlier_f32_by_col turns it into
+// one contiguous axpy per outlier column — the rows' independent sums
+// advance side by side instead of one latency-bound chain at a time.
+void int8_rows(const RowwiseInt8& q, std::size_t r0, std::size_t r1, const float* x,
+               const std::int8_t* codes, const float* scales, std::size_t lanes, float* y,
+               std::size_t y_stride) {
+  std::int64_t dots[kLaneTile];
+  for (std::size_t r = r0; r < r1; ++r) {
+    simd::dot_i8_multi(q.codes.data() + r * q.cols, codes, q.cols, lanes, q.cols, dots);
+    for (std::size_t i = 0; i < lanes; ++i) {
+      y[i * y_stride + r] = static_cast<float>(dots[i]) * q.row_scale[r] * scales[i];
     }
-    out[r] = result;
+  }
+  for (std::size_t o = 0; o < q.outlier_cols.size(); ++o) {
+    const float* w = q.outlier_f32_by_col.data() + o * q.rows;
+    for (std::size_t i = 0; i < lanes; ++i) {
+      const float xo = x[i * q.cols + q.outlier_cols[o]];
+      float* yi = y + i * y_stride;
+      for (std::size_t r = r0; r < r1; ++r) yi[r] += w[r] * xo;
+    }
   }
 }
+
+}  // namespace
 
 void matvec_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> out) {
   ORINSIM_CHECK(x.size() == q.cols && out.size() == q.rows, "int8 matvec: shape mismatch");
   // Dynamic per-token activation quantization (absmax over all dims).
-  ActivationInt8 act;
-  quantize_activation_int8(x, act);
-  matvec_int8(q, x, act, out);
+  ActivationBatchInt8 acts;
+  quantize_activations_int8(x, 1, q.cols, acts);
+  matvec_int8_multi(q, x, acts, out, 1);
 }
 
 void quantize_activations_int8(std::span<const float> x, std::size_t tokens,
@@ -149,15 +163,17 @@ void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
                 "int8 matmul: shape mismatch");
   ORINSIM_CHECK(acts.tokens == tokens && acts.cols == q.cols,
                 "int8 matmul: activation batch shape mismatch");
+  if (simd::active_level() != simd::Level::kNative) {
+    // Scalar: exactly matvec_int8's arithmetic for every token.
+    matvec_int8_multi(q, x, acts, y, tokens);
+    return;
+  }
 
   const std::size_t n_out = q.outlier_cols.size();
-  // Pack the outlier-column activations once per chunk: the per-(row, token)
-  // fp16 correction then walks two contiguous arrays instead of gathering
-  // columns and converting fp16 weights inside the hot loop. (With the
-  // heavy-tailed init most columns of a large matrix carry at least one
-  // outlier element, so this loop rivals the int8 dots in work.) The
-  // accumulation order per (row, token) is unchanged, so results stay
-  // bit-identical to matvec_int8.
+  // Native: pack the outlier-column activations once per chunk, so the
+  // per-(row, token) correction is one SIMD dot over two contiguous arrays.
+  // (With the heavy-tailed init most columns of a large matrix carry at
+  // least one outlier element, so this rivals the int8 dots in work.)
   std::vector<float> x_out(tokens * n_out);
   for (std::size_t t = 0; t < tokens && n_out > 0; ++t) {
     const float* xt = x.data() + t * q.cols;
@@ -179,17 +195,9 @@ void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
       simd::dot_i8_multi(codes, acts.codes.data(), q.cols, tokens, q.cols, dots.data());
       for (std::size_t t = 0; t < tokens; ++t) {
         float result = static_cast<float>(dots[t]) * q.row_scale[r] * acts.scales[t];
-        const float* xo = x_out.data() + t * n_out;
-        if (simd::active_level() == simd::Level::kNative) {
-          // Native may reassociate (determinism contract: tolerance, not
-          // bits); the packed arrays make the correction one SIMD dot.
-          result += simd::dot_f32(w_out, xo, n_out);
-        } else {
-          // Scalar keeps the exact matvec_int8 accumulation order.
-          for (std::size_t o = 0; o < n_out; ++o) {
-            result += w_out[o] * xo[o];
-          }
-        }
+        // Native may reassociate (determinism contract: tolerance, not
+        // bits); the packed arrays make the correction one SIMD dot.
+        result += simd::dot_f32(w_out, x_out.data() + t * n_out, n_out);
         y[t * q.rows + r] = result;
       }
     }
@@ -203,31 +211,18 @@ void matvec_int8_multi(const RowwiseInt8& q, std::span<const float> x,
                 "int8 multi matvec: shape mismatch");
   ORINSIM_CHECK(acts.tokens == lanes && acts.cols == q.cols,
                 "int8 multi matvec: activation batch shape mismatch");
-  const std::size_t n_out = q.outlier_cols.size();
-  // Lanes go through dot_i8_multi in stack tiles (exact integer dots, so
-  // the tile never changes a lane), keeping the hot loop allocation-free.
-  constexpr std::size_t kLaneTile = 8;
+  // Lanes go through int8_rows in stack tiles, the per-(lane, row)
+  // arithmetic matvec_int8 runs for one lane, so every lane is bit-identical
+  // to the single matvec at both kernel levels; the hot loop is
+  // allocation-free.
+  const std::size_t chunks = (q.rows + kRowChunk - 1) / kRowChunk;
 #pragma omp parallel for if (q.rows >= 256)
-  for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-    const auto r = static_cast<std::size_t>(rs);
-    const std::int8_t* codes = q.codes.data() + r * q.cols;
-    const float* w_out = q.outlier_f32.data() + r * n_out;
-    std::int64_t dots[kLaneTile];
+  for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(chunks); ++c) {
+    const std::size_t r0 = static_cast<std::size_t>(c) * kRowChunk;
     for (std::size_t t0 = 0; t0 < lanes; t0 += kLaneTile) {
-      const std::size_t tile = std::min(kLaneTile, lanes - t0);
-      simd::dot_i8_multi(codes, acts.codes.data() + t0 * q.cols, q.cols, tile, q.cols, dots);
-      for (std::size_t i = 0; i < tile; ++i) {
-        const std::size_t t = t0 + i;
-        float result = static_cast<float>(dots[i]) * q.row_scale[r] * acts.scales[t];
-        // Exactly matvec_int8's outlier order (no reassociation, gathered
-        // activations) so every lane is bit-identical to the single matvec
-        // at both kernel levels.
-        const float* xt = x.data() + t * q.cols;
-        for (std::size_t o = 0; o < n_out; ++o) {
-          result += w_out[o] * xt[q.outlier_cols[o]];
-        }
-        y[t * q.rows + r] = result;
-      }
+      int8_rows(q, r0, std::min(r0 + kRowChunk, q.rows), x.data() + t0 * q.cols,
+                acts.codes.data() + t0 * q.cols, acts.scales.data() + t0,
+                std::min(kLaneTile, lanes - t0), y.data() + t0 * q.rows, q.rows);
     }
   }
 }

@@ -34,6 +34,9 @@ struct RowwiseInt8 {
   // cache — excluded from storage_bytes() (model-size accounting counts the
   // canonical fp16 copy only).
   std::vector<float> outlier_f32;        // [rows, outlier_cols.size()]
+  // The same values column by column, [outlier_cols.size(), rows], for the
+  // matvecs' column-at-a-time outlier correction. Derived cache, as above.
+  std::vector<float> outlier_f32_by_col;
 
   std::size_t storage_bytes() const noexcept;
 };
@@ -66,11 +69,6 @@ struct ActivationInt8 {
 // Encodes x into act (absmax over all dims, codes clamped to [-127, 127]).
 // Bit-identical to the quantization matvec_int8 performs internally.
 void quantize_activation_int8(std::span<const float> x, ActivationInt8& act);
-
-// matvec_int8 against a pre-quantized activation; `x` must be the FP32
-// vector act was built from (outlier columns read it directly).
-void matvec_int8(const RowwiseInt8& q, std::span<const float> x,
-                 const ActivationInt8& act, std::span<float> out);
 
 // A chunk of dynamically-quantized activations: [tokens, cols] codes with one
 // absmax scale per token. Reused across the QKV/O/MLP projections of a
@@ -108,10 +106,10 @@ void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
 // lane ([lanes, cols]), y is [lanes, rows]. Unlike matmul_int8 (whose
 // kNative outlier correction may reassociate — tolerance contract), every
 // lane's result here is bit-identical to matvec_int8 at BOTH kernel levels:
-// the int8 dots are exact and the outlier correction keeps matvec_int8's
-// scalar accumulation order over the precomputed fp32 outlier weights. This
-// is the decode-batching contract — lanes can be grouped arbitrarily without
-// changing any lane's output.
+// the int8 dots are exact and the outlier correction is matvec_int8's own
+// (one fixed accumulation order per row over the fp32 outlier weights; at
+// kScalar matmul_int8 runs it too). This is the decode-batching contract —
+// lanes can be grouped arbitrarily without changing any lane's output.
 void matvec_int8_multi(const RowwiseInt8& q, std::span<const float> x,
                        const ActivationBatchInt8& acts, std::span<float> y,
                        std::size_t lanes);

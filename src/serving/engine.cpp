@@ -917,6 +917,9 @@ FunctionalTokenBackend::FunctionalTokenBackend(Model& model, const Config& confi
   workspaces_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) workspaces_.emplace_back(model_.config());
   logits_.resize(config_.max_lanes * model_.config().vocab);
+  step_tokens_.reserve(config_.max_lanes);
+  step_seqs_.reserve(config_.max_lanes);
+  plan_k_.assign(config_.max_lanes, 0);
   if (config_.speculation.enabled) {
     ORINSIM_CHECK(draft != nullptr, "functional backend: speculation needs a draft model");
     ORINSIM_CHECK(config_.speculation.draft_tokens >= 1,
@@ -936,28 +939,18 @@ FunctionalTokenBackend::FunctionalTokenBackend(Model& model, const Config& confi
     const std::size_t k = config_.speculation.draft_tokens;
     draft_workspaces_.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) draft_workspaces_.emplace_back(d);
-    draft_logits_.resize(shards * d.vocab);
-    proposals_.resize(config_.max_lanes * k);
-    plan_k_.assign(config_.max_lanes, 0);
-    verify_hidden_.resize(shards * (k + 1) * t.d_model);
+    // Every lane's verify chunk can run at once through workspace 0.
+    workspaces_[0].ensure_rows(t, config_.max_lanes * (k + 1));
+    plan_slot_.assign(config_.max_lanes, 0);
+    verify_lanes_.reserve(config_.max_lanes);
+    proposals_.resize(config_.max_lanes * (k + 1));
     verify_logits_.resize(config_.max_lanes * (k + 1) * t.vocab);
   }
 }
 
-std::span<float> FunctionalTokenBackend::lane_logits(std::size_t lane) {
+std::span<float> FunctionalTokenBackend::logits_rows(std::size_t begin, std::size_t rows) {
   const std::size_t vocab = model_.config().vocab;
-  return std::span<float>(logits_.data() + lane * vocab, vocab);
-}
-
-template <typename Fn>
-void FunctionalTokenBackend::for_each(const std::vector<Request*>& reqs, const Fn& fn) {
-  if (pool_ != nullptr && reqs.size() > 1) {
-    pool_->parallel_for(0, reqs.size(), [&](std::size_t shard, std::size_t i) {
-      fn(workspaces_[shard], *reqs[i]);
-    });
-  } else {
-    for (Request* r : reqs) fn(workspaces_[0], *r);
-  }
+  return std::span<float>(logits_.data() + begin * vocab, rows * vocab);
 }
 
 bool FunctionalTokenBackend::reserve_with_evict(std::size_t lane, std::size_t tokens) {
@@ -1015,7 +1008,8 @@ StepCost FunctionalTokenBackend::prefill(
     const std::vector<Request*>& admitted, std::size_t active_after) {
   (void)active_after;
   Stopwatch watch;
-  for_each(admitted, [&](InferenceWorkspace& ws, Request& r) {
+  // Whole lanes shard across the pool, one workspace per shard.
+  auto prefill_one = [&](InferenceWorkspace& ws, Request& r) {
     if (r.generated == 0) {
       // A prefix-cache hit attached seq_len(lane) prompt tokens as ready-made
       // KV blocks; only the suffix is prefilled. The attach is aligned
@@ -1024,7 +1018,7 @@ StepCost FunctionalTokenBackend::prefill(
       const std::size_t attached = cache_.seq_len(r.lane);
       model_.prefill(std::span<const TokenId>(r.prompt).subspan(attached), r.lane,
                      cache_, ws.hidden, ws);
-      model_.logits_from_hidden(ws.hidden, lane_logits(r.lane));
+      model_.logits_from_hidden(ws.hidden, logits_rows(r.lane, 1));
     } else {
       // Resume: rebuild the pre-preemption cache *bit-exactly* — the prompt
       // through the same chunked prefill as the original admission, then the
@@ -1037,14 +1031,21 @@ StepCost FunctionalTokenBackend::prefill(
         model_.forward({&r.output[j], 1}, {&r.lane, 1}, cache_, ws.hidden, ws);
       }
     }
-  });
+  };
+  if (pool_ != nullptr && admitted.size() > 1) {
+    pool_->parallel_for(0, admitted.size(), [&](std::size_t shard, std::size_t i) {
+      prefill_one(workspaces_[shard], *admitted[i]);
+    });
+  } else {
+    for (Request* r : admitted) prefill_one(workspaces_[0], *r);
+  }
   // First-token sampling replays serially in admission order (bit-identical
   // for any worker count). Greedy argmax: deterministic, so a preempted
   // request's recompute reproduces its interrupted output exactly.
   double mean_prompt = 0.0;
   for (Request* r : admitted) {
     if (r->generated == 0) {
-      r->output.push_back(static_cast<TokenId>(kernels::argmax(lane_logits(r->lane))));
+      r->output.push_back(static_cast<TokenId>(kernels::argmax(logits_rows(r->lane, 1))));
       r->generated = 1;
     }
     mean_prompt += static_cast<double>(r->prompt_tokens);
@@ -1063,37 +1064,15 @@ bool FunctionalTokenBackend::try_extend(Request& req) {
   return reserve_with_evict(req.lane, 1);
 }
 
-StepCost FunctionalTokenBackend::decode_step(
-    const std::vector<Request*>& active) {
+// One decode step over the active set: a draft/verify round when a draft
+// model is attached, in which every lane the round cannot speculate on —
+// all of them without a draft model — takes one plain step. Phase discipline
+// keeps the parallel sections allocation-free: every block the round can
+// touch is reserved — and every shared tail copy-on-written — in the serial
+// setup, so the paged pool is only ever exercised where a failure can
+// downgrade the request to a plain step instead of throwing mid-flight.
+StepCost FunctionalTokenBackend::decode_step(const std::vector<Request*>& active) {
   ORINSIM_CHECK(!active.empty(), "functional backend: decode over empty set");
-  if (draft_ != nullptr) return speculative_decode_step(active);
-  Stopwatch watch;
-  double mean_ctx = 0.0;
-  for (const Request* r : active) mean_ctx += static_cast<double>(r->context());
-  mean_ctx /= static_cast<double>(active.size());
-  for_each(active, [&](InferenceWorkspace& ws, Request& r) {
-    model_.forward({&r.output.back(), 1}, {&r.lane, 1}, cache_, ws.hidden, ws);
-    model_.logits_from_hidden(ws.hidden, lane_logits(r.lane));
-  });
-  // Sampling replays serially in active order after the parallel section.
-  for (Request* r : active) {
-    r->output.push_back(static_cast<TokenId>(kernels::argmax(lane_logits(r->lane))));
-    ++r->generated;
-  }
-  StepCost cost;
-  cost.seconds = watch.elapsed_s();
-  cost.ctx = mean_ctx;
-  if (has_power_proxy()) cost.power_w = proxy_decode_power_w(active.size(), mean_ctx);
-  return cost;
-}
-
-// One draft/verify round over the active set. Phase discipline keeps the
-// parallel sections allocation-free: every block the round can touch is
-// reserved — and every shared tail copy-on-written — in the serial setup, so
-// the paged pool is only ever exercised where a failure can downgrade the
-// request to a plain step instead of throwing mid-flight.
-StepCost FunctionalTokenBackend::speculative_decode_step(
-    const std::vector<Request*>& active) {
   const std::size_t cap = config_.speculation.draft_tokens;
   const std::size_t d_model = model_.config().d_model;
   const std::size_t vocab = model_.config().vocab;
@@ -1105,11 +1084,10 @@ StepCost FunctionalTokenBackend::speculative_decode_step(
   // one the pool cannot cover) runs the plain single-token step its
   // try_extend already guaranteed.
   Stopwatch draft_watch;
-  std::vector<Request*> drafting;
-  drafting.reserve(active.size());
+  verify_lanes_.clear();
   for (Request* r : active) {
     const std::size_t remaining = r->max_new_tokens - r->generated;
-    std::size_t k = std::min(cap, remaining > 0 ? remaining - 1 : 0);
+    std::size_t k = draft_ != nullptr ? std::min(cap, remaining > 0 ? remaining - 1 : 0) : 0;
     // The verify chunk appends k+1 positions to the lane.
     if (k > 0 && !reserve_with_evict(r->lane, k + 1)) k = 0;
     if (k > 0) {
@@ -1126,68 +1104,82 @@ StepCost FunctionalTokenBackend::speculative_decode_step(
       }
     }
     plan_k_[r->lane] = k;
-    if (k > 0) drafting.push_back(r);
+    if (k > 0) verify_lanes_.push_back(r->lane);
   }
 
-  // Parallel draft: each speculating lane runs k draft steps on its branch.
-  // Proposals are greedily sampled per step into per-lane slots, so results
-  // are independent of sharding.
-  auto draft_one = [&](std::size_t shard, Request& r) {
-    InferenceWorkspace& dws = draft_workspaces_[shard];
-    const std::span<float> dlogits(draft_logits_.data() + shard * vocab, vocab);
-    const std::size_t branch = branch_of(r.lane);
-    const std::size_t k = plan_k_[r.lane];
-    TokenId feed = r.output.back();
-    for (std::size_t i = 0; i < k; ++i) {
-      draft_->forward({&feed, 1}, {&branch, 1}, cache_, dws.hidden, dws);
-      draft_->logits_from_hidden(dws.hidden, dlogits);
-      feed = static_cast<TokenId>(kernels::argmax(dlogits));
-      proposals_[r.lane * cap + i] = feed;
+  // Verify layout: the speculating lanes ordered by k descending (then by
+  // lane), each owning k+1 consecutive proposal slots from plan_slot_ (slot
+  // 0 the fed token, then its proposals) and the verify logits rows at the
+  // same offsets. The lanes still drafting at step i are then a prefix of
+  // the order, and the lanes of equal k one contiguous verify chunk.
+  std::sort(verify_lanes_.begin(), verify_lanes_.end(), [&](std::size_t a, std::size_t b) {
+    return plan_k_[a] != plan_k_[b] ? plan_k_[a] > plan_k_[b] : a < b;
+  });
+  std::size_t slots = 0;
+  for (const std::size_t lane : verify_lanes_) {
+    plan_slot_[lane] = slots;
+    slots += plan_k_[lane] + 1;
+  }
+  for (const Request* r : active) {
+    if (plan_k_[r->lane] > 0) proposals_[plan_slot_[r->lane]] = r->output.back();
+  }
+
+  // Lane-batched draft: step i feeds every lane still drafting (k > i) its
+  // slot i on its branch and greedily samples slot i+1. Lane rows are
+  // composition-independent: proposals equal width-1 draft steps.
+  step_seqs_.clear();
+  for (const std::size_t lane : verify_lanes_) step_seqs_.push_back(branch_of(lane));
+  for (std::size_t i = 0; i < cap; ++i) {
+    step_tokens_.clear();
+    for (const std::size_t lane : verify_lanes_) {
+      if (plan_k_[lane] <= i) break;
+      step_tokens_.push_back(proposals_[plan_slot_[lane] + i]);
     }
-  };
-  if (pool_ != nullptr && drafting.size() > 1) {
-    pool_->parallel_for(0, drafting.size(), [&](std::size_t shard, std::size_t i) {
-      draft_one(shard, *drafting[i]);
-    });
-  } else {
-    for (Request* r : drafting) draft_one(0, *r);
+    const std::size_t rows = step_tokens_.size();
+    if (rows == 0) break;
+    draft_->decode(step_tokens_, std::span<const std::size_t>(step_seqs_).first(rows), cache_,
+                   logits_rows(0, rows), draft_workspaces_, pool_);
+    for (std::size_t j = 0; j < rows; ++j) {
+      proposals_[plan_slot_[verify_lanes_[j]] + i + 1] =
+          static_cast<TokenId>(kernels::argmax(logits_rows(j, 1)));
+    }
   }
 
   // Release the branches before the target pass: the lane's shared tail
   // becomes private again, so the verify appends cannot copy-on-write.
-  for (Request* r : drafting) cache_.free_sequence(branch_of(r->lane));
+  for (const std::size_t lane : verify_lanes_) cache_.free_sequence(branch_of(lane));
   const double draft_s = draft_watch.elapsed_s();
 
-  // Parallel verify: speculating lanes run one k+1-row chunk over
-  // output.back() + proposals (the GEMM path; bit-identical to width-1 steps
-  // under scalar kernels), plain lanes the ordinary width-1 step.
+  // Verify: plain lanes take one lane-batched target step; the speculating
+  // lanes of each k run one multi-sequence chunk over their slots, k+1 rows
+  // per lane (see Model::forward for its kernels and bit contract).
   Stopwatch verify_watch;
-  auto verify_one = [&](std::size_t shard, Request& r) {
-    InferenceWorkspace& ws = workspaces_[shard];
-    const std::size_t k = plan_k_[r.lane];
-    if (k == 0) {
-      model_.forward({&r.output.back(), 1}, {&r.lane, 1}, cache_, ws.hidden, ws);
-      model_.logits_from_hidden(ws.hidden, lane_logits(r.lane));
-      return;
-    }
-    std::vector<TokenId> chunk(k + 1);
-    chunk[0] = r.output.back();
-    for (std::size_t i = 0; i < k; ++i) chunk[1 + i] = proposals_[r.lane * cap + i];
-    const std::span<float> hidden(
-        verify_hidden_.data() + shard * (cap + 1) * d_model, (k + 1) * d_model);
-    model_.forward(chunk, {&r.lane, 1}, cache_, hidden, ws);
+  step_tokens_.clear();
+  step_seqs_.clear();
+  for (const Request* r : active) {
+    if (plan_k_[r->lane] > 0) continue;
+    step_tokens_.push_back(r->output.back());
+    step_seqs_.push_back(r->lane);
+  }
+  if (!step_tokens_.empty()) {
+    model_.decode(step_tokens_, step_seqs_, cache_, logits_rows(0, step_tokens_.size()),
+                  workspaces_, pool_);
+  }
+  InferenceWorkspace& ws = workspaces_[0];
+  for (std::size_t j0 = 0; j0 < verify_lanes_.size();) {
+    const std::size_t k = plan_k_[verify_lanes_[j0]];
+    std::size_t j1 = j0 + 1;
+    while (j1 < verify_lanes_.size() && plan_k_[verify_lanes_[j1]] == k) ++j1;
+    const std::size_t begin = plan_slot_[verify_lanes_[j0]];
+    const std::size_t rows = (j1 - j0) * (k + 1);
+    ws.ensure_rows(model_.config(), rows);
+    const std::span<float> hidden(ws.hidden_rows.data(), rows * d_model);
+    model_.forward(std::span<const TokenId>(proposals_.data() + begin, rows),
+                   std::span<const std::size_t>(verify_lanes_.data() + j0, j1 - j0), cache_,
+                   hidden, ws);
     model_.logits_from_hidden_rows(
-        hidden,
-        std::span<float>(verify_logits_.data() + r.lane * (cap + 1) * vocab,
-                         (k + 1) * vocab),
-        k + 1);
-  };
-  if (pool_ != nullptr && active.size() > 1) {
-    pool_->parallel_for(0, active.size(), [&](std::size_t shard, std::size_t i) {
-      verify_one(shard, *active[i]);
-    });
-  } else {
-    for (Request* r : active) verify_one(0, *r);
+        hidden, std::span<float>(verify_logits_.data() + begin * vocab, rows * vocab), rows);
+    j0 = j1;
   }
 
   // Serial acceptance, in active order: keep the longest agreeing prefix,
@@ -1195,20 +1187,22 @@ StepCost FunctionalTokenBackend::speculative_decode_step(
   // bonus token after a clean sweep), then roll the lane's KV back to
   // exactly the emitted context — rejected draft positions leave through
   // truncate's decref path, never a raw free.
+  std::size_t plain_row = 0;
   for (Request* r : active) {
     const std::size_t k = plan_k_[r->lane];
     if (k == 0) {
-      r->output.push_back(static_cast<TokenId>(kernels::argmax(lane_logits(r->lane))));
+      r->output.push_back(static_cast<TokenId>(kernels::argmax(logits_rows(plain_row++, 1))));
       ++r->generated;
       continue;
     }
-    const float* rows = verify_logits_.data() + r->lane * (cap + 1) * vocab;
+    const std::size_t slot = plan_slot_[r->lane];
+    const float* rows = verify_logits_.data() + slot * vocab;
     const std::size_t start_len = cache_.seq_len(r->lane) - (k + 1);
     std::size_t m = 0;
     for (;;) {
       const TokenId c = static_cast<TokenId>(
           kernels::argmax(std::span<const float>(rows + m * vocab, vocab)));
-      if (m < k && c == proposals_[r->lane * cap + m]) {
+      if (m < k && c == proposals_[slot + 1 + m]) {
         r->output.push_back(c);
         ++m;
         continue;
@@ -1230,19 +1224,21 @@ StepCost FunctionalTokenBackend::speculative_decode_step(
   StepCost cost;
   cost.seconds = draft_s + verify_s;
   cost.ctx = mean_ctx;
-  if (drafting.empty()) {
-    // Every lane ran plain (e.g. all on their final token): legacy kDecode.
+  if (verify_lanes_.empty()) {
+    // Every lane ran plain (no draft model, or all on their final token).
     if (has_power_proxy()) cost.power_w = proxy_decode_power_w(active.size(), mean_ctx);
     return cost;
   }
   StepCost::SubStep d;
   d.phase = trace::Phase::kDraft;
   d.seconds = draft_s;
-  d.batch = drafting.size();
+  d.batch = verify_lanes_.size();
   d.ctx = mean_ctx;
-  d.participants.reserve(drafting.size());
-  for (const Request* r : drafting) d.participants.push_back(r->id);
-  if (has_power_proxy()) d.power_w = proxy_decode_power_w(drafting.size(), mean_ctx);
+  d.participants.reserve(d.batch);
+  for (const Request* r : active) {
+    if (plan_k_[r->lane] > 0) d.participants.push_back(r->id);
+  }
+  if (has_power_proxy()) d.power_w = proxy_decode_power_w(d.batch, mean_ctx);
   StepCost::SubStep v;
   v.phase = trace::Phase::kVerify;
   v.seconds = verify_s;
@@ -1312,7 +1308,7 @@ EngineResult run_functional_continuous(std::shared_ptr<const MasterWeights> mast
                                        DType dtype, const workload::PromptPool& pool,
                                        const FunctionalEngineConfig& config) {
   ORINSIM_CHECK(config.arrivals.total_requests > 0 && config.arrivals.rate_rps > 0 &&
-                    config.max_concurrency > 0,
+                    config.backend.max_lanes > 0,
                 "functional engine: degenerate config");
   ORINSIM_CHECK(config.seq.input + config.seq.output <= master->config.max_seq,
                 "functional engine: sequence exceeds model max_seq");
@@ -1339,24 +1335,16 @@ EngineResult run_functional_continuous(std::shared_ptr<const MasterWeights> mast
   // The self-draft pairing: the same master quantized to the draft precision
   // proposes, the target verifies (output provably unchanged).
   std::unique_ptr<Model> draft;
-  if (config.speculation.enabled) {
-    draft = std::make_unique<Model>(master, config.speculation.draft_dtype);
+  if (config.backend.speculation.enabled) {
+    draft = std::make_unique<Model>(master, config.backend.speculation.draft_dtype);
   }
   std::unique_ptr<ThreadPool> decode_pool;
   if (config.decode_workers > 0) {
     decode_pool = std::make_unique<ThreadPool>(config.decode_workers);
   }
 
-  FunctionalTokenBackend::Config bc;
-  bc.max_lanes = config.max_concurrency;
+  FunctionalTokenBackend::Config bc = config.backend;
   bc.max_seq = config.seq.input + config.seq.output;
-  bc.kv_blocks = config.kv_blocks;
-  bc.block_tokens = config.block_tokens;
-  bc.kv_storage = config.kv_storage;
-  bc.power_proxy_model = config.power_proxy_model;
-  bc.prefix_cache = config.prefix_cache;
-  bc.prefix_cache_blocks = config.prefix_cache_blocks;
-  bc.speculation = config.speculation;
   FunctionalTokenBackend backend(model, bc, decode_pool.get(), draft.get());
 
   ContinuousPolicy policy(backend, config.governor);

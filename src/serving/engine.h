@@ -469,12 +469,13 @@ class SimTokenBackend : public TokenBackend {
   std::vector<double> spec_carry_;
 };
 
-// Real token-by-token decoding over a paged KVCache: one width-1
-// Model::forward per lane per step, greedy argmax sampling (deterministic, so preemption
-// recompute is lossless), measured wall-clock costs, optional lane-parallel
-// decode on a ThreadPool (one workspace per shard; sampling replayed
-// serially in lane order, so outputs are bit-identical for any worker
-// count — the same discipline as Model::generate).
+// Real token-by-token decoding over a paged KVCache: each step runs the
+// active lanes as rows of one Model::decode (the step Model::generate
+// takes, lane groups sharded across an optional ThreadPool), greedy argmax
+// sampling (deterministic, so preemption recompute is lossless) replayed
+// serially in active order, and measured wall-clock costs. Outputs are
+// bit-identical for any worker count; resume replay after preemption stays
+// width-1.
 class FunctionalTokenBackend : public TokenBackend {
  public:
   struct Config {
@@ -548,15 +549,11 @@ class FunctionalTokenBackend : public TokenBackend {
   // blocks are reclaimed (LRU leaves first) before failure is reported, so
   // the policy only preempts once the cache has nothing left to give.
   bool reserve_with_evict(std::size_t lane, std::size_t tokens);
-  template <typename Fn>
-  void for_each(const std::vector<Request*>& reqs, const Fn& fn);
-  std::span<float> lane_logits(std::size_t lane);
+  // Rows [begin, begin + rows) of logits_.
+  std::span<float> logits_rows(std::size_t begin, std::size_t rows);
   bool has_power_proxy() const { return !config_.power_proxy_model.empty(); }
   double proxy_prefill_power_w() const;
   double proxy_decode_power_w(std::size_t batch, double mean_ctx) const;
-  // One speculative draft/verify round over the active set (decode_step
-  // delegates here when a draft model is attached).
-  StepCost speculative_decode_step(const std::vector<Request*>& active);
   std::size_t branch_of(std::size_t lane) const { return lane + config_.max_lanes; }
 
   Model& model_;
@@ -566,18 +563,26 @@ class FunctionalTokenBackend : public TokenBackend {
   ThreadPool* pool_ = nullptr;
   std::vector<InferenceWorkspace> workspaces_;  // one per shard
   std::vector<std::size_t> free_lanes_;         // LIFO, deterministic
-  std::vector<float> logits_;                   // [lanes, vocab]
+  // [lanes, vocab]: prefill writes row `lane`, a decode step row i for its
+  // i-th row (step_tokens_[i] fed to sequence step_seqs_[i]).
+  std::vector<float> logits_;
+  std::vector<TokenId> step_tokens_;
+  std::vector<std::size_t> step_seqs_;
+  std::vector<std::size_t> plan_k_;  // proposals this step, per lane (0: plain)
   sim::InferenceSim proxy_sim_;                 // power proxy estimates
   sim::PowerMode proxy_mode_;                   // governor-adjustable
 
   // Speculative state (sized only when a draft model is attached).
   Model* draft_ = nullptr;
   std::vector<InferenceWorkspace> draft_workspaces_;  // one per shard
-  std::vector<float> draft_logits_;                   // [shards, vocab]
-  std::vector<TokenId> proposals_;                    // [lanes, K]
-  std::vector<std::size_t> plan_k_;                   // proposals this round, per lane
-  std::vector<float> verify_hidden_;                  // [shards, (K+1) * d_model]
-  std::vector<float> verify_logits_;                  // [lanes, (K+1) * vocab]
+  // Speculating lanes in verify order (k descending), and each lane's
+  // first slot: a lane owns slots [plan_slot_, plan_slot_ + k] of
+  // proposals_ (the fed token, then its proposals) and the same rows of
+  // verify_logits_.
+  std::vector<std::size_t> verify_lanes_;
+  std::vector<std::size_t> plan_slot_;
+  std::vector<TokenId> proposals_;    // [lanes * (K+1)]
+  std::vector<float> verify_logits_;  // [lanes * (K+1), vocab]
 };
 
 // One-call functional continuous-batching run: builds requests from the
@@ -588,29 +593,19 @@ class FunctionalTokenBackend : public TokenBackend {
 struct FunctionalEngineConfig {
   workload::ArrivalConfig arrivals;
   workload::SeqConfig seq = workload::seq_config_default();
-  std::size_t max_concurrency = 4;
-  std::size_t kv_blocks = 0;  // 0: never exhausts; small pools preempt
-  std::size_t block_tokens = kDefaultKVBlockTokens;
-  KVStorage kv_storage = KVStorage::kF32;
+  // Lanes, KV pool, power proxy, prefix cache and speculation; max_seq is
+  // overwritten with seq.input + seq.output. With speculation enabled, the
+  // run builds a draft Model from the same master quantized to
+  // speculation.draft_dtype (the self-draft pairing).
+  FunctionalTokenBackend::Config backend;
   std::size_t decode_workers = 0;  // 0: serial decode loop
   std::uint64_t prompt_seed = 11;
-  // Pass-through to FunctionalTokenBackend::Config::power_proxy_model: name
-  // a paper-scale model ("llama3") to attach modeled power to the measured
-  // schedule; empty leaves power unset (legacy behaviour).
-  std::string power_proxy_model;
   // Governor over the continuous policy (off by default).
   GovernorConfig governor;
-  // Cross-request prefix cache over the paged pool (off by default).
-  bool prefix_cache = false;
-  std::size_t prefix_cache_blocks = 0;  // 0: bounded only by the pool
   // Chat-style traffic: when enabled(), prompts come from sample_chat_batch
   // (Zipfian shared system prompts + per-user suffixes) and must satisfy
   // chat.prompt_tokens() == seq.input; otherwise sample_batch as before.
   workload::ChatWorkloadConfig chat;
-  // Speculative decoding: when enabled, the run builds a draft Model from
-  // the same master quantized to speculation.draft_dtype (the self-draft
-  // pairing) and serves every request through draft/verify rounds.
-  SpeculationConfig speculation;
 };
 
 EngineResult run_functional_continuous(std::shared_ptr<const MasterWeights> master,

@@ -187,6 +187,11 @@ void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<
   ORINSIM_CHECK(a.size() == rows * cols && x.size() == lanes * cols &&
                     out.size() == lanes * rows,
                 "matvec_multi: shape mismatch");
+  // dot_f32_multi replicates dot_f32 per column, so one lane is matvec.
+  if (lanes == 1) {
+    matvec(a, x, out, rows, cols);
+    return;
+  }
   // Columns go through dot_f32_multi in stack tiles (its per-column results
   // do not depend on the tile), so the hot loop never allocates.
   constexpr std::size_t kLaneTile = 8;

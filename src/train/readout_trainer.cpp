@@ -64,8 +64,10 @@ TrainReport train_readout(MasterWeights& master, const std::vector<TokenId>& tok
   ORINSIM_CHECK(w.size() == vocab * d, "lm_head shape mismatch");
   std::vector<float> m(w.size(), 0.0f), v(w.size(), 0.0f);
   std::vector<float> grad(w.size(), 0.0f);
-  std::vector<float> logits(vocab);
-  std::vector<float> probs(vocab);
+  // Per-minibatch rows: gathered features [mb, d], and logits [mb, vocab]
+  // that become dL/dlogit = softmax(logits) - onehot(target) in place.
+  std::vector<float> mb_features(config.minibatch * d);
+  std::vector<float> probs(config.minibatch * vocab);
 
   Rng rng(config.seed);
   TrainReport report;
@@ -81,29 +83,35 @@ TrainReport train_readout(MasterWeights& master, const std::vector<TokenId>& tok
     std::size_t seen = 0;
 
     for (std::size_t base = 0; base < n_pairs; base += config.minibatch) {
-      const std::size_t mb_end = std::min(base + config.minibatch, n_pairs);
-      const std::size_t mb = mb_end - base;
-      std::fill(grad.begin(), grad.end(), 0.0f);
+      const std::size_t mb = std::min(config.minibatch, n_pairs - base);
 
-      for (std::size_t j = base; j < mb_end; ++j) {
-        const std::size_t i = order[j];
-        const float* h = features.data() + i * d;
-        const TokenId target = stream[i + 1];
-        kernels::matvec(w, std::span<const float>(h, d), logits, vocab, d);
-        const double lse = kernels::logsumexp(logits);
-        epoch_loss += lse - logits[target];
+      for (std::size_t j = 0; j < mb; ++j) {
+        std::copy_n(features.data() + order[base + j] * d, d, mb_features.data() + j * d);
+      }
+      // Lane j's logits are bit-identical to a matvec over its feature.
+      kernels::matvec_multi(w, std::span<const float>(mb_features.data(), mb * d),
+                            std::span<float>(probs.data(), mb * vocab), vocab, d, mb);
+      for (std::size_t j = 0; j < mb; ++j) {
+        const std::span<float> pj(probs.data() + j * vocab, vocab);
+        const TokenId target = stream[order[base + j] + 1];
+        const double lse = kernels::logsumexp(pj);
+        epoch_loss += lse - pj[target];
         ++seen;
-        // dL/dlogit = softmax(logits) - onehot(target)
-        for (std::size_t c = 0; c < vocab; ++c) {
-          probs[c] = static_cast<float>(std::exp(static_cast<double>(logits[c]) - lse));
-        }
-        probs[target] -= 1.0f;
+        for (float& p : pj) p = static_cast<float>(std::exp(static_cast<double>(p) - lse));
+        pj[target] -= 1.0f;
+      }
+      // One region per minibatch: each vocab row accumulates the minibatch
+      // in order, so every gradient element sums in the same order as a
+      // per-token pass.
 #pragma omp parallel for
-        for (std::ptrdiff_t cs = 0; cs < static_cast<std::ptrdiff_t>(vocab); ++cs) {
-          const auto c = static_cast<std::size_t>(cs);
-          const float p = probs[c];
+      for (std::ptrdiff_t cs = 0; cs < static_cast<std::ptrdiff_t>(vocab); ++cs) {
+        const auto c = static_cast<std::size_t>(cs);
+        float* gc = grad.data() + c * d;
+        std::fill(gc, gc + d, 0.0f);
+        for (std::size_t j = 0; j < mb; ++j) {
+          const float p = probs[j * vocab + c];
           if (p == 0.0f) continue;
-          float* gc = grad.data() + c * d;
+          const float* h = mb_features.data() + j * d;
           for (std::size_t k = 0; k < d; ++k) gc[k] += p * h[k];
         }
       }

@@ -1,7 +1,7 @@
-// Lane-batched decode: a Model::forward over n lane rows must equal n
-// width-1 forwards bit for bit, in hidden states and cache contents, at
-// both kernel levels for every dtype (the lane kernels are
-// composition-independent), and generate() must be invariant under
+// Lane-batched decode: a Model::forward over n lane rows (or several
+// sequences' chunks) must equal width-1 forwards bit for bit, in hidden
+// states and cache contents, at both kernel levels for every dtype (the lane
+// kernels are composition-independent), and generate() must be invariant under
 // serial-vs-pooled group sharding. These are the contracts that let
 // generate() batch whichever lanes are active without changing any lane's
 // tokens.
@@ -180,6 +180,65 @@ TEST(LaneBatchedDecodeTest, ForwardTokensMatchesLoopF16) {
   for (simd::Level level : levels_to_test()) {
     ScopedLevel scoped(level);
     check_lanes_match_width1(DType::kF16, KVStorage::kF32);
+  }
+}
+
+// A multi-sequence chunk (several sequences, `run` rows each, as a
+// speculative round verifies its drafts) runs the lane kernels, so every
+// row's hidden state and committed K/V must equal width-1 steps bit for bit
+// at both kernel levels.
+void check_multi_sequence_chunk_matches_width1(DType dtype, KVStorage kv_storage) {
+  const auto cfg = decode_test_config();
+  auto master = MasterWeights::init_random(cfg, 67);
+  Model model(master, dtype, kv_storage);
+  const std::size_t seqs_n = 3, run = 4;
+  KVCache chunk_cache(cfg, seqs_n, cfg.max_seq, model.kv_options());
+  KVCache looped_cache(cfg, seqs_n, cfg.max_seq, model.kv_options());
+  InferenceWorkspace ws(cfg);
+  const std::vector<std::vector<TokenId>> prompts = {{3, 9, 27}, {81, 12}, {5, 6, 7, 8}};
+  for (std::size_t b = 0; b < seqs_n; ++b) {
+    for (const TokenId& tok : prompts[b]) {
+      model.forward({&tok, 1}, {&b, 1}, chunk_cache, {}, ws);
+      model.forward({&tok, 1}, {&b, 1}, looped_cache, {}, ws);
+    }
+  }
+  const std::vector<TokenId> tokens = {10, 20, 30, 40, 50, 60, 70, 80, 90, 11, 22, 33};
+  const std::vector<std::size_t> seqs = {0, 1, 2};
+  std::vector<float> chunk_rows(tokens.size() * cfg.d_model);
+  model.forward(tokens, seqs, chunk_cache, chunk_rows, ws);
+  for (std::size_t i = 0; i < seqs_n; ++i) {
+    for (std::size_t t = 0; t < run; ++t) {
+      const std::size_t row = i * run + t;
+      std::vector<float> hidden(cfg.d_model);
+      model.forward({&tokens[row], 1}, {&seqs[i], 1}, looped_cache, hidden, ws);
+      for (std::size_t k = 0; k < cfg.d_model; ++k) {
+        ASSERT_EQ(chunk_rows[row * cfg.d_model + k], hidden[k]) << "seq=" << i << " t=" << t;
+      }
+    }
+  }
+  std::vector<float> s1(cfg.kv_dim()), s2(cfg.kv_dim());
+  for (std::size_t b = 0; b < seqs_n; ++b) {
+    ASSERT_EQ(chunk_cache.seq_len(b), looped_cache.seq_len(b));
+    for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+      for (std::size_t p = 0; p < chunk_cache.seq_len(b); ++p) {
+        const auto k1 = chunk_cache.key(l, b, p, s1);
+        const auto k2 = looped_cache.key(l, b, p, s2);
+        for (std::size_t k = 0; k < cfg.kv_dim(); ++k) ASSERT_EQ(k1[k], k2[k]);
+        const auto v1 = chunk_cache.value(l, b, p, s1);
+        const auto v2 = looped_cache.value(l, b, p, s2);
+        for (std::size_t k = 0; k < cfg.kv_dim(); ++k) ASSERT_EQ(v1[k], v2[k]);
+      }
+    }
+  }
+}
+
+TEST(LaneBatchedDecodeTest, MultiSequenceChunkMatchesWidth1AllDtypes) {
+  for (simd::Level level : levels_to_test()) {
+    ScopedLevel scoped(level);
+    check_multi_sequence_chunk_matches_width1(DType::kF32, KVStorage::kF32);
+    check_multi_sequence_chunk_matches_width1(DType::kF16, KVStorage::kF32);
+    check_multi_sequence_chunk_matches_width1(DType::kI8, KVStorage::kI8);
+    check_multi_sequence_chunk_matches_width1(DType::kI4, KVStorage::kI8);
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -57,8 +58,8 @@ class SpeculativeEngineTest : public ::testing::Test {
     cfg.arrivals.rate_rps = 1000.0;  // flood: all requests arrive near t=0
     cfg.arrivals.total_requests = 4;
     cfg.seq = workload::SeqConfig{24, 8, 16};
-    cfg.max_concurrency = 2;
-    cfg.block_tokens = 4;
+    cfg.backend.max_lanes = 2;
+    cfg.backend.block_tokens = 4;
     return cfg;
   }
 
@@ -88,14 +89,14 @@ TEST_F(SpeculativeEngineTest, BitIdenticalAcrossPrecisionsStoragesAndPools) {
   for (DType dtype : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
     for (KVStorage storage : {KVStorage::kF32, KVStorage::kI8}) {
       FunctionalEngineConfig cfg = small_config();
-      cfg.kv_storage = storage;
+      cfg.backend.kv_storage = storage;
       const EngineResult plain = run_functional_continuous(master_, dtype, pool_, cfg);
       ASSERT_EQ(plain.requests.size(), 4u);
       EXPECT_EQ(plain.speculation.rounds, 0u);
 
-      cfg.speculation.enabled = true;
-      cfg.speculation.draft_tokens = 4;
-      cfg.speculation.draft_dtype = DType::kI8;
+      cfg.backend.speculation.enabled = true;
+      cfg.backend.speculation.draft_tokens = 4;
+      cfg.backend.speculation.draft_dtype = DType::kI8;
       for (std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
         cfg.decode_workers = workers;
         const EngineResult spec = run_functional_continuous(master_, dtype, pool_, cfg);
@@ -109,6 +110,13 @@ TEST_F(SpeculativeEngineTest, BitIdenticalAcrossPrecisionsStoragesAndPools) {
         EXPECT_GT(spec.speculation.rounds, 0u) << label;
         EXPECT_GT(spec.speculation.accepted, 0u) << label;
         EXPECT_LT(spec.decode_steps, plain.decode_steps) << label;
+        // Some round drafts at least two lanes, so the grid covers draft
+        // steps and verify chunks of several lanes, serial and pooled.
+        std::size_t widest_draft = 0;
+        for (const trace::StepEvent& ev : spec.timeline.events()) {
+          if (ev.phase == trace::Phase::kDraft) widest_draft = std::max(widest_draft, ev.batch);
+        }
+        EXPECT_GE(widest_draft, 2u) << label;
       }
     }
   }
@@ -122,7 +130,7 @@ TEST_F(SpeculativeEngineTest, PreemptionRecomputeIsLosslessMidSpeculation) {
   ScopedLevel scalar(simd::Level::kScalar);
   FunctionalEngineConfig cfg = small_config();
   cfg.arrivals.total_requests = 6;
-  cfg.max_concurrency = 3;
+  cfg.backend.max_lanes = 3;
 
   // Baseline: plain greedy, unlimited pool.
   const EngineResult baseline = run_functional_continuous(master_, DType::kF32, pool_, cfg);
@@ -130,9 +138,9 @@ TEST_F(SpeculativeEngineTest, PreemptionRecomputeIsLosslessMidSpeculation) {
 
   // Pressured speculative run: 3 lanes at 24 tokens want 18 blocks plus
   // draft branches; 12 forces eviction while rounds are in flight.
-  cfg.kv_blocks = 12;
-  cfg.speculation.enabled = true;
-  cfg.speculation.draft_tokens = 4;
+  cfg.backend.kv_blocks = 12;
+  cfg.backend.speculation.enabled = true;
+  cfg.backend.speculation.draft_tokens = 4;
   const EngineResult spec = run_functional_continuous(master_, DType::kF32, pool_, cfg);
   EXPECT_GT(spec.preemptions, 0u);
   EXPECT_GT(spec.speculation.rounds, 0u);
@@ -151,10 +159,10 @@ TEST_F(SpeculativeEngineTest, ComposesWithPrefixCacheHits) {
   cfg.arrivals.rate_rps = 1000.0;
   cfg.arrivals.total_requests = 8;
   cfg.seq = workload::SeqConfig{96, 80, 16};
-  cfg.max_concurrency = 1;  // one lane: every admission is its own lookup
-  cfg.kv_blocks = 64;
-  cfg.block_tokens = 16;
-  cfg.prefix_cache = true;
+  cfg.backend.max_lanes = 1;  // one lane: every admission is its own lookup
+  cfg.backend.kv_blocks = 64;
+  cfg.backend.block_tokens = 16;
+  cfg.backend.prefix_cache = true;
   cfg.chat.system_prompts = 2;
   cfg.chat.zipf_s = 1.1;
   cfg.chat.system_tokens = 64;
@@ -164,8 +172,8 @@ TEST_F(SpeculativeEngineTest, ComposesWithPrefixCacheHits) {
   ASSERT_EQ(plain.requests.size(), 8u);
   EXPECT_GT(plain.prefix_cache.hits, 0u);
 
-  cfg.speculation.enabled = true;
-  cfg.speculation.draft_tokens = 4;
+  cfg.backend.speculation.enabled = true;
+  cfg.backend.speculation.draft_tokens = 4;
   const EngineResult spec = run_functional_continuous(master_, DType::kF32, pool_, cfg);
   EXPECT_GT(spec.prefix_cache.hits, 0u);
   EXPECT_GT(spec.speculation.rounds, 0u);
@@ -184,8 +192,8 @@ TEST_F(SpeculativeEngineTest, EmitsDraftVerifyPhasesWithExactAccounting) {
   EXPECT_EQ(plain.timeline.count(trace::Phase::kVerify), 0u);
   EXPECT_EQ(plain.decode_steps, plain.timeline.count(trace::Phase::kDecode));
 
-  cfg.speculation.enabled = true;
-  cfg.speculation.draft_tokens = 4;
+  cfg.backend.speculation.enabled = true;
+  cfg.backend.speculation.draft_tokens = 4;
   const EngineResult spec = run_functional_continuous(master_, DType::kF32, pool_, cfg);
   EXPECT_GT(spec.timeline.count(trace::Phase::kDraft), 0u);
   EXPECT_GT(spec.timeline.count(trace::Phase::kVerify), 0u);

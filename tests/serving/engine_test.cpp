@@ -437,9 +437,9 @@ TEST_F(FunctionalEngineTest, PreemptionRecomputeIsLossless) {
     cfg.arrivals.rate_rps = 1000.0;  // flood: all requests arrive near t=0
     cfg.arrivals.total_requests = 6;
     cfg.seq = workload::SeqConfig{24, 8, 16};
-    cfg.max_concurrency = 3;
-    cfg.block_tokens = 4;
-    cfg.kv_storage = p.kv;
+    cfg.backend.max_lanes = 3;
+    cfg.backend.block_tokens = 4;
+    cfg.backend.kv_storage = p.kv;
 
     // Baseline: unlimited pool, no preemption.
     const EngineResult baseline = run_functional_continuous(master_, p.dtype, pool_, cfg);
@@ -447,7 +447,7 @@ TEST_F(FunctionalEngineTest, PreemptionRecomputeIsLossless) {
     ASSERT_EQ(baseline.requests.size(), 6u);
 
     // Pressured: 3 lanes at 24 tokens need 18 blocks; 12 forces eviction.
-    cfg.kv_blocks = 12;
+    cfg.backend.kv_blocks = 12;
     const EngineResult pressured = run_functional_continuous(master_, p.dtype, pool_, cfg);
     EXPECT_GT(pressured.preemptions, 0u);
     ASSERT_EQ(pressured.requests.size(), 6u);
@@ -471,23 +471,62 @@ TEST_F(FunctionalEngineTest, ParallelDecodeMatchesSerialUnderPreemption) {
     cfg.arrivals.rate_rps = 1000.0;
     cfg.arrivals.total_requests = 6;
     cfg.seq = workload::SeqConfig{24, 8, 16};
-    cfg.max_concurrency = 3;
-    cfg.block_tokens = 4;
-    cfg.kv_blocks = 12;
-    cfg.kv_storage = p.kv;
+    cfg.backend.max_lanes = 3;
+    cfg.backend.block_tokens = 4;
+    cfg.backend.kv_blocks = 12;
+    cfg.backend.kv_storage = p.kv;
 
     const EngineResult serial = run_functional_continuous(master_, p.dtype, pool_, cfg);
-    cfg.decode_workers = 4;
-    const EngineResult pooled = run_functional_continuous(master_, p.dtype, pool_, cfg);
-    ASSERT_EQ(pooled.requests.size(), serial.requests.size());
-    for (std::size_t i = 0; i < serial.requests.size(); ++i) {
-      EXPECT_EQ(pooled.requests[i].output, serial.requests[i].output) << "request " << i;
-    }
     // Preemption *counts* are schedule-dependent (measured wall-clock drives
-    // admission timing), but under a flooded queue both runs must hit
+    // admission timing), but under a flooded queue every run must hit
     // pressure.
     EXPECT_GT(serial.preemptions, 0u);
-    EXPECT_GT(pooled.preemptions, 0u);
+    // 1, 2 and 4 workers run the 3 lanes as 2 uneven groups, as 3 groups,
+    // and on more shards than lanes.
+    for (std::size_t workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      cfg.decode_workers = workers;
+      const EngineResult pooled = run_functional_continuous(master_, p.dtype, pool_, cfg);
+      ASSERT_EQ(pooled.requests.size(), serial.requests.size());
+      for (std::size_t i = 0; i < serial.requests.size(); ++i) {
+        EXPECT_EQ(pooled.requests[i].output, serial.requests[i].output) << "request " << i;
+      }
+      EXPECT_GT(pooled.preemptions, 0u);
+    }
+  }
+}
+
+// The served engine and Model::generate decode through the same step: eight
+// prompts on eight lanes (full pool, no prefix cache) come out of
+// ContinuousPolicy exactly as generate's greedy batch, at the active kernel
+// level.
+TEST_F(FunctionalEngineTest, ServedDecodeMatchesGenerate) {
+  constexpr std::size_t kLanes = 8;
+  constexpr std::size_t kNewTokens = 12;
+  Rng rng(5);
+  const std::vector<std::vector<TokenId>> prompts = pool_.sample_batch(kLanes, 20, rng);
+  for (const PrecisionCase& p : {PrecisionCase{DType::kF32, KVStorage::kF32},
+                                 PrecisionCase{DType::kI4, KVStorage::kI8}}) {
+    SCOPED_TRACE(dtype_name(p.dtype));
+    Model model(master_, p.dtype, p.kv);
+    const Model::GenerateResult want = model.generate(prompts, kNewTokens);
+
+    FunctionalTokenBackend::Config bc;
+    bc.max_lanes = kLanes;
+    bc.max_seq = 20 + kNewTokens;
+    bc.kv_storage = p.kv;
+    FunctionalTokenBackend backend(model, bc);
+    std::vector<Request> requests(kLanes);
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      requests[i].prompt = prompts[i];
+      requests[i].prompt_tokens = prompts[i].size();
+      requests[i].max_new_tokens = kNewTokens;
+    }
+    const EngineResult served = ContinuousPolicy(backend).run(std::move(requests));
+    ASSERT_EQ(served.requests.size(), kLanes);
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      EXPECT_EQ(served.requests[i].output, want.outputs[i]) << "prompt " << i;
+    }
   }
 }
 
@@ -497,9 +536,9 @@ TEST_F(FunctionalEngineTest, PowerProxyAttributesEnergyAndConservesUnderPreempti
   cfg.arrivals.rate_rps = 1000.0;
   cfg.arrivals.total_requests = 6;
   cfg.seq = workload::SeqConfig{24, 8, 16};
-  cfg.max_concurrency = 3;
-  cfg.block_tokens = 4;
-  cfg.kv_blocks = 12;  // oversubscribed: preemption under the proxy too
+  cfg.backend.max_lanes = 3;
+  cfg.backend.block_tokens = 4;
+  cfg.backend.kv_blocks = 12;  // oversubscribed: preemption under the proxy too
 
   // Without the proxy the measured engine has no board sensor: zero energy,
   // zero attribution, legacy serialization.
@@ -511,7 +550,7 @@ TEST_F(FunctionalEngineTest, PowerProxyAttributesEnergyAndConservesUnderPreempti
 
   // With the proxy every measured step carries the modeled wattage for the
   // paper-scale model; served traffic now has a conserved energy account.
-  cfg.power_proxy_model = "llama3";
+  cfg.backend.power_proxy_model = "llama3";
   const EngineResult proxied = run_functional_continuous(master_, DType::kF32, pool_, cfg);
   EXPECT_GT(proxied.preemptions, 0u);
   EXPECT_GT(proxied.energy_j, 0.0);
@@ -541,14 +580,14 @@ TEST_F(FunctionalEngineTest, SixtyFourRequestPoissonRunWithOversubscribedPool) {
   cfg.arrivals.rate_rps = 1000.0;
   cfg.arrivals.total_requests = 64;
   cfg.seq = workload::SeqConfig{16, 8, 8};
-  cfg.max_concurrency = 6;
-  cfg.block_tokens = 4;
-  cfg.kv_blocks = 16;  // holds only 4 full 16-token sequences
+  cfg.backend.max_lanes = 6;
+  cfg.backend.block_tokens = 4;
+  cfg.backend.kv_blocks = 16;  // holds only 4 full 16-token sequences
 
-  // max_concurrency exceeds the pool's dense capacity — the dense layout
+  // max_lanes exceeds the pool's dense capacity — the dense layout
   // could not even admit this lane count.
-  ASSERT_GT(cfg.max_concurrency,
-            cfg.kv_blocks * cfg.block_tokens / (cfg.seq.input + cfg.seq.output));
+  ASSERT_GT(cfg.backend.max_lanes, cfg.backend.kv_blocks * cfg.backend.block_tokens /
+                                       (cfg.seq.input + cfg.seq.output));
 
   const EngineResult result = run_functional_continuous(master_, DType::kF32, pool_, cfg);
 
@@ -566,7 +605,7 @@ TEST_F(FunctionalEngineTest, SixtyFourRequestPoissonRunWithOversubscribedPool) {
 
   // KV occupancy comes from the annotated StepEvents.
   EXPECT_GT(result.mean_kv_utilization, 0.0);
-  EXPECT_LE(result.peak_kv_blocks, cfg.kv_blocks);
+  EXPECT_LE(result.peak_kv_blocks, cfg.backend.kv_blocks);
   EXPECT_GT(result.peak_kv_blocks, 0u);
   EXPECT_GT(result.peak_kv_bytes, 0u);
   EXPECT_EQ(result.peak_kv_bytes % result.peak_kv_blocks, 0u);  // blocks * block_bytes

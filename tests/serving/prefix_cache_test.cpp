@@ -324,8 +324,8 @@ class PrefixCacheEngineTest : public ::testing::Test {
     cfg.arrivals.rate_rps = 1000.0;
     cfg.arrivals.total_requests = 8;
     cfg.seq = workload::SeqConfig{48, 40, 8};
-    cfg.max_concurrency = 3;
-    cfg.block_tokens = 4;
+    cfg.backend.max_lanes = 3;
+    cfg.backend.block_tokens = 4;
     cfg.chat.system_prompts = 2;
     cfg.chat.zipf_s = 1.2;
     cfg.chat.system_tokens = 32;
@@ -346,9 +346,9 @@ TEST_F(PrefixCacheEngineTest, BitIdenticalAcrossPrecisionGridUnderChatTraffic) {
   for (DType dtype : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
     for (KVStorage storage : {KVStorage::kF32, KVStorage::kI8}) {
       FunctionalEngineConfig cfg = chat_config();
-      cfg.kv_storage = storage;
+      cfg.backend.kv_storage = storage;
       const EngineResult off = run_functional_continuous(master_, dtype, pool_, cfg);
-      cfg.prefix_cache = true;
+      cfg.backend.prefix_cache = true;
       const EngineResult on = run_functional_continuous(master_, dtype, pool_, cfg);
 
       const std::string label =
@@ -368,7 +368,7 @@ TEST_F(PrefixCacheEngineTest, BitIdenticalAcrossPrecisionGridUnderChatTraffic) {
 
 TEST_F(PrefixCacheEngineTest, PooledDecodeBitIdenticalWithCache) {
   FunctionalEngineConfig cfg = chat_config();
-  cfg.prefix_cache = true;
+  cfg.backend.prefix_cache = true;
   const EngineResult serial = run_functional_continuous(master_, DType::kF32, pool_, cfg);
   cfg.decode_workers = 4;
   const EngineResult pooled = run_functional_continuous(master_, DType::kF32, pool_, cfg);
@@ -403,7 +403,7 @@ TEST_F(PrefixCacheEngineTest, DisabledCacheLeavesTracesUntouched) {
 // request's prefix_cached, bytes_saved exactly the hit blocks' footprint.
 TEST_F(PrefixCacheEngineTest, CountersConserveAndDeriveFromTimeline) {
   FunctionalEngineConfig cfg = chat_config();
-  cfg.prefix_cache = true;
+  cfg.backend.prefix_cache = true;
   const EngineResult result = run_functional_continuous(master_, DType::kF32, pool_, cfg);
   const auto& pc = result.prefix_cache;
 
@@ -444,7 +444,7 @@ TEST_F(PrefixCacheEngineTest, CountersConserveAndDeriveFromTimeline) {
   EXPECT_EQ(derived.bytes_saved, pc.bytes_saved);
   EXPECT_EQ(derived.inserted_blocks, pc.inserted_blocks);
   EXPECT_EQ(derived.evicted_blocks, pc.evicted_blocks);
-  EXPECT_EQ(derived.hit_tokens, hit_blocks * cfg.block_tokens);
+  EXPECT_EQ(derived.hit_tokens, hit_blocks * cfg.backend.block_tokens);
 
   // bytes_saved is the hit blocks' exact KV footprint.
   const std::size_t block_bytes = result.peak_kv_bytes / result.peak_kv_blocks;
@@ -475,9 +475,9 @@ TEST_F(PrefixCacheEngineTest, CountersConserveAndDeriveFromTimeline) {
 // hook — not preemption — has to make room for the next wave.
 TEST_F(PrefixCacheEngineTest, ExhaustionEvictsCachedBlocksBeforePreempting) {
   FunctionalEngineConfig cfg = chat_config();
-  cfg.prefix_cache = true;
+  cfg.backend.prefix_cache = true;
   // 3 lanes x 48 tokens / 4-token blocks: exactly the active working set.
-  cfg.kv_blocks = 36;
+  cfg.backend.kv_blocks = 36;
   const EngineResult result = run_functional_continuous(master_, DType::kF32, pool_, cfg);
 
   ASSERT_EQ(result.requests.size(), 8u);
@@ -490,7 +490,7 @@ TEST_F(PrefixCacheEngineTest, ExhaustionEvictsCachedBlocksBeforePreempting) {
 
   // The same pool without the cache completes too (the baseline the
   // eviction path must not regress): both runs emit identical tokens.
-  cfg.prefix_cache = false;
+  cfg.backend.prefix_cache = false;
   const EngineResult off = run_functional_continuous(master_, DType::kF32, pool_, cfg);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(result.requests[i].output, off.requests[i].output) << "request " << i;
