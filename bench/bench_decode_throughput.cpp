@@ -19,6 +19,11 @@
 // int4 batched must reach >= 2x under --strict, and every dtype's generate
 // and served token streams must match the loop bit for bit.
 //
+// A prefix-cache section serves chat traffic with the cache off and on:
+// tokens must match, counters must conserve, and the median hit/miss TTFT
+// ratio over 5 off/on pairs must reach >= 5x (its min-max spread is
+// printed).
+//
 // A speculative section serves the same engine with an INT8 self-draft
 // (K=4): scalar streams must stay bit-identical to plain greedy, and under
 // --strict the rounds must deliver >= 1.3x decode tok/s at >= 80%
@@ -369,12 +374,6 @@ int main(int argc, char** argv) {
     pc_cfg.chat.system_tokens = 224;  // a multiple of lcm(block, chunk) = 32
     pc_cfg.chat.user_tokens = 32;
 
-    const serving::EngineResult off =
-        run_functional_continuous(serving_master, DType::kF32, pool, pc_cfg);
-    pc_cfg.backend.prefix_cache = true;
-    const serving::EngineResult on =
-        run_functional_continuous(serving_master, DType::kF32, pool, pc_cfg);
-
     // TTFT per request: first admission to the end of the prefill wave that
     // sampled its first token.
     const auto ttfts = [](const serving::EngineResult& r) {
@@ -392,14 +391,52 @@ int main(int argc, char** argv) {
       }
       return out;
     };
-    const std::vector<double> ttft_on = ttfts(on);
-    std::vector<bool> is_hit(on.requests.size(), false);
-    for (const trace::PrefixCacheEvent& e : on.timeline.prefix_cache_events()) {
-      if (e.kind == trace::PrefixCacheEventKind::kHit) is_hit[e.request_id] = true;
-    }
+
+    // The hit/miss ratio of one run divides two wall-clock p50s of a few
+    // milliseconds, so it spreads run to run: the bar gates on the median
+    // ratio over repeated off/on pairs. Every repeat checks identity and
+    // counters.
+    constexpr int kRepeats = 5;
+    std::vector<double> speedups;
     std::vector<double> hit_ttft, miss_ttft;
-    for (std::size_t i = 0; i < ttft_on.size(); ++i) {
-      (is_hit[i] ? hit_ttft : miss_ttft).push_back(ttft_on[i]);
+    serving::EngineResult on;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      pc_cfg.backend.prefix_cache = false;
+      const serving::EngineResult off =
+          run_functional_continuous(serving_master, DType::kF32, pool, pc_cfg);
+      pc_cfg.backend.prefix_cache = true;
+      on = run_functional_continuous(serving_master, DType::kF32, pool, pc_cfg);
+
+      // Invariants: the cache must not change one token and must conserve
+      // its counters.
+      bool identical = on.requests.size() == off.requests.size();
+      for (std::size_t i = 0; identical && i < on.requests.size(); ++i) {
+        identical = on.requests[i].output == off.requests[i].output;
+      }
+      if (!identical) {
+        std::printf("ERROR: prefix cache changed the served token streams\n");
+        return 1;
+      }
+      const auto& pc = on.prefix_cache;
+      if (pc.hits == 0 || pc.hits + pc.misses != pc.lookups ||
+          pc.lookups != pc_cfg.arrivals.total_requests) {
+        std::printf("ERROR: prefix-cache counters do not conserve (%zu + %zu != %zu)\n",
+                    pc.hits, pc.misses, pc.lookups);
+        return 1;
+      }
+
+      const std::vector<double> ttft_on = ttfts(on);
+      std::vector<bool> is_hit(on.requests.size(), false);
+      for (const trace::PrefixCacheEvent& e : on.timeline.prefix_cache_events()) {
+        if (e.kind == trace::PrefixCacheEventKind::kHit) is_hit[e.request_id] = true;
+      }
+      hit_ttft.clear();
+      miss_ttft.clear();
+      for (std::size_t i = 0; i < ttft_on.size(); ++i) {
+        (is_hit[i] ? hit_ttft : miss_ttft).push_back(ttft_on[i]);
+      }
+      const double hit_p50 = percentile(hit_ttft, 50.0);
+      speedups.push_back(hit_p50 > 0.0 ? percentile(miss_ttft, 50.0) / hit_p50 : 0.0);
     }
 
     const auto& pc = on.prefix_cache;
@@ -415,38 +452,22 @@ int main(int argc, char** argv) {
         std::to_string(pc.bytes_saved));
     pc_table.new_row().add_cell("blocks inserted / evicted").add_cell(
         std::to_string(pc.inserted_blocks) + " / " + std::to_string(pc.evicted_blocks));
-    pc_table.new_row().add_cell("TTFT p50 hit / miss (ms)").add_cell(
+    pc_table.new_row().add_cell("TTFT p50 hit / miss (ms, last run)").add_cell(
         format_double(1e3 * percentile(hit_ttft, 50.0), 3) + " / " +
         format_double(1e3 * percentile(miss_ttft, 50.0), 3));
-    pc_table.new_row().add_cell("TTFT p99 hit / miss (ms)").add_cell(
+    pc_table.new_row().add_cell("TTFT p99 hit / miss (ms, last run)").add_cell(
         format_double(1e3 * percentile(hit_ttft, 99.0), 3) + " / " +
         format_double(1e3 * percentile(miss_ttft, 99.0), 3));
     std::fputs((csv ? pc_table.to_csv() : pc_table.to_markdown()).c_str(), stdout);
-    const double speedup = percentile(hit_ttft, 50.0) > 0.0
-                               ? percentile(miss_ttft, 50.0) / percentile(hit_ttft, 50.0)
-                               : 0.0;
+    const double speedup = median(speedups);
     std::printf("\nTTFT on a hit covers only the per-user suffix prefill: %.1fx below\n",
                 speedup);
-    std::printf("a cold prompt on this run (acceptance bar: >= 5x at 7/8 reuse).\n");
-
-    // Invariants: the cache must not change one token, must conserve its
-    // counters, and must deliver the TTFT relief it exists for.
-    bool identical = on.requests.size() == off.requests.size();
-    for (std::size_t i = 0; identical && i < on.requests.size(); ++i) {
-      identical = on.requests[i].output == off.requests[i].output;
-    }
-    if (!identical) {
-      std::printf("ERROR: prefix cache changed the served token streams\n");
-      return 1;
-    }
-    if (pc.hits == 0 || pc.hits + pc.misses != pc.lookups ||
-        pc.lookups != pc_cfg.arrivals.total_requests) {
-      std::printf("ERROR: prefix-cache counters do not conserve (%zu + %zu != %zu)\n",
-                  pc.hits, pc.misses, pc.lookups);
-      return 1;
-    }
+    std::printf("a cold prompt, median of %d runs (spread %.1fx-%.1fx; acceptance bar:\n",
+                kRepeats, *std::min_element(speedups.begin(), speedups.end()),
+                *std::max_element(speedups.begin(), speedups.end()));
+    std::printf(">= 5x median at 7/8 reuse).\n");
     if (speedup < 5.0) {
-      std::printf("ERROR: cache-hit TTFT speedup %.2fx is below the 5x bar\n", speedup);
+      std::printf("ERROR: median cache-hit TTFT speedup %.2fx is below the 5x bar\n", speedup);
       return 1;
     }
   }

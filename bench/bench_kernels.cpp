@@ -3,8 +3,8 @@
 // whose efficiency the simulator's calibrated constants summarize).
 //
 // `bench_kernels --roofline-json[=path]` switches to the roofline tracker:
-// it measures this host's peak FMA GFLOP/s (simd::fma_probe_flops across all
-// OpenMP threads) and peak streaming GB/s, then times each weight-streaming
+// it measures this host's peak FMA GFLOP/s (simd::fma_probe_flops on every
+// kernel_pool() thread) and peak streaming GB/s, then times each weight-streaming
 // kernel and reports measured GB/s, GFLOP/s, arithmetic intensity, the
 // roofline ceiling min(peak_flops, AI * peak_bw), and the fraction of that
 // ceiling actually reached — the per-kernel efficiency numbers CI archives
@@ -20,6 +20,7 @@
 #include "core/cli.h"
 #include "core/rng.h"
 #include "core/stopwatch.h"
+#include "core/thread_pool.h"
 #include "quant/quantize.h"
 #include "quant/weight_matrix.h"
 #include "tensor/kernels.h"
@@ -159,16 +160,27 @@ double time_kernel(Fn&& fn, double min_time = 0.05) {
   return best;
 }
 
-// Peak FMA throughput: every OpenMP thread runs the register-resident probe
-// chain; total FLOPs / wall time. Best of many short repeats.
+// Per-shard partial sums of a kernel_pool() parallel_for, added in shard
+// order.
+template <class Fn>
+double sum_over_shards(std::size_t n, Fn&& fn) {
+  ThreadPool& pool = kernel_pool();
+  std::vector<double> partial(pool.shard_count(), 0.0);
+  pool.parallel_for(0, n, [&](std::size_t shard, std::size_t i) { partial[shard] += fn(i); });
+  double sum = 0.0;
+  for (double p : partial) sum += p;
+  return sum;
+}
+
+// Peak FMA throughput: one register-resident probe chain per kernel_pool()
+// thread; total FLOPs / wall time. Best of many short repeats.
 double measure_peak_gflops() {
   const std::size_t iters = 1 << 21;
   double best = 0.0;
   for (int rep = 0; rep < 10; ++rep) {
-    double flops = 0.0;
     Stopwatch watch;
-#pragma omp parallel reduction(+ : flops)
-    { flops += simd::fma_probe_flops(iters); }
+    const double flops = sum_over_shards(kernel_pool().shard_count(),
+                                         [&](std::size_t) { return simd::fma_probe_flops(iters); });
     best = std::max(best, flops / watch.elapsed_s());
   }
   return best / 1e9;
@@ -182,22 +194,19 @@ double measure_peak_gflops() {
 double measure_peak_gbps() {
   const std::size_t n = 16u << 20;  // 2 x 64 MiB of floats
   std::vector<float> a(n, 1.0f), b(n, 1.0f);
-  const std::ptrdiff_t chunks = 64;
-  const std::size_t chunk = n / static_cast<std::size_t>(chunks);
+  const std::size_t chunks = 64;
+  const std::size_t chunk = n / chunks;
   double best = 0.0;
   volatile float sink = 0.0f;
   // Many short passes: on shared hosts the best-of statistic needs enough
   // samples to dodge steal time, like time_kernel's repeats do.
   for (int rep = 0; rep < 10; ++rep) {
     Stopwatch watch;
-    float sum = 0.0f;
-#pragma omp parallel for reduction(+ : sum)
-    for (std::ptrdiff_t c = 0; c < chunks; ++c) {
-      const std::size_t at = static_cast<std::size_t>(c) * chunk;
-      sum += simd::dot_f32(a.data() + at, b.data() + at, chunk);
-    }
+    const double sum = sum_over_shards(chunks, [&](std::size_t c) {
+      return simd::dot_f32(a.data() + c * chunk, b.data() + c * chunk, chunk);
+    });
     best = std::max(best, 2.0 * static_cast<double>(n) * sizeof(float) / watch.elapsed_s());
-    sink = sink + sum;
+    sink = sink + static_cast<float>(sum);
   }
   (void)sink;
   return best / 1e9;

@@ -1,17 +1,61 @@
 #include "core/thread_pool.h"
 
-#include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <exception>
-#include <memory>
 
-#include "core/error.h"
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace orinsim {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+namespace {
+
+// How long an idle worker spins before it parks. It covers the gaps between
+// the parallel regions of one forward step (tens of microseconds), so a step
+// pays one wake-up at most; a process idle for longer burns no cores.
+constexpr auto kSpinFor = std::chrono::microseconds(100);
+
+thread_local bool t_in_shard = false;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#endif
+}
+
+}  // namespace
+
+struct ThreadPool::Job {
+  Body body;
+  const void* fn;
+  std::atomic<std::size_t> next;
+  std::size_t end;
+  std::atomic<bool> failed{false};
+  std::exception_ptr error{};
+
+  // Claims indices until the range is drained. Runs with the in-shard flag
+  // set, so parallel_for calls made by the body run inline.
+  void run_shard(std::size_t shard) {
+    const bool outer = t_in_shard;
+    t_in_shard = true;
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= end) break;
+      try {
+        body(fn, shard, i);
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
+      }
+    }
+    t_in_shard = outer;
   }
+};
+
+bool ThreadPool::in_shard() noexcept { return t_in_shard; }
+
+ThreadPool::ThreadPool(std::size_t threads) {
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -19,118 +63,91 @@ ThreadPool::ThreadPool(std::size_t threads) {
 }
 
 ThreadPool::~ThreadPool() {
+  stop_.store(true);
+  generation_.fetch_add(1);
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
+    std::lock_guard<std::mutex> lock(park_mutex_);
+    park_cv_.notify_all();
   }
-  cv_task_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  ORINSIM_CHECK(task != nullptr, "submit: null task");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ORINSIM_CHECK(!stop_, "submit after shutdown");
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-namespace {
-
-// Shared between the caller and the helper shards it submits. Owned by
-// shared_ptr so a helper that is still queued when the caller returns (all
-// indices already drained) runs harmlessly against live state and frees it
-// when the last reference drops.
-struct ParallelForState {
-  std::function<void(std::size_t, std::size_t)> fn;
-  std::atomic<std::size_t> next{0};
-  std::size_t end = 0;
-  std::size_t total = 0;
-  std::atomic<std::size_t> completed{0};
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::exception_ptr first_error;
-};
-
-void run_shard(const std::shared_ptr<ParallelForState>& st, std::size_t shard) {
-  for (;;) {
-    const std::size_t i = st->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= st->end) break;
-    try {
-      st->fn(shard, i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(st->mutex);
-      if (!st->first_error) st->first_error = std::current_exception();
-    }
-    if (st->completed.fetch_add(1, std::memory_order_acq_rel) + 1 == st->total) {
-      // Empty critical section pairs with the predicate check under the lock
-      // in the caller's wait, closing the check-then-sleep window.
-      { std::lock_guard<std::mutex> lock(st->mutex); }
-      st->cv.notify_all();
-    }
-  }
-}
-
-}  // namespace
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_for(begin, end,
-               [&fn](std::size_t /*shard*/, std::size_t i) { fn(i); });
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t, std::size_t)>& fn) {
+void ThreadPool::run(std::size_t begin, std::size_t end, Body body, const void* fn) {
   if (begin >= end) return;
-  ORINSIM_CHECK(fn != nullptr, "parallel_for: null body");
-  auto st = std::make_shared<ParallelForState>();
-  st->fn = fn;  // copied: queued helpers may outlive the caller's frame
-  st->next.store(begin, std::memory_order_relaxed);
-  st->end = end;
-  st->total = end - begin;
-
-  // Shard 0 is the caller; helpers occupy at most one shard per worker.
-  const std::size_t shards = std::min<std::size_t>(shard_count(), st->total);
-  for (std::size_t s = 1; s < shards; ++s) {
-    submit([st, s] { run_shard(st, s); });
+  Job job{body, fn, begin, end};
+  const std::size_t helpers = std::min(workers_.size(), end - begin - 1);
+  if (helpers == 0 || t_in_shard || busy_.exchange(true, std::memory_order_acquire)) {
+    job.run_shard(0);
+  } else {
+    job_ = &job;
+    finished_.store(0, std::memory_order_relaxed);
+    seats_.store(static_cast<std::ptrdiff_t>(helpers), std::memory_order_release);
+    // Pairs with the parked_ increment in worker_loop: either a parking
+    // worker sees the new generation or this sees it parking.
+    generation_.fetch_add(1);
+    if (parked_.load() > 0) {
+      std::lock_guard<std::mutex> lock(park_mutex_);
+      park_cv_.notify_all();
+    }
+    job.run_shard(0);
+    // Close the seats nobody took; wait only for the helpers that joined.
+    const std::ptrdiff_t open = seats_.exchange(0, std::memory_order_acq_rel);
+    const std::size_t joined =
+        helpers - static_cast<std::size_t>(std::max<std::ptrdiff_t>(open, 0));
+    for (unsigned spins = 0; finished_.load(std::memory_order_acquire) != joined; ++spins) {
+      if (spins < 4096) {
+        cpu_relax();
+      } else {
+        std::this_thread::yield();
+      }
+    }
+    busy_.store(false, std::memory_order_release);
   }
-  run_shard(st, 0);
-
-  // Wait on index completion, not helper completion: helpers stuck in the
-  // queue (e.g. behind the caller's own task in a nested call) are not
-  // needed once every index has been claimed and finished.
-  std::unique_lock<std::mutex> lock(st->mutex);
-  st->cv.wait(lock, [&] {
-    return st->completed.load(std::memory_order_acquire) == st->total;
-  });
-  if (st->first_error) std::rethrow_exception(st->first_error);
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 void ThreadPool::worker_loop() {
+  // The generation at construction: a worker that starts late still sees
+  // every bump made since, the destructor's included.
+  std::uint64_t seen = 0;
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
+    const auto deadline = std::chrono::steady_clock::now() + kSpinFor;
+    std::uint64_t gen = generation_.load(std::memory_order_acquire);
+    for (unsigned spins = 1; gen == seen; ++spins) {
+      if (spins % 64 != 0 || std::chrono::steady_clock::now() < deadline) {
+        cpu_relax();
+      } else {
+        std::unique_lock<std::mutex> lock(park_mutex_);
+        parked_.fetch_add(1);
+        park_cv_.wait(lock, [&] { return generation_.load() != seen; });
+        parked_.fetch_sub(1);
+      }
+      gen = generation_.load(std::memory_order_acquire);
     }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
+    seen = gen;
+    if (stop_.load(std::memory_order_acquire)) return;
+    // Seats count down from the number of helpers; a seat number is the
+    // shard identity. Taking the seat orders this read of job_ after the
+    // caller's store of it.
+    const std::ptrdiff_t seat = seats_.fetch_sub(1, std::memory_order_acq_rel);
+    if (seat <= 0) continue;
+    job_->run_shard(static_cast<std::size_t>(seat));
+    finished_.fetch_add(1, std::memory_order_release);
   }
+}
+
+std::size_t kernel_thread_count(const char* value) {
+  if (value != nullptr && *value != '\0') {
+    char* tail = nullptr;
+    const long n = std::strtol(value, &tail, 10);
+    if (*tail == '\0' && n > 0) return static_cast<std::size_t>(n);
+  }
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+ThreadPool& kernel_pool() {
+  static ThreadPool pool(kernel_thread_count(std::getenv("OMP_NUM_THREADS")) - 1);
+  return pool;
 }
 
 }  // namespace orinsim

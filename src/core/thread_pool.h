@@ -1,23 +1,28 @@
-// A small fixed-size thread pool with a blocking parallel_for. The functional
-// engine's kernels use OpenMP directly; the pool serves coarse-grained
-// parallelism in the harness (independent sweep points) where nested OpenMP
-// regions would oversubscribe.
+// The one parallel runtime: a fixed-size fork/join pool. The kernels fan
+// their row loops out on the process-wide kernel_pool(); the serving and
+// decode paths shard lanes on pools they own. A parallel_for issued from
+// inside any pool's shard runs its whole range inline on the calling thread,
+// so the two levels never oversubscribe the cores: lane shards run their
+// kernels serially, a lone caller fans kernel rows out.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
+#include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace orinsim {
 
 class ThreadPool {
  public:
-  // threads == 0 means hardware_concurrency (at least 1).
-  explicit ThreadPool(std::size_t threads = 0);
+  // `threads` workers beside the calling thread; 0 runs every call inline.
+  explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -25,44 +30,87 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  // Enqueue a task; returns immediately.
-  void submit(std::function<void()> task);
-
-  // Block until all submitted tasks have finished.
-  void wait_idle();
-
-  // Run fn(i) for i in [begin, end) across the pool and wait. Exceptions
-  // thrown by fn are rethrown (first one wins) after all indices complete.
-  //
-  // The calling thread executes shard work inline, so parallel_for is safe
-  // to invoke from inside a pool worker: even if every queued helper shard
-  // sits behind the caller's own task, the caller drains the index range
-  // itself and only waits for indices already claimed by running helpers.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn);
-
-  // Like parallel_for, but fn(shard, i) also receives the identity of the
-  // executing shard: a stable value in [0, shard_count()) for the duration of
-  // the call, with at most one index running per shard at a time. Callers use
-  // it to index per-shard scratch (e.g. one InferenceWorkspace per worker).
-  // Shard 0 is always the calling thread.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
-
   // Upper bound on the shard index parallel_for passes to fn: the workers
   // plus the calling thread.
   std::size_t shard_count() const noexcept { return workers_.size() + 1; }
 
+  // Run fn(i), or fn(shard, i), for i in [begin, end) and wait. Exceptions
+  // thrown by fn are rethrown (first one wins) after all indices complete.
+  //
+  // shard is stable in [0, shard_count()) for the duration of the call, with
+  // at most one index running per shard at a time, so callers can index
+  // per-shard scratch with it. Shard 0 is always the calling thread.
+  //
+  // The whole range runs inline as shard 0 when the call comes from inside a
+  // shard of any pool, or while another thread's call holds this pool.
+  // Workers that have not joined by the time the caller drains the range are
+  // not waited for.
+  template <class Fn>
+  void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
+    run(begin, end, &invoke<std::remove_cvref_t<Fn>>, std::addressof(fn));
+  }
+
+  // Split [0, rows) into at most shard_count() contiguous ranges and run
+  // fn(r0, r1) on each. Below min_rows, or inside a shard, it is one
+  // fn(0, rows) on the calling thread. Kernels whose rows are independent
+  // give bit-identical results for any split.
+  template <class Fn>
+  void parallel_rows(std::size_t rows, std::size_t min_rows, Fn&& fn) {
+    if (rows == 0) return;
+    const std::size_t ranges =
+        rows < min_rows || in_shard() ? 1 : std::min(shard_count(), rows);
+    if (ranges == 1) {
+      fn(std::size_t{0}, rows);
+      return;
+    }
+    parallel_for(0, ranges,
+                 [&](std::size_t k) { fn(k * rows / ranges, (k + 1) * rows / ranges); });
+  }
+
  private:
+  // Whether the calling thread is running a shard of some pool.
+  static bool in_shard() noexcept;
+
+  using Body = void (*)(const void* fn, std::size_t shard, std::size_t i);
+  struct Job;
+
+  template <class F>
+  static void invoke(const void* fn, std::size_t shard, std::size_t i) {
+    const F& f = *static_cast<const F*>(fn);
+    if constexpr (std::is_invocable_v<const F&, std::size_t, std::size_t>) {
+      f(shard, i);
+    } else {
+      f(i);
+    }
+  }
+
+  void run(std::size_t begin, std::size_t end, Body body, const void* fn);
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
-  bool stop_ = false;
+  // Fork/join state. A call publishes its Job, opens one seat per helper it
+  // wants and bumps generation_; workers spin briefly on generation_, then
+  // park on park_cv_. A worker takes a seat before it touches the Job, and
+  // the caller closes the unclaimed seats once it has drained the range
+  // itself.
+  std::atomic<bool> busy_{false};
+  std::atomic<std::uint64_t> generation_{0};
+  std::atomic<std::ptrdiff_t> seats_{0};
+  std::atomic<std::size_t> finished_{0};
+  std::atomic<bool> stop_{false};
+  Job* job_ = nullptr;
+  std::mutex park_mutex_;
+  std::condition_variable park_cv_;
+  std::atomic<std::size_t> parked_{0};
 };
+
+// Total kernel threads for an OMP_NUM_THREADS value: a positive integer, or
+// hardware concurrency (at least 1) when the value is null, empty or invalid.
+std::size_t kernel_thread_count(const char* value);
+
+// The process-wide pool the kernels fan their rows out on:
+// kernel_thread_count(getenv("OMP_NUM_THREADS")) threads in total, the
+// caller plus that many minus one workers, started on first use.
+ThreadPool& kernel_pool();
 
 }  // namespace orinsim

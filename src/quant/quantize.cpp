@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/error.h"
+#include "core/thread_pool.h"
 #include "tensor/simd.h"
 
 namespace orinsim::quant {
@@ -180,12 +181,9 @@ void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
     float* dst = x_out.data() + t * n_out;
     for (std::size_t o = 0; o < n_out; ++o) dst[o] = xt[q.outlier_cols[o]];
   }
-#pragma omp parallel if (q.rows >= 256)
-  {
+  kernel_pool().parallel_rows(q.rows, 256, [&](std::size_t r0, std::size_t r1) {
     std::vector<std::int64_t> dots(tokens);
-#pragma omp for
-    for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-      const auto r = static_cast<std::size_t>(rs);
+    for (std::size_t r = r0; r < r1; ++r) {
       const std::int8_t* codes = q.codes.data() + r * q.cols;
       // Outlier weights were converted to fp32 once at quantize time.
       const float* w_out = q.outlier_f32.data() + r * n_out;
@@ -201,7 +199,7 @@ void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
         y[t * q.rows + r] = result;
       }
     }
-  }
+  });
 }
 
 void matvec_int8_multi(const RowwiseInt8& q, std::span<const float> x,
@@ -214,17 +212,16 @@ void matvec_int8_multi(const RowwiseInt8& q, std::span<const float> x,
   // Lanes go through int8_rows in stack tiles, the per-(lane, row)
   // arithmetic matvec_int8 runs for one lane, so every lane is bit-identical
   // to the single matvec at both kernel levels; the hot loop is
-  // allocation-free.
-  const std::size_t chunks = (q.rows + kRowChunk - 1) / kRowChunk;
-#pragma omp parallel for if (q.rows >= 256)
-  for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(chunks); ++c) {
-    const std::size_t r0 = static_cast<std::size_t>(c) * kRowChunk;
-    for (std::size_t t0 = 0; t0 < lanes; t0 += kLaneTile) {
-      int8_rows(q, r0, std::min(r0 + kRowChunk, q.rows), x.data() + t0 * q.cols,
-                acts.codes.data() + t0 * q.cols, acts.scales.data() + t0,
-                std::min(kLaneTile, lanes - t0), y.data() + t0 * q.rows, q.rows);
+  // allocation-free. Row sums do not depend on where a chunk starts.
+  kernel_pool().parallel_rows(q.rows, 256, [&](std::size_t r_begin, std::size_t r_end) {
+    for (std::size_t r0 = r_begin; r0 < r_end; r0 += kRowChunk) {
+      for (std::size_t t0 = 0; t0 < lanes; t0 += kLaneTile) {
+        int8_rows(q, r0, std::min(r0 + kRowChunk, r_end), x.data() + t0 * q.cols,
+                  acts.codes.data() + t0 * q.cols, acts.scales.data() + t0,
+                  std::min(kLaneTile, lanes - t0), y.data() + t0 * q.rows, q.rows);
+      }
     }
-  }
+  });
 }
 
 void matmul_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> y,
@@ -340,23 +337,23 @@ bool int4_native_path(const BlockInt4& q) {
 // Scalar reference matvec: unpack + dequantize per block, float accumulate.
 // The bit-exact reference — unchanged since the seed.
 void matvec_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<float> out) {
-#pragma omp parallel for if (q.rows >= 256)
-  for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-    const auto r = static_cast<std::size_t>(rs);
-    float acc = 0.0f;
-    for (std::size_t b = 0; b < q.blocks_per_row; ++b) {
-      const float scale = fp16_to_float(q.block_scale[r * q.blocks_per_row + b]);
-      float blk_acc = 0.0f;
-      const float* xb = x.data() + b * kInt4Block;
-      for (std::size_t i = 0; i < kInt4Block; i += 2) {
-        const std::uint8_t byte = q.packed[(r * q.cols + b * kInt4Block + i) / 2];
-        blk_acc += static_cast<float>(unpack_lo(byte)) * xb[i];
-        blk_acc += static_cast<float>(unpack_hi(byte)) * xb[i + 1];
+  kernel_pool().parallel_rows(q.rows, 256, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      float acc = 0.0f;
+      for (std::size_t b = 0; b < q.blocks_per_row; ++b) {
+        const float scale = fp16_to_float(q.block_scale[r * q.blocks_per_row + b]);
+        float blk_acc = 0.0f;
+        const float* xb = x.data() + b * kInt4Block;
+        for (std::size_t i = 0; i < kInt4Block; i += 2) {
+          const std::uint8_t byte = q.packed[(r * q.cols + b * kInt4Block + i) / 2];
+          blk_acc += static_cast<float>(unpack_lo(byte)) * xb[i];
+          blk_acc += static_cast<float>(unpack_hi(byte)) * xb[i + 1];
+        }
+        acc += blk_acc * scale;
       }
-      acc += blk_acc * scale;
+      out[r] = acc;
     }
-    out[r] = acc;
-  }
+  });
 }
 
 // Scalar reference matmul: tile tokens so per-token block accumulators live
@@ -366,49 +363,46 @@ void matvec_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<
 void matmul_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<float> y,
                         std::size_t tokens) {
   constexpr std::size_t kTokenTile = 8;
-#pragma omp parallel for if (q.rows >= 256)
-  for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-    const auto r = static_cast<std::size_t>(rs);
-    for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
-      const std::size_t tile = std::min(kTokenTile, tokens - t0);
-      float acc[kTokenTile] = {};
-      for (std::size_t b = 0; b < q.blocks_per_row; ++b) {
-        const float scale = fp16_to_float(q.block_scale[r * q.blocks_per_row + b]);
-        float blk_acc[kTokenTile] = {};
-        for (std::size_t i = 0; i < kInt4Block; i += 2) {
-          const std::uint8_t byte = q.packed[(r * q.cols + b * kInt4Block + i) / 2];
-          const float lo = static_cast<float>(unpack_lo(byte));
-          const float hi = static_cast<float>(unpack_hi(byte));
-          for (std::size_t t = 0; t < tile; ++t) {
-            const float* xb = x.data() + (t0 + t) * q.cols + b * kInt4Block;
-            blk_acc[t] += lo * xb[i];
-            blk_acc[t] += hi * xb[i + 1];
+  kernel_pool().parallel_rows(q.rows, 256, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
+        const std::size_t tile = std::min(kTokenTile, tokens - t0);
+        float acc[kTokenTile] = {};
+        for (std::size_t b = 0; b < q.blocks_per_row; ++b) {
+          const float scale = fp16_to_float(q.block_scale[r * q.blocks_per_row + b]);
+          float blk_acc[kTokenTile] = {};
+          for (std::size_t i = 0; i < kInt4Block; i += 2) {
+            const std::uint8_t byte = q.packed[(r * q.cols + b * kInt4Block + i) / 2];
+            const float lo = static_cast<float>(unpack_lo(byte));
+            const float hi = static_cast<float>(unpack_hi(byte));
+            for (std::size_t t = 0; t < tile; ++t) {
+              const float* xb = x.data() + (t0 + t) * q.cols + b * kInt4Block;
+              blk_acc[t] += lo * xb[i];
+              blk_acc[t] += hi * xb[i + 1];
+            }
           }
+          for (std::size_t t = 0; t < tile; ++t) acc[t] += blk_acc[t] * scale;
         }
-        for (std::size_t t = 0; t < tile; ++t) acc[t] += blk_acc[t] * scale;
+        for (std::size_t t = 0; t < tile; ++t) y[(t0 + t) * q.rows + r] = acc[t];
       }
-      for (std::size_t t = 0; t < tile; ++t) y[(t0 + t) * q.rows + r] = acc[t];
     }
-  }
+  });
 }
 
 // Packed kernel over a pre-quantized activation batch: one weight unpack
 // serves every column; per-column results are independent of the batch.
 void matmul_int4_packed(const BlockInt4& q, const std::int8_t* codes, const float* scales,
                         std::size_t stride, std::span<float> y, std::size_t tokens) {
-#pragma omp parallel if (q.rows >= 256)
-  {
+  kernel_pool().parallel_rows(q.rows, 256, [&](std::size_t r0, std::size_t r1) {
     std::vector<float> tmp(tokens);
-#pragma omp for
-    for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(q.rows); ++rs) {
-      const auto r = static_cast<std::size_t>(rs);
+    for (std::size_t r = r0; r < r1; ++r) {
       simd::dot_i4_i8_multi(
           q.packed_kernel.data() + r * q.blocks_per_row * simd::kInt4KernelBlockBytes,
           q.scale_f32.data() + r * q.blocks_per_row, q.blocks_per_row, codes, stride, tokens,
           tmp.data());
       for (std::size_t t = 0; t < tokens; ++t) y[t * q.rows + r] = tmp[t] * scales[t];
     }
-  }
+  });
 }
 
 }  // namespace

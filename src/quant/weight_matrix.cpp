@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/error.h"
+#include "core/thread_pool.h"
 #include "tensor/simd.h"
 
 namespace orinsim::quant {
@@ -49,26 +50,16 @@ void WeightMatrix::matvec(std::span<const float> x, std::span<float> out) const 
   ORINSIM_CHECK(x.size() == in_features_ && out.size() == out_features_,
                 "WeightMatrix::matvec shape mismatch");
   switch (dtype_) {
-    case DType::kF32: {
-#pragma omp parallel for if (out_features_ >= 256)
-      for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(out_features_); ++rs) {
-        const auto r = static_cast<std::size_t>(rs);
-        const float* wr = f32_.data() + r * in_features_;
-        out[r] = simd::dot_f32(wr, x.data(), in_features_);
-      }
+    case DType::kF32:
+      kernel_pool().parallel_rows(out_features_, 256, [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          out[r] = simd::dot_f32(f32_.data() + r * in_features_, x.data(), in_features_);
+        }
+      });
       break;
-    }
-    case DType::kF16: {
-#pragma omp parallel for if (out_features_ >= 256)
-      for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(out_features_); ++rs) {
-        const auto r = static_cast<std::size_t>(rs);
-        const fp16_t* wr = f16_.data() + r * in_features_;
-        float acc = 0.0f;
-        for (std::size_t c = 0; c < in_features_; ++c) acc += fp16_to_float(wr[c]) * x[c];
-        out[r] = acc;
-      }
+    case DType::kF16:
+      matmul(x, out, 1);  // one fp16 loop for every shape
       break;
-    }
     case DType::kI8:
       matvec_int8(i8_, x, out);
       break;
@@ -92,42 +83,24 @@ void WeightMatrix::matvec_multi(std::span<const float> x, std::span<float> y,
         return;
       }
       constexpr std::size_t kLaneTile = 8;
-#pragma omp parallel for if (out_features_ >= 256)
-      for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(out_features_); ++rs) {
-        const auto r = static_cast<std::size_t>(rs);
-        const float* wr = f32_.data() + r * in_features_;
-        float tmp[kLaneTile];
-        for (std::size_t t0 = 0; t0 < lanes; t0 += kLaneTile) {
-          const std::size_t tile = std::min(kLaneTile, lanes - t0);
-          simd::dot_f32_multi(wr, x.data() + t0 * in_features_, in_features_, tile,
-                              in_features_, tmp);
-          for (std::size_t t = 0; t < tile; ++t) y[(t0 + t) * out_features_ + r] = tmp[t];
+      kernel_pool().parallel_rows(out_features_, 256, [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          const float* wr = f32_.data() + r * in_features_;
+          float tmp[kLaneTile];
+          for (std::size_t t0 = 0; t0 < lanes; t0 += kLaneTile) {
+            const std::size_t tile = std::min(kLaneTile, lanes - t0);
+            simd::dot_f32_multi(wr, x.data() + t0 * in_features_, in_features_, tile,
+                                in_features_, tmp);
+            for (std::size_t t = 0; t < tile; ++t) y[(t0 + t) * out_features_ + r] = tmp[t];
+          }
         }
-      }
+      });
       return;
     }
     case DType::kF16:
-      if (simd::active_level() == simd::Level::kNative) {
-        // Row dequantized once, SIMD dot per lane (the matmul path): the
-        // expensive software fp16 conversion is paid once per row instead of
-        // once per (row, lane). Reorders fp32 accumulation vs. the inline
-        // matvec — FMA-tolerance contract, still batch-independent.
-        matmul(x, y, lanes);
-      } else {
-        // kScalar: the exact inline conversion + accumulation sequence of
-        // the fp16 matvec, per lane.
-#pragma omp parallel for if (out_features_ >= 256)
-        for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(out_features_); ++rs) {
-          const auto r = static_cast<std::size_t>(rs);
-          const fp16_t* wr = f16_.data() + r * in_features_;
-          for (std::size_t t = 0; t < lanes; ++t) {
-            const float* xt = x.data() + t * in_features_;
-            float acc = 0.0f;
-            for (std::size_t c = 0; c < in_features_; ++c) acc += fp16_to_float(wr[c]) * xt[c];
-            y[t * out_features_ + r] = acc;
-          }
-        }
-      }
+      // Lanes and chunks share matmul's loop, so a lane equals a chunk row
+      // and a single matvec bit-for-bit at both kernel levels.
+      matmul(x, y, lanes);
       return;
     case DType::kI8:
       quantize_activations_int8(x, lanes, in_features_, act_scratch);
@@ -160,25 +133,22 @@ void WeightMatrix::matmul(std::span<const float> x, std::span<float> y,
       // under the SIMD microkernel instead of re-streaming W per token).
       simd::gemm_nt_f32(x.data(), f32_.data(), y.data(), tokens, in_features_, out_features_);
       return;
-    case DType::kF16: {
-      // Dequantize each weight row once, then dot it against every token.
-      // The per-(token, row) float sequence matches the fp16 matvec exactly.
-#pragma omp parallel if (out_features_ >= 64)
-      {
+    case DType::kF16:
+      // Dequantize each weight row once (the software fp16 conversion is
+      // paid once per row, not per (row, token)), then dot it against every
+      // token. A (token, row) result does not depend on the token count.
+      kernel_pool().parallel_rows(out_features_, 64, [&](std::size_t r0, std::size_t r1) {
         std::vector<float> row(in_features_);
-#pragma omp for
-        for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(out_features_); ++rs) {
-          const auto r = static_cast<std::size_t>(rs);
+        for (std::size_t r = r0; r < r1; ++r) {
           const fp16_t* wr = f16_.data() + r * in_features_;
           for (std::size_t c = 0; c < in_features_; ++c) row[c] = fp16_to_float(wr[c]);
           for (std::size_t t = 0; t < tokens; ++t) {
-            y[t * out_features_ + r] = simd::dot_f32(x.data() + t * in_features_,
-                                                     row.data(), in_features_);
+            y[t * out_features_ + r] =
+                simd::dot_f32(x.data() + t * in_features_, row.data(), in_features_);
           }
         }
-      }
+      });
       return;
-    }
   }
 }
 

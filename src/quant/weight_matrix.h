@@ -37,7 +37,8 @@ class WeightMatrix {
   // Y[t, :] = W * X[t, :] for t in [0, tokens); X is [tokens, in], Y is
   // [tokens, out]. INT8/INT4 use the blocked multi-token kernels (each
   // weight row streamed once for all tokens, activations quantized once per
-  // token); other precisions run per-token matvecs parallel over tokens.
+  // token); FP32 streams each weight row once for all tokens, FP16
+  // dequantizes each row once and dots it against every token.
   void matmul(std::span<const float> x, std::span<float> y, std::size_t tokens) const;
 
   // Lane-batched matvec: one activation column per decode lane (X is
@@ -46,11 +47,10 @@ class WeightMatrix {
   //
   // Contract (what lets Model::forward batch arbitrary subsets of lanes):
   // lane t's result is bit-identical to matvec(X[t]) at the active kernel
-  // level for kF32/kI8/kI4, and independent of the batch composition for
-  // every dtype. kF16 is batch-independent too, but only bit-matches the
-  // single matvec at kScalar — at kNative each row is dequantized once and
-  // dotted per lane (the matmul path), which reorders the fp32 accumulation
-  // within FMA tolerance. act_scratch feeds the INT8/INT4 paths.
+  // level, and independent of the batch composition, for every dtype. kF16
+  // lanes run the matmul loop (each row dequantized once, dotted per lane),
+  // so they also equal a chunk row bit-for-bit. act_scratch feeds the
+  // INT8/INT4 paths.
   void matvec_multi(std::span<const float> x, std::span<float> y, std::size_t lanes,
                     ActivationBatchInt8& act_scratch) const;
 

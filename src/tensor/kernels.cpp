@@ -4,12 +4,13 @@
 #include <cmath>
 
 #include "core/error.h"
+#include "core/thread_pool.h"
 #include "tensor/simd.h"
 
 namespace orinsim::kernels {
 
 namespace {
-// Rows below this threshold run serially; OpenMP fork/join costs more than it
+// Rows below this threshold run serially; the fork/join costs more than it
 // saves on tiny batches.
 constexpr std::size_t kParallelRowThreshold = 8;
 }  // namespace
@@ -34,35 +35,37 @@ void scale_inplace(std::span<float> x, float factor) {
 
 void softmax_rows(std::span<float> x, std::size_t rows, std::size_t cols) {
   ORINSIM_CHECK(x.size() == rows * cols, "softmax: shape mismatch");
-#pragma omp parallel for if (rows >= kParallelRowThreshold)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
-    float* xr = x.data() + static_cast<std::size_t>(r) * cols;
-    float mx = xr[0];
-    for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, xr[c]);
-    float sum = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) {
-      xr[c] = std::exp(xr[c] - mx);
-      sum += xr[c];
+  kernel_pool().parallel_rows(rows, kParallelRowThreshold, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      float* xr = x.data() + r * cols;
+      float mx = xr[0];
+      for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, xr[c]);
+      float sum = 0.0f;
+      for (std::size_t c = 0; c < cols; ++c) {
+        xr[c] = std::exp(xr[c] - mx);
+        sum += xr[c];
+      }
+      const float inv = 1.0f / sum;
+      for (std::size_t c = 0; c < cols; ++c) xr[c] *= inv;
     }
-    const float inv = 1.0f / sum;
-    for (std::size_t c = 0; c < cols; ++c) xr[c] *= inv;
-  }
+  });
 }
 
 void rmsnorm_rows(std::span<const float> x, std::span<const float> gain, std::span<float> y,
                   std::size_t rows, std::size_t cols, float eps) {
   ORINSIM_CHECK(x.size() == rows * cols && y.size() == x.size() && gain.size() == cols,
                 "rmsnorm: shape mismatch");
-#pragma omp parallel for if (rows >= kParallelRowThreshold)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
-    const float* xr = x.data() + static_cast<std::size_t>(r) * cols;
-    float* yr = y.data() + static_cast<std::size_t>(r) * cols;
-    double ss = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) ss += static_cast<double>(xr[c]) * xr[c];
-    const float inv_rms =
-        1.0f / std::sqrt(static_cast<float>(ss / static_cast<double>(cols)) + eps);
-    for (std::size_t c = 0; c < cols; ++c) yr[c] = xr[c] * inv_rms * gain[c];
-  }
+  kernel_pool().parallel_rows(rows, kParallelRowThreshold, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      const float* xr = x.data() + r * cols;
+      float* yr = y.data() + r * cols;
+      double ss = 0.0;
+      for (std::size_t c = 0; c < cols; ++c) ss += static_cast<double>(xr[c]) * xr[c];
+      const float inv_rms =
+          1.0f / std::sqrt(static_cast<float>(ss / static_cast<double>(cols)) + eps);
+      for (std::size_t c = 0; c < cols; ++c) yr[c] = xr[c] * inv_rms * gain[c];
+    }
+  });
 }
 
 void layernorm_rows(std::span<const float> x, std::span<const float> gain,
@@ -71,21 +74,22 @@ void layernorm_rows(std::span<const float> x, std::span<const float> gain,
   ORINSIM_CHECK(x.size() == rows * cols && y.size() == x.size() && gain.size() == cols &&
                     bias.size() == cols,
                 "layernorm: shape mismatch");
-#pragma omp parallel for if (rows >= kParallelRowThreshold)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
-    const float* xr = x.data() + static_cast<std::size_t>(r) * cols;
-    float* yr = y.data() + static_cast<std::size_t>(r) * cols;
-    double sum = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) sum += xr[c];
-    const double m = sum / static_cast<double>(cols);
-    double var = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) var += (xr[c] - m) * (xr[c] - m);
-    var /= static_cast<double>(cols);
-    const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-    for (std::size_t c = 0; c < cols; ++c) {
-      yr[c] = (xr[c] - static_cast<float>(m)) * inv * gain[c] + bias[c];
+  kernel_pool().parallel_rows(rows, kParallelRowThreshold, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      const float* xr = x.data() + r * cols;
+      float* yr = y.data() + r * cols;
+      double sum = 0.0;
+      for (std::size_t c = 0; c < cols; ++c) sum += xr[c];
+      const double m = sum / static_cast<double>(cols);
+      double var = 0.0;
+      for (std::size_t c = 0; c < cols; ++c) var += (xr[c] - m) * (xr[c] - m);
+      var /= static_cast<double>(cols);
+      const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps);
+      for (std::size_t c = 0; c < cols; ++c) {
+        yr[c] = (xr[c] - static_cast<float>(m)) * inv * gain[c] + bias[c];
+      }
     }
-  }
+  });
 }
 
 void silu_inplace(std::span<float> x) {
@@ -175,11 +179,11 @@ void matvec(std::span<const float> a, std::span<const float> x, std::span<float>
             std::size_t rows, std::size_t cols) {
   ORINSIM_CHECK(a.size() == rows * cols && x.size() == cols && out.size() == rows,
                 "matvec: shape mismatch");
-#pragma omp parallel for if (rows >= 64)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
-    const float* ar = a.data() + static_cast<std::size_t>(r) * cols;
-    out[static_cast<std::size_t>(r)] = simd::dot_f32(ar, x.data(), cols);
-  }
+  kernel_pool().parallel_rows(rows, 64, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      out[r] = simd::dot_f32(a.data() + r * cols, x.data(), cols);
+    }
+  });
 }
 
 void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<float> out,
@@ -195,17 +199,17 @@ void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<
   // Columns go through dot_f32_multi in stack tiles (its per-column results
   // do not depend on the tile), so the hot loop never allocates.
   constexpr std::size_t kLaneTile = 8;
-#pragma omp parallel for if (rows >= 64)
-  for (std::ptrdiff_t rs = 0; rs < static_cast<std::ptrdiff_t>(rows); ++rs) {
-    const auto r = static_cast<std::size_t>(rs);
-    const float* ar = a.data() + r * cols;
-    float tmp[kLaneTile];
-    for (std::size_t t0 = 0; t0 < lanes; t0 += kLaneTile) {
-      const std::size_t tile = std::min(kLaneTile, lanes - t0);
-      simd::dot_f32_multi(ar, x.data() + t0 * cols, cols, tile, cols, tmp);
-      for (std::size_t t = 0; t < tile; ++t) out[(t0 + t) * rows + r] = tmp[t];
+  kernel_pool().parallel_rows(rows, 64, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      const float* ar = a.data() + r * cols;
+      float tmp[kLaneTile];
+      for (std::size_t t0 = 0; t0 < lanes; t0 += kLaneTile) {
+        const std::size_t tile = std::min(kLaneTile, lanes - t0);
+        simd::dot_f32_multi(ar, x.data() + t0 * cols, cols, tile, cols, tmp);
+        for (std::size_t t = 0; t < tile; ++t) out[(t0 + t) * rows + r] = tmp[t];
+      }
     }
-  }
+  });
 }
 
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
@@ -214,23 +218,26 @@ void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c
                 "gemm: shape mismatch");
   std::fill(c.begin(), c.end(), 0.0f);
   constexpr std::size_t kBlock = 64;
-#pragma omp parallel for if (m >= kParallelRowThreshold)
-  for (std::ptrdiff_t i0s = 0; i0s < static_cast<std::ptrdiff_t>(m); i0s += kBlock) {
-    const std::size_t i0 = static_cast<std::size_t>(i0s);
-    const std::size_t i_end = std::min(i0 + kBlock, m);
-    for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
-      const std::size_t p_end = std::min(p0 + kBlock, k);
-      for (std::size_t i = i0; i < i_end; ++i) {
-        const float* ai = a.data() + i * k;
-        float* ci = c.data() + i * n;
-        for (std::size_t p = p0; p < p_end; ++p) {
-          const float av = ai[p];
-          const float* bp = b.data() + p * n;
-          for (std::size_t j = 0; j < n; ++j) ci[j] += av * bp[j];
+  // Row blocks are the unit of work (fewer than kParallelRowThreshold rows
+  // are one block); a row's sums run in p order either way.
+  const std::size_t blocks = (m + kBlock - 1) / kBlock;
+  kernel_pool().parallel_rows(blocks, 1, [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t i0 = b0 * kBlock; i0 < std::min(b1 * kBlock, m); i0 += kBlock) {
+      const std::size_t i_end = std::min(i0 + kBlock, m);
+      for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
+        const std::size_t p_end = std::min(p0 + kBlock, k);
+        for (std::size_t i = i0; i < i_end; ++i) {
+          const float* ai = a.data() + i * k;
+          float* ci = c.data() + i * n;
+          for (std::size_t p = p0; p < p_end; ++p) {
+            const float av = ai[p];
+            const float* bp = b.data() + p * n;
+            for (std::size_t j = 0; j < n; ++j) ci[j] += av * bp[j];
+          }
         }
       }
     }
-  }
+  });
 }
 
 std::size_t argmax(std::span<const float> x) {

@@ -2,8 +2,10 @@
 //
 // Conventions:
 //  - Activations are row-major [tokens, features] spans.
-//  - All kernels are pure functions over spans; OpenMP-parallel over rows
-//    where the row count justifies it.
+//  - All kernels are pure functions over spans; their row loops fan out on
+//    kernel_pool() where the row count justifies it (inline when called from
+//    inside a pool shard). Rows are independent, so results do not depend on
+//    the thread count.
 //  - Weight matmuls live in quant/ (they dispatch on storage precision);
 //    these kernels cover everything else in a transformer block.
 #pragma once
@@ -88,7 +90,7 @@ void matvec(std::span<const float> a, std::span<const float> x, std::span<float>
 void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<float> out,
                   std::size_t rows, std::size_t cols, std::size_t lanes);
 
-// Plain fp32 GEMM: C[m,n] = A[m,k] * B[k,n]. Blocked + OpenMP. Used by tests
+// Plain fp32 GEMM: C[m,n] = A[m,k] * B[k,n]. Blocked, parallel over row blocks. Used by tests
 // as the reference for quantized matmuls and by the trainer.
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
           std::size_t m, std::size_t k, std::size_t n);

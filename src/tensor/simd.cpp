@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/error.h"
+#include "core/thread_pool.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define ORINSIM_SIMD_X86 1
@@ -444,23 +445,21 @@ void gemm_nt_f32(const float* x, const float* w, float* y, std::size_t tokens, s
                  std::size_t rows) {
 #if ORINSIM_SIMD_X86
   if (active_level() == Level::kNative) {
-#pragma omp parallel for if (rows >= 64)
-    for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
-      gemm_nt_row_avx2(x, w + static_cast<std::size_t>(r) * k, y, tokens, k, rows,
-                       static_cast<std::size_t>(r));
-    }
+    kernel_pool().parallel_rows(rows, 64, [&](std::size_t r0, std::size_t r1) {
+      for (std::size_t r = r0; r < r1; ++r) gemm_nt_row_avx2(x, w + r * k, y, tokens, k, rows, r);
+    });
     return;
   }
 #endif
   // Scalar: each output entry is the exact dot_f32_scalar float sequence, so
   // chunked projections match token-at-a-time matvecs bit-for-bit.
-#pragma omp parallel for if (rows >= 64)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
-    const float* wr = w + static_cast<std::size_t>(r) * k;
-    for (std::size_t t = 0; t < tokens; ++t) {
-      y[t * rows + static_cast<std::size_t>(r)] = dot_f32_scalar(x + t * k, wr, k);
+  kernel_pool().parallel_rows(rows, 64, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      for (std::size_t t = 0; t < tokens; ++t) {
+        y[t * rows + r] = dot_f32_scalar(x + t * k, w + r * k, k);
+      }
     }
-  }
+  });
 }
 
 double fma_probe_flops(std::size_t iters) {

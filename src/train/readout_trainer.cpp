@@ -6,6 +6,7 @@
 
 #include "core/error.h"
 #include "core/logging.h"
+#include "core/thread_pool.h"
 #include "core/rng.h"
 #include "tensor/kernels.h"
 
@@ -100,38 +101,38 @@ TrainReport train_readout(MasterWeights& master, const std::vector<TokenId>& tok
         for (float& p : pj) p = static_cast<float>(std::exp(static_cast<double>(p) - lse));
         pj[target] -= 1.0f;
       }
-      // One region per minibatch: each vocab row accumulates the minibatch
-      // in order, so every gradient element sums in the same order as a
-      // per-token pass.
-#pragma omp parallel for
-      for (std::ptrdiff_t cs = 0; cs < static_cast<std::ptrdiff_t>(vocab); ++cs) {
-        const auto c = static_cast<std::size_t>(cs);
-        float* gc = grad.data() + c * d;
-        std::fill(gc, gc + d, 0.0f);
-        for (std::size_t j = 0; j < mb; ++j) {
-          const float p = probs[j * vocab + c];
-          if (p == 0.0f) continue;
-          const float* h = mb_features.data() + j * d;
-          for (std::size_t k = 0; k < d; ++k) gc[k] += p * h[k];
+      // One region per minibatch, split over vocab rows: each row
+      // accumulates the minibatch in order, so every gradient element sums
+      // in the same order as a per-token pass, whatever the split.
+      kernel_pool().parallel_rows(vocab, 1, [&](std::size_t c0, std::size_t c1) {
+        for (std::size_t c = c0; c < c1; ++c) {
+          float* gc = grad.data() + c * d;
+          std::fill(gc, gc + d, 0.0f);
+          for (std::size_t j = 0; j < mb; ++j) {
+            const float p = probs[j * vocab + c];
+            if (p == 0.0f) continue;
+            const float* h = mb_features.data() + j * d;
+            for (std::size_t k = 0; k < d; ++k) gc[k] += p * h[k];
+          }
         }
-      }
+      });
 
       // Adam step (bias-corrected), batch-mean gradient + decoupled decay.
       ++adam_t;
       const float inv_mb = 1.0f / static_cast<float>(mb);
       const float bc1 = 1.0f - std::pow(config.beta1, static_cast<float>(adam_t));
       const float bc2 = 1.0f - std::pow(config.beta2, static_cast<float>(adam_t));
-#pragma omp parallel for
-      for (std::ptrdiff_t is = 0; is < static_cast<std::ptrdiff_t>(w.size()); ++is) {
-        const auto i = static_cast<std::size_t>(is);
-        const float g = grad[i] * inv_mb;
-        m[i] = config.beta1 * m[i] + (1.0f - config.beta1) * g;
-        v[i] = config.beta2 * v[i] + (1.0f - config.beta2) * g * g;
-        const float mhat = m[i] / bc1;
-        const float vhat = v[i] / bc2;
-        w[i] -= config.learning_rate *
-                (mhat / (std::sqrt(vhat) + config.epsilon) + config.weight_decay * w[i]);
-      }
+      kernel_pool().parallel_rows(w.size(), 1, [&](std::size_t i0, std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i) {
+          const float g = grad[i] * inv_mb;
+          m[i] = config.beta1 * m[i] + (1.0f - config.beta1) * g;
+          v[i] = config.beta2 * v[i] + (1.0f - config.beta2) * g * g;
+          const float mhat = m[i] / bc1;
+          const float vhat = v[i] / bc2;
+          w[i] -= config.learning_rate *
+                  (mhat / (std::sqrt(vhat) + config.epsilon) + config.weight_decay * w[i]);
+        }
+      });
     }
 
     report.epoch_loss.push_back(epoch_loss / static_cast<double>(seen));

@@ -4,23 +4,12 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "core/error.h"
-
 namespace orinsim {
 namespace {
-
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
 
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   ThreadPool pool(8);
@@ -57,15 +46,9 @@ TEST(ThreadPoolTest, SizeMatchesRequest) {
   EXPECT_EQ(pool.size(), 3u);
 }
 
-TEST(ThreadPoolTest, NullTaskRejected) {
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.submit(nullptr), ContractViolation);
-}
-
 // Regression: parallel_for used to deadlock when invoked from a pool worker
 // (the inner call waited for helper shards stuck behind the caller's own
-// task). The caller now drains the index range inline, so nesting completes
-// even when every helper shard is queued behind the outer tasks.
+// task). A nested call now runs its whole range inline.
 TEST(ThreadPoolTest, NestedParallelForFromWorkerCompletes) {
   ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(64);
@@ -86,16 +69,6 @@ TEST(ThreadPoolTest, NestedParallelForSingleWorkerCompletes) {
     pool.parallel_for(0, 8, [&](std::size_t) { count.fetch_add(1); });
   });
   EXPECT_EQ(count.load(), 3 * 8);
-}
-
-TEST(ThreadPoolTest, NestedParallelForFromSubmittedTaskCompletes) {
-  ThreadPool pool(1);
-  std::atomic<int> count{0};
-  pool.submit([&] {
-    pool.parallel_for(0, 10, [&](std::size_t) { count.fetch_add(1); });
-  });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 10);
 }
 
 TEST(ThreadPoolTest, ShardOverloadCoversAllIndicesWithValidShards) {
@@ -134,6 +107,105 @@ TEST(ThreadPoolTest, ShardZeroIsCallingThread) {
     }
   });
   EXPECT_TRUE(shard0_is_caller.load());
+}
+
+// The one-pool rule: a parallel_for issued from inside a shard, of the same
+// pool or of another, runs every index on the calling thread as shard 0.
+TEST(ThreadPoolTest, NestedParallelForRunsInlineOnCallingThread) {
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    ThreadPool outer(workers);
+    ThreadPool other(workers);
+    for (ThreadPool* inner : {&outer, &other}) {
+      std::atomic<int> foreign{0};
+      std::atomic<int> nonzero_shard{0};
+      std::atomic<int> hits{0};
+      outer.parallel_for(0, 8, [&](std::size_t) {
+        const auto self = std::this_thread::get_id();
+        inner->parallel_for(0, 64, [&](std::size_t shard, std::size_t) {
+          if (std::this_thread::get_id() != self) foreign.fetch_add(1);
+          if (shard != 0) nonzero_shard.fetch_add(1);
+          hits.fetch_add(1);
+        });
+        inner->parallel_rows(64, 1, [&](std::size_t r0, std::size_t r1) {
+          if (r0 != 0 || r1 != 64 || std::this_thread::get_id() != self) foreign.fetch_add(1);
+        });
+      });
+      EXPECT_EQ(foreign.load(), 0) << "workers=" << workers;
+      EXPECT_EQ(nonzero_shard.load(), 0) << "workers=" << workers;
+      EXPECT_EQ(hits.load(), 8 * 64) << "workers=" << workers;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, NestedParallelForPropagatesException) {
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    ThreadPool outer(workers);
+    ThreadPool other(workers);
+    for (ThreadPool* inner : {&outer, &other}) {
+      std::atomic<int> inner_runs{0};
+      EXPECT_THROW(outer.parallel_for(0, 4,
+                                      [&](std::size_t i) {
+                                        inner->parallel_for(0, 8, [&](std::size_t j) {
+                                          inner_runs.fetch_add(1);
+                                          if (i == 2 && j == 5) throw std::runtime_error("boom");
+                                        });
+                                      }),
+                   std::runtime_error)
+          << "workers=" << workers;
+      // First exception wins after every index ran, nested or not.
+      EXPECT_EQ(inner_runs.load(), 4 * 8) << "workers=" << workers;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelRowsCoversRowsInContiguousRanges) {
+  ThreadPool pool(3);
+  for (std::size_t rows : {1u, 3u, 4u, 7u, 448u}) {
+    std::vector<std::atomic<int>> hits(rows);
+    std::atomic<std::size_t> calls{0};
+    pool.parallel_rows(rows, 1, [&](std::size_t r0, std::size_t r1) {
+      EXPECT_LT(r0, r1);
+      calls.fetch_add(1);
+      for (std::size_t r = r0; r < r1; ++r) hits[r].fetch_add(1);
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "rows=" << rows;
+    EXPECT_EQ(calls.load(), std::min<std::size_t>(rows, pool.shard_count()));
+  }
+  // Below the threshold the caller runs one range.
+  std::size_t calls = 0;
+  pool.parallel_rows(100, 256, [&](std::size_t r0, std::size_t r1) {
+    EXPECT_EQ(r0, 0u);
+    EXPECT_EQ(r1, 100u);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1u);
+}
+
+TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.shard_count(), 1u);
+  const auto caller = std::this_thread::get_id();
+  int count = 0;
+  pool.parallel_for(0, 10, [&](std::size_t shard, std::size_t) {
+    EXPECT_EQ(shard, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++count;
+  });
+  EXPECT_EQ(count, 10);
+}
+
+// The kernel pool is sized from OMP_NUM_THREADS: a positive integer, else
+// hardware concurrency.
+TEST(ThreadPoolTest, KernelThreadCountParsesOmpNumThreads) {
+  const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(kernel_thread_count("3"), 3u);
+  EXPECT_EQ(kernel_thread_count("1"), 1u);
+  EXPECT_EQ(kernel_thread_count("0"), hardware);
+  EXPECT_EQ(kernel_thread_count("-2"), hardware);
+  EXPECT_EQ(kernel_thread_count("abc"), hardware);
+  EXPECT_EQ(kernel_thread_count("3abc"), hardware);
+  EXPECT_EQ(kernel_thread_count(""), hardware);
+  EXPECT_EQ(kernel_thread_count(nullptr), hardware);
 }
 
 }  // namespace

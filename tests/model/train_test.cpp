@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "model/config.h"
 
 namespace orinsim::train {
@@ -78,6 +79,26 @@ TEST(TrainTest, DeterministicGivenSeed) {
   const TrainReport r2 = train_readout(*m2, tokens, tc);
   EXPECT_DOUBLE_EQ(r1.final_loss, r2.final_loss);
   EXPECT_EQ(m1->lm_head, m2->lm_head);
+}
+
+// The gradient and Adam loops split vocab rows across kernel_pool() at top
+// level and run inline inside a pool shard; every gradient element sums the
+// minibatch in the same order either way, so the trained head is identical.
+TEST(TrainTest, LmHeadIndependentOfRowPartition) {
+  Rng rng(8);
+  const std::size_t vocab = 64;
+  const auto tokens = bigram_stream(400, vocab, rng);
+  auto fanned = MasterWeights::init_random(trainer_config(vocab), 9);
+  auto inline_run = MasterWeights::init_random(trainer_config(vocab), 9);
+  TrainConfig tc;
+  tc.epochs = 2;
+  tc.max_tokens = tokens.size();
+  const TrainReport r1 = train_readout(*fanned, tokens, tc);
+  TrainReport r2;
+  kernel_pool().parallel_for(0, 1,
+                             [&](std::size_t) { r2 = train_readout(*inline_run, tokens, tc); });
+  EXPECT_EQ(r1.epoch_loss, r2.epoch_loss);
+  EXPECT_EQ(fanned->lm_head, inline_run->lm_head);
 }
 
 TEST(TrainTest, UnigramCrossEntropyUniformStream) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/simd.h"
 
@@ -94,9 +95,7 @@ INSTANTIATE_TEST_SUITE_P(AllPrecisions, WeightMatrixParamTest,
                          [](const auto& info) { return dtype_name(info.param); });
 
 // The matvec_multi contract: lane t is bit-identical to matvec(X[t]) at the
-// active level for kF32/kI8/kI4, and batch-composition independent for every
-// dtype. kF16 only bit-matches the single matvec at kScalar (the native
-// multi path dequantizes each row once and reorders the fp32 accumulation).
+// active level, and batch-composition independent, for every dtype.
 TEST_P(WeightMatrixParamTest, MatvecMultiMatchesPerLaneMatvec) {
   Rng rng(21);
   const std::size_t out_f = 40, in_f = 64;
@@ -113,15 +112,46 @@ TEST_P(WeightMatrixParamTest, MatvecMultiMatchesPerLaneMatvec) {
         wm.matvec(std::span<const float>(x.data() + t * in_f, in_f),
                   std::span<float>(ref.data() + t * out_f, out_f));
       }
-      const bool exact =
-          GetParam() != DType::kF16 || level == simd::Level::kScalar;
       for (std::size_t i = 0; i < y.size(); ++i) {
-        if (exact) {
-          EXPECT_EQ(y[i], ref[i]) << simd::level_name(level) << " lanes=" << lanes
-                                  << " i=" << i;
+        EXPECT_EQ(y[i], ref[i]) << simd::level_name(level) << " lanes=" << lanes
+                                << " i=" << i;
+      }
+    }
+  }
+}
+
+// Row partition pin: the kernels fan their rows out on kernel_pool() at top
+// level and run them inline inside a pool shard. Both must give the same
+// bits for the chunk (matmul) and lane (matvec_multi) paths, at 448 rows
+// (above every kernel's parallel threshold) and both kernel levels.
+TEST_P(WeightMatrixParamTest, RowPartitionIsBitIdenticalToInlineRun) {
+  Rng rng(23);
+  const std::size_t out_f = 448, in_f = 128;
+  auto w = random_weights(out_f * in_f, rng);
+  const WeightMatrix wm = WeightMatrix::create(w, out_f, in_f, GetParam());
+  for (simd::Level level : levels_to_test()) {
+    ScopedLevel scoped(level);
+    for (std::size_t lanes : {1u, 8u}) {
+      const auto x = random_weights(lanes * in_f, rng, 1.0);
+      auto run = [&](bool chunk) {
+        std::vector<float> y(lanes * out_f);
+        ActivationBatchInt8 act;
+        if (chunk) {
+          wm.matmul(x, y, lanes);
         } else {
-          EXPECT_NEAR(y[i], ref[i], 1e-3f)
-              << simd::level_name(level) << " lanes=" << lanes << " i=" << i;
+          wm.matvec_multi(x, y, lanes, act);
+        }
+        return y;
+      };
+      for (bool chunk : {true, false}) {
+        const std::vector<float> fanned = run(chunk);
+        std::vector<float> inline_run;
+        kernel_pool().parallel_for(0, 1, [&](std::size_t) { inline_run = run(chunk); });
+        ASSERT_EQ(fanned.size(), inline_run.size());
+        for (std::size_t i = 0; i < fanned.size(); ++i) {
+          ASSERT_EQ(fanned[i], inline_run[i])
+              << simd::level_name(level) << " lanes=" << lanes << (chunk ? " chunk" : " lane")
+              << " i=" << i;
         }
       }
     }
