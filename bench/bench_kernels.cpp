@@ -21,6 +21,8 @@
 #include "core/rng.h"
 #include "core/stopwatch.h"
 #include "core/thread_pool.h"
+#include "model/kv_cache.h"
+#include "model/transformer.h"
 #include "quant/quantize.h"
 #include "quant/weight_matrix.h"
 #include "tensor/kernels.h"
@@ -130,6 +132,53 @@ void BM_QuantizeInt4(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows * cols);
 }
 BENCHMARK(BM_QuantizeInt4);
+
+// One-sequence Model::forward of llama3-nano (max_seq 4096, fp32 weights)
+// whose last row attends to `ctx` positions: a width-1 decode step or a
+// 32-row prefill chunk, over fp32 or int8 KV. Attention re-reads the whole
+// K/V prefix every step — the paper's Fig 2 sequence-length cost — so it
+// dominates at long contexts. Reported as the median and min-max of 5
+// repetitions.
+void BM_AttentionForward(benchmark::State& state) {
+  const auto ctx = static_cast<std::size_t>(state.range(0));
+  const auto rows = static_cast<std::size_t>(state.range(1));
+  const KVStorage storage = state.range(2) != 0 ? KVStorage::kI8 : KVStorage::kF32;
+  TransformerConfig cfg = make_nano_config("llama3", 256);
+  cfg.max_seq = 4096;
+  Model model(MasterWeights::init_random(cfg, 13), DType::kF32, storage);
+  // Cached positions hold random K/V: the step's cost depends on how many
+  // there are, not on their values.
+  const std::size_t cached = ctx - rows;
+  KVCache cache(cfg, 1, ctx, storage);
+  const auto kv = random_vec(cached * cfg.kv_dim(), 12);
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, kv, kv, cached);
+  cache.commit(0, cached);
+  std::vector<TokenId> tokens(rows);
+  for (std::size_t i = 0; i < rows; ++i) tokens[i] = static_cast<TokenId>(i * 7 % cfg.vocab);
+  InferenceWorkspace ws(cfg);
+  const std::size_t seq = 0;
+  for (auto _ : state) {
+    model.forward(tokens, {&seq, 1}, cache, {}, ws);
+    benchmark::DoNotOptimize(ws.x.data());
+    benchmark::ClobberMemory();
+    cache.truncate(0, cached);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * rows));
+}
+BENCHMARK(BM_AttentionForward)
+    ->ArgNames({"ctx", "rows", "kv_i8"})
+    ->ArgsProduct({{256, 1024, 4096}, {1, 32}, {0, 1}})
+    ->Repetitions(5)
+    ->ComputeStatistics("min",
+                        [](const std::vector<double>& v) {
+                          return *std::min_element(v.begin(), v.end());
+                        })
+    ->ComputeStatistics("max",
+                        [](const std::vector<double>& v) {
+                          return *std::max_element(v.begin(), v.end());
+                        })
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Roofline tracker (--roofline-json).

@@ -13,9 +13,17 @@
 // chunked prefill at the native level must reach >= 6x the seed's scalar
 // token-at-a-time path (the nibble-unpack microkernel acceptance bar).
 //
+// The `forward digest` line after the table is an FNV-1a hash of
+// scalar-level greedy generate outputs (pooled, chunked prefill) and
+// sequence_nll bits over three nano families x 4 weight dtypes x 2 KV
+// storages. A refactor of the forward path that must stay bit-identical
+// prints the same line as its parent commit.
+//
 //   bench_prefill_throughput [--prompt=256] [--chunk=32] [--repeats=2] [--csv]
 //                            [--strict]
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +31,7 @@
 #include "core/cli.h"
 #include "core/stopwatch.h"
 #include "core/table.h"
+#include "core/thread_pool.h"
 #include "core/units.h"
 #include "model/transformer.h"
 #include "tensor/simd.h"
@@ -77,6 +86,54 @@ bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
     if (a[i] != b[i]) return false;
   }
   return true;
+}
+
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  }
+};
+
+// The forward digest: greedy generate on a 3-thread pool with 32-token
+// prefill chunks, so the prompts cross 16-token KV blocks and chunk
+// boundaries, plus sequence_nll of one prompt.
+std::uint64_t forward_digest() {
+  const simd::Level entry_level = simd::active_level();
+  simd::set_level(simd::Level::kScalar);
+  ThreadPool pool(3);
+  Model::GenerateOptions options;
+  options.pool = &pool;
+  Fnv1a fnv;
+  for (const char* family : {"llama3", "phi2", "mistral"}) {
+    const TransformerConfig cfg = make_nano_config(family, 256);
+    auto master = MasterWeights::init_random(cfg, 11);
+    std::vector<std::vector<TokenId>> prompts;
+    for (std::size_t len : {5, 23, 40, 37}) {
+      std::vector<TokenId> p(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        p[i] = static_cast<TokenId>((i * 31 + len * 7 + 3) % cfg.vocab);
+      }
+      prompts.push_back(std::move(p));
+    }
+    for (DType dtype : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
+      for (KVStorage kv : {KVStorage::kF32, KVStorage::kI8}) {
+        Model model(master, dtype, kv);
+        model.set_prefill_chunk(32);
+        for (const auto& out : model.generate(prompts, 20, options).outputs) {
+          fnv.add(out.data(), out.size() * sizeof(TokenId));
+        }
+        const auto nll = model.sequence_nll(prompts[2], 1);
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &nll.total_nll, sizeof(bits));
+        fnv.add(&bits, sizeof(bits));
+        fnv.add(&nll.predicted, sizeof(nll.predicted));
+      }
+    }
+  }
+  simd::set_level(entry_level);
+  return fnv.h;
 }
 
 }  // namespace
@@ -162,6 +219,8 @@ int main(int argc, char** argv) {
   if (!bar_met) {
     std::printf("WARNING: headline speedup below the 3x acceptance bar on this host\n");
   }
+  std::printf("forward digest: %016llx\n",
+              static_cast<unsigned long long>(forward_digest()));
   if (!all_identical) {
     std::printf("ERROR: chunked prefill diverged bitwise from token-at-a-time at the\n");
     std::printf("scalar level\n");

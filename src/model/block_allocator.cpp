@@ -11,8 +11,9 @@ BlockAllocator::BlockAllocator(std::size_t total_blocks, std::size_t block_bytes
   refs_.assign(total_blocks, 0);
   cached_.assign(total_blocks, 0);
   free_list_.reserve(total_blocks);
-  // Descending ids so pop_back hands out block 0 first: the common serial
-  // decode fills blocks 0,1,2,... and key_rows stays a zero-copy span.
+  // Descending ids so pop_back hands out block 0 first: a lone sequence's
+  // table is blocks 0,1,2,..., so its K/V rows lie in position order in the
+  // slab and attention's block walk reads memory sequentially.
   for (std::size_t i = total_blocks; i > 0; --i) free_list_.push_back(i - 1);
 }
 

@@ -24,43 +24,30 @@ KVCache::KVCache(const TransformerConfig& config, std::size_t batch, std::size_t
       kv_dim_(config.kv_dim()),
       n_layers_(config.n_layers),
       storage_(options.storage),
-      layout_(options.layout),
       block_tokens_(options.block_tokens) {
   ORINSIM_CHECK(batch > 0 && max_seq > 0, "KVCache requires positive batch and max_seq");
   ORINSIM_CHECK(max_seq <= config.max_seq, "KVCache max_seq exceeds model max_seq");
+  ORINSIM_CHECK(block_tokens_ > 0, "KVCache block_tokens must be positive");
 
-  std::size_t rows = batch_ * max_seq_;
-  if (layout_ == KVLayout::kPaged) {
-    ORINSIM_CHECK(block_tokens_ > 0, "KVCache block_tokens must be positive");
-    std::size_t pool_blocks = options.max_blocks;
-    if (pool_blocks == 0) {
-      // Full dense capacity: every sequence can reach max_seq, so existing
-      // call sites never see exhaustion.
-      pool_blocks = batch_ * blocks_for(max_seq_, block_tokens_);
-    }
-    allocator_ = std::make_unique<BlockAllocator>(pool_blocks,
-                                                  block_tokens_ * bytes_per_row());
-    tables_.resize(batch_);
-    rows = pool_blocks * block_tokens_;
+  std::size_t pool_blocks = options.max_blocks;
+  if (pool_blocks == 0) {
+    // Full capacity: every sequence can reach max_seq, so the cache never
+    // sees exhaustion.
+    pool_blocks = batch_ * blocks_for(max_seq_, block_tokens_);
   }
+  allocator_ = std::make_unique<BlockAllocator>(pool_blocks, block_tokens_ * bytes_per_row());
+  tables_.resize(batch_);
 
-  if (storage_ == KVStorage::kF32) {
-    keys_.resize(n_layers_);
-    values_.resize(n_layers_);
-    for (std::size_t l = 0; l < n_layers_; ++l) {
-      keys_[l].assign(rows * kv_dim_, 0.0f);
-      values_[l].assign(rows * kv_dim_, 0.0f);
-    }
-  } else {
-    key_codes_.resize(n_layers_);
-    value_codes_.resize(n_layers_);
-    key_scales_.resize(n_layers_);
-    value_scales_.resize(n_layers_);
-    for (std::size_t l = 0; l < n_layers_; ++l) {
-      key_codes_[l].assign(rows * kv_dim_, 0);
-      value_codes_[l].assign(rows * kv_dim_, 0);
-      key_scales_[l].assign(rows, 0.0f);
-      value_scales_[l].assign(rows, 0.0f);
+  const std::size_t rows = pool_blocks * block_tokens_;
+  for (Slab* slab : {&keys_, &values_}) {
+    if (storage_ == KVStorage::kF32) {
+      slab->f32.resize(n_layers_);
+      for (auto& layer : slab->f32) layer.assign(rows * kv_dim_, 0.0f);
+    } else {
+      slab->codes.resize(n_layers_);
+      slab->scales.resize(n_layers_);
+      for (auto& layer : slab->codes) layer.assign(rows * kv_dim_, 0);
+      for (auto& layer : slab->scales) layer.assign(rows, 0.0f);
     }
   }
   lengths_.assign(batch_, 0);
@@ -76,7 +63,6 @@ std::size_t KVCache::bytes_per_row() const noexcept {
 
 std::size_t KVCache::row(std::size_t b, std::size_t pos) const {
   ORINSIM_DCHECK(b < batch_ && pos < max_seq_, "kv cache index out of range");
-  if (layout_ == KVLayout::kDense) return b * max_seq_ + pos;
   const std::size_t block_index = pos / block_tokens_;
   ORINSIM_CHECK(block_index < tables_[b].size(), "KVCache: position has no mapped block");
   return tables_[b][block_index] * block_tokens_ + pos % block_tokens_;
@@ -91,20 +77,19 @@ void KVCache::make_writable(std::size_t b, std::size_t block_index) {
                 "KVCache: KV block pool exhausted during copy-on-write");
   const std::size_t src = old_id * block_tokens_;
   const std::size_t dst = id * block_tokens_;
-  for (std::size_t l = 0; l < n_layers_; ++l) {
-    if (storage_ == KVStorage::kF32) {
-      std::copy_n(keys_[l].begin() + src * kv_dim_, block_tokens_ * kv_dim_,
-                  keys_[l].begin() + dst * kv_dim_);
-      std::copy_n(values_[l].begin() + src * kv_dim_, block_tokens_ * kv_dim_,
-                  values_[l].begin() + dst * kv_dim_);
-    } else {
-      std::copy_n(key_codes_[l].begin() + src * kv_dim_, block_tokens_ * kv_dim_,
-                  key_codes_[l].begin() + dst * kv_dim_);
-      std::copy_n(value_codes_[l].begin() + src * kv_dim_, block_tokens_ * kv_dim_,
-                  value_codes_[l].begin() + dst * kv_dim_);
-      std::copy_n(key_scales_[l].begin() + src, block_tokens_, key_scales_[l].begin() + dst);
-      std::copy_n(value_scales_[l].begin() + src, block_tokens_,
-                  value_scales_[l].begin() + dst);
+  for (Slab* slab : {&keys_, &values_}) {
+    for (std::size_t l = 0; l < n_layers_; ++l) {
+      if (storage_ == KVStorage::kF32) {
+        std::vector<float>& rows = slab->f32[l];
+        std::copy_n(rows.begin() + src * kv_dim_, block_tokens_ * kv_dim_,
+                    rows.begin() + dst * kv_dim_);
+      } else {
+        std::vector<std::int8_t>& codes = slab->codes[l];
+        std::copy_n(codes.begin() + src * kv_dim_, block_tokens_ * kv_dim_,
+                    codes.begin() + dst * kv_dim_);
+        std::vector<float>& scales = slab->scales[l];
+        std::copy_n(scales.begin() + src, block_tokens_, scales.begin() + dst);
+      }
     }
   }
   allocator_->release(old_id);
@@ -112,7 +97,6 @@ void KVCache::make_writable(std::size_t b, std::size_t block_index) {
 }
 
 void KVCache::ensure_writable(std::size_t b, std::size_t first, std::size_t count) {
-  if (layout_ == KVLayout::kDense) return;
   std::vector<std::size_t>& table = tables_[b];
   const std::size_t last = first + count - 1;
   while (table.size() * block_tokens_ <= last) {
@@ -126,36 +110,44 @@ void KVCache::ensure_writable(std::size_t b, std::size_t first, std::size_t coun
   }
 }
 
-void KVCache::store_quantized(std::vector<std::int8_t>& codes, std::vector<float>& scales,
-                              std::size_t row_index, std::span<const float> data) {
+void KVCache::store(Slab& slab, std::size_t layer, std::size_t r,
+                    std::span<const float> data) {
+  if (storage_ == KVStorage::kF32) {
+    std::copy(data.begin(), data.end(), slab.f32[layer].begin() + r * kv_dim_);
+    return;
+  }
   float absmax = 0.0f;
   for (float v : data) absmax = std::max(absmax, std::fabs(v));
   const float scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
-  scales[row_index] = scale;
-  std::int8_t* out = codes.data() + row_index * kv_dim_;
+  slab.scales[layer][r] = scale;
+  std::int8_t* out = slab.codes[layer].data() + r * kv_dim_;
   for (std::size_t i = 0; i < data.size(); ++i) {
     const int code = static_cast<int>(std::lround(data[i] / scale));
     out[i] = static_cast<std::int8_t>(std::clamp(code, -127, 127));
   }
 }
 
+std::span<const float> KVCache::read(const Slab& slab, std::size_t layer, std::size_t r,
+                                     std::size_t rows, std::span<float> out) const {
+  const std::size_t n = rows * kv_dim_;
+  if (storage_ == KVStorage::kF32) {
+    return std::span<const float>(slab.f32[layer].data() + r * kv_dim_, n);
+  }
+  ORINSIM_CHECK(out.size() >= n, "KVCache: INT8 read needs rows*kv_dim scratch floats");
+  const std::int8_t* codes = slab.codes[layer].data() + r * kv_dim_;
+  const float* scales = slab.scales[layer].data() + r;
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t e = 0; e < kv_dim_; ++e) {
+      out[i * kv_dim_ + e] = static_cast<float>(codes[i * kv_dim_ + e]) * scales[i];
+    }
+  }
+  return out.first(n);
+}
+
 std::size_t KVCache::append(std::size_t layer, std::size_t b, std::span<const float> k,
                             std::span<const float> v) {
-  ORINSIM_CHECK(layer < n_layers_ && b < batch_, "KVCache::append out of range");
   ORINSIM_CHECK(k.size() == kv_dim_ && v.size() == kv_dim_, "KVCache::append dim mismatch");
-  const std::size_t pos = lengths_[b];
-  ORINSIM_CHECK(pos < max_seq_, "KVCache overflow: sequence exceeds max_seq");
-  ensure_writable(b, pos, 1);
-  const std::size_t r = row(b, pos);
-  if (storage_ == KVStorage::kF32) {
-    std::copy(k.begin(), k.end(), keys_[layer].begin() + r * kv_dim_);
-    std::copy(v.begin(), v.end(), values_[layer].begin() + r * kv_dim_);
-  } else {
-    store_quantized(key_codes_[layer], key_scales_[layer], r, k);
-    store_quantized(value_codes_[layer], value_scales_[layer], r, v);
-  }
-  staged_[b] = std::max<std::size_t>(staged_[b], 1);
-  return pos;
+  return append_many(layer, b, k, v, 1);
 }
 
 std::size_t KVCache::append_many(std::size_t layer, std::size_t b, std::span<const float> k,
@@ -168,15 +160,8 @@ std::size_t KVCache::append_many(std::size_t layer, std::size_t b, std::span<con
   ensure_writable(b, first, count);
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t r = row(b, first + i);
-    if (storage_ == KVStorage::kF32) {
-      std::copy_n(k.begin() + i * kv_dim_, kv_dim_, keys_[layer].begin() + r * kv_dim_);
-      std::copy_n(v.begin() + i * kv_dim_, kv_dim_, values_[layer].begin() + r * kv_dim_);
-    } else {
-      store_quantized(key_codes_[layer], key_scales_[layer], r,
-                      k.subspan(i * kv_dim_, kv_dim_));
-      store_quantized(value_codes_[layer], value_scales_[layer], r,
-                      v.subspan(i * kv_dim_, kv_dim_));
-    }
+    store(keys_, layer, r, k.subspan(i * kv_dim_, kv_dim_));
+    store(values_, layer, r, v.subspan(i * kv_dim_, kv_dim_));
   }
   staged_[b] = std::max(staged_[b], count);
   return first;
@@ -194,7 +179,6 @@ bool KVCache::try_reserve(std::size_t b, std::size_t count) {
   ORINSIM_CHECK(count > 0, "KVCache::try_reserve needs a positive count");
   const std::size_t need_len = lengths_[b] + count;
   if (need_len > max_seq_) return false;
-  if (layout_ == KVLayout::kDense) return true;
   std::vector<std::size_t>& table = tables_[b];
   const std::size_t needed = blocks_for(need_len, block_tokens_);
   if (needed <= table.size()) return true;
@@ -206,7 +190,6 @@ bool KVCache::try_reserve(std::size_t b, std::size_t count) {
 }
 
 void KVCache::fork_sequence(std::size_t src, std::size_t dst) {
-  ORINSIM_CHECK(layout_ == KVLayout::kPaged, "KVCache::fork_sequence requires paged layout");
   ORINSIM_CHECK(src < batch_ && dst < batch_ && src != dst,
                 "KVCache::fork_sequence out of range");
   ORINSIM_CHECK(staged_[src] == 0, "KVCache::fork_sequence with uncommitted appends");
@@ -218,8 +201,6 @@ void KVCache::fork_sequence(std::size_t src, std::size_t dst) {
 }
 
 bool KVCache::try_unshare_tail(std::size_t b) {
-  ORINSIM_CHECK(layout_ == KVLayout::kPaged,
-                "KVCache::try_unshare_tail requires paged layout");
   ORINSIM_CHECK(b < batch_, "KVCache::try_unshare_tail out of range");
   const std::size_t len = lengths_[b];
   if (len == 0 || len % block_tokens_ == 0) return true;  // no partial tail
@@ -231,14 +212,12 @@ bool KVCache::try_unshare_tail(std::size_t b) {
 }
 
 std::span<const std::size_t> KVCache::block_table(std::size_t b) const {
-  ORINSIM_CHECK(layout_ == KVLayout::kPaged, "KVCache::block_table requires paged layout");
   ORINSIM_CHECK(b < batch_, "KVCache::block_table out of range");
   return std::span<const std::size_t>(tables_[b]);
 }
 
 void KVCache::attach_prefix(std::size_t b, std::span<const std::size_t> blocks,
                             std::size_t tokens) {
-  ORINSIM_CHECK(layout_ == KVLayout::kPaged, "KVCache::attach_prefix requires paged layout");
   ORINSIM_CHECK(b < batch_, "KVCache::attach_prefix out of range");
   ORINSIM_CHECK(lengths_[b] == 0 && staged_[b] == 0 && tables_[b].empty(),
                 "KVCache::attach_prefix target must be empty");
@@ -254,175 +233,72 @@ void KVCache::attach_prefix(std::size_t b, std::span<const std::size_t> blocks,
 }
 
 void KVCache::retain_block(std::size_t id) {
-  ORINSIM_CHECK(layout_ == KVLayout::kPaged, "KVCache::retain_block requires paged layout");
   allocator_->retain(id);
 }
 
 void KVCache::release_block(std::size_t id) {
-  ORINSIM_CHECK(layout_ == KVLayout::kPaged, "KVCache::release_block requires paged layout");
   allocator_->release(id);
 }
 
 std::size_t KVCache::block_ref_count(std::size_t id) const {
-  ORINSIM_CHECK(layout_ == KVLayout::kPaged,
-                "KVCache::block_ref_count requires paged layout");
   return allocator_->ref_count(id);
 }
 
 void KVCache::mark_block_cached(std::size_t id, bool cached) {
-  ORINSIM_CHECK(layout_ == KVLayout::kPaged,
-                "KVCache::mark_block_cached requires paged layout");
   allocator_->set_cached(id, cached);
 }
 
-std::size_t KVCache::cached_blocks() const noexcept {
-  if (layout_ == KVLayout::kPaged) return allocator_->cached_blocks();
-  return 0;
-}
+std::size_t KVCache::cached_blocks() const noexcept { return allocator_->cached_blocks(); }
 
 std::span<const float> KVCache::key(std::size_t layer, std::size_t b, std::size_t pos,
                                     std::span<float> scratch) const {
   ORINSIM_CHECK(layer < n_layers_ && b < batch_ && pos <= staged_end(b) && pos < max_seq_,
                 "KVCache::key out of range");
-  const std::size_t r = row(b, pos);
-  if (storage_ == KVStorage::kF32) {
-    return std::span<const float>(keys_[layer].data() + r * kv_dim_, kv_dim_);
-  }
-  ORINSIM_CHECK(scratch.size() >= kv_dim_, "KVCache::key needs kv_dim scratch floats");
-  const std::int8_t* codes = key_codes_[layer].data() + r * kv_dim_;
-  const float scale = key_scales_[layer][r];
-  for (std::size_t i = 0; i < kv_dim_; ++i) {
-    scratch[i] = static_cast<float>(codes[i]) * scale;
-  }
-  return scratch.first(kv_dim_);
+  return read(keys_, layer, row(b, pos), 1, scratch);
 }
 
 std::span<const float> KVCache::value(std::size_t layer, std::size_t b, std::size_t pos,
                                       std::span<float> scratch) const {
   ORINSIM_CHECK(layer < n_layers_ && b < batch_ && pos <= staged_end(b) && pos < max_seq_,
                 "KVCache::value out of range");
-  const std::size_t r = row(b, pos);
-  if (storage_ == KVStorage::kF32) {
-    return std::span<const float>(values_[layer].data() + r * kv_dim_, kv_dim_);
-  }
-  ORINSIM_CHECK(scratch.size() >= kv_dim_, "KVCache::value needs kv_dim scratch floats");
-  const std::int8_t* codes = value_codes_[layer].data() + r * kv_dim_;
-  const float scale = value_scales_[layer][r];
-  for (std::size_t i = 0; i < kv_dim_; ++i) {
-    scratch[i] = static_cast<float>(codes[i]) * scale;
-  }
-  return scratch.first(kv_dim_);
+  return read(values_, layer, row(b, pos), 1, scratch);
 }
 
-namespace {
-
-// True when a paged sequence's first ceil(count / block_tokens) blocks are
-// physically consecutive, so rows [0, count) form one contiguous slab run.
-bool contiguous_prefix(const std::vector<std::size_t>& table, std::size_t n_blocks) {
-  for (std::size_t j = 1; j < n_blocks; ++j) {
-    if (table[j] != table[0] + j) return false;
-  }
-  return true;
+std::size_t KVCache::block_row(std::size_t layer, std::size_t b, std::size_t j,
+                               std::size_t rows) const {
+  ORINSIM_CHECK(layer < n_layers_ && b < batch_ && j < tables_[b].size() && rows > 0 &&
+                    rows <= block_tokens_ && j * block_tokens_ + rows - 1 <= staged_end(b),
+                "KVCache block read out of range");
+  return tables_[b][j] * block_tokens_;
 }
 
-}  // namespace
-
-std::span<const float> KVCache::key_rows(std::size_t layer, std::size_t b, std::size_t count,
-                                         std::span<float> scratch) const {
-  ORINSIM_CHECK(layer < n_layers_ && b < batch_ && count > 0 && count - 1 <= staged_end(b) &&
-                    count <= max_seq_,
-                "KVCache::key_rows out of range");
-  if (storage_ == KVStorage::kF32 && layout_ == KVLayout::kDense) {
-    return std::span<const float>(keys_[layer].data() + row(b, 0) * kv_dim_, count * kv_dim_);
-  }
-  if (storage_ == KVStorage::kF32) {
-    const std::vector<std::size_t>& table = tables_[b];
-    const std::size_t n_blocks = blocks_for(count, block_tokens_);
-    ORINSIM_CHECK(n_blocks <= table.size(), "KVCache::key_rows reads unmapped positions");
-    if (contiguous_prefix(table, n_blocks)) {
-      return std::span<const float>(
-          keys_[layer].data() + table[0] * block_tokens_ * kv_dim_, count * kv_dim_);
-    }
-    ORINSIM_CHECK(scratch.size() >= count * kv_dim_,
-                  "KVCache::key_rows needs count*kv_dim scratch floats");
-    for (std::size_t j = 0; j < n_blocks; ++j) {
-      const std::size_t rows_here = std::min(block_tokens_, count - j * block_tokens_);
-      std::copy_n(keys_[layer].begin() + table[j] * block_tokens_ * kv_dim_,
-                  rows_here * kv_dim_, scratch.begin() + j * block_tokens_ * kv_dim_);
-    }
-    return scratch.first(count * kv_dim_);
-  }
-  ORINSIM_CHECK(scratch.size() >= count * kv_dim_,
-                "KVCache::key_rows needs count*kv_dim scratch floats");
-  for (std::size_t p = 0; p < count; ++p) {
-    const std::size_t r = row(b, p);
-    const std::int8_t* codes = key_codes_[layer].data() + r * kv_dim_;
-    const float scale = key_scales_[layer][r];
-    float* out = scratch.data() + p * kv_dim_;
-    for (std::size_t i = 0; i < kv_dim_; ++i) out[i] = static_cast<float>(codes[i]) * scale;
-  }
-  return scratch.first(count * kv_dim_);
+std::span<const float> KVCache::key_block(std::size_t layer, std::size_t b, std::size_t j,
+                                          std::size_t rows, std::span<float> tile) const {
+  return read(keys_, layer, block_row(layer, b, j, rows), rows, tile);
 }
 
-std::span<const float> KVCache::value_rows(std::size_t layer, std::size_t b, std::size_t count,
-                                           std::span<float> scratch) const {
-  ORINSIM_CHECK(layer < n_layers_ && b < batch_ && count > 0 && count - 1 <= staged_end(b) &&
-                    count <= max_seq_,
-                "KVCache::value_rows out of range");
-  if (storage_ == KVStorage::kF32 && layout_ == KVLayout::kDense) {
-    return std::span<const float>(values_[layer].data() + row(b, 0) * kv_dim_,
-                                  count * kv_dim_);
-  }
-  if (storage_ == KVStorage::kF32) {
-    const std::vector<std::size_t>& table = tables_[b];
-    const std::size_t n_blocks = blocks_for(count, block_tokens_);
-    ORINSIM_CHECK(n_blocks <= table.size(), "KVCache::value_rows reads unmapped positions");
-    if (contiguous_prefix(table, n_blocks)) {
-      return std::span<const float>(
-          values_[layer].data() + table[0] * block_tokens_ * kv_dim_, count * kv_dim_);
-    }
-    ORINSIM_CHECK(scratch.size() >= count * kv_dim_,
-                  "KVCache::value_rows needs count*kv_dim scratch floats");
-    for (std::size_t j = 0; j < n_blocks; ++j) {
-      const std::size_t rows_here = std::min(block_tokens_, count - j * block_tokens_);
-      std::copy_n(values_[layer].begin() + table[j] * block_tokens_ * kv_dim_,
-                  rows_here * kv_dim_, scratch.begin() + j * block_tokens_ * kv_dim_);
-    }
-    return scratch.first(count * kv_dim_);
-  }
-  ORINSIM_CHECK(scratch.size() >= count * kv_dim_,
-                "KVCache::value_rows needs count*kv_dim scratch floats");
-  for (std::size_t p = 0; p < count; ++p) {
-    const std::size_t r = row(b, p);
-    const std::int8_t* codes = value_codes_[layer].data() + r * kv_dim_;
-    const float scale = value_scales_[layer][r];
-    float* out = scratch.data() + p * kv_dim_;
-    for (std::size_t i = 0; i < kv_dim_; ++i) out[i] = static_cast<float>(codes[i]) * scale;
-  }
-  return scratch.first(count * kv_dim_);
+std::span<const float> KVCache::value_block(std::size_t layer, std::size_t b, std::size_t j,
+                                            std::size_t rows, std::span<float> tile) const {
+  return read(values_, layer, block_row(layer, b, j, rows), rows, tile);
 }
 
 void KVCache::truncate(std::size_t b, std::size_t new_len) {
   ORINSIM_CHECK(b < batch_, "KVCache::truncate out of range");
   ORINSIM_CHECK(new_len <= lengths_[b], "KVCache::truncate cannot extend");
-  if (layout_ == KVLayout::kPaged) {
-    std::vector<std::size_t>& table = tables_[b];
-    const std::size_t keep = blocks_for(new_len, block_tokens_);
-    while (table.size() > keep) {
-      allocator_->release(table.back());
-      table.pop_back();
-    }
+  std::vector<std::size_t>& table = tables_[b];
+  const std::size_t keep = blocks_for(new_len, block_tokens_);
+  while (table.size() > keep) {
+    allocator_->release(table.back());
+    table.pop_back();
   }
   lengths_[b] = new_len;
   staged_[b] = 0;
 }
 
 void KVCache::reset() {
-  if (layout_ == KVLayout::kPaged) {
-    for (std::size_t b = 0; b < batch_; ++b) {
-      for (std::size_t id : tables_[b]) allocator_->release(id);
-      tables_[b].clear();
-    }
+  for (std::size_t b = 0; b < batch_; ++b) {
+    for (std::size_t id : tables_[b]) allocator_->release(id);
+    tables_[b].clear();
   }
   std::fill(lengths_.begin(), lengths_.end(), 0);
   std::fill(staged_.begin(), staged_.end(), 0);
@@ -432,34 +308,18 @@ std::size_t KVCache::block_bytes() const noexcept {
   return block_tokens_ * bytes_per_row();
 }
 
-std::size_t KVCache::total_blocks() const noexcept {
-  if (layout_ == KVLayout::kPaged) return allocator_->total_blocks();
-  return batch_ * blocks_for(max_seq_, block_tokens_);
-}
+std::size_t KVCache::total_blocks() const noexcept { return allocator_->total_blocks(); }
 
-std::size_t KVCache::blocks_in_use() const noexcept {
-  if (layout_ == KVLayout::kPaged) return allocator_->blocks_in_use();
-  return total_blocks();  // dense reserves everything up front
-}
+std::size_t KVCache::blocks_in_use() const noexcept { return allocator_->blocks_in_use(); }
 
-std::size_t KVCache::free_blocks() const noexcept {
-  if (layout_ == KVLayout::kPaged) return allocator_->free_blocks();
-  return 0;
-}
+std::size_t KVCache::free_blocks() const noexcept { return allocator_->free_blocks(); }
 
-std::size_t KVCache::bytes() const noexcept {
-  if (layout_ == KVLayout::kPaged) return allocator_->bytes_in_use();
-  return batch_ * max_seq_ * bytes_per_row();
-}
+std::size_t KVCache::bytes() const noexcept { return allocator_->bytes_in_use(); }
 
-std::size_t KVCache::peak_bytes() const noexcept {
-  if (layout_ == KVLayout::kPaged) return allocator_->peak_bytes();
-  return bytes();
-}
+std::size_t KVCache::peak_bytes() const noexcept { return allocator_->peak_bytes(); }
 
 std::size_t KVCache::reserved_bytes() const noexcept {
-  if (layout_ == KVLayout::kPaged) return allocator_->total_blocks() * block_bytes();
-  return batch_ * max_seq_ * bytes_per_row();
+  return allocator_->total_blocks() * block_bytes();
 }
 
 std::size_t KVCache::used_bytes() const noexcept {

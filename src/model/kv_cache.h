@@ -6,24 +6,19 @@
 // study's KV-quantization axis — at a measurable accuracy cost that the
 // perplexity benches quantify.
 //
-// Layout: rows are addressed through one of two mappings.
-//  - kDense reserves max_seq contiguous rows per sequence up front (the
-//    original layout; row = b * max_seq + pos).
-//  - kPaged (default) maps positions onto fixed-size blocks of
-//    block_tokens rows handed out by a ref-counted BlockAllocator. A block
-//    spans every layer's K and V for its positions, so one table per
-//    sequence drives all layers. Sequences grow block-by-block, forked
-//    sequences share their common prefix copy-on-write, and a bounded pool
-//    (max_blocks) lets a serving engine oversubscribe lanes and preempt on
-//    exhaustion instead of reserving worst-case memory per lane.
-// Values are copied bit-exactly in either mapping, so paged and dense
-// caches produce bit-identical attention outputs (pinned by tests).
+// Layout: positions map onto fixed-size blocks of block_tokens rows handed
+// out by a ref-counted BlockAllocator. A block spans every layer's K and V
+// for its positions, so one table per sequence drives all layers. Sequences
+// grow block-by-block, forked sequences share their common prefix
+// copy-on-write, and a bounded pool (max_blocks) lets a serving engine
+// oversubscribe lanes and preempt on exhaustion instead of reserving
+// worst-case memory per lane. Attention walks a sequence's block table and
+// reads K/V one block at a time (key_block/value_block).
 //
 // The cache tracks a per-sequence length so ragged batches (prompts of
 // different lengths) decode correctly. bytes() reports actual allocation:
-// blocks in use times block bytes under paging, the full reservation under
-// the dense layout (the paper's incremental-memory metric counts KV growth
-// the same way).
+// blocks in use times block bytes (the paper's incremental-memory metric
+// counts KV growth the same way).
 #pragma once
 
 #include <algorithm>
@@ -39,7 +34,6 @@
 namespace orinsim {
 
 enum class KVStorage { kF32, kI8 };
-enum class KVLayout { kDense, kPaged };
 
 // Default block granularity: 16 tokens balances internal fragmentation
 // (last block half-empty on average) against table-walk overhead, matching
@@ -48,11 +42,10 @@ inline constexpr std::size_t kDefaultKVBlockTokens = 16;
 
 struct KVCacheOptions {
   KVStorage storage = KVStorage::kF32;
-  KVLayout layout = KVLayout::kPaged;
   std::size_t block_tokens = kDefaultKVBlockTokens;
   // Pool size in blocks. 0 = enough for `batch` sequences of max_seq tokens,
-  // so existing call sites keep their dense capacity guarantee and never see
-  // exhaustion; a serving engine passes a smaller pool to oversubscribe.
+  // so such a cache never sees exhaustion; a serving engine passes a smaller
+  // pool to oversubscribe.
   std::size_t max_blocks = 0;
 };
 
@@ -69,9 +62,9 @@ class KVCache {
   std::size_t seq_len(std::size_t b) const { return lengths_.at(b); }
 
   // Appends one position worth of K/V for sequence b in layer l; returns the
-  // position it was stored at. Paged layout allocates the backing block on
-  // demand and throws ContractViolation when the pool is exhausted — callers
-  // that must not throw reserve ahead with try_reserve().
+  // position it was stored at. Allocates the backing block on demand and
+  // throws ContractViolation when the pool is exhausted — callers that must
+  // not throw reserve ahead with try_reserve().
   std::size_t append(std::size_t layer, std::size_t b, std::span<const float> k,
                      std::span<const float> v);
 
@@ -87,11 +80,11 @@ class KVCache {
   void commit(std::size_t b, std::size_t count = 1);
 
   // Roll sequence b back to new_len tokens (speculative-decoding rejection:
-  // discard the KV entries of unaccepted draft tokens). Paged layout drops
-  // this sequence's reference on each now-unused block; a block still shared
-  // with a forked sibling or held by the prefix cache is only decref'd —
-  // never returned to the pool while live (the rejected-draft-branch path
-  // exercises exactly this every round; pinned by regression test).
+  // discard the KV entries of unaccepted draft tokens). Drops this sequence's
+  // reference on each now-unused block; a block still shared with a forked
+  // sibling or held by the prefix cache is only decref'd — never returned to
+  // the pool while live (the rejected-draft-branch path exercises exactly
+  // this every round; pinned by regression test).
   void truncate(std::size_t b, std::size_t new_len);
 
   // Release every block of sequence b and zero its length (a retired or
@@ -101,12 +94,12 @@ class KVCache {
   // Guarantees the next `count` appends to sequence b cannot fail for lack
   // of blocks (all-or-nothing; no partial reservation). Returns false when
   // the pool cannot cover them or max_seq would be exceeded — the serving
-  // engine's preemption trigger. Dense layout only checks max_seq.
+  // engine's preemption trigger.
   bool try_reserve(std::size_t b, std::size_t count);
 
   // Shares sequence src's committed prefix with empty sequence dst: blocks
   // are ref-counted, not copied, and the first append into a shared block
-  // copies it (copy-on-write). Paged layout only.
+  // copies it (copy-on-write).
   void fork_sequence(std::size_t src, std::size_t dst);
 
   // Copy-on-writes sequence b's partially-filled tail block now if it is
@@ -116,10 +109,10 @@ class KVCache {
   // copy would need a block the pool cannot supply; true when the tail is
   // already private, block-aligned, or was successfully copied. The serving
   // engine's speculative draft branch calls this right after fork_sequence,
-  // before any parallel decode work touches the branch. Paged layout only.
+  // before any parallel decode work touches the branch.
   bool try_unshare_tail(std::size_t b);
 
-  // --- Cross-request block sharing (serving-layer prefix cache). Paged only.
+  // --- Cross-request block sharing (serving-layer prefix cache).
 
   // Sequence b's committed block table. The ids stay valid while the caller
   // holds a reference on them (retain_block); the prefix cache snapshots the
@@ -163,32 +156,26 @@ class KVCache {
   std::span<const float> value(std::size_t layer, std::size_t b, std::size_t pos,
                                std::span<float> scratch) const;
 
-  // All K/V rows for positions [0, count) of sequence b in layer l as one
-  // row-major [count, kv_dim] block. FP32 storage returns a direct span when
-  // the rows are physically contiguous — always under the dense layout, and
-  // under paging whenever the sequence's blocks happen to be consecutive
-  // (the serial-decode common case) — otherwise it gathers whole-block runs
-  // into `scratch` (>= count * kv_dim floats). INT8 dequantizes every row
-  // into `scratch` with the exact per-element math of key()/value(). Hoists
-  // the per-(head, position) dequantization out of the attention inner loop —
-  // under GQA the old path repeated it group times.
-  std::span<const float> key_rows(std::size_t layer, std::size_t b, std::size_t count,
-                                  std::span<float> scratch) const;
-  std::span<const float> value_rows(std::size_t layer, std::size_t b, std::size_t count,
-                                    std::span<float> scratch) const;
+  // K/V rows [0, rows) of sequence b's block j in layer l — positions
+  // j*block_tokens() .. j*block_tokens()+rows-1, staged rows included — as
+  // one row-major [rows, kv_dim] span (rows <= block_tokens()). FP32 storage
+  // returns a span into the cache and ignores `tile`; INT8 dequantizes into
+  // `tile` (>= rows * kv_dim() floats) with the exact per-element math of
+  // key()/value(). Attention reads each block once per layer this way.
+  std::span<const float> key_block(std::size_t layer, std::size_t b, std::size_t j,
+                                   std::size_t rows, std::span<float> tile) const;
+  std::span<const float> value_block(std::size_t layer, std::size_t b, std::size_t j,
+                                     std::size_t rows, std::span<float> tile) const;
 
   KVStorage storage() const noexcept { return storage_; }
-  KVLayout layout() const noexcept { return layout_; }
   std::size_t block_tokens() const noexcept { return block_tokens_; }
 
   void reset();
 
-  // Bytes actually allocated: blocks_in_use() * block_bytes() under paging,
-  // the full dense reservation otherwise.
+  // Bytes actually allocated: blocks_in_use() * block_bytes().
   std::size_t bytes() const noexcept;
 
-  // High-water mark of bytes(). Under the dense layout this is the (fixed)
-  // reservation itself.
+  // High-water mark of bytes().
   std::size_t peak_bytes() const noexcept;
 
   // Physical slab reservation backing the pool (what the process actually
@@ -198,23 +185,39 @@ class KVCache {
   // Bytes logically in use given current committed sequence lengths.
   std::size_t used_bytes() const noexcept;
 
-  // Paged-pool introspection (serving engine occupancy metrics). All return
-  // the dense-equivalent single "block" when layout() == kDense.
+  // Block-pool introspection (serving engine occupancy metrics).
   std::size_t block_bytes() const noexcept;
   std::size_t total_blocks() const noexcept;
   std::size_t blocks_in_use() const noexcept;
   std::size_t free_blocks() const noexcept;
 
  private:
-  // Physical row index of (sequence, position) under the active layout.
+  // One of K or V for every layer, [layer][pool rows * kv_dim]: FP32 rows,
+  // or INT8 codes with one absmax scale per row ([layer][pool rows]).
+  struct Slab {
+    std::vector<std::vector<float>> f32;
+    std::vector<std::vector<std::int8_t>> codes;
+    std::vector<std::vector<float>> scales;
+  };
+
+  // Physical slab row of (sequence, position).
   std::size_t row(std::size_t b, std::size_t pos) const;
-  // Paged: maps positions [first, first+count) to exclusively-owned blocks,
+  // First physical slab row of sequence b's block j, checking that rows
+  // [0, rows) of it are readable.
+  std::size_t block_row(std::size_t layer, std::size_t b, std::size_t j,
+                        std::size_t rows) const;
+  // Maps positions [first, first+count) to exclusively-owned blocks,
   // allocating on demand (throws on exhaustion) and copying shared blocks
-  // before the write (copy-on-write). Dense: no-op.
+  // before the write (copy-on-write).
   void ensure_writable(std::size_t b, std::size_t first, std::size_t count);
   void make_writable(std::size_t b, std::size_t block_index);
-  void store_quantized(std::vector<std::int8_t>& codes, std::vector<float>& scales,
-                       std::size_t row_index, std::span<const float> data);
+  // Writes one K or V vector into slab row r.
+  void store(Slab& slab, std::size_t layer, std::size_t r, std::span<const float> data);
+  // Slab rows [r, r + rows) as floats: a view (FP32) or dequantized into
+  // `out` (INT8, >= rows * kv_dim floats). The one read path behind key(),
+  // value(), key_block() and value_block().
+  std::span<const float> read(const Slab& slab, std::size_t layer, std::size_t r,
+                              std::size_t rows, std::span<float> out) const;
   std::size_t bytes_per_row() const noexcept;
 
   std::size_t batch_ = 0;
@@ -222,23 +225,14 @@ class KVCache {
   std::size_t kv_dim_ = 0;
   std::size_t n_layers_ = 0;
   KVStorage storage_ = KVStorage::kF32;
-  KVLayout layout_ = KVLayout::kPaged;
   std::size_t block_tokens_ = kDefaultKVBlockTokens;
 
-  // Paged state: one block table per sequence (shared by every layer) over
-  // a ref-counted pool. Null under the dense layout.
+  // One block table per sequence (shared by every layer) over a ref-counted
+  // pool of pool_blocks * block_tokens slab rows.
   std::unique_ptr<BlockAllocator> allocator_;
   std::vector<std::vector<std::size_t>> tables_;
-
-  // FP32 storage: [layer][rows * kv_dim] slabs; rows = batch * max_seq
-  // (dense) or pool_blocks * block_tokens (paged).
-  std::vector<std::vector<float>> keys_;
-  std::vector<std::vector<float>> values_;
-  // INT8 storage: codes same layout, one absmax scale per stored vector.
-  std::vector<std::vector<std::int8_t>> key_codes_;
-  std::vector<std::vector<std::int8_t>> value_codes_;
-  std::vector<std::vector<float>> key_scales_;    // [layer][rows]
-  std::vector<std::vector<float>> value_scales_;  // [layer][rows]
+  Slab keys_;
+  Slab values_;
 
   // Highest readable position for sequence b: committed length plus any
   // entries staged by append()/append_many() but not yet committed.

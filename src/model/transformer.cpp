@@ -167,6 +167,10 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
   }
 
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  const std::size_t block_tokens = cache.block_tokens();
+  if (cache.storage() == KVStorage::kI8 && ws.kv_tile.size() < block_tokens * kv_dim) {
+    ws.kv_tile.resize(block_tokens * kv_dim);
+  }
   std::fill_n(ws.attn.begin(), rows * d, 0.0f);
   for (std::size_t i = 0; i < seqs.size(); ++i) {
     const std::size_t b = seqs[i];
@@ -180,31 +184,57 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
     cache.append_many(layer, b, k.subspan(r0 * kv_dim, run * kv_dim),
                       v.subspan(r0 * kv_dim, run * kv_dim), run);
 
-    // Dequantize the sequence's K/V prefix (staged rows included) once per
-    // layer; FP32 storage returns a zero-copy view.
-    const auto keys = cache.key_rows(layer, b, first + run, ws.kv_rows_k);
-    const auto values = cache.value_rows(layer, b, first + run, ws.kv_rows_v);
-
-    // Causal: row t attends to positions 0..first+t, and the softmax runs
-    // per row over exactly that prefix, so every (row, head) is the same op
-    // sequence whatever the step's shape.
-    for (std::size_t t = 0; t < run; ++t) {
-      const std::size_t n_pos = first + t + 1;
-      const float* q_row = ws.q.data() + (r0 + t) * d;
-      float* out_row = ws.attn.data() + (r0 + t) * d;
-      for (std::size_t h = 0; h < c.n_heads; ++h) {
-        const std::size_t g = h / group;
-        const std::span<const float> qh(q_row + h * head_dim, head_dim);
-        for (std::size_t p = 0; p < n_pos; ++p) {
-          ws.scores[p] =
-              kernels::dot(qh, keys.subspan(p * kv_dim + g * head_dim, head_dim)) * inv_sqrt_d;
+    // Causal: row t attends to positions 0..first+t. Scores of (t, h) live
+    // at ws.scores[(t * n_heads + h) * len]; each block of the prefix (staged
+    // rows included) is read once for K and once for V.
+    const std::size_t len = first + run;
+    const std::size_t n_blocks = (len + block_tokens - 1) / block_tokens;
+    if (ws.scores.size() < run * c.n_heads * len) ws.scores.resize(run * c.n_heads * len);
+    auto scores = [&](std::size_t t, std::size_t h) {
+      return ws.scores.data() + (t * c.n_heads + h) * len;
+    };
+    for (std::size_t j = 0; j < n_blocks; ++j) {
+      const std::size_t p0 = j * block_tokens;
+      const auto keys = cache.key_block(layer, b, j, std::min(block_tokens, len - p0), ws.kv_tile);
+      // Rows before position p0 see nothing of this block.
+      for (std::size_t t = p0 > first ? p0 - first : 0; t < run; ++t) {
+        const std::size_t n_pos = std::min(block_tokens, first + t + 1 - p0);
+        const float* q_row = ws.q.data() + (r0 + t) * d;
+        for (std::size_t h = 0; h < c.n_heads; ++h) {
+          const std::span<const float> qh(q_row + h * head_dim, head_dim);
+          const std::size_t g = h / group;
+          float* s = scores(t, h) + p0;
+          for (std::size_t p = 0; p < n_pos; ++p) {
+            s[p] = kernels::dot(qh, keys.subspan(p * kv_dim + g * head_dim, head_dim)) *
+                   inv_sqrt_d;
+          }
         }
-        kernels::softmax_rows(std::span<float>(ws.scores.data(), n_pos), 1, n_pos);
-        float* oh = out_row + h * head_dim;
-        for (std::size_t p = 0; p < n_pos; ++p) {
-          const float* vp = values.data() + p * kv_dim + g * head_dim;
-          const float s = ws.scores[p];
-          for (std::size_t j = 0; j < head_dim; ++j) oh[j] += s * vp[j];
+      }
+    }
+    // The softmax runs per (row, head) over exactly its own prefix, so every
+    // (row, head) is the same op sequence whatever the step's shape.
+    for (std::size_t t = 0; t < run; ++t) {
+      for (std::size_t h = 0; h < c.n_heads; ++h) {
+        kernels::softmax_rows(std::span<float>(scores(t, h), first + t + 1), 1, first + t + 1);
+      }
+    }
+    // Blocks in ascending order keep each output's accumulation order.
+    for (std::size_t j = 0; j < n_blocks; ++j) {
+      const std::size_t p0 = j * block_tokens;
+      const auto values =
+          cache.value_block(layer, b, j, std::min(block_tokens, len - p0), ws.kv_tile);
+      for (std::size_t t = p0 > first ? p0 - first : 0; t < run; ++t) {
+        const std::size_t n_pos = std::min(block_tokens, first + t + 1 - p0);
+        float* out_row = ws.attn.data() + (r0 + t) * d;
+        for (std::size_t h = 0; h < c.n_heads; ++h) {
+          const float* vh = values.data() + (h / group) * head_dim;
+          const float* s = scores(t, h) + p0;
+          float* oh = out_row + h * head_dim;
+          for (std::size_t p = 0; p < n_pos; ++p) {
+            const float* vp = vh + p * kv_dim;
+            const float sp = s[p];
+            for (std::size_t e = 0; e < head_dim; ++e) oh[e] += sp * vp[e];
+          }
         }
       }
     }

@@ -72,17 +72,11 @@ class Model {
 
   KVStorage kv_storage() const noexcept { return kv_storage_; }
 
-  // Layout of internally-created caches (generate, sequence_nll). Paged by
-  // default; the bit-identity tests flip this to compare against dense.
-  KVLayout kv_layout() const noexcept { return kv_layout_; }
-  void set_kv_layout(KVLayout layout) noexcept { kv_layout_ = layout; }
-
   // Options matching this model's internal-cache choices, for callers that
   // construct their own KVCache (serving engine, speculative decoding).
   KVCacheOptions kv_options() const noexcept {
     KVCacheOptions o;
     o.storage = kv_storage_;
-    o.layout = kv_layout_;
     return o;
   }
 
@@ -220,7 +214,6 @@ class Model {
   std::shared_ptr<const MasterWeights> master_;
   DType dtype_;
   KVStorage kv_storage_ = KVStorage::kF32;
-  KVLayout kv_layout_ = KVLayout::kPaged;
   std::vector<LayerQuant> layers_;
 
   // Precomputed RoPE cos/sin for every (position, pair) of this config.

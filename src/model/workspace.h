@@ -5,7 +5,9 @@
 // token of a prefill chunk or per decode lane. One workspace per
 // concurrently-executing caller makes forward re-entrant: Model::decode runs
 // lane groups in parallel on a ThreadPool with one workspace per shard, while
-// serial callers use the Model's built-in default workspace.
+// serial callers use the Model's built-in default workspace. Attention's
+// score buffer and INT8 KV tile depend on the step's context and the cache's
+// block size, so they grow on demand instead of being sized for max_seq.
 #pragma once
 
 #include <vector>
@@ -17,10 +19,7 @@ namespace orinsim {
 
 struct InferenceWorkspace {
   explicit InferenceWorkspace(const TransformerConfig& c)
-      : scores(c.max_seq),
-        kv_rows_k(c.max_seq * c.kv_dim()),
-        kv_rows_v(c.max_seq * c.kv_dim()),
-        hidden(c.d_model) {
+      : hidden(c.d_model) {
     ensure_rows(c, 1);
   }
 
@@ -45,12 +44,12 @@ struct InferenceWorkspace {
 
   // Residual stream, projections and MLP activations, [rows, features].
   std::vector<float> x, normed, q, k, v, attn, attn_proj, gate, up, ff, mlp_out;
-  // Causal score row of the (row, head) being attended: [max_seq].
+  // Causal scores of one sequence's run, [run, n_heads, prefix length];
+  // attention grows it on demand.
   std::vector<float> scores;
-  // Whole-prefix dequantization scratch for KVCache::key_rows()/value_rows():
-  // attention dequantizes a sequence's K/V prefix once per layer instead of
-  // once per (head, position).
-  std::vector<float> kv_rows_k, kv_rows_v;
+  // INT8 KV dequantization tile of one cache block, [block_tokens, kv_dim];
+  // attention grows it on demand (FP32 blocks are read in place).
+  std::vector<float> kv_tile;
   // Final hidden state of the last row advanced through this workspace
   // (prefill() leaves the prompt's last position here).
   std::vector<float> hidden;

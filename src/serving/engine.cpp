@@ -887,7 +887,6 @@ namespace {
 KVCacheOptions functional_cache_options(const FunctionalTokenBackend::Config& c) {
   KVCacheOptions o;
   o.storage = c.kv_storage;
-  o.layout = KVLayout::kPaged;
   o.block_tokens = c.block_tokens;
   o.max_blocks = c.kv_blocks;
   return o;

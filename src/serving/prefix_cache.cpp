@@ -7,10 +7,7 @@
 namespace orinsim::serving {
 
 PrefixCache::PrefixCache(KVCache& cache, std::size_t max_blocks)
-    : cache_(cache), block_tokens_(cache.block_tokens()), max_blocks_(max_blocks) {
-  ORINSIM_CHECK(cache.layout() == KVLayout::kPaged,
-                "PrefixCache requires a paged KVCache");
-}
+    : cache_(cache), block_tokens_(cache.block_tokens()), max_blocks_(max_blocks) {}
 
 PrefixCache::~PrefixCache() { clear(); }
 

@@ -75,8 +75,8 @@ struct PrefixCacheStats {
 
 class PrefixCache {
  public:
-  // `cache` must be paged and outlive the PrefixCache. `max_blocks` caps the
-  // tree's residency (0 = bounded only by the allocator pool); the engine
+  // `cache` must outlive the PrefixCache. `max_blocks` caps the tree's
+  // residency (0 = bounded only by the allocator pool); the engine
   // additionally evicts on allocator exhaustion.
   explicit PrefixCache(KVCache& cache, std::size_t max_blocks = 0);
   ~PrefixCache();

@@ -19,7 +19,8 @@ TEST(BlockAllocatorTest, HandsOutBlockZeroFirst) {
   EXPECT_EQ(a.block_bytes(), 128u);
   EXPECT_EQ(a.free_blocks(), 4u);
   // Ascending handout keeps a single growing sequence physically contiguous
-  // (the zero-copy key_rows fast path depends on this).
+  // (position-ordered slab rows, and the contiguous block tables the
+  // batched-vs-solo KV pins compare against).
   EXPECT_EQ(a.alloc(), 0u);
   EXPECT_EQ(a.alloc(), 1u);
   EXPECT_EQ(a.alloc(), 2u);

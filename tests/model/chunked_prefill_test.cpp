@@ -65,9 +65,12 @@ std::vector<float> prefill_hidden(Model& model, std::span<const TokenId> prompt,
 }
 
 TEST(ChunkedPrefillTest, BitIdenticalToTokenAtATimeUnderScalar) {
-  // Every precision × both block styles × both KV storages, with a prompt
-  // length (13) that is not a multiple of the chunk (4): exercises full
-  // chunks plus the remainder chunk.
+  // Every precision × both block styles × both KV storages × three KV block
+  // sizes, with a prompt length (13) that is not a multiple of the chunk
+  // (4): exercises full chunks plus the remainder chunk. 16-token blocks
+  // hold the whole prompt; 4-token blocks turn every chunk boundary into a
+  // block boundary; 3-token blocks make chunks start mid-block and span two
+  // blocks, so attention's causal block walk splits every run.
   ScopedLevel scalar(simd::Level::kScalar);
   for (BlockStyle style : {BlockStyle::kPreNormSwiGLU, BlockStyle::kParallelGELU}) {
     const auto cfg = test_config(style);
@@ -75,34 +78,40 @@ TEST(ChunkedPrefillTest, BitIdenticalToTokenAtATimeUnderScalar) {
     const auto prompt = make_prompt(13, cfg.vocab);
     for (DType dtype : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
       for (KVStorage kv : {KVStorage::kF32, KVStorage::kI8}) {
-        Model chunked(master, dtype), stepped(master, dtype);
-        KVCache c_chunk(cfg, 1, 32, kv), c_step(cfg, 1, 32, kv);
-        const auto h_chunk = prefill_hidden(chunked, prompt, 4, c_chunk);
-        const auto h_step = prefill_hidden(stepped, prompt, 0, c_step);
+        for (std::size_t block_tokens : {kDefaultKVBlockTokens, std::size_t{4}, std::size_t{3}}) {
+          KVCacheOptions opts;
+          opts.storage = kv;
+          opts.block_tokens = block_tokens;
+          Model chunked(master, dtype), stepped(master, dtype);
+          KVCache c_chunk(cfg, 1, 32, opts), c_step(cfg, 1, 32, opts);
+          const auto h_chunk = prefill_hidden(chunked, prompt, 4, c_chunk);
+          const auto h_step = prefill_hidden(stepped, prompt, 0, c_step);
 
-        const std::string where = cfg.name + " dtype=" +
-                                  std::to_string(static_cast<int>(dtype)) +
-                                  " kv=" + std::to_string(static_cast<int>(kv));
-        for (std::size_t i = 0; i < h_chunk.size(); ++i) {
-          ASSERT_EQ(h_chunk[i], h_step[i]) << where << " hidden i=" << i;
-        }
-        // The caches must also agree position-by-position (INT8 KV: the
-        // quantized codes round-trip identically because the stored fp32
-        // vectors were bit-identical).
-        ASSERT_EQ(c_chunk.seq_len(0), prompt.size());
-        ASSERT_EQ(c_step.seq_len(0), prompt.size());
-        std::vector<float> s1(cfg.kv_dim()), s2(cfg.kv_dim());
-        for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-          for (std::size_t p = 0; p < prompt.size(); ++p) {
-            const auto k1 = c_chunk.key(l, 0, p, s1);
-            const auto k2 = c_step.key(l, 0, p, s2);
-            for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
-              ASSERT_EQ(k1[i], k2[i]) << where << " key l=" << l << " p=" << p;
-            }
-            const auto v1 = c_chunk.value(l, 0, p, s1);
-            const auto v2 = c_step.value(l, 0, p, s2);
-            for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
-              ASSERT_EQ(v1[i], v2[i]) << where << " value l=" << l << " p=" << p;
+          const std::string where = cfg.name + " dtype=" +
+                                    std::to_string(static_cast<int>(dtype)) +
+                                    " kv=" + std::to_string(static_cast<int>(kv)) +
+                                    " block_tokens=" + std::to_string(block_tokens);
+          for (std::size_t i = 0; i < h_chunk.size(); ++i) {
+            ASSERT_EQ(h_chunk[i], h_step[i]) << where << " hidden i=" << i;
+          }
+          // The caches must also agree position-by-position (INT8 KV: the
+          // quantized codes round-trip identically because the stored fp32
+          // vectors were bit-identical).
+          ASSERT_EQ(c_chunk.seq_len(0), prompt.size());
+          ASSERT_EQ(c_step.seq_len(0), prompt.size());
+          std::vector<float> s1(cfg.kv_dim()), s2(cfg.kv_dim());
+          for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+            for (std::size_t p = 0; p < prompt.size(); ++p) {
+              const auto k1 = c_chunk.key(l, 0, p, s1);
+              const auto k2 = c_step.key(l, 0, p, s2);
+              for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
+                ASSERT_EQ(k1[i], k2[i]) << where << " key l=" << l << " p=" << p;
+              }
+              const auto v1 = c_chunk.value(l, 0, p, s1);
+              const auto v2 = c_step.value(l, 0, p, s2);
+              for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
+                ASSERT_EQ(v1[i], v2[i]) << where << " value l=" << l << " p=" << p;
+              }
             }
           }
         }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/error.h"
@@ -77,29 +78,11 @@ TEST(KVCacheTest, OverflowRejected) {
   EXPECT_THROW(cache.commit(0), ContractViolation);
 }
 
-TEST(KVCacheTest, BytesAccountingDense) {
-  const auto cfg = tiny_config();
-  KVCacheOptions opts;
-  opts.layout = KVLayout::kDense;
-  KVCache cache(cfg, 2, 8, opts);
-  // Dense reserves everything up front:
-  // 2 layers * K+V * batch 2 * seq 8 * kv_dim * 4 bytes.
-  EXPECT_EQ(cache.bytes(), cfg.n_layers * 2 * 2 * 8 * cfg.kv_dim() * sizeof(float));
-  EXPECT_EQ(cache.bytes(), cache.reserved_bytes());
-  EXPECT_EQ(cache.used_bytes(), 0u);
-  const std::size_t kv = cfg.kv_dim();
-  std::vector<float> k(kv), v(kv);
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, 0, k, v);
-  cache.commit(0);
-  EXPECT_EQ(cache.used_bytes(), cfg.n_layers * 2 * kv * sizeof(float));
-}
-
 TEST(KVCacheTest, BytesAccountingPagedTracksBlocksInUse) {
   const auto cfg = tiny_config();
   KVCacheOptions opts;
   opts.block_tokens = 4;
-  KVCache cache(cfg, 2, 8, opts);  // default layout is paged
-  ASSERT_EQ(cache.layout(), KVLayout::kPaged);
+  KVCache cache(cfg, 2, 8, opts);
   // Nothing appended yet: no blocks handed out.
   EXPECT_EQ(cache.bytes(), 0u);
   EXPECT_EQ(cache.blocks_in_use(), 0u);
@@ -238,37 +221,60 @@ TEST(KVCacheTest, AppendManyBeyondCapacityRejected) {
   EXPECT_THROW(cache.append_many(0, 0, rows, rows, 3), ContractViolation);
 }
 
-TEST(KVCacheTest, KeyRowsValueRowsMatchPerPositionReads) {
+// Two sequences appended alternately over 4-token blocks get interleaved,
+// non-contiguous tables; sequence 0 ends in a staged, uncommitted, partial
+// tail block. Every block read must equal the per-position reads bitwise.
+TEST(KVCacheTest, BlockReadsMatchPerPositionReads) {
   const auto cfg = tiny_config();
   const std::size_t kv = cfg.kv_dim();
-  const std::size_t count = 4;
-  const auto ks = ramp_rows(count, kv, 2.0f);
-  const auto vs = ramp_rows(count, kv, -3.0f);
-
+  KVCacheOptions opts;
+  opts.block_tokens = 4;
   for (KVStorage storage : {KVStorage::kF32, KVStorage::kI8}) {
-    KVCache cache(cfg, 1, 8, storage);
-    for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-      cache.append_many(l, 0, ks, vs, count);
+    opts.storage = storage;
+    KVCache cache(cfg, 2, 16, opts);
+    for (std::size_t p = 0; p < 7; ++p) {
+      for (std::size_t b = 0; b < 2; ++b) {
+        const auto ks = ramp_rows(1, kv, 1.0f + static_cast<float>(10 * p + b));
+        const auto vs = ramp_rows(1, kv, -3.0f - static_cast<float>(10 * p + b));
+        for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, b, ks, vs);
+        cache.commit(b);
+      }
     }
-    cache.commit(0, count);
+    const auto ks = ramp_rows(2, kv, 0.5f);
+    const auto vs = ramp_rows(2, kv, -0.5f);
+    for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, ks, vs, 2);
+    ASSERT_EQ(cache.block_table(0).size(), 3u);
+    EXPECT_NE(cache.block_table(0)[1], cache.block_table(0)[0] + 1);
 
-    std::vector<float> block(count * kv), scratch(kv);
-    for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-      const auto krows = cache.key_rows(l, 0, count, block);
-      for (std::size_t p = 0; p < count; ++p) {
-        const auto kref = cache.key(l, 0, p, scratch);
-        for (std::size_t i = 0; i < kv; ++i) {
-          EXPECT_EQ(krows[p * kv + i], kref[i]) << "l=" << l << " p=" << p;
-        }
-      }
-      const auto vrows = cache.value_rows(l, 0, count, block);
-      for (std::size_t p = 0; p < count; ++p) {
-        const auto vref = cache.value(l, 0, p, scratch);
-        for (std::size_t i = 0; i < kv; ++i) {
-          EXPECT_EQ(vrows[p * kv + i], vref[i]) << "l=" << l << " p=" << p;
+    // Readable positions: 0..8 for sequence 0 (two staged), 0..6 for 1.
+    const std::size_t readable[] = {9, 7};
+    std::vector<float> tile(opts.block_tokens * kv), scratch(kv);
+    for (std::size_t b = 0; b < 2; ++b) {
+      for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+        for (std::size_t j = 0; j * 4 < readable[b]; ++j) {
+          const std::size_t rows = std::min<std::size_t>(4, readable[b] - j * 4);
+          const auto kblock = cache.key_block(l, b, j, rows, tile);
+          ASSERT_EQ(kblock.size(), rows * kv);
+          for (std::size_t r = 0; r < rows; ++r) {
+            const auto kref = cache.key(l, b, j * 4 + r, scratch);
+            for (std::size_t i = 0; i < kv; ++i) {
+              EXPECT_EQ(kblock[r * kv + i], kref[i]) << "b=" << b << " l=" << l;
+            }
+          }
+          const auto vblock = cache.value_block(l, b, j, rows, tile);
+          ASSERT_EQ(vblock.size(), rows * kv);
+          for (std::size_t r = 0; r < rows; ++r) {
+            const auto vref = cache.value(l, b, j * 4 + r, scratch);
+            for (std::size_t i = 0; i < kv; ++i) {
+              EXPECT_EQ(vblock[r * kv + i], vref[i]) << "b=" << b << " l=" << l;
+            }
+          }
         }
       }
     }
+    // Rows past the staged tail, and unmapped blocks, are out of range.
+    EXPECT_THROW(cache.key_block(0, 0, 2, 2, tile), ContractViolation);
+    EXPECT_THROW(cache.value_block(0, 1, 2, 1, tile), ContractViolation);
   }
 }
 

@@ -1,8 +1,10 @@
-// Paged KV cache: the block-table layout must be a pure re-addressing of
-// the dense layout. Generation outputs are pinned bit-identical across the
-// full weight-precision x KV-storage grid, serial and pooled; fork shares
-// blocks copy-on-write; try_reserve is the engine's non-throwing preemption
-// probe; unreserved growth past the pool throws.
+// Paged KV cache: a block table is a pure re-addressing of the sequence's
+// positions. Generation outputs are pinned bit-identical between batched
+// runs (interleaved, non-contiguous block tables) and each prompt run alone
+// (a dense table: blocks 0, 1, 2, ...) across the full weight-precision x
+// KV-storage grid, serial and pooled; fork shares blocks copy-on-write;
+// try_reserve is the engine's non-throwing preemption probe; unreserved
+// growth past the pool throws.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -33,13 +35,9 @@ std::vector<std::vector<TokenId>> paged_test_prompts() {
   return {{3, 9, 27}, {81, 12, 36, 11}, {5, 6, 7, 8, 9}, {44, 2}};
 }
 
-Model::GenerateResult generate_with_layout(Model& model, KVLayout layout,
-                                           ThreadPool* pool = nullptr) {
-  model.set_kv_layout(layout);
-  Model::GenerateOptions options;
-  options.pool = pool;
-  return model.generate(paged_test_prompts(), 12, options);
-}
+// 24 new tokens carry every lane past the first 16-token block, so batched
+// lanes interleave their second blocks.
+constexpr std::size_t kPagedTestNewTokens = 24;
 
 struct GridCase {
   DType dtype;
@@ -48,21 +46,27 @@ struct GridCase {
 
 class PagedVsDenseTest : public ::testing::TestWithParam<GridCase> {};
 
-// The acceptance grid: every weight precision x both KV storages. Paged
-// re-addresses the same bit-exact rows, so outputs must match exactly.
+// The acceptance grid: every weight precision x both KV storages. Each
+// prompt generated alone owns a dense block table (0, 1, 2, ...); batched,
+// the lanes' tables interleave. The tables only re-address the same
+// bit-exact rows, so outputs must match exactly.
 TEST_P(PagedVsDenseTest, BitIdenticalSerialAndPooled) {
   const auto cfg = paged_test_config();
   auto master = MasterWeights::init_random(cfg, 61);
   Model model(master, GetParam().dtype, GetParam().storage);
 
-  const auto dense = generate_with_layout(model, KVLayout::kDense);
-  ASSERT_EQ(dense.outputs.size(), 4u);
-  const auto paged = generate_with_layout(model, KVLayout::kPaged);
-  EXPECT_EQ(paged.outputs, dense.outputs);
+  const auto prompts = paged_test_prompts();
+  std::vector<std::vector<TokenId>> solo;
+  for (const auto& prompt : prompts) {
+    solo.push_back(model.generate({prompt}, kPagedTestNewTokens).outputs.at(0));
+    ASSERT_EQ(solo.back().size(), kPagedTestNewTokens);
+  }
+  EXPECT_EQ(model.generate(prompts, kPagedTestNewTokens).outputs, solo);
 
   ThreadPool pool(4);
-  const auto paged_pooled = generate_with_layout(model, KVLayout::kPaged, &pool);
-  EXPECT_EQ(paged_pooled.outputs, dense.outputs);
+  Model::GenerateOptions options;
+  options.pool = &pool;
+  EXPECT_EQ(model.generate(prompts, kPagedTestNewTokens, options).outputs, solo);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -84,23 +88,8 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(PagedKVTest, PerplexityPathMatchesDense) {
-  const auto cfg = paged_test_config();
-  auto master = MasterWeights::init_random(cfg, 67);
-  Model model(master, DType::kF32, KVStorage::kF32);
-  const std::vector<TokenId> tokens = {5, 17, 3, 88, 21, 40, 9, 13, 2, 55};
-
-  model.set_kv_layout(KVLayout::kDense);
-  const auto dense = model.sequence_nll(tokens, 1);
-  model.set_kv_layout(KVLayout::kPaged);
-  const auto paged = model.sequence_nll(tokens, 1);
-  EXPECT_EQ(paged.predicted, dense.predicted);
-  EXPECT_EQ(paged.total_nll, dense.total_nll);  // bit-equal, not just close
-}
-
 KVCacheOptions small_pool(std::size_t block_tokens, std::size_t max_blocks) {
   KVCacheOptions o;
-  o.layout = KVLayout::kPaged;
   o.block_tokens = block_tokens;
   o.max_blocks = max_blocks;
   return o;

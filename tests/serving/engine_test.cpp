@@ -584,8 +584,9 @@ TEST_F(FunctionalEngineTest, SixtyFourRequestPoissonRunWithOversubscribedPool) {
   cfg.backend.block_tokens = 4;
   cfg.backend.kv_blocks = 16;  // holds only 4 full 16-token sequences
 
-  // max_lanes exceeds the pool's dense capacity — the dense layout
-  // could not even admit this lane count.
+  // max_lanes exceeds the number of full sequences the pool holds —
+  // reserving max_seq rows per lane up front could not even admit this
+  // lane count.
   ASSERT_GT(cfg.backend.max_lanes, cfg.backend.kv_blocks * cfg.backend.block_tokens /
                                        (cfg.seq.input + cfg.seq.output));
 

@@ -43,7 +43,6 @@ TransformerConfig radix_test_config() {
 
 KVCacheOptions radix_pool(std::size_t block_tokens, std::size_t max_blocks) {
   KVCacheOptions o;
-  o.layout = KVLayout::kPaged;
   o.block_tokens = block_tokens;
   o.max_blocks = max_blocks;
   return o;
