@@ -97,8 +97,9 @@ void BM_WeightMatvec(benchmark::State& state) {
   const auto wm = quant::WeightMatrix::create(w, out_f, in_f, dt);
   auto x = random_vec(in_f, 7, 1.0f);
   std::vector<float> out(out_f);
+  quant::ActivationBatchInt8 act;
   for (auto _ : state) {
-    wm.matvec(x, out);
+    wm.matmul(x, out, 1, act);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetLabel(dtype_name(dt));
@@ -286,15 +287,15 @@ int run_roofline(const std::string& json_path) {
     single.name = "matvec_" + dtype_name(dt);
     single.bytes_per_iter = wbytes + (in_f + out_f) * sizeof(float);
     single.flops_per_iter = 2.0 * static_cast<double>(out_f) * static_cast<double>(in_f);
-    single.seconds_per_iter = time_kernel([&] { wm.matvec(x1, y1); });
+    quant::ActivationBatchInt8 act;
+    single.seconds_per_iter = time_kernel([&] { wm.matmul(x1, y1, 1, act); });
     points.push_back(single);
 
     RooflinePoint multi;
     multi.name = "matvec_multi8_" + dtype_name(dt);
     multi.bytes_per_iter = wbytes + lanes * (in_f + out_f) * sizeof(float);
     multi.flops_per_iter = single.flops_per_iter * static_cast<double>(lanes);
-    quant::ActivationBatchInt8 act;
-    multi.seconds_per_iter = time_kernel([&] { wm.matvec_multi(x, y, lanes, act); });
+    multi.seconds_per_iter = time_kernel([&] { wm.matmul(x, y, lanes, act); });
     points.push_back(multi);
   }
   {

@@ -136,17 +136,8 @@ std::size_t Model::outlier_columns() const noexcept {
   return total;
 }
 
-void Model::project(const quant::WeightMatrix& w, std::span<const float> x,
-                    std::span<float> y, std::size_t rows, bool chunk, InferenceWorkspace& ws) {
-  if (chunk) {
-    w.matmul(x, y, rows);
-  } else {
-    w.matvec_multi(x, y, rows, ws.act8);
-  }
-}
-
 void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std::size_t run,
-                      bool chunk, KVCache& cache, InferenceWorkspace& ws) {
+                      KVCache& cache, InferenceWorkspace& ws) {
   const TransformerConfig& c = master_->config;
   const std::size_t rows = seqs.size() * run;
   const std::size_t head_dim = c.head_dim();
@@ -160,11 +151,7 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
   const std::span<float> q(ws.q.data(), rows * d);
   const std::span<float> k(ws.k.data(), rows * kv_dim);
   const std::span<float> v(ws.v.data(), rows * kv_dim);
-  if (chunk) {
-    quant::matmul_qkv(lq.wq, lq.wk, lq.wv, normed, q, k, v, rows, ws.act8);
-  } else {
-    quant::matvec_qkv_multi(lq.wq, lq.wk, lq.wv, normed, q, k, v, rows, ws.act8);
-  }
+  quant::matmul_qkv(lq.wq, lq.wk, lq.wv, normed, q, k, v, rows, ws.act8);
 
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
   const std::size_t block_tokens = cache.block_tokens();
@@ -241,7 +228,7 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
   }
 }
 
-void Model::mlp(std::size_t layer, bool chunk, std::size_t rows, InferenceWorkspace& ws) {
+void Model::mlp(std::size_t layer, std::size_t rows, InferenceWorkspace& ws) {
   const TransformerConfig& c = master_->config;
   const LayerQuant& lq = layers_[layer];
   const std::span<const float> normed(ws.normed.data(), rows * c.d_model);
@@ -249,15 +236,15 @@ void Model::mlp(std::size_t layer, bool chunk, std::size_t rows, InferenceWorksp
   if (c.style == BlockStyle::kPreNormSwiGLU) {
     const std::span<float> gate(ws.gate.data(), rows * c.d_ff);
     const std::span<float> up(ws.up.data(), rows * c.d_ff);
-    project(lq.w_gate, normed, gate, rows, chunk, ws);
-    project(lq.w_up, normed, up, rows, chunk, ws);
+    lq.w_gate.matmul(normed, gate, rows, ws.act8);
+    lq.w_up.matmul(normed, up, rows, ws.act8);
     kernels::swiglu(gate, up, act);
   } else {
-    project(lq.w_gate, normed, act, rows, chunk, ws);  // fc1
+    lq.w_gate.matmul(normed, act, rows, ws.act8);  // fc1
     kernels::gelu_inplace(act);
   }
   const std::span<float> out(ws.mlp_out.data(), rows * c.d_model);
-  project(lq.w_down, act, out, rows, chunk, ws);  // fc2 in the GELU style
+  lq.w_down.matmul(act, out, rows, ws.act8);  // fc2 in the GELU style
 }
 
 void Model::forward(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
@@ -270,9 +257,6 @@ void Model::forward(std::span<const TokenId> tokens, std::span<const std::size_t
                 "forward: seqs must split the rows into equal runs");
   ORINSIM_CHECK(hidden_rows.empty() || hidden_rows.size() == d || hidden_rows.size() == n * d,
                 "forward: hidden_rows must be empty, [d_model], or [rows, d_model]");
-  // Only a one-sequence chunk of >1 row takes the GEMMs; width 1, lanes and
-  // multi-sequence chunks run the lane kernels.
-  const bool chunk = seqs.size() == 1 && n > 1;
   const std::size_t run = n / seqs.size();  // rows per sequence
   ws.ensure_rows(c, n);
 
@@ -291,19 +275,19 @@ void Model::forward(std::span<const TokenId> tokens, std::span<const std::size_t
     const LayerMaster& lm = master_->layers[l];
     if (c.style == BlockStyle::kPreNormSwiGLU) {
       kernels::rmsnorm_rows(x, lm.norm_gain, normed, n, d);
-      attention(l, seqs, run, chunk, cache, ws);
-      project(layers_[l].wo, attn, attn_proj, n, chunk, ws);
+      attention(l, seqs, run, cache, ws);
+      layers_[l].wo.matmul(attn, attn_proj, n, ws.act8);
       kernels::add_inplace(x, attn_proj);
 
       kernels::rmsnorm_rows(x, lm.norm2_gain, normed, n, d);
-      mlp(l, chunk, n, ws);
+      mlp(l, n, ws);
       kernels::add_inplace(x, mlp_out);
     } else {
       // Phi-2 parallel block: one LayerNorm feeds both attention and MLP.
       kernels::layernorm_rows(x, lm.norm_gain, lm.norm_bias, normed, n, d);
-      attention(l, seqs, run, chunk, cache, ws);
-      project(layers_[l].wo, attn, attn_proj, n, chunk, ws);
-      mlp(l, chunk, n, ws);
+      attention(l, seqs, run, cache, ws);
+      layers_[l].wo.matmul(attn, attn_proj, n, ws.act8);
+      mlp(l, n, ws);
       kernels::add_inplace(x, attn_proj);
       kernels::add_inplace(x, mlp_out);
     }
@@ -322,10 +306,7 @@ void Model::forward(std::span<const TokenId> tokens, std::span<const std::size_t
 }
 
 void Model::logits_from_hidden(std::span<const float> hidden, std::span<float> logits) const {
-  const TransformerConfig& c = master_->config;
-  ORINSIM_CHECK(hidden.size() == c.d_model && logits.size() == c.vocab,
-                "logits_from_hidden: shape mismatch");
-  kernels::matvec(master_->lm_head, hidden, logits, c.vocab, c.d_model);
+  logits_from_hidden_rows(hidden, logits, 1);
 }
 
 void Model::logits_from_hidden_rows(std::span<const float> hidden_rows,

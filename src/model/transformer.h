@@ -90,21 +90,16 @@ class Model {
 
   // One forward step over tokens.size() rows, split into equal runs:
   // seqs[i] owns rows [i*run, (i+1)*run), run = rows / seqs.size(), the
-  // next positions of distinct sequences. Three shapes (width 1 is all):
-  //  - chunk: one sequence (a prefill chunk);
-  //  - lanes: run 1, one token each for distinct sequences (a decode batch);
-  //  - multi-sequence chunk: several sequences, run > 1 (speculative
-  //    verify of equal-length drafts).
-  // Each sequence's cache advances by its run and commits once per step.
+  // next positions of distinct sequences. A one-sequence chunk (prefill),
+  // run-1 lanes (a decode batch), a multi-sequence chunk (speculative verify
+  // of equal-length drafts) and width 1 all take the same path. Each
+  // sequence's cache advances by its run and commits once per step.
   //
-  // The shape alone picks the projection kernels. A one-sequence chunk of
-  // more than one row runs the chunk GEMMs (matmul, matmul_qkv:
-  // compute-bound prefill, bit-identical to width-1 steps under
-  // ORINSIM_KERNELS=scalar). Everything else runs the lane kernels
-  // (matvec_multi, matvec_qkv_multi), which stream each weight row once for
-  // the whole batch and are composition-independent: a row's hidden state
-  // and cache contents equal width-1 steps at either kernel level, whatever
-  // other rows share the step.
+  // Every row is composition-independent: the projections stream each
+  // weight row once for all rows (WeightMatrix::matmul, matmul_qkv) and
+  // attention reads each row's own prefix, so a row's hidden state and
+  // cache contents equal width-1 steps bit-for-bit at either kernel level,
+  // whatever other rows share the step.
   //
   // hidden_rows receives the final-norm hidden states: pass an empty span to
   // discard, a [d_model] span for the last row only, or a [rows, d_model]
@@ -200,16 +195,12 @@ class Model {
   };
 
   // Q/K/V projection, RoPE and KV append for every row, then causal
-  // attention per row over its sequence's prefix. `chunk` selects the
-  // projection kernels (see forward); seqs[i] owns rows [i*run, (i+1)*run).
+  // attention per row over its sequence's prefix; seqs[i] owns rows
+  // [i*run, (i+1)*run).
   void attention(std::size_t layer, std::span<const std::size_t> seqs, std::size_t run,
-                 bool chunk, KVCache& cache, InferenceWorkspace& ws);
+                 KVCache& cache, InferenceWorkspace& ws);
   // The block's MLP over ws.normed into ws.mlp_out.
-  void mlp(std::size_t layer, bool chunk, std::size_t rows, InferenceWorkspace& ws);
-  // y = W x over `rows` rows through the chunk or lane kernels.
-  static void project(const quant::WeightMatrix& w, std::span<const float> x,
-                      std::span<float> y, std::size_t rows, bool chunk,
-                      InferenceWorkspace& ws);
+  void mlp(std::size_t layer, std::size_t rows, InferenceWorkspace& ws);
 
   std::shared_ptr<const MasterWeights> master_;
   DType dtype_;

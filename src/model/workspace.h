@@ -55,7 +55,8 @@ struct InferenceWorkspace {
   std::vector<float> hidden;
   // Final hidden states of a Model::decode lane group, [rows, d_model].
   std::vector<float> hidden_rows;
-  // Reused INT8 activation codes, shared by the fused QKV projection.
+  // INT8 activation codes of a projection's input (one quantization serves
+  // all three matrices of the fused QKV projection).
   quant::ActivationBatchInt8 act8;
   std::size_t row_capacity = 0;
 };

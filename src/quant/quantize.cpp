@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "core/error.h"
-#include "core/thread_pool.h"
+#include "tensor/kernels.h"
 #include "tensor/simd.h"
 
 namespace orinsim::quant {
@@ -60,7 +60,7 @@ RowwiseInt8 quantize_rowwise_int8(std::span<const float> weights, std::size_t ro
     }
   }
   // fp32 mirror of the outlier weights, converted once at quantize time so
-  // no matvec/matmul call pays a per-row fp16 conversion.
+  // no matmul call pays a per-row fp16 conversion.
   q.outlier_f32.resize(q.outlier_values.size());
   q.outlier_f32_by_col.resize(q.outlier_values.size());
   for (std::size_t r = 0; r < rows; ++r) {
@@ -84,59 +84,6 @@ void dequantize_row(const RowwiseInt8& q, std::size_t row, std::span<float> out)
   }
 }
 
-void quantize_activation_int8(std::span<const float> x, ActivationInt8& act) {
-  float x_absmax = 0.0f;
-  for (float v : x) x_absmax = std::max(x_absmax, std::fabs(v));
-  act.scale = x_absmax > 0.0f ? x_absmax / 127.0f : 1.0f;
-  act.codes.resize(x.size());
-  for (std::size_t c = 0; c < x.size(); ++c) {
-    const int v = static_cast<int>(std::lround(x[c] / act.scale));
-    act.codes[c] = static_cast<std::int8_t>(std::clamp(v, -127, 127));
-  }
-}
-
-namespace {
-
-constexpr std::size_t kLaneTile = 8;    // lanes per stack tile of the int8 matvecs
-constexpr std::size_t kRowChunk = 64;   // rows per parallel chunk of the int8 matvecs
-
-// Rows [r0, r1) of W x for `lanes` (<= kLaneTile) activation columns
-// x/codes/scales, into y[i * y_stride + r]. The int8 dots are exact; the
-// outlier part adds w[r, o] * x[col_o] in full precision over the original
-// activations, o ascending, so every (lane, row) sum has one fixed order.
-// Running o outermost over the column-major outlier_f32_by_col turns it into
-// one contiguous axpy per outlier column — the rows' independent sums
-// advance side by side instead of one latency-bound chain at a time.
-void int8_rows(const RowwiseInt8& q, std::size_t r0, std::size_t r1, const float* x,
-               const std::int8_t* codes, const float* scales, std::size_t lanes, float* y,
-               std::size_t y_stride) {
-  std::int64_t dots[kLaneTile];
-  for (std::size_t r = r0; r < r1; ++r) {
-    simd::dot_i8_multi(q.codes.data() + r * q.cols, codes, q.cols, lanes, q.cols, dots);
-    for (std::size_t i = 0; i < lanes; ++i) {
-      y[i * y_stride + r] = static_cast<float>(dots[i]) * q.row_scale[r] * scales[i];
-    }
-  }
-  for (std::size_t o = 0; o < q.outlier_cols.size(); ++o) {
-    const float* w = q.outlier_f32_by_col.data() + o * q.rows;
-    for (std::size_t i = 0; i < lanes; ++i) {
-      const float xo = x[i * q.cols + q.outlier_cols[o]];
-      float* yi = y + i * y_stride;
-      for (std::size_t r = r0; r < r1; ++r) yi[r] += w[r] * xo;
-    }
-  }
-}
-
-}  // namespace
-
-void matvec_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> out) {
-  ORINSIM_CHECK(x.size() == q.cols && out.size() == q.rows, "int8 matvec: shape mismatch");
-  // Dynamic per-token activation quantization (absmax over all dims).
-  ActivationBatchInt8 acts;
-  quantize_activations_int8(x, 1, q.cols, acts);
-  matvec_int8_multi(q, x, acts, out, 1);
-}
-
 void quantize_activations_int8(std::span<const float> x, std::size_t tokens,
                                std::size_t cols, ActivationBatchInt8& acts) {
   ORINSIM_CHECK(x.size() == tokens * cols, "activation batch quantize: shape mismatch");
@@ -158,6 +105,40 @@ void quantize_activations_int8(std::span<const float> x, std::size_t tokens,
   }
 }
 
+namespace {
+
+constexpr std::size_t kTokenTile = 8;  // tokens per stack tile of the projections
+constexpr std::size_t kRowChunk = 64;  // rows per outlier sweep of the scalar int8 path
+
+// kScalar: rows [r0, r1) of W x for `tokens` (<= kTokenTile) activation rows
+// x/codes/scales, into y[i * y_stride + r]. The int8 dots are exact; the
+// outlier part adds w[r, o] * x[col_o] in full precision over the original
+// activations, o ascending, so every (token, row) sum has one fixed order.
+// Running o outermost over the column-major outlier_f32_by_col turns it into
+// one contiguous axpy per outlier column — the rows' independent sums
+// advance side by side instead of one latency-bound chain at a time.
+void int8_rows(const RowwiseInt8& q, std::size_t r0, std::size_t r1, const float* x,
+               const std::int8_t* codes, const float* scales, std::size_t tokens, float* y,
+               std::size_t y_stride) {
+  std::int64_t dots[kTokenTile];
+  for (std::size_t r = r0; r < r1; ++r) {
+    simd::dot_i8_multi(q.codes.data() + r * q.cols, codes, q.cols, tokens, q.cols, dots);
+    for (std::size_t i = 0; i < tokens; ++i) {
+      y[i * y_stride + r] = static_cast<float>(dots[i]) * q.row_scale[r] * scales[i];
+    }
+  }
+  for (std::size_t o = 0; o < q.outlier_cols.size(); ++o) {
+    const float* w = q.outlier_f32_by_col.data() + o * q.rows;
+    for (std::size_t i = 0; i < tokens; ++i) {
+      const float xo = x[i * q.cols + q.outlier_cols[o]];
+      float* yi = y + i * y_stride;
+      for (std::size_t r = r0; r < r1; ++r) yi[r] += w[r] * xo;
+    }
+  }
+}
+
+}  // namespace
+
 void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
                  const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens) {
   ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows,
@@ -165,73 +146,49 @@ void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
   ORINSIM_CHECK(acts.tokens == tokens && acts.cols == q.cols,
                 "int8 matmul: activation batch shape mismatch");
   if (simd::active_level() != simd::Level::kNative) {
-    // Scalar: exactly matvec_int8's arithmetic for every token.
-    matvec_int8_multi(q, x, acts, y, tokens);
+    kernels::parallel_projection(q.rows, tokens, q.cols, [&](std::size_t r_begin,
+                                                              std::size_t r_end) {
+      for (std::size_t r0 = r_begin; r0 < r_end; r0 += kRowChunk) {
+        for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
+          int8_rows(q, r0, std::min(r0 + kRowChunk, r_end), x.data() + t0 * q.cols,
+                    acts.codes.data() + t0 * q.cols, acts.scales.data() + t0,
+                    std::min(kTokenTile, tokens - t0), y.data() + t0 * q.rows, q.rows);
+        }
+      }
+    });
     return;
   }
 
+  // kNative: pack each token's outlier-column activations once per call, so
+  // the per-(row, token) correction is one SIMD dot over two contiguous
+  // arrays. (With the heavy-tailed init most columns of a large matrix carry
+  // at least one outlier element, so this rivals the int8 dots in work.)
   const std::size_t n_out = q.outlier_cols.size();
-  // Native: pack the outlier-column activations once per chunk, so the
-  // per-(row, token) correction is one SIMD dot over two contiguous arrays.
-  // (With the heavy-tailed init most columns of a large matrix carry at
-  // least one outlier element, so this rivals the int8 dots in work.)
   std::vector<float> x_out(tokens * n_out);
   for (std::size_t t = 0; t < tokens && n_out > 0; ++t) {
     const float* xt = x.data() + t * q.cols;
     float* dst = x_out.data() + t * n_out;
     for (std::size_t o = 0; o < n_out; ++o) dst[o] = xt[q.outlier_cols[o]];
   }
-  kernel_pool().parallel_rows(q.rows, 256, [&](std::size_t r0, std::size_t r1) {
-    std::vector<std::int64_t> dots(tokens);
+  kernels::parallel_projection(q.rows, tokens, q.cols, [&](std::size_t r0, std::size_t r1) {
+    std::int64_t dots[kTokenTile];
+    float outliers[kTokenTile];
     for (std::size_t r = r0; r < r1; ++r) {
       const std::int8_t* codes = q.codes.data() + r * q.cols;
-      // Outlier weights were converted to fp32 once at quantize time.
       const float* w_out = q.outlier_f32.data() + r * n_out;
-      // One pass over the weight row serves all tokens (the multi-column dot
-      // shares each weight load across 4 activation columns; integer math is
-      // exact, so the results equal per-token dot_i8 bit-for-bit).
-      simd::dot_i8_multi(codes, acts.codes.data(), q.cols, tokens, q.cols, dots.data());
-      for (std::size_t t = 0; t < tokens; ++t) {
-        float result = static_cast<float>(dots[t]) * q.row_scale[r] * acts.scales[t];
-        // Native may reassociate (determinism contract: tolerance, not
-        // bits); the packed arrays make the correction one SIMD dot.
-        result += simd::dot_f32(w_out, x_out.data() + t * n_out, n_out);
-        y[t * q.rows + r] = result;
+      for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
+        const std::size_t tile = std::min(kTokenTile, tokens - t0);
+        // Both multi-column dots equal their single-column kernel per
+        // token, so a token's sum does not depend on the tile it lands in.
+        simd::dot_i8_multi(codes, acts.codes.data() + t0 * q.cols, q.cols, tile, q.cols, dots);
+        simd::dot_f32_multi(w_out, x_out.data() + t0 * n_out, n_out, tile, n_out, outliers);
+        for (std::size_t t = 0; t < tile; ++t) {
+          y[(t0 + t) * q.rows + r] =
+              static_cast<float>(dots[t]) * q.row_scale[r] * acts.scales[t0 + t] + outliers[t];
+        }
       }
     }
   });
-}
-
-void matvec_int8_multi(const RowwiseInt8& q, std::span<const float> x,
-                       const ActivationBatchInt8& acts, std::span<float> y,
-                       std::size_t lanes) {
-  ORINSIM_CHECK(x.size() == lanes * q.cols && y.size() == lanes * q.rows,
-                "int8 multi matvec: shape mismatch");
-  ORINSIM_CHECK(acts.tokens == lanes && acts.cols == q.cols,
-                "int8 multi matvec: activation batch shape mismatch");
-  // Lanes go through int8_rows in stack tiles, the per-(lane, row)
-  // arithmetic matvec_int8 runs for one lane, so every lane is bit-identical
-  // to the single matvec at both kernel levels; the hot loop is
-  // allocation-free. Row sums do not depend on where a chunk starts.
-  kernel_pool().parallel_rows(q.rows, 256, [&](std::size_t r_begin, std::size_t r_end) {
-    for (std::size_t r0 = r_begin; r0 < r_end; r0 += kRowChunk) {
-      for (std::size_t t0 = 0; t0 < lanes; t0 += kLaneTile) {
-        int8_rows(q, r0, std::min(r0 + kRowChunk, r_end), x.data() + t0 * q.cols,
-                  acts.codes.data() + t0 * q.cols, acts.scales.data() + t0,
-                  std::min(kLaneTile, lanes - t0), y.data() + t0 * q.rows, q.rows);
-      }
-    }
-  });
-}
-
-void matmul_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> y,
-                 std::size_t tokens) {
-  ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows,
-                "int8 matmul: shape mismatch");
-  // Quantize every token's activation once up front.
-  ActivationBatchInt8 acts;
-  quantize_activations_int8(x, tokens, q.cols, acts);
-  matmul_int8(q, x, acts, y, tokens);
 }
 
 std::size_t BlockInt4::storage_bytes() const noexcept {
@@ -324,46 +281,36 @@ void dequantize_row(const BlockInt4& q, std::size_t row, std::span<float> out) {
   }
 }
 
-namespace {
-
-// Whether the packed AVX2 kernel should serve this call. The kernel mirrors
-// may be absent on hand-built structs (tests); the float reference then runs
-// at every level.
-bool int4_native_path(const BlockInt4& q) {
-  return simd::active_level() == simd::Level::kNative && !q.packed_kernel.empty() &&
-         !q.scale_f32.empty();
-}
-
-// Scalar reference matvec: unpack + dequantize per block, float accumulate.
-// The bit-exact reference — unchanged since the seed.
-void matvec_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<float> out) {
-  kernel_pool().parallel_rows(q.rows, 256, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      float acc = 0.0f;
-      for (std::size_t b = 0; b < q.blocks_per_row; ++b) {
-        const float scale = fp16_to_float(q.block_scale[r * q.blocks_per_row + b]);
-        float blk_acc = 0.0f;
-        const float* xb = x.data() + b * kInt4Block;
-        for (std::size_t i = 0; i < kInt4Block; i += 2) {
-          const std::uint8_t byte = q.packed[(r * q.cols + b * kInt4Block + i) / 2];
-          blk_acc += static_cast<float>(unpack_lo(byte)) * xb[i];
-          blk_acc += static_cast<float>(unpack_hi(byte)) * xb[i + 1];
+void matmul_int4(const BlockInt4& q, std::span<const float> x,
+                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens) {
+  ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows,
+                "int4 matmul: shape mismatch");
+  if (simd::active_level() == simd::Level::kNative) {
+    ORINSIM_CHECK(acts.tokens == tokens && acts.cols == q.cols,
+                  "int4 matmul: activation batch shape mismatch");
+    // Packed kernel: one weight unpack serves a tile of tokens; per-token
+    // results are independent of the tile.
+    kernels::parallel_projection(q.rows, tokens, q.cols, [&](std::size_t r0, std::size_t r1) {
+      float tmp[kTokenTile];
+      for (std::size_t r = r0; r < r1; ++r) {
+        for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
+          const std::size_t tile = std::min(kTokenTile, tokens - t0);
+          simd::dot_i4_i8_multi(
+              q.packed_kernel.data() + r * q.blocks_per_row * simd::kInt4KernelBlockBytes,
+              q.scale_f32.data() + r * q.blocks_per_row, q.blocks_per_row,
+              acts.codes.data() + t0 * q.cols, q.cols, tile, tmp);
+          for (std::size_t t = 0; t < tile; ++t) {
+            y[(t0 + t) * q.rows + r] = tmp[t] * acts.scales[t0 + t];
+          }
         }
-        acc += blk_acc * scale;
       }
-      out[r] = acc;
-    }
-  });
-}
-
-// Scalar reference matmul: tile tokens so per-token block accumulators live
-// in registers/stack while each packed weight byte is unpacked exactly once
-// per tile. Per-token sequence == matvec_int4_scalar (chunked-prefill
-// bit-identity contract).
-void matmul_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<float> y,
-                        std::size_t tokens) {
-  constexpr std::size_t kTokenTile = 8;
-  kernel_pool().parallel_rows(q.rows, 256, [&](std::size_t r0, std::size_t r1) {
+    });
+    return;
+  }
+  // Scalar float reference: tile tokens so per-token block accumulators live
+  // in registers/stack while each packed weight byte is unpacked once per
+  // tile; every token runs the same float sequence.
+  kernels::parallel_projection(q.rows, tokens, q.cols, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
         const std::size_t tile = std::min(kTokenTile, tokens - t0);
@@ -387,72 +334,6 @@ void matmul_int4_scalar(const BlockInt4& q, std::span<const float> x, std::span<
       }
     }
   });
-}
-
-// Packed kernel over a pre-quantized activation batch: one weight unpack
-// serves every column; per-column results are independent of the batch.
-void matmul_int4_packed(const BlockInt4& q, const std::int8_t* codes, const float* scales,
-                        std::size_t stride, std::span<float> y, std::size_t tokens) {
-  kernel_pool().parallel_rows(q.rows, 256, [&](std::size_t r0, std::size_t r1) {
-    std::vector<float> tmp(tokens);
-    for (std::size_t r = r0; r < r1; ++r) {
-      simd::dot_i4_i8_multi(
-          q.packed_kernel.data() + r * q.blocks_per_row * simd::kInt4KernelBlockBytes,
-          q.scale_f32.data() + r * q.blocks_per_row, q.blocks_per_row, codes, stride, tokens,
-          tmp.data());
-      for (std::size_t t = 0; t < tokens; ++t) y[t * q.rows + r] = tmp[t] * scales[t];
-    }
-  });
-}
-
-}  // namespace
-
-void matvec_int4(const BlockInt4& q, std::span<const float> x,
-                 const ActivationInt8& act, std::span<float> out) {
-  ORINSIM_CHECK(x.size() == q.cols && out.size() == q.rows, "int4 matvec: shape mismatch");
-  if (int4_native_path(q)) {
-    ORINSIM_CHECK(act.codes.size() == q.cols, "int4 matvec: activation shape mismatch");
-    matmul_int4_packed(q, act.codes.data(), &act.scale, q.cols, out, 1);
-    return;
-  }
-  matvec_int4_scalar(q, x, out);
-}
-
-void matvec_int4(const BlockInt4& q, std::span<const float> x, std::span<float> out) {
-  ORINSIM_CHECK(x.size() == q.cols && out.size() == q.rows, "int4 matvec: shape mismatch");
-  if (int4_native_path(q)) {
-    ActivationInt8 act;
-    quantize_activation_int8(x, act);
-    matmul_int4_packed(q, act.codes.data(), &act.scale, q.cols, out, 1);
-    return;
-  }
-  matvec_int4_scalar(q, x, out);
-}
-
-void matmul_int4(const BlockInt4& q, std::span<const float> x,
-                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens) {
-  ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows,
-                "int4 matmul: shape mismatch");
-  if (int4_native_path(q)) {
-    ORINSIM_CHECK(acts.tokens == tokens && acts.cols == q.cols,
-                  "int4 matmul: activation batch shape mismatch");
-    matmul_int4_packed(q, acts.codes.data(), acts.scales.data(), q.cols, y, tokens);
-    return;
-  }
-  matmul_int4_scalar(q, x, y, tokens);
-}
-
-void matmul_int4(const BlockInt4& q, std::span<const float> x, std::span<float> y,
-                 std::size_t tokens) {
-  ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows,
-                "int4 matmul: shape mismatch");
-  if (int4_native_path(q)) {
-    ActivationBatchInt8 acts;
-    quantize_activations_int8(x, tokens, q.cols, acts);
-    matmul_int4_packed(q, acts.codes.data(), acts.scales.data(), q.cols, y, tokens);
-    return;
-  }
-  matmul_int4_scalar(q, x, y, tokens);
 }
 
 std::vector<fp16_t> quantize_fp16(std::span<const float> weights) {

@@ -10,6 +10,11 @@
 //
 // Both codecs quantize *weights*; activations are quantized per-token inside
 // the INT8 matmul (dynamic absmax), as LLM.int8() does.
+//
+// Each codec has one projection entry, matmul_int8 / matmul_int4, over any
+// number of activation rows (a prefill chunk, decode lanes or one row). Row
+// t's result is bit-identical to a one-row call on row t at both kernel
+// levels, whatever rows share the call (composition independence).
 #pragma once
 
 #include <cstdint>
@@ -29,13 +34,13 @@ struct RowwiseInt8 {
   std::vector<float> row_scale;          // [rows]; dequant w = code * scale
   std::vector<std::uint32_t> outlier_cols;  // sorted column indices kept in fp16
   std::vector<fp16_t> outlier_values;    // [rows, outlier_cols.size()] column-major-by-row
-  // Quantize-time fp32 mirror of outlier_values: the matvec/matmul hot loops
-  // read outlier weights without converting fp16 per row per call. Derived
-  // cache — excluded from storage_bytes() (model-size accounting counts the
-  // canonical fp16 copy only).
+  // Quantize-time fp32 mirror of outlier_values: the matmul hot loops read
+  // outlier weights without converting fp16 per row per call. Derived cache —
+  // excluded from storage_bytes() (model-size accounting counts the
+  // canonical fp16 copy only). Row by row for the kNative per-row dot.
   std::vector<float> outlier_f32;        // [rows, outlier_cols.size()]
   // The same values column by column, [outlier_cols.size(), rows], for the
-  // matvecs' column-at-a-time outlier correction. Derived cache, as above.
+  // kScalar column-at-a-time outlier correction. Derived cache, as above.
   std::vector<float> outlier_f32_by_col;
 
   std::size_t storage_bytes() const noexcept;
@@ -51,29 +56,10 @@ RowwiseInt8 quantize_rowwise_int8(std::span<const float> weights, std::size_t ro
 // Dequantize a single row (including outliers) into out[cols].
 void dequantize_row(const RowwiseInt8& q, std::size_t row, std::span<float> out);
 
-// out[r] = sum_c W[r,c] * x[c] over the int8 + outlier parts.
-// The int8 part quantizes x per-call with absmax (dynamic activation
-// quantization) and accumulates in int32, faithfully mimicking LLM.int8().
-void matvec_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> out);
-
-// A dynamically-quantized activation vector: absmax INT8 codes plus the
-// original FP32 view (the outlier columns multiply against full precision).
-// Quantizing once and reusing it across several matrices amortizes the
-// per-token activation pass — the QKV projections all consume one normed
-// input, so the decode hot path quantizes it once instead of three times.
-struct ActivationInt8 {
-  std::vector<std::int8_t> codes;
-  float scale = 1.0f;
-};
-
-// Encodes x into act (absmax over all dims, codes clamped to [-127, 127]).
-// Bit-identical to the quantization matvec_int8 performs internally.
-void quantize_activation_int8(std::span<const float> x, ActivationInt8& act);
-
-// A chunk of dynamically-quantized activations: [tokens, cols] codes with one
-// absmax scale per token. Reused across the QKV/O/MLP projections of a
-// prefill chunk so each chunk is quantized once per consuming matrix shape
-// instead of once per (matrix, token).
+// A block of dynamically-quantized activations: [tokens, cols] codes with one
+// absmax scale per token. Quantizing once and reusing it across matrices
+// amortizes the activation pass — the fused QKV projection quantizes its
+// normed input once for all three.
 struct ActivationBatchInt8 {
   std::vector<std::int8_t> codes;  // [tokens, cols]
   std::vector<float> scales;       // [tokens]
@@ -81,38 +67,22 @@ struct ActivationBatchInt8 {
   std::size_t cols = 0;
 };
 
-// Encodes x ([tokens, cols] row-major) into acts. Each row is quantized with
-// the exact math of quantize_activation_int8, so per-token codes/scales are
-// bit-identical to `tokens` independent single-vector quantizations.
+// Encodes x ([tokens, cols] row-major) into acts: per token, absmax over all
+// dims, codes clamped to [-127, 127]. A token's codes and scale depend only
+// on that token.
 void quantize_activations_int8(std::span<const float> x, std::size_t tokens,
                                std::size_t cols, ActivationBatchInt8& acts);
 
-// Blocked multi-token variants: X is [tokens, cols] row-major, Y is
-// [tokens, rows]. Each token's activation is quantized once, and every
-// weight row is streamed through the cache a single time for all tokens
-// (instead of `tokens` times via repeated matvecs) — the batched-decode /
-// prefill amortization the multi-lane engine relies on. Per-token results
-// are bit-identical to the corresponding matvec.
-void matmul_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> y,
-                 std::size_t tokens);
-
-// Same, against a pre-quantized activation chunk (`x` must be the FP32 block
-// acts was built from; outlier columns read it directly). The variant above
-// quantizes into a scratch batch and forwards here.
+// Y[t, r] = sum_c W[r,c] * X[t,c] over the int8 + outlier parts. X is
+// [tokens, cols], Y is [tokens, rows]; acts must be X quantized by
+// quantize_activations_int8 (the outlier columns read X itself). The int8
+// part accumulates exactly in integers, as LLM.int8() does; each weight row
+// is streamed once for every token. The outlier correction is one fixed
+// float sequence per (row, token): at kScalar the reference order (fp32
+// outlier weights added to the scaled int8 dot, outlier column ascending),
+// at kNative one SIMD dot over the token's packed outlier activations.
 void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
                  const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens);
-
-// Lane-batched int8 matvec: x/acts hold one activation column per decode
-// lane ([lanes, cols]), y is [lanes, rows]. Unlike matmul_int8 (whose
-// kNative outlier correction may reassociate — tolerance contract), every
-// lane's result here is bit-identical to matvec_int8 at BOTH kernel levels:
-// the int8 dots are exact and the outlier correction is matvec_int8's own
-// (one fixed accumulation order per row over the fp32 outlier weights; at
-// kScalar matmul_int8 runs it too). This is the decode-batching contract —
-// lanes can be grouped arbitrarily without changing any lane's output.
-void matvec_int8_multi(const RowwiseInt8& q, std::span<const float> x,
-                       const ActivationBatchInt8& acts, std::span<float> y,
-                       std::size_t lanes);
 
 // Block-wise INT4. Each block of kInt4Block consecutive weights (within a
 // row) shares one FP16 absmax scale; codes are signed 4-bit in [-8, 7].
@@ -141,32 +111,15 @@ BlockInt4 quantize_block_int4(std::span<const float> weights, std::size_t rows,
 
 void dequantize_row(const BlockInt4& q, std::size_t row, std::span<float> out);
 
-// INT4 numerics contract: at kScalar the float reference runs (unpack +
-// dequantize per block — the bit-exact reference, unchanged since the seed).
-// At kNative the packed-int4 kernel multiplies int4 weight codes against
-// int8-QUANTIZED activations (dynamic absmax, same codec as the int8 path),
-// so native int4 carries an extra activation-quantization error beyond FMA
-// tolerance — documented, and covered by the Table 3 perplexity ordering pin
-// (ppl_int4 > ppl_int8 holds at both levels). Per-token results are
-// bit-identical between matvec and matmul at each level (composition
-// independence of the packed kernel), which is what lets chunked prefill and
-// lane-batched decode share these entry points.
-void matvec_int4(const BlockInt4& q, std::span<const float> x, std::span<float> out);
-
-// matvec_int4 against a pre-quantized activation (`x` must be the vector
-// `act` was built from): the decode hot path quantizes once per token and
-// reuses it across Q/K/V. kScalar ignores `act` and runs the float reference.
-void matvec_int4(const BlockInt4& q, std::span<const float> x,
-                 const ActivationInt8& act, std::span<float> out);
-
-// Blocked multi-token INT4 matmul (layouts as matmul_int8): each packed
-// weight block is unpacked once and applied to every token.
-void matmul_int4(const BlockInt4& q, std::span<const float> x, std::span<float> y,
-                 std::size_t tokens);
-
-// Same, against a pre-quantized activation chunk (shared across the fused
-// QKV projections). Doubles as the lane-batched int4 decode matvec: token t
-// is bit-identical to matvec_int4 on column t at both levels, for any batch.
+// Y = W X for X [tokens, cols], Y [tokens, rows]. At kScalar the float
+// reference runs on X (unpack + dequantize per block — the bit-exact
+// reference, unchanged since the seed; acts is not read). At kNative the
+// packed-int4 kernel multiplies int4 weight codes against acts, the
+// int8-QUANTIZED X (dynamic absmax, same codec as the int8 path), so native
+// int4 carries an extra activation-quantization error beyond FMA tolerance —
+// documented, and covered by the Table 3 perplexity ordering pin
+// (ppl_int4 > ppl_int8 holds at both levels). Each packed weight block is
+// unpacked once per tile of up to 8 tokens.
 void matmul_int4(const BlockInt4& q, std::span<const float> x,
                  const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens);
 

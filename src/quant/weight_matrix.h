@@ -1,6 +1,6 @@
 // WeightMatrix: a [out_features, in_features] weight matrix whose storage
-// precision is chosen at load time (FP32 / FP16 / INT8 / INT4), exposing a
-// uniform matvec interface to the transformer engine. This is the C++
+// precision is chosen at load time (FP32 / FP16 / INT8 / INT4), exposing one
+// projection entry to the transformer engine. This is the C++
 // analogue of loading a HuggingFace checkpoint through BitsAndBytes at a
 // given quantization level.
 #pragma once
@@ -30,29 +30,17 @@ class WeightMatrix {
   std::size_t in_features() const noexcept { return in_features_; }
   DType dtype() const noexcept { return dtype_; }
 
-  // out[r] = sum_c W[r,c] * x[c]; dispatches on storage precision. The
-  // single-column reference the lane kernels are pinned against.
-  void matvec(std::span<const float> x, std::span<float> out) const;
-
-  // Y[t, :] = W * X[t, :] for t in [0, tokens); X is [tokens, in], Y is
-  // [tokens, out]. INT8/INT4 use the blocked multi-token kernels (each
-  // weight row streamed once for all tokens, activations quantized once per
-  // token); FP32 streams each weight row once for all tokens, FP16
-  // dequantizes each row once and dots it against every token.
-  void matmul(std::span<const float> x, std::span<float> y, std::size_t tokens) const;
-
-  // Lane-batched matvec: one activation column per decode lane (X is
-  // [lanes, in], Y is [lanes, out]), one weight stream shared by all lanes —
-  // decode is memory-bound, so this amortization is the batching win.
+  // Y[t, :] = W X[t, :] for t in [0, rows); X is [rows, in], Y is
+  // [rows, out]. The one projection entry for every shape — a prefill
+  // chunk, decode lanes, a multi-sequence verify chunk or a single row —
+  // dispatching on storage precision; each weight row is streamed once for
+  // all rows. INT8 (and INT4 at kNative) quantize X into act_scratch first.
   //
-  // Contract (what lets Model::forward batch arbitrary subsets of lanes):
-  // lane t's result is bit-identical to matvec(X[t]) at the active kernel
-  // level, and independent of the batch composition, for every dtype. kF16
-  // lanes run the matmul loop (each row dequantized once, dotted per lane),
-  // so they also equal a chunk row bit-for-bit. act_scratch feeds the
-  // INT8/INT4 paths.
-  void matvec_multi(std::span<const float> x, std::span<float> y, std::size_t lanes,
-                    ActivationBatchInt8& act_scratch) const;
+  // Contract (what lets Model::forward treat every step shape alike): row
+  // t's result is bit-identical to a one-row call on X[t] at the active
+  // kernel level, whatever rows share the call, for every dtype.
+  void matmul(std::span<const float> x, std::span<float> y, std::size_t rows,
+              ActivationBatchInt8& act_scratch) const;
 
   // Reconstruct row r at fp32 (reference path for tests and error analysis).
   void dequantize_row(std::size_t r, std::span<float> out) const;
@@ -67,11 +55,14 @@ class WeightMatrix {
   friend void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk,
                          const WeightMatrix& wv, std::span<const float> x,
                          std::span<float> q, std::span<float> k, std::span<float> v,
-                         std::size_t tokens, ActivationBatchInt8& act_scratch);
-  friend void matvec_qkv_multi(const WeightMatrix& wq, const WeightMatrix& wk,
-                               const WeightMatrix& wv, std::span<const float> x,
-                               std::span<float> q, std::span<float> k, std::span<float> v,
-                               std::size_t lanes, ActivationBatchInt8& act_scratch);
+                         std::size_t rows, ActivationBatchInt8& act_scratch);
+
+  // Whether project() reads activation codes at the active kernel level.
+  bool reads_activation_codes() const noexcept;
+  // matmul's dispatch, with act already holding X's codes when
+  // reads_activation_codes().
+  void project(std::span<const float> x, const ActivationBatchInt8& act, std::span<float> y,
+               std::size_t rows) const;
 
   std::size_t out_features_ = 0;
   std::size_t in_features_ = 0;
@@ -83,23 +74,12 @@ class WeightMatrix {
   BlockInt4 i4_;
 };
 
-// Fused QKV projection of a prefill chunk: X is [tokens, in], Q/K/V are
-// [tokens, out_q/k/v]. When all three matrices are INT8 (or INT4 on the
-// native packed path) the chunk is quantized ONCE into act_scratch and
-// reused; per-token results are bit-identical to three independent matmul
-// calls. Other precisions fall through to matmul.
+// Fused QKV projection: X is [rows, in], Q/K/V are [rows, out_q/k/v]. X is
+// quantized at most ONCE into act_scratch and shared by whichever matrices
+// read activation codes (activation quantization is deterministic), so each
+// output is bit-identical to its own WeightMatrix::matmul call.
 void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
                 std::span<const float> x, std::span<float> q, std::span<float> k,
-                std::span<float> v, std::size_t tokens, ActivationBatchInt8& act_scratch);
-
-// Lane-batched counterpart of matmul_qkv: X holds one activation column per
-// lane. When all three matrices are INT8 (or INT4 on the native packed path)
-// the lane batch is quantized ONCE into act_scratch and reused across
-// Q/K/V; activation quantization is deterministic, so results stay
-// bit-identical to three matvec_multi calls. Other precisions fall through
-// to per-matrix matvec_multi (which inherits the matvec_multi contract).
-void matvec_qkv_multi(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
-                      std::span<const float> x, std::span<float> q, std::span<float> k,
-                      std::span<float> v, std::size_t lanes, ActivationBatchInt8& act_scratch);
+                std::span<float> v, std::size_t rows, ActivationBatchInt8& act_scratch);
 
 }  // namespace orinsim::quant

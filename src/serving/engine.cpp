@@ -975,14 +975,9 @@ bool FunctionalTokenBackend::try_admit(Request& req) {
       req.prompt.size() + (req.generated > 0 ? req.generated - 1 : 0);
   if (prefix_cache_ != nullptr && req.generated == 0) {
     // Fresh admission: attach the longest cached prefix and reserve room for
-    // the rest. Matches are trimmed to lcm(block, chunk) so the suffix
-    // prefill replays the exact chunk schedule of a from-scratch prefill
-    // (bit-identical logits), and capped at prompt-1 so at least one prompt
-    // token always runs to produce the first-token logits.
-    const std::size_t granularity =
-        std::lcm(cache_.block_tokens(), std::max<std::size_t>(model_.prefill_chunk(), 1));
-    const PrefixMatch match =
-        prefix_cache_->match_and_retain(req.prompt, granularity, req.prompt.size() - 1);
+    // the rest. Matches are capped at prompt-1 so at least one prompt token
+    // always runs to produce the first-token logits.
+    const PrefixMatch match = prefix_cache_->match_and_retain(req.prompt, req.prompt.size() - 1);
     if (match.hit()) {
       cache_.attach_prefix(lane, match.blocks, match.tokens);
       if (reserve_with_evict(lane, history - match.tokens)) {
@@ -1011,24 +1006,21 @@ StepCost FunctionalTokenBackend::prefill(
   auto prefill_one = [&](InferenceWorkspace& ws, Request& r) {
     if (r.generated == 0) {
       // A prefix-cache hit attached seq_len(lane) prompt tokens as ready-made
-      // KV blocks; only the suffix is prefilled. The attach is aligned
-      // to the chunk schedule, so these are the same chunks a from-scratch
-      // prefill would have run from that offset (bit-identical, pinned).
+      // KV blocks; only the suffix is prefilled. Forward rows do not depend
+      // on the chunk they land in, so this equals a from-scratch prefill
+      // bit-for-bit (pinned).
       const std::size_t attached = cache_.seq_len(r.lane);
       model_.prefill(std::span<const TokenId>(r.prompt).subspan(attached), r.lane,
                      cache_, ws.hidden, ws);
       model_.logits_from_hidden(ws.hidden, logits_rows(r.lane, 1));
     } else {
-      // Resume: rebuild the pre-preemption cache *bit-exactly* — the prompt
-      // through the same chunked prefill as the original admission, then the
-      // recorded output replayed in width-1 steps exactly as decode produced
-      // it (chunk and lane kernels differ under SIMD, so re-prefilling the
-      // whole history in one chunk would perturb later tokens). The last
-      // output token is not replayed: the next decode step feeds it.
-      model_.prefill(r.prompt, r.lane, cache_, {}, ws);
-      for (std::size_t j = 0; j + 1 < r.output.size(); ++j) {
-        model_.forward({&r.output[j], 1}, {&r.lane, 1}, cache_, ws.hidden, ws);
-      }
+      // Resume: one chunked prefill of prompt + output[0..n-2] rebuilds the
+      // pre-preemption cache bit-exactly (forward rows equal the decode
+      // steps that first wrote them). The last output token is not fed: the
+      // next decode step feeds it.
+      std::vector<TokenId> history(r.prompt);
+      history.insert(history.end(), r.output.begin(), r.output.end() - 1);
+      model_.prefill(history, r.lane, cache_, {}, ws);
     }
   };
   if (pool_ != nullptr && admitted.size() > 1) {

@@ -25,8 +25,9 @@
 // queue. Eviction repeats until the survivors fit; a request that cannot
 // run alone is a configuration error (throws). Preempted requests resume by
 // recomputation: the functional backend re-prefills prompt + recorded
-// output, which under greedy decoding reproduces the interrupted sequence
-// exactly, so preemption changes latency but never tokens.
+// output in one chunked prefill, whose rows equal the steps that first
+// produced them, so under greedy decoding preemption changes latency but
+// never tokens.
 #pragma once
 
 #include <cstddef>
@@ -474,8 +475,8 @@ class SimTokenBackend : public TokenBackend {
 // takes, lane groups sharded across an optional ThreadPool), greedy argmax
 // sampling (deterministic, so preemption recompute is lossless) replayed
 // serially in active order, and measured wall-clock costs. Outputs are
-// bit-identical for any worker count; resume replay after preemption stays
-// width-1.
+// bit-identical for any worker count, and a preempted request resumes with
+// one chunked prefill of its history.
 class FunctionalTokenBackend : public TokenBackend {
  public:
   struct Config {
@@ -500,10 +501,10 @@ class FunctionalTokenBackend : public TokenBackend {
     // attach the longest cached prefix of their prompt and prefill only the
     // suffix; retirements insert their prompt's full-block prefix; allocator
     // exhaustion evicts cached-but-unreferenced blocks LRU-first, before the
-    // policy preempts anything. Matches are trimmed to lcm(block_tokens,
-    // prefill_chunk) and capped at prompt-1 tokens, so greedy outputs stay
-    // bit-identical to a cache-free run (pinned by test). Off by default:
-    // the engine's schedule and traces are untouched.
+    // policy preempts anything. Matches cover whole blocks and are capped at
+    // prompt-1 tokens; greedy outputs stay bit-identical to a cache-free run
+    // (pinned by test). Off by default: the engine's schedule and traces are
+    // untouched.
     bool prefix_cache = false;
     // Cap on tree residency in blocks (0: bounded only by the pool).
     std::size_t prefix_cache_blocks = 0;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/error.h"
-
 namespace orinsim::serving {
 
 PrefixCache::PrefixCache(KVCache& cache, std::size_t max_blocks)
@@ -21,43 +19,36 @@ PrefixCache::Node* PrefixCache::find_child(Node* node, std::span<const TokenId> 
 }
 
 PrefixMatch PrefixCache::match_and_retain(std::span<const TokenId> prompt,
-                                          std::size_t granularity_tokens,
                                           std::size_t max_tokens) {
-  ORINSIM_CHECK(granularity_tokens > 0 && granularity_tokens % block_tokens_ == 0,
-                "PrefixCache: granularity must be a positive multiple of block_tokens");
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.lookups;
 
-  // Walk as deep as the prompt matches, then trim to the alignment boundary.
+  // Walk as deep as the prompt matches.
   std::vector<Node*> path;
   Node* node = &root_;
-  std::size_t depth = 0;
-  while ((depth + 1) * block_tokens_ <= std::min(prompt.size(), max_tokens)) {
-    Node* child = find_child(node, prompt.subspan(depth * block_tokens_, block_tokens_));
+  while ((path.size() + 1) * block_tokens_ <= std::min(prompt.size(), max_tokens)) {
+    Node* child = find_child(node, prompt.subspan(path.size() * block_tokens_, block_tokens_));
     if (child == nullptr) break;
     path.push_back(child);
     node = child;
-    ++depth;
   }
-  const std::size_t granularity_blocks = granularity_tokens / block_tokens_;
-  const std::size_t matched_blocks = (depth / granularity_blocks) * granularity_blocks;
 
   PrefixMatch match;
-  if (matched_blocks == 0) {
+  if (path.empty()) {
     ++stats_.misses;
     return match;
   }
   ++stats_.hits;
   ++clock_;
-  match.blocks.reserve(matched_blocks);
-  for (std::size_t i = 0; i < matched_blocks; ++i) {
-    cache_.retain_block(path[i]->block);  // the caller's reference
-    path[i]->last_use = clock_;
-    match.blocks.push_back(path[i]->block);
+  match.blocks.reserve(path.size());
+  for (Node* n : path) {
+    cache_.retain_block(n->block);  // the caller's reference
+    n->last_use = clock_;
+    match.blocks.push_back(n->block);
   }
-  match.tokens = matched_blocks * block_tokens_;
+  match.tokens = path.size() * block_tokens_;
   stats_.hit_tokens += match.tokens;
-  stats_.bytes_saved += matched_blocks * cache_.block_bytes();
+  stats_.bytes_saved += path.size() * cache_.block_bytes();
   return match;
 }
 

@@ -10,11 +10,11 @@
 // matched tokens entirely — the paper's TTFT-dominates-at-the-edge result is
 // exactly what this relieves for chat traffic with shared system prompts.
 //
-// Match granularity: callers pass `granularity_tokens` (the lcm of the KV
-// block size and the model's prefill chunk) and a `max_tokens` cap (prompt
-// length minus one). Trimming every match to that boundary makes the
-// cache-hit suffix prefill run the same chunk forwards at the same
-// absolute chunk offsets as a from-scratch prefill, so greedy outputs are
+// Match granularity: matches cover whole blocks, capped by the caller's
+// `max_tokens` (prompt length minus one, so a token always runs to produce
+// the first-token logits). The cache-hit suffix prefill then starts at a
+// block boundary wherever that falls in the model's chunk schedule; forward
+// rows are composition-independent (Model::forward), so greedy outputs are
 // bit-identical with the cache on or off, for every weight precision and KV
 // storage. Only full blocks are ever shared, so the first append after an
 // attach starts a fresh block and the hit path never copy-on-writes.
@@ -84,12 +84,9 @@ class PrefixCache {
   PrefixCache(const PrefixCache&) = delete;
   PrefixCache& operator=(const PrefixCache&) = delete;
 
-  // Longest cached prefix of `prompt`, trimmed down to a multiple of
-  // `granularity_tokens` and capped at `max_tokens`. Retains every returned
-  // block for the caller. granularity_tokens must be a positive multiple of
-  // the KV block size.
-  PrefixMatch match_and_retain(std::span<const TokenId> prompt,
-                               std::size_t granularity_tokens, std::size_t max_tokens);
+  // Longest cached whole-block prefix of `prompt`, capped at `max_tokens`.
+  // Retains every returned block for the caller.
+  PrefixMatch match_and_retain(std::span<const TokenId> prompt, std::size_t max_tokens);
 
   // Inserts the full-block prefix of `tokens` backed by `blocks` (the owning
   // sequence's block table, in order; may be longer than the full-block

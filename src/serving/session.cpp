@@ -52,15 +52,8 @@ BatchResult SimSession::run(const BatchRequest& request,
 
 FunctionalSession::FunctionalSession(std::shared_ptr<const MasterWeights> master,
                                      DType dtype, const workload::PromptPool& pool,
-                                     std::uint64_t seed, std::size_t decode_workers,
-                                     std::size_t prefill_chunk)
-    : model_(std::move(master), dtype),
-      pool_(pool),
-      rng_(seed),
-      decode_pool_(decode_workers > 0 ? std::make_unique<ThreadPool>(decode_workers)
-                                      : nullptr) {
-  model_.set_prefill_chunk(prefill_chunk);
-}
+                                     std::uint64_t seed)
+    : model_(std::move(master), dtype), pool_(pool), rng_(seed) {}
 
 BatchResult FunctionalSession::run(const BatchRequest& request,
                                    trace::ExecutionTimeline* timeline) {
@@ -68,12 +61,9 @@ BatchResult FunctionalSession::run(const BatchRequest& request,
                 "sequence exceeds functional model max_seq");
   const auto prompts = pool_.sample_batch(request.batch, request.seq.input, rng_);
 
-  Model::GenerateOptions options;
-  options.timeline = timeline;
-  options.pool = decode_pool_.get();
-
   Stopwatch watch;
-  const Model::GenerateResult gen = model_.generate(prompts, request.seq.output, options);
+  const Model::GenerateResult gen = model_.generate(prompts, request.seq.output, nullptr,
+                                                    timeline);
   const double latency = watch.elapsed_s();
 
   BatchResult out;

@@ -87,18 +87,10 @@ class SimSession : public InferenceBackend {
 class FunctionalSession : public InferenceBackend {
  public:
   // The session owns a Model view of `master` at `dtype` and samples prompts
-  // from `pool` (both must outlive the session). decode_workers > 0 creates
-  // a session-owned ThreadPool of that many threads and decodes batch lanes
-  // in parallel; 0 keeps the single-threaded decode loop. Outputs are
-  // bit-identical either way (the engine serializes sampling in lane order),
-  // only the measured wall-clock changes. prefill_chunk sets the batched
-  // prompt-ingestion chunk size (0/1: token-at-a-time; see
-  // Model::set_prefill_chunk — chunked output is bit-identical under the
-  // scalar kernel level).
+  // from `pool` (both must outlive the session); generation runs serially,
+  // with the kernels' rows fanned out on kernel_pool().
   FunctionalSession(std::shared_ptr<const MasterWeights> master, DType dtype,
-                    const workload::PromptPool& pool, std::uint64_t seed = 11,
-                    std::size_t decode_workers = 0,
-                    std::size_t prefill_chunk = Model::kDefaultPrefillChunk);
+                    const workload::PromptPool& pool, std::uint64_t seed = 11);
 
   // Runs one real batched generation and measures wall-clock metrics. A
   // non-null `timeline` receives measured StepEvents (power unset).
@@ -117,7 +109,6 @@ class FunctionalSession : public InferenceBackend {
   Model model_;
   const workload::PromptPool& pool_;
   Rng rng_;
-  std::unique_ptr<ThreadPool> decode_pool_;  // null: serial decode
 };
 
 }  // namespace orinsim::serving

@@ -175,38 +175,22 @@ float dot(std::span<const float> a, std::span<const float> b) {
   return simd::dot_f32(a.data(), b.data(), a.size());
 }
 
-void matvec(std::span<const float> a, std::span<const float> x, std::span<float> out,
-            std::size_t rows, std::size_t cols) {
-  ORINSIM_CHECK(a.size() == rows * cols && x.size() == cols && out.size() == rows,
-                "matvec: shape mismatch");
-  kernel_pool().parallel_rows(rows, 64, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      out[r] = simd::dot_f32(a.data() + r * cols, x.data(), cols);
-    }
-  });
-}
-
 void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<float> out,
-                  std::size_t rows, std::size_t cols, std::size_t lanes) {
-  ORINSIM_CHECK(a.size() == rows * cols && x.size() == lanes * cols &&
-                    out.size() == lanes * rows,
+                  std::size_t out_rows, std::size_t cols, std::size_t rows) {
+  ORINSIM_CHECK(a.size() == out_rows * cols && x.size() == rows * cols &&
+                    out.size() == rows * out_rows,
                 "matvec_multi: shape mismatch");
-  // dot_f32_multi replicates dot_f32 per column, so one lane is matvec.
-  if (lanes == 1) {
-    matvec(a, x, out, rows, cols);
-    return;
-  }
-  // Columns go through dot_f32_multi in stack tiles (its per-column results
-  // do not depend on the tile), so the hot loop never allocates.
-  constexpr std::size_t kLaneTile = 8;
-  kernel_pool().parallel_rows(rows, 64, [&](std::size_t r0, std::size_t r1) {
+  // Rows go through dot_f32_multi in stack tiles (its per-column results do
+  // not depend on the tile), so the hot loop never allocates.
+  constexpr std::size_t kRowTile = 8;
+  parallel_projection(out_rows, rows, cols, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       const float* ar = a.data() + r * cols;
-      float tmp[kLaneTile];
-      for (std::size_t t0 = 0; t0 < lanes; t0 += kLaneTile) {
-        const std::size_t tile = std::min(kLaneTile, lanes - t0);
+      float tmp[kRowTile];
+      for (std::size_t t0 = 0; t0 < rows; t0 += kRowTile) {
+        const std::size_t tile = std::min(kRowTile, rows - t0);
         simd::dot_f32_multi(ar, x.data() + t0 * cols, cols, tile, cols, tmp);
-        for (std::size_t t = 0; t < tile; ++t) out[(t0 + t) * rows + r] = tmp[t];
+        for (std::size_t t = 0; t < tile; ++t) out[(t0 + t) * out_rows + r] = tmp[t];
       }
     }
   });

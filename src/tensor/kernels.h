@@ -10,11 +10,34 @@
 //    these kernels cover everything else in a transformer block.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/thread_pool.h"
+
 namespace orinsim::kernels {
+
+// Multiply-adds below which a projection runs on the calling thread: under
+// it a kernel_pool() fork/join costs more than the split saves.
+inline constexpr std::size_t kProjectionSplitWork = std::size_t{1} << 15;
+
+// Runs fn(r0, r1) over the out_rows weight rows of a projection that dots
+// each of them against `rows` activation rows of in_features: split over
+// kernel_pool() when out_rows × rows × in_features reaches
+// kProjectionSplitWork, one fn(0, out_rows) on the calling thread otherwise.
+// Every projection kernel (matvec_multi here, the weight matmuls in quant/)
+// splits this way; output rows are independent, so the split never changes
+// a result.
+template <class Fn>
+void parallel_projection(std::size_t out_rows, std::size_t rows, std::size_t in_features,
+                         Fn&& fn) {
+  const std::size_t per_row = std::max<std::size_t>(rows * in_features, 1);
+  kernel_pool().parallel_rows(out_rows, (kProjectionSplitWork + per_row - 1) / per_row,
+                              std::forward<Fn>(fn));
+}
 
 // y = x + b (broadcast bias over rows). x: [rows, cols], b: [cols].
 void add_bias(std::span<float> x, std::span<const float> bias, std::size_t rows,
@@ -79,16 +102,14 @@ class RopeTable {
 // Dot product (fp32 accumulate).
 float dot(std::span<const float> a, std::span<const float> b);
 
-// out[r] = sum_c a[r,c]*b[c]; generic fp32 matvec used in attention.
-void matvec(std::span<const float> a, std::span<const float> x, std::span<float> out,
-            std::size_t rows, std::size_t cols);
-
-// Lane-batched matvec: x is [lanes, cols], out is [lanes, rows]; each weight
-// row is streamed once for all lanes. Lane t's result is bit-identical to
-// matvec(a, x[t]) at both kernel levels (simd::dot_f32_multi contract) —
-// used for the batched lm_head projection in decode.
+// Multi-row fp32 matvec: x is [rows, cols] activations, out is
+// [rows, out_rows], out[t, r] = dot(a[r, :], x[t, :]); each weight row is
+// streamed once for every activation row. Composition-independent
+// (simd::dot_f32_multi contract): row t's result is bit-identical to a
+// one-row call on x[t] at both kernel levels, whatever rows share the call.
+// The fp32 projection of WeightMatrix, the lm_head and the readout trainer.
 void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<float> out,
-                  std::size_t rows, std::size_t cols, std::size_t lanes);
+                  std::size_t out_rows, std::size_t cols, std::size_t rows);
 
 // Plain fp32 GEMM: C[m,n] = A[m,k] * B[k,n]. Blocked, parallel over row blocks. Used by tests
 // as the reference for quantized matmuls and by the trainer.

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "core/error.h"
-#include "core/thread_pool.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define ORINSIM_SIMD_X86 1
@@ -260,41 +259,6 @@ __attribute__((target("avx2,fma"))) void dot_i4_i8_multi_avx2(
   }
 }
 
-// One pass over a weight row serves 8 tokens: 8 ymm accumulators + 1 weight
-// load per 8 input columns turns the memory-bound matvec sweep into a
-// compute-bound block. Tail tokens fall back to the single-vector dot.
-__attribute__((target("avx2,fma"))) void gemm_nt_row_avx2(const float* x, const float* w_row,
-                                                          float* y, std::size_t tokens,
-                                                          std::size_t k, std::size_t rows,
-                                                          std::size_t r) {
-  std::size_t t0 = 0;
-  for (; t0 + 8 <= tokens; t0 += 8) {
-    __m256 acc[8];
-    for (auto& v : acc) v = _mm256_setzero_ps();
-    std::size_t c = 0;
-    for (; c + 8 <= k; c += 8) {
-      const __m256 wv = _mm256_loadu_ps(w_row + c);
-      for (std::size_t t = 0; t < 8; ++t) {
-        acc[t] = _mm256_fmadd_ps(_mm256_loadu_ps(x + (t0 + t) * k + c), wv, acc[t]);
-      }
-    }
-    for (std::size_t t = 0; t < 8; ++t) {
-      __m128 lo = _mm256_castps256_ps128(acc[t]);
-      __m128 hi = _mm256_extractf128_ps(acc[t], 1);
-      lo = _mm_add_ps(lo, hi);
-      lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
-      lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 0x55));
-      float sum = _mm_cvtss_f32(lo);
-      const float* xt = x + (t0 + t) * k;
-      for (std::size_t cc = c; cc < k; ++cc) sum += xt[cc] * w_row[cc];
-      y[(t0 + t) * rows + r] = sum;
-    }
-  }
-  for (; t0 < tokens; ++t0) {
-    y[t0 * rows + r] = dot_f32_avx2(x + t0 * k, w_row, k);
-  }
-}
-
 // Roofline probe: 8 independent 8-lane fma chains, values kept near 1.0 so
 // the loop never denormalizes. The sink store defeats dead-code elimination.
 __attribute__((target("avx2,fma"))) double fma_probe_flops_avx2(std::size_t iters) {
@@ -439,27 +403,6 @@ void dot_i4_i8_multi(const std::uint8_t* w_packed, const float* scales, std::siz
   }
 #endif
   dot_i4_i8_multi_ref(w_packed, scales, blocks, x, x_stride, n_cols, out);
-}
-
-void gemm_nt_f32(const float* x, const float* w, float* y, std::size_t tokens, std::size_t k,
-                 std::size_t rows) {
-#if ORINSIM_SIMD_X86
-  if (active_level() == Level::kNative) {
-    kernel_pool().parallel_rows(rows, 64, [&](std::size_t r0, std::size_t r1) {
-      for (std::size_t r = r0; r < r1; ++r) gemm_nt_row_avx2(x, w + r * k, y, tokens, k, rows, r);
-    });
-    return;
-  }
-#endif
-  // Scalar: each output entry is the exact dot_f32_scalar float sequence, so
-  // chunked projections match token-at-a-time matvecs bit-for-bit.
-  kernel_pool().parallel_rows(rows, 64, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      for (std::size_t t = 0; t < tokens; ++t) {
-        y[t * rows + r] = dot_f32_scalar(x + t * k, w + r * k, k);
-      }
-    }
-  });
 }
 
 double fma_probe_flops(std::size_t iters) {

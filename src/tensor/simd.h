@@ -14,16 +14,17 @@
 // Determinism contract: `scalar` is the bit-exact reference; `native` is
 // numerically equivalent within FMA/reassociation tolerance for fp32 kernels
 // and bit-exact for integer kernels (dot_i8 does the same exact integer math
-// in a different order).
+// in a different order). That tolerance is the only one: within one level
+// every kernel is a fixed float sequence per output.
 //
-// Multi-column ("lane-batched") kernels: decode is memory-bound, so the
-// `*_multi` entry points stream one weight row against N activation columns.
-// Their contract is *composition independence*: column t's result is
-// bit-identical to the corresponding single-column kernel at the active
-// level, for every N and every position within the batch. This is what lets
-// `Model::generate` batch whichever lanes happen to be active without
-// changing any lane's tokens (and is load-bearing for serial-vs-pooled
-// decode bit-equality).
+// Multi-column kernels: one weight row is streamed against N activation
+// columns (the rows of a prefill chunk, decode lanes or a single row). Their
+// contract is *composition independence*: column t's result is bit-identical
+// to the corresponding single-column kernel at the active level, for every N
+// and every position within the batch. The projections in quant/ and
+// kernels:: build on these alone, so a row's result never depends on which
+// rows share the call — chunked prefill, lane-batched decode and width-1
+// steps agree bit-for-bit at either level.
 #pragma once
 
 #include <cstddef>
@@ -112,17 +113,6 @@ void dot_i4_i8_multi(const std::uint8_t* w_packed, const float* scales,
 void dot_i4_i8_multi_ref(const std::uint8_t* w_packed, const float* scales,
                          std::size_t blocks, const std::int8_t* x, std::size_t x_stride,
                          std::size_t n_cols, float* out);
-
-// y[t, r] = dot(x[t, :], w[r, :]).  x: [tokens, k] row-major activations,
-// w: [rows, k] row-major weights (the WeightMatrix layout — "nt" because w is
-// used transposed), y: [tokens, rows]. Under kScalar each (t, r) entry is the
-// same float sequence as dot_f32, so a chunked projection is bit-identical to
-// `tokens` independent matvecs. NOTE: the kNative 8-token register-tiled
-// block is composition-DEPENDENT (a token's float sequence differs between
-// the 8-block and the tail path) — prefill only; decode batching goes
-// through dot_f32_multi instead.
-void gemm_nt_f32(const float* x, const float* w, float* y, std::size_t tokens,
-                 std::size_t k, std::size_t rows);
 
 // Roofline probe: runs `iters` iterations of 8 independent register-resident
 // fused multiply-add chains (8-lane AVX2/FMA when the CPU has it, scalar

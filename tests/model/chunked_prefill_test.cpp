@@ -1,12 +1,14 @@
-// Chunked prefill equivalence: processing a prompt in N-token GEMM chunks
-// must reproduce the token-at-a-time path — bit-identically under the scalar
-// kernel level (the determinism contract's reference), and within FMA
-// tolerance under the native level.
+// Chunked prefill equivalence: processing a prompt in N-token chunks must
+// reproduce the token-at-a-time path bit-identically at both kernel levels
+// (every projection is composition-independent); the native level tracks
+// the scalar reference within FMA tolerance.
 #include "model/transformer.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -64,53 +66,63 @@ std::vector<float> prefill_hidden(Model& model, std::span<const TokenId> prompt,
   return hidden;
 }
 
-TEST(ChunkedPrefillTest, BitIdenticalToTokenAtATimeUnderScalar) {
-  // Every precision × both block styles × both KV storages × three KV block
-  // sizes, with a prompt length (13) that is not a multiple of the chunk
-  // (4): exercises full chunks plus the remainder chunk. 16-token blocks
-  // hold the whole prompt; 4-token blocks turn every chunk boundary into a
-  // block boundary; 3-token blocks make chunks start mid-block and span two
-  // blocks, so attention's causal block walk splits every run.
-  ScopedLevel scalar(simd::Level::kScalar);
-  for (BlockStyle style : {BlockStyle::kPreNormSwiGLU, BlockStyle::kParallelGELU}) {
-    const auto cfg = test_config(style);
-    auto master = MasterWeights::init_random(cfg, 17);
-    const auto prompt = make_prompt(13, cfg.vocab);
-    for (DType dtype : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
-      for (KVStorage kv : {KVStorage::kF32, KVStorage::kI8}) {
-        for (std::size_t block_tokens : {kDefaultKVBlockTokens, std::size_t{4}, std::size_t{3}}) {
-          KVCacheOptions opts;
-          opts.storage = kv;
-          opts.block_tokens = block_tokens;
-          Model chunked(master, dtype), stepped(master, dtype);
-          KVCache c_chunk(cfg, 1, 32, opts), c_step(cfg, 1, 32, opts);
-          const auto h_chunk = prefill_hidden(chunked, prompt, 4, c_chunk);
-          const auto h_step = prefill_hidden(stepped, prompt, 0, c_step);
+std::vector<simd::Level> levels_to_test() {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::native_available()) levels.push_back(simd::Level::kNative);
+  return levels;
+}
 
-          const std::string where = cfg.name + " dtype=" +
-                                    std::to_string(static_cast<int>(dtype)) +
-                                    " kv=" + std::to_string(static_cast<int>(kv)) +
-                                    " block_tokens=" + std::to_string(block_tokens);
-          for (std::size_t i = 0; i < h_chunk.size(); ++i) {
-            ASSERT_EQ(h_chunk[i], h_step[i]) << where << " hidden i=" << i;
-          }
-          // The caches must also agree position-by-position (INT8 KV: the
-          // quantized codes round-trip identically because the stored fp32
-          // vectors were bit-identical).
-          ASSERT_EQ(c_chunk.seq_len(0), prompt.size());
-          ASSERT_EQ(c_step.seq_len(0), prompt.size());
-          std::vector<float> s1(cfg.kv_dim()), s2(cfg.kv_dim());
-          for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-            for (std::size_t p = 0; p < prompt.size(); ++p) {
-              const auto k1 = c_chunk.key(l, 0, p, s1);
-              const auto k2 = c_step.key(l, 0, p, s2);
-              for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
-                ASSERT_EQ(k1[i], k2[i]) << where << " key l=" << l << " p=" << p;
-              }
-              const auto v1 = c_chunk.value(l, 0, p, s1);
-              const auto v2 = c_step.value(l, 0, p, s2);
-              for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
-                ASSERT_EQ(v1[i], v2[i]) << where << " value l=" << l << " p=" << p;
+TEST(ChunkedPrefillTest, BitIdenticalToTokenAtATimeUnderScalar) {
+  // Both kernel levels × every precision × both block styles × both KV
+  // storages × three KV block sizes, with a prompt length (13) that is not
+  // a multiple of the chunk (4): exercises full chunks plus the remainder
+  // chunk. 16-token blocks hold the whole prompt; 4-token blocks turn every
+  // chunk boundary into a block boundary; 3-token blocks make chunks start
+  // mid-block and span two blocks, so attention's causal block walk splits
+  // every run.
+  for (simd::Level level : levels_to_test()) {
+    ScopedLevel scoped(level);
+    for (BlockStyle style : {BlockStyle::kPreNormSwiGLU, BlockStyle::kParallelGELU}) {
+      const auto cfg = test_config(style);
+      auto master = MasterWeights::init_random(cfg, 17);
+      const auto prompt = make_prompt(13, cfg.vocab);
+      for (DType dtype : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
+        for (KVStorage kv : {KVStorage::kF32, KVStorage::kI8}) {
+          for (std::size_t block_tokens : {kDefaultKVBlockTokens, std::size_t{4}, std::size_t{3}}) {
+            KVCacheOptions opts;
+            opts.storage = kv;
+            opts.block_tokens = block_tokens;
+            Model chunked(master, dtype), stepped(master, dtype);
+            KVCache c_chunk(cfg, 1, 32, opts), c_step(cfg, 1, 32, opts);
+            const auto h_chunk = prefill_hidden(chunked, prompt, 4, c_chunk);
+            const auto h_step = prefill_hidden(stepped, prompt, 0, c_step);
+
+            const std::string where = std::string(simd::level_name(level)) + " " + cfg.name +
+                                      " dtype=" +
+                                      std::to_string(static_cast<int>(dtype)) +
+                                      " kv=" + std::to_string(static_cast<int>(kv)) +
+                                      " block_tokens=" + std::to_string(block_tokens);
+            for (std::size_t i = 0; i < h_chunk.size(); ++i) {
+              ASSERT_EQ(h_chunk[i], h_step[i]) << where << " hidden i=" << i;
+            }
+            // The caches must also agree position-by-position (INT8 KV: the
+            // quantized codes round-trip identically because the stored fp32
+            // vectors were bit-identical).
+            ASSERT_EQ(c_chunk.seq_len(0), prompt.size());
+            ASSERT_EQ(c_step.seq_len(0), prompt.size());
+            std::vector<float> s1(cfg.kv_dim()), s2(cfg.kv_dim());
+            for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+              for (std::size_t p = 0; p < prompt.size(); ++p) {
+                const auto k1 = c_chunk.key(l, 0, p, s1);
+                const auto k2 = c_step.key(l, 0, p, s2);
+                for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
+                  ASSERT_EQ(k1[i], k2[i]) << where << " key l=" << l << " p=" << p;
+                }
+                const auto v1 = c_chunk.value(l, 0, p, s1);
+                const auto v2 = c_step.value(l, 0, p, s2);
+                for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
+                  ASSERT_EQ(v1[i], v2[i]) << where << " value l=" << l << " p=" << p;
+                }
               }
             }
           }
@@ -229,10 +241,10 @@ TEST(ChunkedPrefillTest, PrefillEventCarriesChunkSize) {
 }
 
 TEST(ChunkedPrefillTest, MatmulQkvBitIdenticalToSeparateMatmuls) {
-  // The fused QKV chunk projection quantizes the activation chunk once; the
-  // contract says results are bit-identical to three independent matmuls for
-  // every precision (INT8 shares the identical quantized codes; others
-  // delegate).
+  // The fused QKV projection quantizes the activation chunk at most once;
+  // the contract says results are bit-identical to three independent
+  // matmuls for every precision, at both levels — also when only some of
+  // the three matrices read activation codes (the mixed row).
   Rng rng(41);
   const std::size_t in = 32, out_q = 24, out_kv = 8, tokens = 5;
   std::vector<float> src_q(out_q * in), src_k(out_kv * in), src_v(out_kv * in);
@@ -242,28 +254,33 @@ TEST(ChunkedPrefillTest, MatmulQkvBitIdenticalToSeparateMatmuls) {
   std::vector<float> x(tokens * in);
   for (auto& v : x) v = static_cast<float>(rng.normal(0.0, 1.0));
 
-  for (DType dtype : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
-    const auto wq = quant::WeightMatrix::create(src_q, out_q, in, dtype);
-    const auto wk = quant::WeightMatrix::create(src_k, out_kv, in, dtype);
-    const auto wv = quant::WeightMatrix::create(src_v, out_kv, in, dtype);
+  const std::vector<std::array<DType, 3>> grids = {
+      {DType::kF32, DType::kF32, DType::kF32}, {DType::kF16, DType::kF16, DType::kF16},
+      {DType::kI8, DType::kI8, DType::kI8},    {DType::kI4, DType::kI4, DType::kI4},
+      {DType::kF16, DType::kI4, DType::kI8}};
+  for (simd::Level level : levels_to_test()) {
+    ScopedLevel scoped(level);
+    for (const auto& dtypes : grids) {
+      const auto wq = quant::WeightMatrix::create(src_q, out_q, in, dtypes[0]);
+      const auto wk = quant::WeightMatrix::create(src_k, out_kv, in, dtypes[1]);
+      const auto wv = quant::WeightMatrix::create(src_v, out_kv, in, dtypes[2]);
 
-    std::vector<float> q(tokens * out_q), k(tokens * out_kv), v(tokens * out_kv);
-    quant::ActivationBatchInt8 scratch;
-    quant::matmul_qkv(wq, wk, wv, x, q, k, v, tokens, scratch);
+      std::vector<float> q(tokens * out_q), k(tokens * out_kv), v(tokens * out_kv);
+      quant::ActivationBatchInt8 scratch;
+      quant::matmul_qkv(wq, wk, wv, x, q, k, v, tokens, scratch);
 
-    std::vector<float> q2(tokens * out_q), k2(tokens * out_kv), v2(tokens * out_kv);
-    wq.matmul(x, q2, tokens);
-    wk.matmul(x, k2, tokens);
-    wv.matmul(x, v2, tokens);
+      std::vector<float> q2(tokens * out_q), k2(tokens * out_kv), v2(tokens * out_kv);
+      quant::ActivationBatchInt8 scratch2;
+      wq.matmul(x, q2, tokens, scratch2);
+      wk.matmul(x, k2, tokens, scratch2);
+      wv.matmul(x, v2, tokens, scratch2);
 
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      ASSERT_EQ(q[i], q2[i]) << "dtype=" << static_cast<int>(dtype) << " q i=" << i;
-    }
-    for (std::size_t i = 0; i < k.size(); ++i) {
-      ASSERT_EQ(k[i], k2[i]) << "dtype=" << static_cast<int>(dtype) << " k i=" << i;
-    }
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      ASSERT_EQ(v[i], v2[i]) << "dtype=" << static_cast<int>(dtype) << " v i=" << i;
+      const std::string where = std::string(simd::level_name(level)) + " q/k/v dtypes " +
+                                dtype_name(dtypes[0]) + "/" + dtype_name(dtypes[1]) + "/" +
+                                dtype_name(dtypes[2]);
+      for (std::size_t i = 0; i < q.size(); ++i) ASSERT_EQ(q[i], q2[i]) << where << " q i=" << i;
+      for (std::size_t i = 0; i < k.size(); ++i) ASSERT_EQ(k[i], k2[i]) << where << " k i=" << i;
+      for (std::size_t i = 0; i < v.size(); ++i) ASSERT_EQ(v[i], v2[i]) << where << " v i=" << i;
     }
   }
 }

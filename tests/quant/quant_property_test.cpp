@@ -87,12 +87,13 @@ TEST_P(QuantPropertyTest, MatvecErrorScalesWithPrecision) {
   std::vector<float> x(cols);
   for (auto& v : x) v = static_cast<float>(rng.normal(0.0, 1.0));
   std::vector<float> ref(rows);
-  kernels::matvec(w, x, ref, rows, cols);
+  kernels::matvec_multi(w, x, ref, rows, cols, 1);
 
   auto rms_err = [&](DType dt) {
     const auto wm = WeightMatrix::create(w, rows, cols, dt);
     std::vector<float> out(rows);
-    wm.matvec(x, out);
+    ActivationBatchInt8 act;
+    wm.matmul(x, out, 1, act);
     double acc = 0.0, norm = 0.0;
     for (std::size_t r = 0; r < rows; ++r) {
       acc += (out[r] - ref[r]) * static_cast<double>(out[r] - ref[r]);

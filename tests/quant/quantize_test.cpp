@@ -40,6 +40,19 @@ int canonical_int4_code(const BlockInt4& q, std::size_t r, std::size_t c) {
   return nib >= 8 ? static_cast<int>(nib) - 16 : static_cast<int>(nib);
 }
 
+// One-row projections through the codecs' single entries.
+void matvec_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> out) {
+  ActivationBatchInt8 acts;
+  quantize_activations_int8(x, 1, q.cols, acts);
+  matmul_int8(q, x, acts, out, 1);
+}
+
+void matvec_int4(const BlockInt4& q, std::span<const float> x, std::span<float> out) {
+  ActivationBatchInt8 acts;
+  quantize_activations_int8(x, 1, q.cols, acts);
+  matmul_int4(q, x, acts, out, 1);
+}
+
 TEST(Int8Test, RoundTripErrorBounded) {
   Rng rng(1);
   const std::size_t rows = 16, cols = 64;
@@ -274,22 +287,27 @@ TEST(Int4Test, KernelMirrorMatchesCanonicalCodes) {
 }
 
 TEST(Int4Test, MatvecWithActSharedAcrossCallsMatchesSelfQuantized) {
-  // The act-taking overload with a pre-quantized activation must equal the
-  // x-only overload bit for bit at both levels (the fused QKV path relies on
-  // activation quantization being deterministic).
+  // A batch of activations quantized once and shared across calls (as the
+  // fused QKV path does) must give every row exactly the bits of that row
+  // quantized and projected alone, at both levels: quantization and the
+  // projection are both per-row.
   Rng rng(19);
-  const std::size_t rows = 12, cols = 64;
+  const std::size_t rows = 12, cols = 64, tokens = 11;
   auto w = random_weights(rows * cols, rng);
   const BlockInt4 q = quantize_block_int4(w, rows, cols);
-  auto x = random_weights(cols, rng, 1.0);
-  std::vector<float> a(rows), b(rows);
+  auto x = random_weights(tokens * cols, rng, 1.0);
+  std::vector<float> shared(tokens * rows), alone(rows);
   for (const simd::Level level : {simd::Level::kScalar, simd::Level::kNative}) {
     ScopedLevel scoped(level);
-    ActivationInt8 act;
-    quantize_activation_int8(x, act);
-    matvec_int4(q, x, a);
-    matvec_int4(q, x, act, b);
-    for (std::size_t r = 0; r < rows; ++r) EXPECT_EQ(a[r], b[r]);
+    ActivationBatchInt8 acts;
+    quantize_activations_int8(x, tokens, cols, acts);
+    matmul_int4(q, x, acts, shared, tokens);
+    for (std::size_t t = 0; t < tokens; ++t) {
+      matvec_int4(q, std::span<const float>(x.data() + t * cols, cols), alone);
+      for (std::size_t r = 0; r < rows; ++r) {
+        EXPECT_EQ(shared[t * rows + r], alone[r]) << "t=" << t << " r=" << r;
+      }
+    }
   }
 }
 

@@ -41,6 +41,30 @@ std::vector<simd::Level> levels_to_test() {
 
 class WeightMatrixParamTest : public ::testing::TestWithParam<DType> {};
 
+// One row through the one projection entry.
+void matvec(const WeightMatrix& wm, std::span<const float> x, std::span<float> out) {
+  ActivationBatchInt8 act;
+  wm.matmul(x, out, 1, act);
+}
+
+// Every row of a multi-row matmul must equal the one-row call on that row,
+// bit for bit, at both kernel levels.
+void expect_rows_match_one_row_calls(const WeightMatrix& wm, std::size_t rows, Rng& rng) {
+  const std::size_t in_f = wm.in_features(), out_f = wm.out_features();
+  const auto x = random_weights(rows * in_f, rng, 1.0);
+  std::vector<float> y(rows * out_f), ref(rows * out_f);
+  ActivationBatchInt8 act;
+  wm.matmul(x, y, rows, act);
+  for (std::size_t t = 0; t < rows; ++t) {
+    matvec(wm, std::span<const float>(x.data() + t * in_f, in_f),
+           std::span<float>(ref.data() + t * out_f, out_f));
+  }
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    ASSERT_EQ(y[i], ref[i]) << simd::level_name(simd::active_level()) << " rows=" << rows
+                            << " i=" << i;
+  }
+}
+
 TEST_P(WeightMatrixParamTest, MatvecCloseToFp32Reference) {
   Rng rng(11);
   const std::size_t out_f = 40, in_f = 64;
@@ -48,8 +72,8 @@ TEST_P(WeightMatrixParamTest, MatvecCloseToFp32Reference) {
   const WeightMatrix wm = WeightMatrix::create(w, out_f, in_f, GetParam());
   auto x = random_weights(in_f, rng, 1.0);
   std::vector<float> out(out_f), ref(out_f);
-  wm.matvec(x, out);
-  kernels::matvec(w, x, ref, out_f, in_f);
+  matvec(wm, x, out);
+  kernels::matvec_multi(w, x, ref, out_f, in_f, 1);
   // Tolerance scales with precision.
   double tol = 1e-4;
   if (GetParam() == DType::kF16) tol = 5e-3;
@@ -58,19 +82,17 @@ TEST_P(WeightMatrixParamTest, MatvecCloseToFp32Reference) {
   for (std::size_t r = 0; r < out_f; ++r) EXPECT_NEAR(out[r], ref[r], tol);
 }
 
+// Prefill-chunk shapes: a ragged chunk, the default 32-row chunk and one
+// row past it (the token tiles' remainders).
 TEST_P(WeightMatrixParamTest, MatmulMatchesPerTokenMatvec) {
   Rng rng(12);
-  const std::size_t out_f = 24, in_f = 32, tokens = 5;
+  const std::size_t out_f = 24, in_f = 32;
   auto w = random_weights(out_f * in_f, rng);
   const WeightMatrix wm = WeightMatrix::create(w, out_f, in_f, GetParam());
-  auto x = random_weights(tokens * in_f, rng, 1.0);
-  std::vector<float> y(tokens * out_f), y_ref(tokens * out_f);
-  wm.matmul(x, y, tokens);
-  for (std::size_t t = 0; t < tokens; ++t) {
-    wm.matvec(std::span<const float>(x.data() + t * in_f, in_f),
-              std::span<float>(y_ref.data() + t * out_f, out_f));
+  for (simd::Level level : levels_to_test()) {
+    ScopedLevel scoped(level);
+    for (std::size_t tokens : {5u, 32u, 33u}) expect_rows_match_one_row_calls(wm, tokens, rng);
   }
-  for (std::size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-5f);
 }
 
 TEST_P(WeightMatrixParamTest, DequantizeRowCloseToSource) {
@@ -94,8 +116,8 @@ INSTANTIATE_TEST_SUITE_P(AllPrecisions, WeightMatrixParamTest,
                                            DType::kI4),
                          [](const auto& info) { return dtype_name(info.param); });
 
-// The matvec_multi contract: lane t is bit-identical to matvec(X[t]) at the
-// active level, and batch-composition independent, for every dtype.
+// Decode-lane shapes: row t is bit-identical to a one-row call on X[t] at
+// both levels, for every dtype.
 TEST_P(WeightMatrixParamTest, MatvecMultiMatchesPerLaneMatvec) {
   Rng rng(21);
   const std::size_t out_f = 40, in_f = 64;
@@ -103,63 +125,44 @@ TEST_P(WeightMatrixParamTest, MatvecMultiMatchesPerLaneMatvec) {
   const WeightMatrix wm = WeightMatrix::create(w, out_f, in_f, GetParam());
   for (simd::Level level : levels_to_test()) {
     ScopedLevel scoped(level);
-    for (std::size_t lanes : {1u, 3u, 8u, 9u}) {
-      auto x = random_weights(lanes * in_f, rng, 1.0);
-      std::vector<float> y(lanes * out_f), ref(lanes * out_f);
-      ActivationBatchInt8 act;
-      wm.matvec_multi(x, y, lanes, act);
-      for (std::size_t t = 0; t < lanes; ++t) {
-        wm.matvec(std::span<const float>(x.data() + t * in_f, in_f),
-                  std::span<float>(ref.data() + t * out_f, out_f));
-      }
-      for (std::size_t i = 0; i < y.size(); ++i) {
-        EXPECT_EQ(y[i], ref[i]) << simd::level_name(level) << " lanes=" << lanes
-                                << " i=" << i;
-      }
-    }
+    for (std::size_t lanes : {1u, 3u, 8u, 9u}) expect_rows_match_one_row_calls(wm, lanes, rng);
   }
 }
 
 // Row partition pin: the kernels fan their rows out on kernel_pool() at top
 // level and run them inline inside a pool shard. Both must give the same
-// bits for the chunk (matmul) and lane (matvec_multi) paths, at 448 rows
-// (above every kernel's parallel threshold) and both kernel levels.
+// bits at 1152 x 128 (above the split work at every row count) and both
+// kernel levels.
 TEST_P(WeightMatrixParamTest, RowPartitionIsBitIdenticalToInlineRun) {
   Rng rng(23);
-  const std::size_t out_f = 448, in_f = 128;
+  const std::size_t out_f = 1152, in_f = 128;
+  ASSERT_GE(out_f * in_f, kernels::kProjectionSplitWork);
   auto w = random_weights(out_f * in_f, rng);
   const WeightMatrix wm = WeightMatrix::create(w, out_f, in_f, GetParam());
   for (simd::Level level : levels_to_test()) {
     ScopedLevel scoped(level);
-    for (std::size_t lanes : {1u, 8u}) {
-      const auto x = random_weights(lanes * in_f, rng, 1.0);
-      auto run = [&](bool chunk) {
-        std::vector<float> y(lanes * out_f);
+    for (std::size_t rows : {1u, 8u, 32u}) {
+      const auto x = random_weights(rows * in_f, rng, 1.0);
+      auto run = [&] {
+        std::vector<float> y(rows * out_f);
         ActivationBatchInt8 act;
-        if (chunk) {
-          wm.matmul(x, y, lanes);
-        } else {
-          wm.matvec_multi(x, y, lanes, act);
-        }
+        wm.matmul(x, y, rows, act);
         return y;
       };
-      for (bool chunk : {true, false}) {
-        const std::vector<float> fanned = run(chunk);
-        std::vector<float> inline_run;
-        kernel_pool().parallel_for(0, 1, [&](std::size_t) { inline_run = run(chunk); });
-        ASSERT_EQ(fanned.size(), inline_run.size());
-        for (std::size_t i = 0; i < fanned.size(); ++i) {
-          ASSERT_EQ(fanned[i], inline_run[i])
-              << simd::level_name(level) << " lanes=" << lanes << (chunk ? " chunk" : " lane")
-              << " i=" << i;
-        }
+      const std::vector<float> fanned = run();
+      std::vector<float> inline_run;
+      kernel_pool().parallel_for(0, 1, [&](std::size_t) { inline_run = run(); });
+      ASSERT_EQ(fanned.size(), inline_run.size());
+      for (std::size_t i = 0; i < fanned.size(); ++i) {
+        ASSERT_EQ(fanned[i], inline_run[i])
+            << simd::level_name(level) << " rows=" << rows << " i=" << i;
       }
     }
   }
 }
 
-// Batch-composition independence holds for EVERY dtype (including kF16):
-// a lane's value never depends on which other lanes share the batch.
+// Batch-composition independence holds for EVERY dtype: a row's value never
+// depends on which other rows share the call or where it sits among them.
 TEST_P(WeightMatrixParamTest, MatvecMultiIsCompositionIndependent) {
   Rng rng(22);
   const std::size_t out_f = 24, in_f = 64, lanes = 6;
@@ -170,24 +173,23 @@ TEST_P(WeightMatrixParamTest, MatvecMultiIsCompositionIndependent) {
     auto x = random_weights(lanes * in_f, rng, 1.0);
     std::vector<float> full(lanes * out_f);
     ActivationBatchInt8 act;
-    wm.matvec_multi(x, full, lanes, act);
-    // Re-run each lane as a singleton batch.
-    for (std::size_t t = 0; t < lanes; ++t) {
-      std::vector<float> alone(out_f);
-      ActivationBatchInt8 act1;
-      wm.matvec_multi(std::span<const float>(x.data() + t * in_f, in_f), alone, 1,
-                      act1);
-      for (std::size_t r = 0; r < out_f; ++r) {
-        EXPECT_EQ(full[t * out_f + r], alone[r])
-            << simd::level_name(level) << " t=" << t << " r=" << r;
-      }
+    wm.matmul(x, full, lanes, act);
+    // Re-run rows [1, 4) as their own batch: each lands at a new position.
+    const std::size_t first = 1, count = 3;
+    std::vector<float> sub(count * out_f);
+    wm.matmul(std::span<const float>(x.data() + first * in_f, count * in_f), sub, count, act);
+    for (std::size_t i = 0; i < sub.size(); ++i) {
+      EXPECT_EQ(full[first * out_f + i], sub[i]) << simd::level_name(level) << " i=" << i;
     }
   }
 }
 
+// The fused QKV entry quantizes the shared input once; quantization is
+// deterministic, so Q/K/V are bit-identical to three separate calls for
+// every row count.
 TEST_P(WeightMatrixParamTest, MatvecQkvMultiMatchesSeparateMatvecMulti) {
   Rng rng(23);
-  const std::size_t d = 64, kv = 32, lanes = 5;
+  const std::size_t d = 64, kv = 32;
   auto wq_w = random_weights(d * d, rng);
   auto wk_w = random_weights(kv * d, rng);
   auto wv_w = random_weights(kv * d, rng);
@@ -196,20 +198,20 @@ TEST_P(WeightMatrixParamTest, MatvecQkvMultiMatchesSeparateMatvecMulti) {
   const auto wv = WeightMatrix::create(wv_w, kv, d, GetParam());
   for (simd::Level level : levels_to_test()) {
     ScopedLevel scoped(level);
-    auto x = random_weights(lanes * d, rng, 1.0);
-    std::vector<float> q(lanes * d), k(lanes * kv), v(lanes * kv);
-    ActivationBatchInt8 act;
-    matvec_qkv_multi(wq, wk, wv, x, q, k, v, lanes, act);
-    std::vector<float> q_ref(lanes * d), k_ref(lanes * kv), v_ref(lanes * kv);
-    ActivationBatchInt8 act_ref;
-    wq.matvec_multi(x, q_ref, lanes, act_ref);
-    wk.matvec_multi(x, k_ref, lanes, act_ref);
-    wv.matvec_multi(x, v_ref, lanes, act_ref);
-    // The fused path shares one activation quantization across Q/K/V;
-    // quantization is deterministic, so results are bit-identical.
-    for (std::size_t i = 0; i < q.size(); ++i) EXPECT_EQ(q[i], q_ref[i]) << i;
-    for (std::size_t i = 0; i < k.size(); ++i) EXPECT_EQ(k[i], k_ref[i]) << i;
-    for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(v[i], v_ref[i]) << i;
+    for (std::size_t rows : {1u, 5u, 32u}) {
+      auto x = random_weights(rows * d, rng, 1.0);
+      std::vector<float> q(rows * d), k(rows * kv), v(rows * kv);
+      ActivationBatchInt8 act;
+      matmul_qkv(wq, wk, wv, x, q, k, v, rows, act);
+      std::vector<float> q_ref(rows * d), k_ref(rows * kv), v_ref(rows * kv);
+      ActivationBatchInt8 act_ref;
+      wq.matmul(x, q_ref, rows, act_ref);
+      wk.matmul(x, k_ref, rows, act_ref);
+      wv.matmul(x, v_ref, rows, act_ref);
+      for (std::size_t i = 0; i < q.size(); ++i) EXPECT_EQ(q[i], q_ref[i]) << i;
+      for (std::size_t i = 0; i < k.size(); ++i) EXPECT_EQ(k[i], k_ref[i]) << i;
+      for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(v[i], v_ref[i]) << i;
+    }
   }
 }
 

@@ -4,10 +4,10 @@
 // serial and pooled decode, preemption mid-round, and prefix-cache hits —
 // while retiring those tokens in strictly fewer target passes.
 //
-// Every identity comparison runs under scalar kernels (ScopedLevel): the
-// chunked verify pass and the token-at-a-time path are bit-identical only
-// at the reference kernel level (the same determinism contract chunked
-// prefill pins).
+// Every identity comparison runs under scalar kernels (ScopedLevel), the
+// reference level. Forward rows are composition-independent at both levels,
+// so the chunked verify pass equals the token-at-a-time path either way;
+// the native level's served-vs-generate identity is pinned in engine_test.
 #include "serving/engine.h"
 
 #include <gtest/gtest.h>

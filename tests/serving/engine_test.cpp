@@ -9,9 +9,11 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "core/rng.h"
 #include "serving/session.h"
+#include "tensor/simd.h"
 #include "trace/export.h"
 #include "workload/corpus.h"
 
@@ -417,9 +419,9 @@ class FunctionalEngineTest : public ::testing::Test {
   std::shared_ptr<MasterWeights> master_;
 };
 
-// Every weight precision at the active kernel level, with int8 KV for the
-// quantized ones: resume replay must rebuild the cache exactly as prefill
-// and width-1 decode first wrote it.
+// Every weight precision, with int8 KV for the quantized ones: a resume's
+// one chunked prefill of prompt + output must rebuild the cache exactly as
+// prefill and width-1 decode first wrote it.
 struct PrecisionCase {
   DType dtype;
   KVStorage kv;
@@ -429,36 +431,63 @@ constexpr PrecisionCase kPrecisions[] = {{DType::kF32, KVStorage::kF32},
                                          {DType::kI8, KVStorage::kI8},
                                          {DType::kI4, KVStorage::kI8}};
 
+class ScopedLevel {
+ public:
+  explicit ScopedLevel(simd::Level level) : prev_(simd::active_level()) {
+    simd::set_level(level);
+  }
+  ~ScopedLevel() { simd::set_level(prev_); }
+  ScopedLevel(const ScopedLevel&) = delete;
+  ScopedLevel& operator=(const ScopedLevel&) = delete;
+
+ private:
+  simd::Level prev_;
+};
+
+// Both kernel levels: served output under preemption equals the no-pressure
+// run and greedy Model::generate bit for bit.
 TEST_F(FunctionalEngineTest, PreemptionRecomputeIsLossless) {
-  for (const PrecisionCase& p : kPrecisions) {
-    SCOPED_TRACE(dtype_name(p.dtype));
-    FunctionalEngineConfig cfg;
-    cfg.arrivals.kind = workload::ArrivalKind::kPoisson;
-    cfg.arrivals.rate_rps = 1000.0;  // flood: all requests arrive near t=0
-    cfg.arrivals.total_requests = 6;
-    cfg.seq = workload::SeqConfig{24, 8, 16};
-    cfg.backend.max_lanes = 3;
-    cfg.backend.block_tokens = 4;
-    cfg.backend.kv_storage = p.kv;
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::native_available()) levels.push_back(simd::Level::kNative);
+  for (simd::Level level : levels) {
+    ScopedLevel scoped(level);
+    for (const PrecisionCase& p : kPrecisions) {
+      SCOPED_TRACE(std::string(simd::level_name(level)) + " " + dtype_name(p.dtype));
+      FunctionalEngineConfig cfg;
+      cfg.arrivals.kind = workload::ArrivalKind::kPoisson;
+      cfg.arrivals.rate_rps = 1000.0;  // flood: all requests arrive near t=0
+      cfg.arrivals.total_requests = 6;
+      cfg.seq = workload::SeqConfig{24, 8, 16};
+      cfg.backend.max_lanes = 3;
+      cfg.backend.block_tokens = 4;
+      cfg.backend.kv_storage = p.kv;
 
-    // Baseline: unlimited pool, no preemption.
-    const EngineResult baseline = run_functional_continuous(master_, p.dtype, pool_, cfg);
-    EXPECT_EQ(baseline.preemptions, 0u);
-    ASSERT_EQ(baseline.requests.size(), 6u);
+      // Baseline: unlimited pool, no preemption.
+      const EngineResult baseline = run_functional_continuous(master_, p.dtype, pool_, cfg);
+      EXPECT_EQ(baseline.preemptions, 0u);
+      ASSERT_EQ(baseline.requests.size(), 6u);
 
-    // Pressured: 3 lanes at 24 tokens need 18 blocks; 12 forces eviction.
-    cfg.backend.kv_blocks = 12;
-    const EngineResult pressured = run_functional_continuous(master_, p.dtype, pool_, cfg);
-    EXPECT_GT(pressured.preemptions, 0u);
-    ASSERT_EQ(pressured.requests.size(), 6u);
+      // Pressured: 3 lanes at 24 tokens need 18 blocks; 12 forces eviction.
+      cfg.backend.kv_blocks = 12;
+      const EngineResult pressured = run_functional_continuous(master_, p.dtype, pool_, cfg);
+      EXPECT_GT(pressured.preemptions, 0u);
+      ASSERT_EQ(pressured.requests.size(), 6u);
 
-    // Greedy decoding makes recompute-on-resume reproduce the interrupted
-    // sequence exactly: token streams match the no-pressure run bit for bit.
-    for (std::size_t i = 0; i < 6; ++i) {
-      EXPECT_EQ(pressured.requests[i].prompt, baseline.requests[i].prompt);
-      EXPECT_EQ(pressured.requests[i].output, baseline.requests[i].output)
-          << "request " << i;
-      EXPECT_EQ(pressured.requests[i].generated, 16u);
+      std::vector<std::vector<TokenId>> prompts;
+      for (const Request& r : pressured.requests) prompts.push_back(r.prompt);
+      Model model(master_, p.dtype, p.kv);
+      const Model::GenerateResult want = model.generate(prompts, 16);
+
+      // Greedy decoding makes recompute-on-resume reproduce the interrupted
+      // sequence exactly: token streams match the no-pressure run and
+      // generate bit for bit.
+      for (std::size_t i = 0; i < 6; ++i) {
+        EXPECT_EQ(pressured.requests[i].prompt, baseline.requests[i].prompt);
+        EXPECT_EQ(pressured.requests[i].output, baseline.requests[i].output)
+            << "request " << i;
+        EXPECT_EQ(pressured.requests[i].output, want.outputs[i]) << "request " << i;
+        EXPECT_EQ(pressured.requests[i].generated, 16u);
+      }
     }
   }
 }

@@ -14,15 +14,28 @@
 #include <thread>
 #include <vector>
 
-#include "core/error.h"
 #include "model/kv_cache.h"
 #include "model/transformer.h"
 #include "serving/engine.h"
+#include "tensor/simd.h"
 #include "trace/export.h"
 #include "workload/corpus.h"
 
 namespace orinsim::serving {
 namespace {
+
+class ScopedLevel {
+ public:
+  explicit ScopedLevel(simd::Level level) : prev_(simd::active_level()) {
+    simd::set_level(level);
+  }
+  ~ScopedLevel() { simd::set_level(prev_); }
+  ScopedLevel(const ScopedLevel&) = delete;
+  ScopedLevel& operator=(const ScopedLevel&) = delete;
+
+ private:
+  simd::Level prev_;
+};
 
 // ---------------------------------------------------------------------------
 // Radix-tree unit tests over a bare paged KVCache (no model, no engine)
@@ -88,7 +101,7 @@ TEST(PrefixCacheRadixTest, EmptyPromptAndSubBlockInsertAreNoOps) {
 
   // An empty prompt can never match, even with the tree populated.
   insert_retired(cache, pc, 0, make_prompt(8, 10), 1.0f);
-  const PrefixMatch m = pc.match_and_retain({}, 4, 0);
+  const PrefixMatch m = pc.match_and_retain({}, 0);
   EXPECT_FALSE(m.hit());
   EXPECT_TRUE(m.blocks.empty());
   const PrefixCacheStats s = pc.stats();
@@ -108,7 +121,7 @@ TEST(PrefixCacheRadixTest, ExactDuplicateAttachesFullChainBitExact) {
   EXPECT_EQ(cache.blocks_in_use(), 2u);
   EXPECT_EQ(cache.cached_blocks(), 2u);
 
-  PrefixMatch m = pc.match_and_retain(prompt, 4, prompt.size());
+  PrefixMatch m = pc.match_and_retain(prompt, prompt.size());
   ASSERT_TRUE(m.hit());
   EXPECT_EQ(m.tokens, 8u);
   ASSERT_EQ(m.blocks.size(), 2u);
@@ -140,17 +153,18 @@ TEST(PrefixCacheRadixTest, MaxTokensCapAndGranularityTrimMatches) {
 
   // Cap at prompt-1 (the engine's must-sample-one-token rule): a 12-token
   // chain trims to 8.
-  PrefixMatch capped = pc.match_and_retain(prompt, 4, prompt.size() - 1);
+  PrefixMatch capped = pc.match_and_retain(prompt, prompt.size() - 1);
   EXPECT_EQ(capped.tokens, 8u);
   for (std::size_t b : capped.blocks) cache.release_block(b);
 
-  // Granularity 8 (a 2-block prefill chunk): 3 matched blocks trim to 2.
-  PrefixMatch aligned = pc.match_and_retain(prompt, 8, prompt.size());
-  EXPECT_EQ(aligned.tokens, 8u);
-  for (std::size_t b : aligned.blocks) cache.release_block(b);
-
-  // Granularity must be a positive multiple of the block size.
-  EXPECT_THROW(pc.match_and_retain(prompt, 6, prompt.size()), ContractViolation);
+  // Matches end on a block boundary: a cap of 5 tokens keeps one block, an
+  // uncapped lookup the whole 3-block chain.
+  PrefixMatch one = pc.match_and_retain(prompt, 5);
+  EXPECT_EQ(one.tokens, 4u);
+  for (std::size_t b : one.blocks) cache.release_block(b);
+  PrefixMatch all = pc.match_and_retain(prompt, prompt.size());
+  EXPECT_EQ(all.tokens, 12u);
+  for (std::size_t b : all.blocks) cache.release_block(b);
 }
 
 TEST(PrefixCacheRadixTest, PrefixEndingMidBlockSharesOnlyFullBlocks) {
@@ -167,7 +181,7 @@ TEST(PrefixCacheRadixTest, PrefixEndingMidBlockSharesOnlyFullBlocks) {
   // A prompt sharing 6 tokens diverges inside block 1: one block matches.
   auto mid = prompt;
   mid[6] = 99;
-  const PrefixMatch m = pc.match_and_retain(mid, 4, mid.size());
+  const PrefixMatch m = pc.match_and_retain(mid, mid.size());
   EXPECT_EQ(m.tokens, 4u);
   for (std::size_t b : m.blocks) cache.release_block(b);
 }
@@ -180,7 +194,7 @@ TEST(PrefixCacheRadixTest, DivergenceAtTokenZeroMisses) {
 
   auto diverged = make_prompt(8, 10);
   diverged[0] = 77;
-  const PrefixMatch m = pc.match_and_retain(diverged, 4, diverged.size());
+  const PrefixMatch m = pc.match_and_retain(diverged, diverged.size());
   EXPECT_FALSE(m.hit());
   const PrefixCacheStats s = pc.stats();
   EXPECT_EQ(s.misses, 1u);
@@ -215,7 +229,7 @@ TEST(PrefixCacheRadixTest, LruEvictionSkipsBlocksHeldBySequences) {
   EXPECT_EQ(pc.stats().cached_blocks, 4u);
 
   // Touch A, then hold caller references on its chain (a live admit).
-  PrefixMatch held = pc.match_and_retain(prompt_a, 4, prompt_a.size());
+  PrefixMatch held = pc.match_and_retain(prompt_a, prompt_a.size());
   ASSERT_EQ(held.blocks.size(), 2u);
 
   // Only B is reclaimable: its leaf (least recently used) goes first, then
@@ -226,8 +240,8 @@ TEST(PrefixCacheRadixTest, LruEvictionSkipsBlocksHeldBySequences) {
   PrefixCacheStats s = pc.stats();
   EXPECT_EQ(s.evicted_blocks, 2u);
   EXPECT_EQ(s.cached_blocks, 2u);
-  EXPECT_FALSE(pc.match_and_retain(prompt_b, 4, prompt_b.size()).hit());
-  EXPECT_TRUE(pc.match_and_retain(prompt_a, 4, prompt_a.size()).hit());
+  EXPECT_FALSE(pc.match_and_retain(prompt_b, prompt_b.size()).hit());
+  EXPECT_TRUE(pc.match_and_retain(prompt_a, prompt_a.size()).hit());
   // Release the second match's references too (two holders now).
   for (std::size_t b : held.blocks) cache.release_block(b);
   for (std::size_t b : held.blocks) cache.release_block(b);
@@ -248,7 +262,7 @@ TEST(PrefixCacheRadixTest, MaxBlocksCapsTreeResidency) {
   // Only the first block entered the tree; the second was freed with the lane.
   EXPECT_EQ(pc.stats().cached_blocks, 1u);
   EXPECT_EQ(cache.blocks_in_use(), 1u);
-  const PrefixMatch m = pc.match_and_retain(make_prompt(8, 10), 4, 8);
+  const PrefixMatch m = pc.match_and_retain(make_prompt(8, 10), 8);
   EXPECT_EQ(m.tokens, 4u);
   for (std::size_t b : m.blocks) cache.release_block(b);
 }
@@ -280,7 +294,7 @@ TEST(PrefixCacheRadixTest, EvictionRacingConcurrentAdmitIsSafe) {
 
   std::thread admitter([&] {
     for (int i = 0; i < 400; ++i) {
-      PrefixMatch m = pc.match_and_retain(prompt, 4, prompt.size());
+      PrefixMatch m = pc.match_and_retain(prompt, prompt.size());
       for (std::size_t b : m.blocks) cache.release_block(b);
     }
   });
@@ -315,8 +329,7 @@ class PrefixCacheEngineTest : public ::testing::Test {
 
   // Flooded chat traffic over two shared system prompts: the first admission
   // wave misses (insert-on-retire), later waves hit on the 32-token system
-  // prefix — which is exactly one prefill chunk, so matches survive the
-  // lcm(block_tokens=4, prefill_chunk=32) alignment trim.
+  // prefix at block granularity.
   static FunctionalEngineConfig chat_config() {
     FunctionalEngineConfig cfg;
     cfg.arrivals.kind = workload::ArrivalKind::kPoisson;
@@ -338,29 +351,42 @@ class PrefixCacheEngineTest : public ::testing::Test {
   std::shared_ptr<MasterWeights> master_;
 };
 
-// The acceptance grid: every weight precision x both KV storages, cache on
-// vs cache off, token streams bit-identical. The cache only skips prefill
-// work it can replay exactly; it must never change a single sampled token.
+// The acceptance grid: both kernel levels x every weight precision x both
+// KV storages x 4- and 3-token KV blocks, cache on vs cache off, token
+// streams bit-identical. With 3-token blocks a hit ends mid-chunk (30 of
+// the 32 system tokens), so the suffix prefill runs a chunk schedule a
+// cache-free prefill never does. The cache only skips prefill work it can
+// replay exactly; it must never change a single sampled token.
 TEST_F(PrefixCacheEngineTest, BitIdenticalAcrossPrecisionGridUnderChatTraffic) {
-  for (DType dtype : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
-    for (KVStorage storage : {KVStorage::kF32, KVStorage::kI8}) {
-      FunctionalEngineConfig cfg = chat_config();
-      cfg.backend.kv_storage = storage;
-      const EngineResult off = run_functional_continuous(master_, dtype, pool_, cfg);
-      cfg.backend.prefix_cache = true;
-      const EngineResult on = run_functional_continuous(master_, dtype, pool_, cfg);
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::native_available()) levels.push_back(simd::Level::kNative);
+  for (simd::Level level : levels) {
+    ScopedLevel scoped(level);
+    for (std::size_t block_tokens : {std::size_t{4}, std::size_t{3}}) {
+      for (DType dtype : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
+        for (KVStorage storage : {KVStorage::kF32, KVStorage::kI8}) {
+          FunctionalEngineConfig cfg = chat_config();
+          cfg.backend.block_tokens = block_tokens;
+          cfg.backend.kv_storage = storage;
+          const EngineResult off = run_functional_continuous(master_, dtype, pool_, cfg);
+          cfg.backend.prefix_cache = true;
+          const EngineResult on = run_functional_continuous(master_, dtype, pool_, cfg);
 
-      const std::string label =
-          std::string(dtype_name(dtype)) + (storage == KVStorage::kI8 ? "/kvI8" : "/kvF32");
-      ASSERT_EQ(on.requests.size(), off.requests.size()) << label;
-      for (std::size_t i = 0; i < off.requests.size(); ++i) {
-        EXPECT_EQ(on.requests[i].prompt, off.requests[i].prompt) << label << " req " << i;
-        EXPECT_EQ(on.requests[i].output, off.requests[i].output) << label << " req " << i;
+          const std::string label = std::string(simd::level_name(level)) + "/" +
+                                    dtype_name(dtype) +
+                                    (storage == KVStorage::kI8 ? "/kvI8" : "/kvF32") +
+                                    "/block" + std::to_string(block_tokens);
+          ASSERT_EQ(on.requests.size(), off.requests.size()) << label;
+          for (std::size_t i = 0; i < off.requests.size(); ++i) {
+            EXPECT_EQ(on.requests[i].prompt, off.requests[i].prompt) << label << " req " << i;
+            EXPECT_EQ(on.requests[i].output, off.requests[i].output) << label << " req " << i;
+          }
+          // The shared system prompts must actually produce hits, or the
+          // grid would vacuously pass on an idle cache.
+          EXPECT_GT(on.prefix_cache.hits, 0u) << label;
+          EXPECT_EQ(off.prefix_cache.lookups, 0u) << label;
+        }
       }
-      // The shared system prompts must actually produce hits, or the grid
-      // would vacuously pass on an idle cache.
-      EXPECT_GT(on.prefix_cache.hits, 0u) << label;
-      EXPECT_EQ(off.prefix_cache.lookups, 0u) << label;
     }
   }
 }
@@ -398,7 +424,7 @@ TEST_F(PrefixCacheEngineTest, DisabledCacheLeavesTracesUntouched) {
 
 // Every number the engine reports is derived from the one event stream, and
 // the stream conserves: one lookup per request's (single) fresh admission,
-// hits + misses == lookups, hit tokens chunk-aligned and mirrored in each
+// hits + misses == lookups, hit tokens block-aligned and mirrored in each
 // request's prefix_cached, bytes_saved exactly the hit blocks' footprint.
 TEST_F(PrefixCacheEngineTest, CountersConserveAndDeriveFromTimeline) {
   FunctionalEngineConfig cfg = chat_config();
@@ -409,7 +435,7 @@ TEST_F(PrefixCacheEngineTest, CountersConserveAndDeriveFromTimeline) {
   EXPECT_EQ(pc.lookups, 8u);  // one per request, preemption resumes excluded
   EXPECT_EQ(pc.hits + pc.misses, pc.lookups);
   EXPECT_GT(pc.hits, 0u);
-  EXPECT_EQ(pc.hit_tokens % 32, 0u);  // lcm(block_tokens, prefill_chunk)
+  EXPECT_EQ(pc.hit_tokens % cfg.backend.block_tokens, 0u);  // whole blocks
   EXPECT_GT(pc.inserted_blocks, 0u);
 
   // Re-derive the summary from the raw events: they must agree exactly.
@@ -453,7 +479,7 @@ TEST_F(PrefixCacheEngineTest, CountersConserveAndDeriveFromTimeline) {
   std::size_t cached_sum = 0;
   for (const Request& r : result.requests) {
     if (r.prefix_cached > 0) {
-      EXPECT_EQ(r.prefix_cached % 32, 0u);
+      EXPECT_EQ(r.prefix_cached % cfg.backend.block_tokens, 0u);
       EXPECT_LT(r.prefix_cached, r.prompt.size());
     }
     cached_sum += r.prefix_cached;

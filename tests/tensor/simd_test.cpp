@@ -120,48 +120,6 @@ TEST(SimdTest, DotI8NativeIsBitExact) {
   }
 }
 
-TEST(SimdTest, GemmNtScalarMatchesPerTokenMatvecBitwise) {
-  ScopedLevel scalar(simd::Level::kScalar);
-  Rng rng(13);
-  const std::size_t tokens = 9, k = 37, rows = 12;
-  const auto x = random_vec(tokens * k, rng);
-  const auto w = random_vec(rows * k, rng);
-  std::vector<float> y(tokens * rows);
-  simd::gemm_nt_f32(x.data(), w.data(), y.data(), tokens, k, rows);
-  for (std::size_t t = 0; t < tokens; ++t) {
-    std::vector<float> out(rows);
-    kernels::matvec(std::span<const float>(w.data(), rows * k),
-                    std::span<const float>(x.data() + t * k, k), out, rows, k);
-    for (std::size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(y[t * rows + r], out[r]) << "t=" << t << " r=" << r;
-    }
-  }
-}
-
-TEST(SimdTest, GemmNtNativeMatchesScalarWithinTolerance) {
-  if (!simd::native_available()) GTEST_SKIP() << "no AVX2/FMA on this host";
-  Rng rng(17);
-  // Token counts straddling the 8-token microkernel block and k tails.
-  for (std::size_t tokens : {1u, 3u, 8u, 9u, 16u, 17u}) {
-    const std::size_t k = 67, rows = 19;
-    const auto x = random_vec(tokens * k, rng);
-    const auto w = random_vec(rows * k, rng);
-    std::vector<float> ref(tokens * rows), native(tokens * rows);
-    {
-      ScopedLevel scalar(simd::Level::kScalar);
-      simd::gemm_nt_f32(x.data(), w.data(), ref.data(), tokens, k, rows);
-    }
-    {
-      ScopedLevel nat(simd::Level::kNative);
-      simd::gemm_nt_f32(x.data(), w.data(), native.data(), tokens, k, rows);
-    }
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      const float tol = 1e-4f * (std::fabs(ref[i]) + static_cast<float>(k));
-      EXPECT_NEAR(native[i], ref[i], tol) << "tokens=" << tokens << " i=" << i;
-    }
-  }
-}
-
 TEST(SimdTest, KernelsDotRoutesThroughDispatch) {
   // kernels::dot must agree with simd::dot_f32 at the active level.
   Rng rng(19);
