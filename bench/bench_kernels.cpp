@@ -134,6 +134,49 @@ void BM_QuantizeInt4(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeInt4);
 
+// Dynamic int8 activation quantization of `rows` rows of `cols`: the pass
+// every INT8 projection (and INT4 at the native level) runs on its input.
+// cols 128 and 448 are llama3-nano's d_model and d_ff.
+void BM_QuantizeActivations(benchmark::State& state) {
+  const auto cols = static_cast<std::size_t>(state.range(0));
+  const auto rows = static_cast<std::size_t>(state.range(1));
+  const auto x = random_vec(rows * cols, 14, 1.0f);
+  quant::ActivationBatchInt8 acts;
+  for (auto _ : state) {
+    quant::quantize_activations_int8(x, rows, cols, acts);
+    benchmark::DoNotOptimize(acts.codes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * rows * cols));
+}
+BENCHMARK(BM_QuantizeActivations)
+    ->ArgNames({"cols", "rows"})
+    ->ArgsProduct({{128, 448}, {1, 32}});
+
+// INT4 projections at llama3-nano's MLP shapes (out x in: 448x128 gate/up,
+// 128x448 down) over 1, 2, 8 and 32 activation rows — decode lanes through
+// a prefill chunk; includes the activation quantization the call runs.
+void BM_NanoInt4Projection(benchmark::State& state) {
+  const auto out_f = static_cast<std::size_t>(state.range(0));
+  const auto in_f = static_cast<std::size_t>(state.range(1));
+  const auto rows = static_cast<std::size_t>(state.range(2));
+  const auto wm =
+      quant::WeightMatrix::create(random_vec(out_f * in_f, 15), out_f, in_f, DType::kI4);
+  const auto x = random_vec(rows * in_f, 16, 1.0f);
+  std::vector<float> y(rows * out_f);
+  quant::ActivationBatchInt8 act;
+  for (auto _ : state) {
+    wm.matmul(x, y, rows, act);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * rows));
+}
+BENCHMARK(BM_NanoInt4Projection)
+    ->ArgNames({"out", "in", "rows"})
+    ->ArgsProduct({{448}, {128}, {1, 2, 8, 32}})
+    ->ArgsProduct({{128}, {448}, {1, 2, 8, 32}});
+
 // One-sequence Model::forward of llama3-nano (max_seq 4096, fp32 weights)
 // whose last row attends to `ctx` positions: a width-1 decode step or a
 // 32-row prefill chunk, over fp32 or int8 KV. Attention re-reads the whole

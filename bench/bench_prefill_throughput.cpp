@@ -17,8 +17,9 @@
 // The `forward digest` line after the table is an FNV-1a hash of
 // scalar-level greedy generate outputs (pooled, chunked prefill) and
 // sequence_nll bits over three nano families x 4 weight dtypes x 2 KV
-// storages. A refactor of the forward path that must stay bit-identical
-// prints the same line as its parent commit.
+// storages; the `native forward digest` line hashes the same grid at the
+// native level when this CPU has it. A refactor of the forward path that
+// must stay bit-identical prints the same lines as its parent commit.
 //
 //   bench_prefill_throughput [--prompt=256] [--chunk=32] [--repeats=2] [--csv]
 //                            [--strict]
@@ -97,12 +98,12 @@ struct Fnv1a {
   }
 };
 
-// The forward digest: greedy generate on a 3-thread pool with 32-token
-// prefill chunks, so the prompts cross 16-token KV blocks and chunk
+// The forward digest at `level`: greedy generate on a 3-thread pool with
+// 32-token prefill chunks, so the prompts cross 16-token KV blocks and chunk
 // boundaries, plus sequence_nll of one prompt.
-std::uint64_t forward_digest() {
+std::uint64_t forward_digest(simd::Level level) {
   const simd::Level entry_level = simd::active_level();
-  simd::set_level(simd::Level::kScalar);
+  simd::set_level(level);
   ThreadPool pool(3);
   Model::GenerateOptions options;
   options.pool = &pool;
@@ -221,7 +222,11 @@ int main(int argc, char** argv) {
     std::printf("WARNING: headline speedup below the 3x acceptance bar on this host\n");
   }
   std::printf("forward digest: %016llx\n",
-              static_cast<unsigned long long>(forward_digest()));
+              static_cast<unsigned long long>(forward_digest(simd::Level::kScalar)));
+  if (have_native) {
+    std::printf("native forward digest: %016llx\n",
+                static_cast<unsigned long long>(forward_digest(simd::Level::kNative)));
+  }
   if (!all_identical) {
     std::printf("ERROR: chunked prefill diverged bitwise from token-at-a-time\n");
     return 1;

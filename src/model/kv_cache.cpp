@@ -1,7 +1,8 @@
 #include "model/kv_cache.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "tensor/simd.h"
 
 namespace orinsim {
 
@@ -116,15 +117,8 @@ void KVCache::store(Slab& slab, std::size_t layer, std::size_t r,
     std::copy(data.begin(), data.end(), slab.f32[layer].begin() + r * kv_dim_);
     return;
   }
-  float absmax = 0.0f;
-  for (float v : data) absmax = std::max(absmax, std::fabs(v));
-  const float scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
-  slab.scales[layer][r] = scale;
-  std::int8_t* out = slab.codes[layer].data() + r * kv_dim_;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const int code = static_cast<int>(std::lround(data[i] / scale));
-    out[i] = static_cast<std::int8_t>(std::clamp(code, -127, 127));
-  }
+  slab.scales[layer][r] =
+      simd::quantize_row_i8(data.data(), data.size(), slab.codes[layer].data() + r * kv_dim_);
 }
 
 std::span<const float> KVCache::read(const Slab& slab, std::size_t layer, std::size_t r,

@@ -6,6 +6,7 @@
 #include "core/rng.h"
 #include "core/stopwatch.h"
 #include "tensor/kernels.h"
+#include "tensor/simd.h"
 
 namespace orinsim {
 
@@ -144,19 +145,21 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
   const std::size_t group = c.n_heads / c.n_kv_heads;
   const std::size_t kv_dim = c.kv_dim();
   const std::size_t d = c.d_model;
-  const LayerQuant& lq = layers_[layer];
-
-  // Fused QKV: INT8/INT4 quantize the shared activation rows once.
-  const std::span<const float> normed(ws.normed.data(), rows * d);
   const std::span<float> q(ws.q.data(), rows * d);
   const std::span<float> k(ws.k.data(), rows * kv_dim);
   const std::span<float> v(ws.v.data(), rows * kv_dim);
-  quant::matmul_qkv(lq.wq, lq.wk, lq.wv, normed, q, k, v, rows, ws.act8);
 
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
   const std::size_t block_tokens = cache.block_tokens();
   if (cache.storage() == KVStorage::kI8 && ws.kv_tile.size() < block_tokens * kv_dim) {
     ws.kv_tile.resize(block_tokens * kv_dim);
+  }
+  // Native head_dim 16: scores run on a transposed copy of each key block,
+  // one KV head at a time, shared by every row and every head of its group;
+  // the weighted values accumulate in registers.
+  const bool hd16 = simd::attention_hd16(head_dim);
+  if (hd16 && ws.key_tiles.size() < simd::transposed_keys_size(block_tokens)) {
+    ws.key_tiles.resize(simd::transposed_keys_size(block_tokens));
   }
   std::fill_n(ws.attn.begin(), rows * d, 0.0f);
   for (std::size_t i = 0; i < seqs.size(); ++i) {
@@ -182,9 +185,23 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
     };
     for (std::size_t j = 0; j < n_blocks; ++j) {
       const std::size_t p0 = j * block_tokens;
-      const auto keys = cache.key_block(layer, b, j, std::min(block_tokens, len - p0), ws.kv_tile);
+      const std::size_t block_rows = std::min(block_tokens, len - p0);
+      const auto keys = cache.key_block(layer, b, j, block_rows, ws.kv_tile);
       // Rows before position p0 see nothing of this block.
-      for (std::size_t t = p0 > first ? p0 - first : 0; t < run; ++t) {
+      const std::size_t t0 = p0 > first ? p0 - first : 0;
+      if (hd16) {
+        for (std::size_t g = 0; g < c.n_kv_heads; ++g) {
+          simd::transpose_keys_hd16(keys.data() + g * head_dim, kv_dim, block_rows,
+                                    ws.key_tiles.data());
+          for (std::size_t t = t0; t < run; ++t) {
+            simd::scores_hd16(ws.key_tiles.data(), std::min(block_tokens, first + t + 1 - p0),
+                              ws.q.data() + (r0 + t) * d + g * group * head_dim, group,
+                              inv_sqrt_d, scores(t, g * group) + p0, len);
+          }
+        }
+        continue;
+      }
+      for (std::size_t t = t0; t < run; ++t) {
         const std::size_t n_pos = std::min(block_tokens, first + t + 1 - p0);
         const float* q_row = ws.q.data() + (r0 + t) * d;
         for (std::size_t h = 0; h < c.n_heads; ++h) {
@@ -217,6 +234,10 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
           const float* vh = values.data() + (h / group) * head_dim;
           const float* s = scores(t, h) + p0;
           float* oh = out_row + h * head_dim;
+          if (hd16) {
+            simd::accumulate_values_hd16(s, vh, kv_dim, n_pos, oh);
+            continue;
+          }
           for (std::size_t p = 0; p < n_pos; ++p) {
             const float* vp = vh + p * kv_dim;
             const float sp = s[p];
@@ -226,25 +247,6 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
       }
     }
   }
-}
-
-void Model::mlp(std::size_t layer, std::size_t rows, InferenceWorkspace& ws) {
-  const TransformerConfig& c = master_->config;
-  const LayerQuant& lq = layers_[layer];
-  const std::span<const float> normed(ws.normed.data(), rows * c.d_model);
-  const std::span<float> act(ws.ff.data(), rows * c.d_ff);
-  if (c.style == BlockStyle::kPreNormSwiGLU) {
-    const std::span<float> gate(ws.gate.data(), rows * c.d_ff);
-    const std::span<float> up(ws.up.data(), rows * c.d_ff);
-    lq.w_gate.matmul(normed, gate, rows, ws.act8);
-    lq.w_up.matmul(normed, up, rows, ws.act8);
-    kernels::swiglu(gate, up, act);
-  } else {
-    lq.w_gate.matmul(normed, act, rows, ws.act8);  // fc1
-    kernels::gelu_inplace(act);
-  }
-  const std::span<float> out(ws.mlp_out.data(), rows * c.d_model);
-  lq.w_down.matmul(act, out, rows, ws.act8);  // fc2 in the GELU style
 }
 
 void Model::forward(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
@@ -268,26 +270,42 @@ void Model::forward(std::span<const TokenId> tokens, std::span<const std::size_t
 
   const std::span<float> x(ws.x.data(), n * d);
   const std::span<float> normed(ws.normed.data(), n * d);
+  const std::span<float> q(ws.q.data(), n * d);
+  const std::span<float> k(ws.k.data(), n * c.kv_dim());
+  const std::span<float> v(ws.v.data(), n * c.kv_dim());
   const std::span<const float> attn(ws.attn.data(), n * d);
   const std::span<float> attn_proj(ws.attn_proj.data(), n * d);
-  const std::span<const float> mlp_out(ws.mlp_out.data(), n * d);
+  const std::span<float> ff(ws.ff.data(), n * c.d_ff);
+  const std::span<float> mlp_out(ws.mlp_out.data(), n * d);
+  // Matrices that read the same rows share one matmul_group, so each
+  // distinct projection input is quantized once.
   for (std::size_t l = 0; l < c.n_layers; ++l) {
     const LayerMaster& lm = master_->layers[l];
+    const LayerQuant& lq = layers_[l];
     if (c.style == BlockStyle::kPreNormSwiGLU) {
       kernels::rmsnorm_rows(x, lm.norm_gain, normed, n, d);
+      quant::matmul_group(normed, {{lq.wq, q}, {lq.wk, k}, {lq.wv, v}}, n, ws.act8);
       attention(l, seqs, run, cache, ws);
-      layers_[l].wo.matmul(attn, attn_proj, n, ws.act8);
+      lq.wo.matmul(attn, attn_proj, n, ws.act8);
       kernels::add_inplace(x, attn_proj);
 
       kernels::rmsnorm_rows(x, lm.norm2_gain, normed, n, d);
-      mlp(l, n, ws);
+      const std::span<float> gate(ws.gate.data(), n * c.d_ff);
+      const std::span<float> up(ws.up.data(), n * c.d_ff);
+      quant::matmul_group(normed, {{lq.w_gate, gate}, {lq.w_up, up}}, n, ws.act8);
+      kernels::swiglu(gate, up, ff);
+      lq.w_down.matmul(ff, mlp_out, n, ws.act8);
       kernels::add_inplace(x, mlp_out);
     } else {
-      // Phi-2 parallel block: one LayerNorm feeds both attention and MLP.
+      // Phi-2 parallel block: one LayerNorm feeds attention and the MLP, so
+      // fc1 (w_gate) joins the Q/K/V group.
       kernels::layernorm_rows(x, lm.norm_gain, lm.norm_bias, normed, n, d);
+      quant::matmul_group(normed, {{lq.wq, q}, {lq.wk, k}, {lq.wv, v}, {lq.w_gate, ff}}, n,
+                          ws.act8);
       attention(l, seqs, run, cache, ws);
-      layers_[l].wo.matmul(attn, attn_proj, n, ws.act8);
-      mlp(l, n, ws);
+      lq.wo.matmul(attn, attn_proj, n, ws.act8);
+      kernels::gelu_inplace(ff);
+      lq.w_down.matmul(ff, mlp_out, n, ws.act8);  // fc2
       kernels::add_inplace(x, attn_proj);
       kernels::add_inplace(x, mlp_out);
     }

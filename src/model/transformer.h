@@ -96,7 +96,7 @@ class Model {
   // sequence's cache advances by its run and commits once per step.
   //
   // Every row is composition-independent: the projections stream each
-  // weight row once for all rows (WeightMatrix::matmul, matmul_qkv) and
+  // weight row once for all rows (WeightMatrix::matmul, matmul_group) and
   // attention reads each row's own prefix, so a row's hidden state and
   // cache contents equal width-1 steps bit-for-bit at either kernel level,
   // whatever other rows share the step.
@@ -194,13 +194,11 @@ class Model {
     quant::WeightMatrix wq, wk, wv, wo, w_gate, w_up, w_down;
   };
 
-  // Q/K/V projection, RoPE and KV append for every row, then causal
-  // attention per row over its sequence's prefix; seqs[i] owns rows
-  // [i*run, (i+1)*run).
+  // RoPE and KV append for every row of the projected ws.q/ws.k/ws.v, then
+  // causal attention per row over its sequence's prefix into ws.attn;
+  // seqs[i] owns rows [i*run, (i+1)*run).
   void attention(std::size_t layer, std::span<const std::size_t> seqs, std::size_t run,
                  KVCache& cache, InferenceWorkspace& ws);
-  // The block's MLP over ws.normed into ws.mlp_out.
-  void mlp(std::size_t layer, std::size_t rows, InferenceWorkspace& ws);
 
   std::shared_ptr<const MasterWeights> master_;
   DType dtype_;

@@ -50,13 +50,16 @@ struct InferenceWorkspace {
   // INT8 KV dequantization tile of one cache block, [block_tokens, kv_dim];
   // attention grows it on demand (FP32 blocks are read in place).
   std::vector<float> kv_tile;
+  // One KV head's keys of one block, transposed for simd::scores_hd16;
+  // attention grows it on demand (native head_dim-16 configs only).
+  std::vector<float> key_tiles;
   // Final hidden state of the last row advanced through this workspace
   // (prefill() leaves the prompt's last position here).
   std::vector<float> hidden;
   // Final hidden states of a Model::decode lane group, [rows, d_model].
   std::vector<float> hidden_rows;
   // INT8 activation codes of a projection's input (one quantization serves
-  // all three matrices of the fused QKV projection).
+  // every matrix of a quant::matmul_group).
   quant::ActivationBatchInt8 act8;
   std::size_t row_capacity = 0;
 };

@@ -92,16 +92,7 @@ void quantize_activations_int8(std::span<const float> x, std::size_t tokens,
   acts.codes.resize(tokens * cols);
   acts.scales.resize(tokens);
   for (std::size_t t = 0; t < tokens; ++t) {
-    const float* xt = x.data() + t * cols;
-    float x_absmax = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) x_absmax = std::max(x_absmax, std::fabs(xt[c]));
-    const float scale = x_absmax > 0.0f ? x_absmax / 127.0f : 1.0f;
-    acts.scales[t] = scale;
-    std::int8_t* codes = acts.codes.data() + t * cols;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const int v = static_cast<int>(std::lround(xt[c] / scale));
-      codes[c] = static_cast<std::int8_t>(std::clamp(v, -127, 127));
-    }
+    acts.scales[t] = simd::quantize_row_i8(x.data() + t * cols, cols, acts.codes.data() + t * cols);
   }
 }
 

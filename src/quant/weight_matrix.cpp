@@ -53,10 +53,7 @@ bool WeightMatrix::reads_activation_codes() const noexcept {
 
 void WeightMatrix::matmul(std::span<const float> x, std::span<float> y, std::size_t rows,
                           ActivationBatchInt8& act_scratch) const {
-  ORINSIM_CHECK(x.size() == rows * in_features_ && y.size() == rows * out_features_,
-                "WeightMatrix::matmul shape mismatch");
-  if (reads_activation_codes()) quantize_activations_int8(x, rows, in_features_, act_scratch);
-  project(x, act_scratch, y, rows);
+  matmul_group(x, {{*this, y}}, rows, act_scratch);
 }
 
 void WeightMatrix::project(std::span<const float> x, const ActivationBatchInt8& act,
@@ -130,22 +127,16 @@ std::size_t WeightMatrix::outlier_column_count() const noexcept {
   return dtype_ == DType::kI8 ? i8_.outlier_cols.size() : 0;
 }
 
-void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
-                std::span<const float> x, std::span<float> q, std::span<float> k,
-                std::span<float> v, std::size_t rows, ActivationBatchInt8& act_scratch) {
-  ORINSIM_CHECK(x.size() == rows * wq.in_features_ && wk.in_features_ == wq.in_features_ &&
-                    wv.in_features_ == wq.in_features_,
-                "matmul_qkv: input shape mismatch");
-  ORINSIM_CHECK(q.size() == rows * wq.out_features_ && k.size() == rows * wk.out_features_ &&
-                    v.size() == rows * wv.out_features_,
-                "matmul_qkv: output shape mismatch");
-  if (wq.reads_activation_codes() || wk.reads_activation_codes() ||
-      wv.reads_activation_codes()) {
-    quantize_activations_int8(x, rows, wq.in_features_, act_scratch);
+void matmul_group(std::span<const float> x, std::initializer_list<Projection> group,
+                  std::size_t rows, ActivationBatchInt8& act_scratch) {
+  bool quantize = false;
+  for (const Projection& p : group) {
+    ORINSIM_CHECK(x.size() == rows * p.w.in_features_ && p.y.size() == rows * p.w.out_features_,
+                  "matmul_group: shape mismatch");
+    quantize = quantize || p.w.reads_activation_codes();
   }
-  wq.project(x, act_scratch, q, rows);
-  wk.project(x, act_scratch, k, rows);
-  wv.project(x, act_scratch, v, rows);
+  if (quantize) quantize_activations_int8(x, rows, group.begin()->w.in_features_, act_scratch);
+  for (const Projection& p : group) p.w.project(x, act_scratch, p.y, rows);
 }
 
 }  // namespace orinsim::quant

@@ -5,6 +5,7 @@
 // given quantization level.
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "tensor/fp16.h"
 
 namespace orinsim::quant {
+
+struct Projection;
 
 class WeightMatrix {
  public:
@@ -35,6 +38,7 @@ class WeightMatrix {
   // chunk, decode lanes, a multi-sequence verify chunk or a single row —
   // dispatching on storage precision; each weight row is streamed once for
   // all rows. INT8 (and INT4 at kNative) quantize X into act_scratch first.
+  // A one-matrix matmul_group.
   //
   // Contract (what lets Model::forward treat every step shape alike): row
   // t's result is bit-identical to a one-row call on X[t] at the active
@@ -52,10 +56,8 @@ class WeightMatrix {
   std::size_t outlier_column_count() const noexcept;
 
  private:
-  friend void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk,
-                         const WeightMatrix& wv, std::span<const float> x,
-                         std::span<float> q, std::span<float> k, std::span<float> v,
-                         std::size_t rows, ActivationBatchInt8& act_scratch);
+  friend void matmul_group(std::span<const float> x, std::initializer_list<Projection> group,
+                           std::size_t rows, ActivationBatchInt8& act_scratch);
 
   // Whether project() reads activation codes at the active kernel level.
   bool reads_activation_codes() const noexcept;
@@ -74,12 +76,19 @@ class WeightMatrix {
   BlockInt4 i4_;
 };
 
-// Fused QKV projection: X is [rows, in], Q/K/V are [rows, out_q/k/v]. X is
-// quantized at most ONCE into act_scratch and shared by whichever matrices
-// read activation codes (activation quantization is deterministic), so each
-// output is bit-identical to its own WeightMatrix::matmul call.
-void matmul_qkv(const WeightMatrix& wq, const WeightMatrix& wk, const WeightMatrix& wv,
-                std::span<const float> x, std::span<float> q, std::span<float> k,
-                std::span<float> v, std::size_t rows, ActivationBatchInt8& act_scratch);
+// One output of a shared-input projection group: Y ([rows, w.out]) = W X.
+struct Projection {
+  const WeightMatrix& w;
+  std::span<float> y;
+};
+
+// Shared-input projection group: every matrix of the group multiplies the
+// same X ([rows, in]). X is quantized at most ONCE into act_scratch and
+// shared by whichever matrices read activation codes (the quantization is
+// deterministic), so each output is bit-identical to its own
+// WeightMatrix::matmul call. Serves Q/K/V, SwiGLU gate/up, and the
+// parallel block's Q/K/V plus fc1.
+void matmul_group(std::span<const float> x, std::initializer_list<Projection> group,
+                  std::size_t rows, ActivationBatchInt8& act_scratch);
 
 }  // namespace orinsim::quant

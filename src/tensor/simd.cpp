@@ -1,5 +1,6 @@
 #include "tensor/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -49,6 +50,19 @@ std::int64_t dot_i8_scalar(const std::int8_t* a, const std::int8_t* b, std::size
     acc += static_cast<std::int64_t>(a[i]) * static_cast<std::int64_t>(b[i]);
   }
   return acc;
+}
+
+std::int8_t quantize_code(float x, float scale) {
+  const int v = static_cast<int>(std::lround(x / scale));
+  return static_cast<std::int8_t>(std::clamp(v, -127, 127));
+}
+
+float quantize_row_i8_scalar(const float* x, std::size_t n, std::int8_t* codes) {
+  float absmax = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) absmax = std::max(absmax, std::fabs(x[i]));
+  const float scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
+  for (std::size_t i = 0; i < n; ++i) codes[i] = quantize_code(x[i], scale);
+  return scale;
 }
 
 #if ORINSIM_SIMD_X86
@@ -259,6 +273,130 @@ __attribute__((target("avx2,fma"))) void dot_i4_i8_multi_avx2(
   }
 }
 
+// quantize_row_i8_scalar, 8 elements per step. max_ps(|x|, acc) keeps acc
+// when x is NaN, as std::max(acc, |x|) does. v - trunc(v) is exact, so the
+// (|frac| >= 0.5) test decides exactly where lround rounds away from zero;
+// the rounded, clamped value is an integer in [-127, 127], so the truncating
+// conversion and the saturating packs are exact.
+__attribute__((target("avx2"))) float quantize_row_i8_avx2(const float* x, std::size_t n,
+                                                          std::int8_t* codes) {
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  __m256 vmax = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    vmax = _mm256_max_ps(_mm256_andnot_ps(sign, _mm256_loadu_ps(x + i)), vmax);
+  }
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, vmax);
+  float absmax = 0.0f;
+  for (float lane : lanes) absmax = std::max(absmax, lane);
+  for (; i < n; ++i) absmax = std::max(absmax, std::fabs(x[i]));
+  const float scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
+
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 lo = _mm256_set1_ps(-127.0f);
+  const __m256 hi = _mm256_set1_ps(127.0f);
+  for (i = 0; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_div_ps(_mm256_loadu_ps(x + i), vscale);
+    const __m256 t = _mm256_round_ps(v, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    const __m256 away = _mm256_cmp_ps(_mm256_andnot_ps(sign, _mm256_sub_ps(v, t)), half,
+                                      _CMP_GE_OQ);
+    const __m256 step = _mm256_and_ps(away, _mm256_or_ps(one, _mm256_and_ps(v, sign)));
+    const __m256 r = _mm256_min_ps(_mm256_max_ps(_mm256_add_ps(t, step), lo), hi);
+    const __m256i q32 = _mm256_cvttps_epi32(r);
+    const __m128i q16 =
+        _mm_packs_epi32(_mm256_castsi256_si128(q32), _mm256_extracti128_si256(q32, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(codes + i), _mm_packs_epi16(q16, q16));
+  }
+  for (; i < n; ++i) codes[i] = quantize_code(x[i], scale);
+  return scale;
+}
+
+// One full 8-position tile of transpose_keys_hd16: two 8x8 transposes
+// (dims 0-7, dims 8-15) of pure data movement.
+__attribute__((target("avx2"))) void transpose_tile_hd16_avx2(const float* keys,
+                                                             std::size_t key_stride,
+                                                             float* tile) {
+  for (std::size_t d0 = 0; d0 < kScoreHeadDim; d0 += 8) {
+    __m256 r[8];
+    for (std::size_t p = 0; p < 8; ++p) r[p] = _mm256_loadu_ps(keys + p * key_stride + d0);
+    __m256 t[8];
+    for (std::size_t p = 0; p < 8; p += 2) {
+      t[p] = _mm256_unpacklo_ps(r[p], r[p + 1]);
+      t[p + 1] = _mm256_unpackhi_ps(r[p], r[p + 1]);
+    }
+    __m256 u[8];
+    for (std::size_t p = 0; p < 8; p += 4) {
+      u[p] = _mm256_shuffle_ps(t[p], t[p + 2], 0x44);
+      u[p + 1] = _mm256_shuffle_ps(t[p], t[p + 2], 0xEE);
+      u[p + 2] = _mm256_shuffle_ps(t[p + 1], t[p + 3], 0x44);
+      u[p + 3] = _mm256_shuffle_ps(t[p + 1], t[p + 3], 0xEE);
+    }
+    for (std::size_t e = 0; e < 4; ++e) {
+      _mm256_storeu_ps(tile + (d0 + e) * kScoreTile, _mm256_permute2f128_ps(u[e], u[e + 4], 0x20));
+      _mm256_storeu_ps(tile + (d0 + e + 4) * kScoreTile,
+                       _mm256_permute2f128_ps(u[e], u[e + 4], 0x31));
+    }
+  }
+}
+
+// scores_hd16 over one 8-position tile per step. Lane p replays
+// dot_f32_avx2(q, key_p, 16): m[e] = fma(q[e], k[e], 0); the acc0 + acc1 add
+// (e, e + 8); the 128-bit fold (e, e + 4); movehl (e, e + 2); the final ss
+// add; then the multiply by scale.
+__attribute__((target("avx2,fma"))) void scores_hd16_avx2(const float* tiles,
+                                                          std::size_t n_pos, const float* q,
+                                                          std::size_t n_q, float scale,
+                                                          float* out,
+                                                          std::size_t out_stride) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 vscale = _mm256_set1_ps(scale);
+  for (std::size_t h = 0; h < n_q; ++h) {
+    const float* qh = q + h * kScoreHeadDim;
+    float* oh = out + h * out_stride;
+    for (std::size_t p0 = 0; p0 < n_pos; p0 += kScoreTile) {
+      const float* tile = tiles + p0 * kScoreHeadDim;
+      __m256 m[kScoreHeadDim];
+      for (std::size_t e = 0; e < kScoreHeadDim; ++e) {
+        m[e] = _mm256_fmadd_ps(_mm256_broadcast_ss(qh + e),
+                               _mm256_loadu_ps(tile + e * kScoreTile), zero);
+      }
+      for (std::size_t e = 0; e < 8; ++e) m[e] = _mm256_add_ps(m[e], m[e + 8]);
+      for (std::size_t e = 0; e < 4; ++e) m[e] = _mm256_add_ps(m[e], m[e + 4]);
+      m[0] = _mm256_add_ps(m[0], m[2]);
+      m[1] = _mm256_add_ps(m[1], m[3]);
+      const __m256 s = _mm256_mul_ps(_mm256_add_ps(m[0], m[1]), vscale);
+      if (n_pos - p0 >= kScoreTile) {
+        _mm256_storeu_ps(oh + p0, s);
+      } else {
+        alignas(32) float part[kScoreTile];
+        _mm256_store_ps(part, s);
+        std::copy(part, part + (n_pos - p0), oh + p0);
+      }
+    }
+  }
+}
+
+// accumulate_values_hd16: the 16 outputs stay in two registers across the
+// positions; each element is out + (w[p] * v[e]), as in the plain loop.
+__attribute__((target("avx2"))) void accumulate_values_hd16_avx2(const float* w,
+                                                                const float* v,
+                                                                std::size_t v_stride,
+                                                                std::size_t n_pos,
+                                                                float* out) {
+  __m256 lo = _mm256_loadu_ps(out);
+  __m256 hi = _mm256_loadu_ps(out + 8);
+  for (std::size_t p = 0; p < n_pos; ++p) {
+    const __m256 wp = _mm256_broadcast_ss(w + p);
+    lo = _mm256_add_ps(lo, _mm256_mul_ps(wp, _mm256_loadu_ps(v + p * v_stride)));
+    hi = _mm256_add_ps(hi, _mm256_mul_ps(wp, _mm256_loadu_ps(v + p * v_stride + 8)));
+  }
+  _mm256_storeu_ps(out, lo);
+  _mm256_storeu_ps(out + 8, hi);
+}
+
 // Roofline probe: 8 independent 8-lane fma chains, values kept near 1.0 so
 // the loop never denormalizes. The sink store defeats dead-code elimination.
 __attribute__((target("avx2,fma"))) double fma_probe_flops_avx2(std::size_t iters) {
@@ -403,6 +541,57 @@ void dot_i4_i8_multi(const std::uint8_t* w_packed, const float* scales, std::siz
   }
 #endif
   dot_i4_i8_multi_ref(w_packed, scales, blocks, x, x_stride, n_cols, out);
+}
+
+float quantize_row_i8(const float* x, std::size_t n, std::int8_t* codes) {
+#if ORINSIM_SIMD_X86
+  if (active_level() == Level::kNative) return quantize_row_i8_avx2(x, n, codes);
+#endif
+  return quantize_row_i8_scalar(x, n, codes);
+}
+
+bool attention_hd16(std::size_t head_dim) {
+  return ORINSIM_SIMD_X86 && head_dim == kScoreHeadDim && active_level() == Level::kNative;
+}
+
+void transpose_keys_hd16(const float* keys, std::size_t key_stride, std::size_t n_pos,
+                         float* tiles) {
+  ORINSIM_CHECK(attention_hd16(kScoreHeadDim), "transpose_keys_hd16 needs the native level");
+  const std::size_t padded = transposed_keys_size(n_pos) / kScoreHeadDim;
+  std::size_t p = 0;
+#if ORINSIM_SIMD_X86
+  for (; p + kScoreTile <= n_pos; p += kScoreTile) {
+    transpose_tile_hd16_avx2(keys + p * key_stride, key_stride, tiles + p * kScoreHeadDim);
+  }
+#endif
+  // Partial tail tile: live keys, then zero padding.
+  for (; p < padded; ++p) {
+    float* col = tiles + p / kScoreTile * kScoreTile * kScoreHeadDim + p % kScoreTile;
+    for (std::size_t e = 0; e < kScoreHeadDim; ++e) {
+      col[e * kScoreTile] = p < n_pos ? keys[p * key_stride + e] : 0.0f;
+    }
+  }
+}
+
+void scores_hd16(const float* tiles, std::size_t n_pos, const float* q, std::size_t n_q,
+                 float scale, float* out, std::size_t out_stride) {
+  ORINSIM_CHECK(attention_hd16(kScoreHeadDim), "scores_hd16 needs the native level");
+#if ORINSIM_SIMD_X86
+  scores_hd16_avx2(tiles, n_pos, q, n_q, scale, out, out_stride);
+#else
+  (void)tiles, (void)n_pos, (void)q, (void)n_q, (void)scale, (void)out, (void)out_stride;
+#endif
+}
+
+void accumulate_values_hd16(const float* w, const float* v, std::size_t v_stride,
+                            std::size_t n_pos, float* out) {
+  ORINSIM_CHECK(attention_hd16(kScoreHeadDim),
+                "accumulate_values_hd16 needs the native level");
+#if ORINSIM_SIMD_X86
+  accumulate_values_hd16_avx2(w, v, v_stride, n_pos, out);
+#else
+  (void)w, (void)v, (void)v_stride, (void)n_pos, (void)out;
+#endif
 }
 
 double fma_probe_flops(std::size_t iters) {

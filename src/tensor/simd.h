@@ -114,6 +114,55 @@ void dot_i4_i8_multi_ref(const std::uint8_t* w_packed, const float* scales,
                          std::size_t blocks, const std::int8_t* x, std::size_t x_stride,
                          std::size_t n_cols, float* out);
 
+// ---------------------------------------------------------------------------
+// Native twins. At kNative the kernels below produce the SAME bits as the
+// code they replace at that level; they exist only to be faster, never to
+// change a result.
+
+// Absmax int8 quantization of one row: returns scale = absmax(x) / 127 (1
+// for an all-zero row) and writes codes[i] = clamp(lround(x[i] / scale),
+// -127, 127). The AVX2 twin matches the scalar loop bit for bit: the absmax
+// is order-free, the division is IEEE, and round-half-away-from-zero is
+// trunc(v) plus sign(v) when |v - trunc(v)| >= 0.5. Domain: finite x. The
+// codec of dynamic activation quantization and of the INT8 KV cache.
+float quantize_row_i8(const float* x, std::size_t n, std::int8_t* codes);
+
+// Attention kernels for head_dim 16 (every nano config).
+// transpose_keys_hd16 lays out keys [n_pos, 16] (row stride key_stride) as
+// ceil(n_pos / 8) tiles of [16 dims][8 positions], zero-padded; scores_hd16
+// then scores 8 positions per vector for each of n_q query heads (q is
+// [n_q, 16]):
+//
+//   out[h * out_stride + p] = dot_f32(q + 16 h, key_p, 16) * scale
+//
+// bit for bit at kNative: every position follows dot_f32_avx2's exact
+// sequence (fma-with-zero halves, lane add, 4+4 fold, movehl, the final ss
+// add), then the multiply. accumulate_values_hd16 adds the weighted values,
+//
+//   out[e] += w[p] * v[p * v_stride + e]   for p ascending, e < 16,
+//
+// with the plain loop's multiply-then-add per element. Native only (CHECK);
+// callers test attention_hd16(head_dim) and keep the per-position dot and
+// the plain loop otherwise.
+inline constexpr std::size_t kScoreHeadDim = 16;
+inline constexpr std::size_t kScoreTile = 8;  // positions per transposed tile
+
+// Whether the head_dim-16 attention kernels serve head_dim at the active
+// level.
+bool attention_hd16(std::size_t head_dim);
+
+// Floats of transposed tile storage for n_pos keys.
+constexpr std::size_t transposed_keys_size(std::size_t n_pos) {
+  return (n_pos + kScoreTile - 1) / kScoreTile * kScoreTile * kScoreHeadDim;
+}
+
+void transpose_keys_hd16(const float* keys, std::size_t key_stride, std::size_t n_pos,
+                         float* tiles);
+void scores_hd16(const float* tiles, std::size_t n_pos, const float* q, std::size_t n_q,
+                 float scale, float* out, std::size_t out_stride);
+void accumulate_values_hd16(const float* w, const float* v, std::size_t v_stride,
+                            std::size_t n_pos, float* out);
+
 // Roofline probe: runs `iters` iterations of 8 independent register-resident
 // fused multiply-add chains (8-lane AVX2/FMA when the CPU has it, scalar
 // std::fma otherwise) and returns the number of FLOPs executed. The bench

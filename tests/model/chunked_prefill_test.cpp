@@ -241,7 +241,7 @@ TEST(ChunkedPrefillTest, PrefillEventCarriesChunkSize) {
 }
 
 TEST(ChunkedPrefillTest, MatmulQkvBitIdenticalToSeparateMatmuls) {
-  // The fused QKV projection quantizes the activation chunk at most once;
+  // A shared-input matmul_group quantizes the activation chunk at most once;
   // the contract says results are bit-identical to three independent
   // matmuls for every precision, at both levels — also when only some of
   // the three matrices read activation codes (the mixed row).
@@ -267,7 +267,7 @@ TEST(ChunkedPrefillTest, MatmulQkvBitIdenticalToSeparateMatmuls) {
 
       std::vector<float> q(tokens * out_q), k(tokens * out_kv), v(tokens * out_kv);
       quant::ActivationBatchInt8 scratch;
-      quant::matmul_qkv(wq, wk, wv, x, q, k, v, tokens, scratch);
+      quant::matmul_group(x, {{wq, q}, {wk, k}, {wv, v}}, tokens, scratch);
 
       std::vector<float> q2(tokens * out_q), k2(tokens * out_kv), v2(tokens * out_kv);
       quant::ActivationBatchInt8 scratch2;

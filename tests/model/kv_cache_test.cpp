@@ -3,13 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/error.h"
+#include "core/rng.h"
 #include "model/config.h"
+#include "tensor/simd.h"
 
 namespace orinsim {
 namespace {
+
+// Restores the dispatch level on scope exit so test order never leaks state.
+class ScopedLevel {
+ public:
+  explicit ScopedLevel(simd::Level level) : prev_(simd::active_level()) {
+    simd::set_level(level);
+  }
+  ~ScopedLevel() { simd::set_level(prev_); }
+  ScopedLevel(const ScopedLevel&) = delete;
+  ScopedLevel& operator=(const ScopedLevel&) = delete;
+
+ private:
+  simd::Level prev_;
+};
 
 TransformerConfig tiny_config() {
   TransformerConfig c;
@@ -275,6 +295,92 @@ TEST(KVCacheTest, BlockReadsMatchPerPositionReads) {
     // Rows past the staged tail, and unmapped blocks, are out of range.
     EXPECT_THROW(cache.key_block(0, 0, 2, 2, tile), ContractViolation);
     EXPECT_THROW(cache.value_block(0, 1, 2, 1, tile), ContractViolation);
+  }
+}
+
+// The native head_dim-16 attention kernels read the cache block by block.
+// For every block of a cache (fp32 or int8 storage; block_tokens 16, 4 and
+// 3, so tail blocks are partial), every KV head and every n_pos up to the
+// block's rows: each score must equal simd::dot_f32(q, k) * inv_sqrt_d per
+// position, and each weighted value sum the plain multiply-then-add loop,
+// bitwise, for a GQA group of 4 (llama3-nano) and of 1 (phi2-nano). Score
+// columns past n_pos stay untouched.
+TEST(KVCacheTest, Hd16AttentionKernelsMatchReferenceBitwise) {
+  if (!simd::native_available()) GTEST_SKIP() << "no AVX2/FMA on this host";
+  ScopedLevel native(simd::Level::kNative);
+  Rng rng(83);
+  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(simd::kScoreHeadDim));
+  const std::size_t hd = simd::kScoreHeadDim;
+  for (const char* family : {"llama3", "phi2"}) {
+    const TransformerConfig cfg = make_nano_config(family, 64);
+    ASSERT_EQ(cfg.head_dim(), hd);
+    ASSERT_TRUE(simd::attention_hd16(cfg.head_dim()));
+    const std::size_t kv = cfg.kv_dim();
+    const std::size_t group = cfg.n_heads / cfg.n_kv_heads;
+    std::vector<float> q(cfg.n_heads * hd);
+    for (auto& x : q) x = static_cast<float>(rng.normal(0.0, 1.0));
+    q[0] = 0.0f;  // signed zeros meet fma-with-zero
+    q[1] = -0.0f;
+    for (KVStorage storage : {KVStorage::kF32, KVStorage::kI8}) {
+      for (std::size_t block : {16u, 4u, 3u}) {
+        KVCacheOptions opts;
+        opts.storage = storage;
+        opts.block_tokens = block;
+        const std::size_t len = 37;
+        KVCache cache(cfg, 1, len, opts);
+        std::vector<float> k(len * kv), v(len * kv);
+        for (auto& x : k) x = static_cast<float>(rng.normal(0.0, 1.0));
+        for (auto& x : v) x = static_cast<float>(rng.normal(0.0, 1.0));
+        for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, k, v, len);
+        cache.commit(0, len);
+
+        std::vector<float> tile(block * kv), vtile(block * kv);
+        std::vector<float> tiles(simd::transposed_keys_size(block));
+        for (std::size_t j = 0; j * block < len; ++j) {
+          const std::size_t rows = std::min(block, len - j * block);
+          const auto keys = cache.key_block(1, 0, j, rows, tile);
+          for (std::size_t g = 0; g < cfg.n_kv_heads; ++g) {
+            simd::transpose_keys_hd16(keys.data() + g * hd, kv, rows, tiles.data());
+            for (std::size_t n_pos = 1; n_pos <= rows; ++n_pos) {
+              const std::size_t stride = n_pos + 1;
+              std::vector<float> out(group * stride, std::numeric_limits<float>::quiet_NaN());
+              simd::scores_hd16(tiles.data(), n_pos, q.data() + g * group * hd, group,
+                                inv_sqrt_d, out.data(), stride);
+              for (std::size_t h = 0; h < group; ++h) {
+                const float* qh = q.data() + (g * group + h) * hd;
+                for (std::size_t p = 0; p < n_pos; ++p) {
+                  const float ref = simd::dot_f32(qh, keys.data() + p * kv + g * hd, hd) *
+                                    inv_sqrt_d;
+                  ASSERT_EQ(std::bit_cast<std::uint32_t>(out[h * stride + p]),
+                            std::bit_cast<std::uint32_t>(ref))
+                      << family << " block " << block << " j " << j << " g " << g
+                      << " n_pos " << n_pos << " h " << h << " p " << p;
+                }
+                EXPECT_TRUE(std::isnan(out[h * stride + n_pos]));
+
+                // The scores as weights over this block's values.
+                const auto values = cache.value_block(1, 0, j, rows, vtile);
+                const float* vg = values.data() + g * hd;
+                std::vector<float> acc(hd), ref(hd);
+                for (std::size_t e = 0; e < hd; ++e) acc[e] = ref[e] = 0.25f * q[e];
+                simd::accumulate_values_hd16(out.data() + h * stride, vg, kv, n_pos, acc.data());
+                for (std::size_t p = 0; p < n_pos; ++p) {
+                  for (std::size_t e = 0; e < hd; ++e) {
+                    ref[e] += out[h * stride + p] * vg[p * kv + e];
+                  }
+                }
+                for (std::size_t e = 0; e < hd; ++e) {
+                  ASSERT_EQ(std::bit_cast<std::uint32_t>(acc[e]),
+                            std::bit_cast<std::uint32_t>(ref[e]))
+                      << family << " block " << block << " j " << j << " g " << g
+                      << " n_pos " << n_pos << " h " << h << " e " << e;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/error.h"
@@ -358,6 +363,97 @@ TEST(QuantErrorTest, OrderingAcrossPrecisions) {
   EXPECT_LT(e16.relative_fro, 0.001);
   EXPECT_LT(e8.relative_fro, 0.01);
   EXPECT_LT(e4.relative_fro, 0.1);
+}
+
+// Quantizes `rows` ([tokens, cols]) at `level`.
+ActivationBatchInt8 quantize_at(simd::Level level, const std::vector<float>& rows,
+                                std::size_t tokens, std::size_t cols) {
+  ScopedLevel scoped(level);
+  ActivationBatchInt8 acts;
+  quantize_activations_int8(rows, tokens, cols, acts);
+  return acts;
+}
+
+// The native twin of the activation quantizer (simd::quantize_row_i8) must
+// produce the scalar loop's codes and scales bit for bit: exact .5 ties
+// after the division, +-absmax, -0.0, denormals, all-zero rows, every tail
+// width, in 1- and 32-token batches.
+TEST(ActivationQuantTest, NativeTwinMatchesScalarBitwise) {
+  if (!simd::native_available()) GTEST_SKIP() << "no AVX2/FMA on this host";
+  Rng rng(61);
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  for (std::size_t cols : {5u, 13u, 127u, 128u, 449u}) {
+    std::vector<std::vector<float>> kinds;
+    // Absmax 127 makes the scale exactly 1 and absmax 254 exactly 2, so
+    // every k + 0.5 (times the scale) is a tie after the division.
+    for (float unit : {1.0f, 2.0f}) {
+      std::vector<float> ties(cols);
+      for (std::size_t c = 0; c < cols; ++c) {
+        const float mag = static_cast<float>(c % 127) + 0.5f;
+        ties[c] = unit * (c % 2 == 0 ? mag : -mag);
+      }
+      ties[0] = unit * 127.0f;
+      ties[1] = unit * 2.5f;
+      ties[2] = unit * -126.5f;
+      ties[3] = unit * 0.5f;
+      ties[4] = unit * -0.5f;
+      kinds.push_back(ties);
+    }
+    // Edge values: +-absmax, -0.0 and denormals among random entries.
+    std::vector<float> edges(cols);
+    for (auto& v : edges) v = static_cast<float>(std::clamp(rng.normal(0.0, 0.5), -1.9, 1.9));
+    edges[0] = -2.0f;
+    edges[cols - 1] = 2.0f;
+    edges[1] = -0.0f;
+    edges[2] = denorm;
+    edges[3] = -1e-40f;
+    kinds.push_back(edges);
+    kinds.emplace_back(cols, 0.0f);   // scale 1, all codes 0
+    kinds.emplace_back(cols, -0.0f);  // likewise
+    // Denormals only: absmax / 127 is still a (denormal) nonzero scale.
+    std::vector<float> tiny(cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+      tiny[c] = static_cast<float>(c % 7) * (c % 2 == 0 ? 1e-41f : -1e-41f);
+    }
+    tiny[0] = 1e-39f;
+    kinds.push_back(tiny);
+
+    for (std::size_t tokens : {1u, 32u}) {
+      for (std::size_t k = 0; k < kinds.size(); ++k) {
+        std::vector<float> batch;
+        for (std::size_t t = 0; t < tokens; ++t) {
+          if (t % 2 == 0) {
+            const auto& row = kinds[(k + t / 2) % kinds.size()];
+            batch.insert(batch.end(), row.begin(), row.end());
+          } else {
+            for (std::size_t c = 0; c < cols; ++c) {
+              batch.push_back(static_cast<float>(rng.normal(0.0, 1.0)));
+            }
+          }
+        }
+        const auto ref = quantize_at(simd::Level::kScalar, batch, tokens, cols);
+        const auto got = quantize_at(simd::Level::kNative, batch, tokens, cols);
+        const std::string where =
+            "cols " + std::to_string(cols) + " tokens " + std::to_string(tokens) + " kind " +
+            std::to_string(k);
+        ASSERT_EQ(got.codes, ref.codes) << where;
+        ASSERT_EQ(got.scales.size(), ref.scales.size()) << where;
+        for (std::size_t t = 0; t < tokens; ++t) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got.scales[t]),
+                    std::bit_cast<std::uint32_t>(ref.scales[t]))
+              << where << " token " << t;
+        }
+      }
+    }
+  }
+  // The reference itself rounds ties away from zero and maps a zero row to
+  // scale 1.
+  std::vector<float> row = {127.0f, 2.5f, -126.5f, 0.5f, -0.5f};
+  const auto acts = quantize_at(simd::Level::kScalar, row, 1, row.size());
+  EXPECT_EQ(acts.codes, (std::vector<std::int8_t>{127, 3, -127, 1, -1}));
+  EXPECT_EQ(acts.scales[0], 1.0f);
+  EXPECT_EQ(quantize_at(simd::Level::kScalar, std::vector<float>(13, 0.0f), 1, 13).scales[0],
+            1.0f);
 }
 
 }  // namespace

@@ -184,7 +184,7 @@ TEST_P(WeightMatrixParamTest, MatvecMultiIsCompositionIndependent) {
   }
 }
 
-// The fused QKV entry quantizes the shared input once; quantization is
+// A shared-input group quantizes its input once; quantization is
 // deterministic, so Q/K/V are bit-identical to three separate calls for
 // every row count.
 TEST_P(WeightMatrixParamTest, MatvecQkvMultiMatchesSeparateMatvecMulti) {
@@ -202,7 +202,7 @@ TEST_P(WeightMatrixParamTest, MatvecQkvMultiMatchesSeparateMatvecMulti) {
       auto x = random_weights(rows * d, rng, 1.0);
       std::vector<float> q(rows * d), k(rows * kv), v(rows * kv);
       ActivationBatchInt8 act;
-      matmul_qkv(wq, wk, wv, x, q, k, v, rows, act);
+      matmul_group(x, {{wq, q}, {wk, k}, {wv, v}}, rows, act);
       std::vector<float> q_ref(rows * d), k_ref(rows * kv), v_ref(rows * kv);
       ActivationBatchInt8 act_ref;
       wq.matmul(x, q_ref, rows, act_ref);

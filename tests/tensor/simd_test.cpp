@@ -239,6 +239,22 @@ TEST(SimdTest, DotI4I8MultiAvx2MatchesPortableMirrorBitwise) {
   }
 }
 
+// Only head_dim 16 at the native level takes the head_dim-16 attention
+// kernels; every other head_dim, and the scalar level, keep the
+// per-position dot and the plain value loop.
+TEST(SimdTest, AttentionHd16OnlyForNativeHeadDim16) {
+  {
+    ScopedLevel scalar(simd::Level::kScalar);
+    EXPECT_FALSE(simd::attention_hd16(simd::kScoreHeadDim));
+  }
+  if (!simd::native_available()) return;
+  ScopedLevel native(simd::Level::kNative);
+  EXPECT_TRUE(simd::attention_hd16(16));
+  for (std::size_t head_dim : {4u, 8u, 32u, 40u, 64u}) {
+    EXPECT_FALSE(simd::attention_hd16(head_dim)) << head_dim;
+  }
+}
+
 TEST(RopeTableTest, BitExactAgainstRopeInplace) {
   // Table entries are computed with the exact expressions of rope_inplace,
   // so applying the table must be bit-identical at every position.
