@@ -276,6 +276,21 @@ std::span<const float> KVCache::value_block(std::size_t layer, std::size_t b, st
   return read(values_, layer, block_row(layer, b, j, rows), rows, tile);
 }
 
+KVCache::Int8Rows KVCache::codes(const Slab& slab, std::size_t layer, std::size_t r) const {
+  ORINSIM_CHECK(storage_ == KVStorage::kI8, "KVCache: code reads need INT8 storage");
+  return {slab.codes[layer].data() + r * kv_dim_, slab.scales[layer].data() + r};
+}
+
+KVCache::Int8Rows KVCache::key_block_i8(std::size_t layer, std::size_t b, std::size_t j,
+                                        std::size_t rows) const {
+  return codes(keys_, layer, block_row(layer, b, j, rows));
+}
+
+KVCache::Int8Rows KVCache::value_block_i8(std::size_t layer, std::size_t b, std::size_t j,
+                                          std::size_t rows) const {
+  return codes(values_, layer, block_row(layer, b, j, rows));
+}
+
 void KVCache::truncate(std::size_t b, std::size_t new_len) {
   ORINSIM_CHECK(b < batch_, "KVCache::truncate out of range");
   ORINSIM_CHECK(new_len <= lengths_[b], "KVCache::truncate cannot extend");

@@ -13,7 +13,8 @@
 // copy-on-write, and a bounded pool (max_blocks) lets a serving engine
 // oversubscribe lanes and preempt on exhaustion instead of reserving
 // worst-case memory per lane. Attention walks a sequence's block table and
-// reads K/V one block at a time (key_block/value_block).
+// reads K/V one block at a time (key_block/value_block, or an INT8 block's
+// codes and scales in place with key_block_i8/value_block_i8).
 //
 // The cache tracks a per-sequence length so ragged batches (prompts of
 // different lengths) decode correctly. bytes() reports actual allocation:
@@ -167,6 +168,19 @@ class KVCache {
   std::span<const float> value_block(std::size_t layer, std::size_t b, std::size_t j,
                                      std::size_t rows, std::span<float> tile) const;
 
+  // INT8 storage only: the codes ([rows, kv_dim], row stride kv_dim()) and
+  // per-row scales behind the same rows of key_block/value_block, for
+  // kernels that dequantize in registers (float(code) * scale, read()'s
+  // math) instead of into a tile.
+  struct Int8Rows {
+    const std::int8_t* codes;
+    const float* scales;
+  };
+  Int8Rows key_block_i8(std::size_t layer, std::size_t b, std::size_t j,
+                        std::size_t rows) const;
+  Int8Rows value_block_i8(std::size_t layer, std::size_t b, std::size_t j,
+                          std::size_t rows) const;
+
   KVStorage storage() const noexcept { return storage_; }
   std::size_t block_tokens() const noexcept { return block_tokens_; }
 
@@ -218,6 +232,8 @@ class KVCache {
   // value(), key_block() and value_block().
   std::span<const float> read(const Slab& slab, std::size_t layer, std::size_t r,
                               std::size_t rows, std::span<float> out) const;
+  // Codes and scales of INT8 slab row r.
+  Int8Rows codes(const Slab& slab, std::size_t layer, std::size_t r) const;
   std::size_t bytes_per_row() const noexcept;
 
   std::size_t batch_ = 0;

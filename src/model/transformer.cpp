@@ -151,16 +151,18 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
 
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
   const std::size_t block_tokens = cache.block_tokens();
-  if (cache.storage() == KVStorage::kI8 && ws.kv_tile.size() < block_tokens * kv_dim) {
-    ws.kv_tile.resize(block_tokens * kv_dim);
-  }
   // Native head_dim 16: scores run on a transposed copy of each key block,
   // one KV head at a time, shared by every row and every head of its group;
-  // the weighted values accumulate in registers.
+  // the weighted values accumulate in registers. These kernels read an INT8
+  // block's codes in place (fold); every other INT8 read dequantizes a block
+  // into a tile.
   const bool hd16 = simd::attention_hd16(head_dim);
-  if (hd16 && ws.key_tiles.size() < simd::transposed_keys_size(block_tokens)) {
-    ws.key_tiles.resize(simd::transposed_keys_size(block_tokens));
-  }
+  const bool fold = hd16 && cache.storage() == KVStorage::kI8;
+  const std::size_t key_tiles_size = hd16 ? simd::transposed_keys_size(block_tokens) : 0;
+  const std::size_t kv_tile_size =
+      cache.storage() == KVStorage::kI8 && !hd16 ? block_tokens * kv_dim : 0;
+  if (ws.key_tiles.size() < key_tiles_size) ws.key_tiles.resize(key_tiles_size);
+  if (ws.kv_tile.size() < kv_tile_size) ws.kv_tile.resize(kv_tile_size);
   std::fill_n(ws.attn.begin(), rows * d, 0.0f);
   for (std::size_t i = 0; i < seqs.size(); ++i) {
     const std::size_t b = seqs[i];
@@ -175,77 +177,134 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
                       v.subspan(r0 * kv_dim, run * kv_dim), run);
 
     // Causal: row t attends to positions 0..first+t. Scores of (t, h) live
-    // at ws.scores[(t * n_heads + h) * len]; each block of the prefix (staged
-    // rows included) is read once for K and once for V.
+    // at ws.scores[(t * n_heads + h) * len].
     const std::size_t len = first + run;
-    const std::size_t n_blocks = (len + block_tokens - 1) / block_tokens;
     if (ws.scores.size() < run * c.n_heads * len) ws.scores.resize(run * c.n_heads * len);
     auto scores = [&](std::size_t t, std::size_t h) {
       return ws.scores.data() + (t * c.n_heads + h) * len;
     };
-    for (std::size_t j = 0; j < n_blocks; ++j) {
-      const std::size_t p0 = j * block_tokens;
-      const std::size_t block_rows = std::min(block_tokens, len - p0);
-      const auto keys = cache.key_block(layer, b, j, block_rows, ws.kv_tile);
-      // Rows before position p0 see nothing of this block.
-      const std::size_t t0 = p0 > first ? p0 - first : 0;
-      if (hd16) {
-        for (std::size_t g = 0; g < c.n_kv_heads; ++g) {
-          simd::transpose_keys_hd16(keys.data() + g * head_dim, kv_dim, block_rows,
-                                    ws.key_tiles.data());
-          for (std::size_t t = t0; t < run; ++t) {
-            simd::scores_hd16(ws.key_tiles.data(), std::min(block_tokens, first + t + 1 - p0),
-                              ws.q.data() + (r0 + t) * d + g * group * head_dim, group,
-                              inv_sqrt_d, scores(t, g * group) + p0, len);
-          }
+    // The units [u0, u1) of (KV head g, row t), u = g * run + t. The range
+    // reads each block its rows reach once for K and once for V; its writes
+    // to the scores and ws.attn are its own (row, head) slices.
+    auto attend = [&](std::size_t u0, std::size_t u1, float* key_tiles,
+                      std::span<float> kv_tile) {
+      const std::size_t g0 = u0 / run;
+      const std::size_t g1 = (u1 - 1) / run + 1;
+      auto t_begin = [&](std::size_t g) { return std::max(u0, g * run) - g * run; };
+      auto t_end = [&](std::size_t g) { return std::min(u1, (g + 1) * run) - g * run; };
+      // The range's furthest row is its first head's last (row run - 1
+      // unless the range ends inside that head).
+      const std::size_t reach = first + t_end(g0);
+      const std::size_t n_blocks = (reach + block_tokens - 1) / block_tokens;
+      for (std::size_t j = 0; j < n_blocks; ++j) {
+        const std::size_t p0 = j * block_tokens;
+        const std::size_t block_rows = std::min(block_tokens, reach - p0);
+        std::span<const float> keys;
+        KVCache::Int8Rows keys8{};
+        if (fold) {
+          keys8 = cache.key_block_i8(layer, b, j, block_rows);
+        } else {
+          keys = cache.key_block(layer, b, j, block_rows, kv_tile);
         }
-        continue;
-      }
-      for (std::size_t t = t0; t < run; ++t) {
-        const std::size_t n_pos = std::min(block_tokens, first + t + 1 - p0);
-        const float* q_row = ws.q.data() + (r0 + t) * d;
-        for (std::size_t h = 0; h < c.n_heads; ++h) {
-          const std::span<const float> qh(q_row + h * head_dim, head_dim);
-          const std::size_t g = h / group;
-          float* s = scores(t, h) + p0;
-          for (std::size_t p = 0; p < n_pos; ++p) {
-            s[p] = kernels::dot(qh, keys.subspan(p * kv_dim + g * head_dim, head_dim)) *
-                   inv_sqrt_d;
-          }
-        }
-      }
-    }
-    // The softmax runs per (row, head) over exactly its own prefix, so every
-    // (row, head) is the same op sequence whatever the step's shape.
-    for (std::size_t t = 0; t < run; ++t) {
-      for (std::size_t h = 0; h < c.n_heads; ++h) {
-        kernels::softmax_rows(std::span<float>(scores(t, h), first + t + 1), 1, first + t + 1);
-      }
-    }
-    // Blocks in ascending order keep each output's accumulation order.
-    for (std::size_t j = 0; j < n_blocks; ++j) {
-      const std::size_t p0 = j * block_tokens;
-      const auto values =
-          cache.value_block(layer, b, j, std::min(block_tokens, len - p0), ws.kv_tile);
-      for (std::size_t t = p0 > first ? p0 - first : 0; t < run; ++t) {
-        const std::size_t n_pos = std::min(block_tokens, first + t + 1 - p0);
-        float* out_row = ws.attn.data() + (r0 + t) * d;
-        for (std::size_t h = 0; h < c.n_heads; ++h) {
-          const float* vh = values.data() + (h / group) * head_dim;
-          const float* s = scores(t, h) + p0;
-          float* oh = out_row + h * head_dim;
+        // Rows before position p0 see nothing of this block.
+        const std::size_t t0 = p0 > first ? p0 - first : 0;
+        for (std::size_t g = g0; g < g1; ++g) {
+          const std::size_t t_lo = std::max(t_begin(g), t0);
+          if (t_lo >= t_end(g)) continue;
           if (hd16) {
-            simd::accumulate_values_hd16(s, vh, kv_dim, n_pos, oh);
+            if (fold) {
+              simd::transpose_keys_hd16_i8(keys8.codes + g * head_dim, keys8.scales, kv_dim,
+                                           block_rows, key_tiles);
+            } else {
+              simd::transpose_keys_hd16(keys.data() + g * head_dim, kv_dim, block_rows,
+                                        key_tiles);
+            }
+            for (std::size_t t = t_lo; t < t_end(g); ++t) {
+              simd::scores_hd16(key_tiles, std::min(block_tokens, first + t + 1 - p0),
+                                ws.q.data() + (r0 + t) * d + g * group * head_dim, group,
+                                inv_sqrt_d, scores(t, g * group) + p0, len);
+            }
             continue;
           }
-          for (std::size_t p = 0; p < n_pos; ++p) {
-            const float* vp = vh + p * kv_dim;
-            const float sp = s[p];
-            for (std::size_t e = 0; e < head_dim; ++e) oh[e] += sp * vp[e];
+          for (std::size_t t = t_lo; t < t_end(g); ++t) {
+            const std::size_t n_pos = std::min(block_tokens, first + t + 1 - p0);
+            for (std::size_t h = g * group; h < (g + 1) * group; ++h) {
+              const std::span<const float> qh(ws.q.data() + (r0 + t) * d + h * head_dim,
+                                              head_dim);
+              float* s = scores(t, h) + p0;
+              for (std::size_t p = 0; p < n_pos; ++p) {
+                s[p] = kernels::dot(qh, keys.subspan(p * kv_dim + g * head_dim, head_dim)) *
+                       inv_sqrt_d;
+              }
+            }
           }
         }
       }
-    }
+      // The softmax runs per (row, head) over exactly its own prefix, so
+      // every (row, head) is the same op sequence whatever the step's shape.
+      for (std::size_t g = g0; g < g1; ++g) {
+        for (std::size_t t = t_begin(g); t < t_end(g); ++t) {
+          for (std::size_t h = g * group; h < (g + 1) * group; ++h) {
+            kernels::softmax_rows(std::span<float>(scores(t, h), first + t + 1), 1,
+                                  first + t + 1);
+          }
+        }
+      }
+      // Blocks in ascending order keep each output's accumulation order.
+      for (std::size_t j = 0; j < n_blocks; ++j) {
+        const std::size_t p0 = j * block_tokens;
+        const std::size_t block_rows = std::min(block_tokens, reach - p0);
+        std::span<const float> values;
+        KVCache::Int8Rows values8{};
+        if (fold) {
+          values8 = cache.value_block_i8(layer, b, j, block_rows);
+        } else {
+          values = cache.value_block(layer, b, j, block_rows, kv_tile);
+        }
+        const std::size_t t0 = p0 > first ? p0 - first : 0;
+        for (std::size_t g = g0; g < g1; ++g) {
+          for (std::size_t t = std::max(t_begin(g), t0); t < t_end(g); ++t) {
+            const std::size_t n_pos = std::min(block_tokens, first + t + 1 - p0);
+            // The group's heads: weights len apart, outputs head_dim apart.
+            const float* w = scores(t, g * group) + p0;
+            float* out = ws.attn.data() + (r0 + t) * d + g * group * head_dim;
+            if (fold) {
+              simd::accumulate_values_hd16_i8(w, len, group, values8.codes + g * head_dim,
+                                              values8.scales, kv_dim, n_pos, out);
+              continue;
+            }
+            const float* vg = values.data() + g * head_dim;
+            if (hd16) {
+              simd::accumulate_values_hd16(w, len, group, vg, kv_dim, n_pos, out);
+              continue;
+            }
+            for (std::size_t h = 0; h < group; ++h) {
+              for (std::size_t p = 0; p < n_pos; ++p) {
+                const float* vp = vg + p * kv_dim;
+                const float sp = w[h * len + p];
+                for (std::size_t e = 0; e < head_dim; ++e) out[h * head_dim + e] += sp * vp[e];
+              }
+            }
+          }
+        }
+      }
+    };
+    // Split the units over the kernel pool once the sequence's attention
+    // work reaches kAttentionSplitWork. One range (below it, or inline in a
+    // pool shard) works in the workspace's tiles; a split range owns its
+    // own.
+    const std::size_t units = c.n_kv_heads * run;
+    const std::size_t unit_work = group * len * head_dim * 2;
+    kernel_pool().parallel_rows(
+        units, (kAttentionSplitWork + unit_work - 1) / unit_work,
+        [&](std::size_t u0, std::size_t u1) {
+          if (u1 - u0 == units) {
+            attend(u0, u1, ws.key_tiles.data(), ws.kv_tile);
+            return;
+          }
+          std::vector<float> key_tiles(key_tiles_size), kv_tile(kv_tile_size);
+          attend(u0, u1, key_tiles.data(), kv_tile);
+        });
   }
 }
 

@@ -127,6 +127,13 @@ class Model {
               KVCache& cache, std::span<float> logits_rows,
               std::span<InferenceWorkspace> workspaces, ThreadPool* pool);
 
+  // Multiply-adds of one sequence's attention at which Model::forward splits
+  // it over kernel_pool(): its units are (KV head, row) pairs of group ×
+  // context × head_dim × 2 each. A width-1 step at a few hundred tokens of
+  // context stays below it and inline, where a fork/join would cost more
+  // than it saves.
+  static constexpr std::size_t kAttentionSplitWork = std::size_t{1} << 17;
+
   // Default number of prompt tokens per chunked-prefill pass.
   static constexpr std::size_t kDefaultPrefillChunk = 32;
 
@@ -196,7 +203,12 @@ class Model {
 
   // RoPE and KV append for every row of the projected ws.q/ws.k/ws.v, then
   // causal attention per row over its sequence's prefix into ws.attn;
-  // seqs[i] owns rows [i*run, (i+1)*run).
+  // seqs[i] owns rows [i*run, (i+1)*run). Per sequence, the RoPE and append
+  // run serially; its (KV head, row) units then split into contiguous
+  // ranges over kernel_pool() once their work reaches kAttentionSplitWork,
+  // each range walking the block table once for K and once for V. Every
+  // (row, head) keeps its score → softmax → V op order, so the split never
+  // changes a bit.
   void attention(std::size_t layer, std::span<const std::size_t> seqs, std::size_t run,
                  KVCache& cache, InferenceWorkspace& ws);
 

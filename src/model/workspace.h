@@ -45,13 +45,18 @@ struct InferenceWorkspace {
   // Residual stream, projections and MLP activations, [rows, features].
   std::vector<float> x, normed, q, k, v, attn, attn_proj, gate, up, ff, mlp_out;
   // Causal scores of one sequence's run, [run, n_heads, prefix length];
-  // attention grows it on demand.
+  // attention grows it on demand. Split attention ranges share it, each
+  // writing only its own (row, head) slices.
   std::vector<float> scores;
   // INT8 KV dequantization tile of one cache block, [block_tokens, kv_dim];
-  // attention grows it on demand (FP32 blocks are read in place).
+  // attention grows it on demand. FP32 blocks are read in place, and the
+  // native head_dim-16 kernels read INT8 codes in place, so only the
+  // scalar level and other head_dims use it.
   std::vector<float> kv_tile;
   // One KV head's keys of one block, transposed for simd::scores_hd16;
   // attention grows it on demand (native head_dim-16 configs only).
+  // kv_tile and key_tiles serve an attention call that runs as one range;
+  // ranges split over the kernel pool allocate their own.
   std::vector<float> key_tiles;
   // Final hidden state of the last row advanced through this workspace
   // (prefill() leaves the prompt's last position here).

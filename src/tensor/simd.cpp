@@ -314,31 +314,61 @@ __attribute__((target("avx2"))) float quantize_row_i8_avx2(const float* x, std::
   return scale;
 }
 
+// Stores r[p] (positions p < 8, dims d0..d0+7) into a key tile as its
+// [dim][position] columns: one 8x8 transpose of pure data movement.
+__attribute__((target("avx2"))) inline void store_transposed_8x8(const __m256 (&r)[8],
+                                                                std::size_t d0,
+                                                                float* tile) {
+  __m256 t[8];
+  for (std::size_t p = 0; p < 8; p += 2) {
+    t[p] = _mm256_unpacklo_ps(r[p], r[p + 1]);
+    t[p + 1] = _mm256_unpackhi_ps(r[p], r[p + 1]);
+  }
+  __m256 u[8];
+  for (std::size_t p = 0; p < 8; p += 4) {
+    u[p] = _mm256_shuffle_ps(t[p], t[p + 2], 0x44);
+    u[p + 1] = _mm256_shuffle_ps(t[p], t[p + 2], 0xEE);
+    u[p + 2] = _mm256_shuffle_ps(t[p + 1], t[p + 3], 0x44);
+    u[p + 3] = _mm256_shuffle_ps(t[p + 1], t[p + 3], 0xEE);
+  }
+  for (std::size_t e = 0; e < 4; ++e) {
+    _mm256_storeu_ps(tile + (d0 + e) * kScoreTile, _mm256_permute2f128_ps(u[e], u[e + 4], 0x20));
+    _mm256_storeu_ps(tile + (d0 + e + 4) * kScoreTile,
+                     _mm256_permute2f128_ps(u[e], u[e + 4], 0x31));
+  }
+}
+
 // One full 8-position tile of transpose_keys_hd16: two 8x8 transposes
-// (dims 0-7, dims 8-15) of pure data movement.
+// (dims 0-7, dims 8-15).
 __attribute__((target("avx2"))) void transpose_tile_hd16_avx2(const float* keys,
                                                              std::size_t key_stride,
                                                              float* tile) {
   for (std::size_t d0 = 0; d0 < kScoreHeadDim; d0 += 8) {
     __m256 r[8];
     for (std::size_t p = 0; p < 8; ++p) r[p] = _mm256_loadu_ps(keys + p * key_stride + d0);
-    __m256 t[8];
-    for (std::size_t p = 0; p < 8; p += 2) {
-      t[p] = _mm256_unpacklo_ps(r[p], r[p + 1]);
-      t[p + 1] = _mm256_unpackhi_ps(r[p], r[p + 1]);
+    store_transposed_8x8(r, d0, tile);
+  }
+}
+
+// One int8 codes vector of 8 dims, dequantized in registers: float(code) *
+// scale, the one rounding KVCache's block read makes.
+__attribute__((target("avx2"))) inline __m256 dequant8_avx2(__m128i codes, __m256 scale) {
+  return _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(codes)), scale);
+}
+
+// transpose_tile_hd16_avx2 over int8 key codes and their per-position scales.
+__attribute__((target("avx2"))) void transpose_tile_hd16_i8_avx2(const std::int8_t* codes,
+                                                                const float* scales,
+                                                                std::size_t key_stride,
+                                                                float* tile) {
+  for (std::size_t d0 = 0; d0 < kScoreHeadDim; d0 += 8) {
+    __m256 r[8];
+    for (std::size_t p = 0; p < 8; ++p) {
+      r[p] = dequant8_avx2(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + p * key_stride + d0)),
+          _mm256_set1_ps(scales[p]));
     }
-    __m256 u[8];
-    for (std::size_t p = 0; p < 8; p += 4) {
-      u[p] = _mm256_shuffle_ps(t[p], t[p + 2], 0x44);
-      u[p + 1] = _mm256_shuffle_ps(t[p], t[p + 2], 0xEE);
-      u[p + 2] = _mm256_shuffle_ps(t[p + 1], t[p + 3], 0x44);
-      u[p + 3] = _mm256_shuffle_ps(t[p + 1], t[p + 3], 0xEE);
-    }
-    for (std::size_t e = 0; e < 4; ++e) {
-      _mm256_storeu_ps(tile + (d0 + e) * kScoreTile, _mm256_permute2f128_ps(u[e], u[e + 4], 0x20));
-      _mm256_storeu_ps(tile + (d0 + e + 4) * kScoreTile,
-                       _mm256_permute2f128_ps(u[e], u[e + 4], 0x31));
-    }
+    store_transposed_8x8(r, d0, tile);
   }
 }
 
@@ -379,22 +409,79 @@ __attribute__((target("avx2,fma"))) void scores_hd16_avx2(const float* tiles,
   }
 }
 
-// accumulate_values_hd16: the 16 outputs stay in two registers across the
-// positions; each element is out + (w[p] * v[e]), as in the plain loop.
+// Value rows for accumulate_values_hd16: fp32, or int8 codes dequantized in
+// registers.
+struct F32Values {
+  const float* v;
+  std::size_t stride;
+  __attribute__((target("avx2"))) void load(std::size_t p, __m256& lo, __m256& hi) const {
+    lo = _mm256_loadu_ps(v + p * stride);
+    hi = _mm256_loadu_ps(v + p * stride + 8);
+  }
+};
+
+struct I8Values {
+  const std::int8_t* codes;
+  const float* scales;
+  std::size_t stride;
+  __attribute__((target("avx2"))) void load(std::size_t p, __m256& lo, __m256& hi) const {
+    const __m256 scale = _mm256_broadcast_ss(scales + p);
+    const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + p * stride));
+    lo = dequant8_avx2(c, scale);
+    hi = dequant8_avx2(_mm_srli_si128(c, 8), scale);
+  }
+};
+
+// NQ heads' 16 outputs each stay in two registers across the positions, and
+// each value row is loaded once for all of them; every element is
+// out + (w[p] * v[e]), as in the plain loop.
+template <std::size_t NQ, class Values>
+__attribute__((target("avx2"))) void accumulate_heads_hd16_avx2(const float* w,
+                                                               std::size_t w_stride,
+                                                               const Values& values,
+                                                               std::size_t n_pos,
+                                                               float* out) {
+  __m256 lo[NQ];
+  __m256 hi[NQ];
+  for (std::size_t h = 0; h < NQ; ++h) {
+    lo[h] = _mm256_loadu_ps(out + h * kScoreHeadDim);
+    hi[h] = _mm256_loadu_ps(out + h * kScoreHeadDim + 8);
+  }
+  for (std::size_t p = 0; p < n_pos; ++p) {
+    __m256 v_lo;
+    __m256 v_hi;
+    values.load(p, v_lo, v_hi);
+    for (std::size_t h = 0; h < NQ; ++h) {
+      const __m256 wp = _mm256_broadcast_ss(w + h * w_stride + p);
+      lo[h] = _mm256_add_ps(lo[h], _mm256_mul_ps(wp, v_lo));
+      hi[h] = _mm256_add_ps(hi[h], _mm256_mul_ps(wp, v_hi));
+    }
+  }
+  for (std::size_t h = 0; h < NQ; ++h) {
+    _mm256_storeu_ps(out + h * kScoreHeadDim, lo[h]);
+    _mm256_storeu_ps(out + h * kScoreHeadDim + 8, hi[h]);
+  }
+}
+
+// accumulate_values_hd16 over n_q heads, at most four per pass so the
+// accumulators stay in registers.
+template <class Values>
 __attribute__((target("avx2"))) void accumulate_values_hd16_avx2(const float* w,
-                                                                const float* v,
-                                                                std::size_t v_stride,
+                                                                std::size_t w_stride,
+                                                                std::size_t n_q,
+                                                                const Values& values,
                                                                 std::size_t n_pos,
                                                                 float* out) {
-  __m256 lo = _mm256_loadu_ps(out);
-  __m256 hi = _mm256_loadu_ps(out + 8);
-  for (std::size_t p = 0; p < n_pos; ++p) {
-    const __m256 wp = _mm256_broadcast_ss(w + p);
-    lo = _mm256_add_ps(lo, _mm256_mul_ps(wp, _mm256_loadu_ps(v + p * v_stride)));
-    hi = _mm256_add_ps(hi, _mm256_mul_ps(wp, _mm256_loadu_ps(v + p * v_stride + 8)));
+  for (std::size_t h0 = 0; h0 < n_q; h0 += 4) {
+    const float* wh = w + h0 * w_stride;
+    float* oh = out + h0 * kScoreHeadDim;
+    switch (std::min<std::size_t>(n_q - h0, 4)) {
+      case 1: accumulate_heads_hd16_avx2<1>(wh, w_stride, values, n_pos, oh); break;
+      case 2: accumulate_heads_hd16_avx2<2>(wh, w_stride, values, n_pos, oh); break;
+      case 3: accumulate_heads_hd16_avx2<3>(wh, w_stride, values, n_pos, oh); break;
+      default: accumulate_heads_hd16_avx2<4>(wh, w_stride, values, n_pos, oh); break;
+    }
   }
-  _mm256_storeu_ps(out, lo);
-  _mm256_storeu_ps(out + 8, hi);
 }
 
 // Roofline probe: 8 independent 8-lane fma chains, values kept near 1.0 so
@@ -416,6 +503,19 @@ __attribute__((target("avx2,fma"))) double fma_probe_flops_avx2(std::size_t iter
   return static_cast<double>(iters) * 8.0 * 8.0 * 2.0;
 }
 #endif  // ORINSIM_SIMD_X86
+
+// From position p on: live keys key(p, e), then zero padding to the end of
+// the last tile.
+template <class Key>
+void transpose_tail_hd16(std::size_t p, std::size_t n_pos, float* tiles, Key key) {
+  for (const std::size_t padded = transposed_keys_size(n_pos) / kScoreHeadDim; p < padded;
+       ++p) {
+    float* col = tiles + p / kScoreTile * kScoreTile * kScoreHeadDim + p % kScoreTile;
+    for (std::size_t e = 0; e < kScoreHeadDim; ++e) {
+      col[e * kScoreTile] = p < n_pos ? key(p, e) : 0.0f;
+    }
+  }
+}
 
 }  // namespace
 
@@ -557,20 +657,30 @@ bool attention_hd16(std::size_t head_dim) {
 void transpose_keys_hd16(const float* keys, std::size_t key_stride, std::size_t n_pos,
                          float* tiles) {
   ORINSIM_CHECK(attention_hd16(kScoreHeadDim), "transpose_keys_hd16 needs the native level");
-  const std::size_t padded = transposed_keys_size(n_pos) / kScoreHeadDim;
   std::size_t p = 0;
 #if ORINSIM_SIMD_X86
   for (; p + kScoreTile <= n_pos; p += kScoreTile) {
     transpose_tile_hd16_avx2(keys + p * key_stride, key_stride, tiles + p * kScoreHeadDim);
   }
 #endif
-  // Partial tail tile: live keys, then zero padding.
-  for (; p < padded; ++p) {
-    float* col = tiles + p / kScoreTile * kScoreTile * kScoreHeadDim + p % kScoreTile;
-    for (std::size_t e = 0; e < kScoreHeadDim; ++e) {
-      col[e * kScoreTile] = p < n_pos ? keys[p * key_stride + e] : 0.0f;
-    }
+  transpose_tail_hd16(p, n_pos, tiles,
+                      [&](std::size_t i, std::size_t e) { return keys[i * key_stride + e]; });
+}
+
+void transpose_keys_hd16_i8(const std::int8_t* codes, const float* scales,
+                            std::size_t key_stride, std::size_t n_pos, float* tiles) {
+  ORINSIM_CHECK(attention_hd16(kScoreHeadDim),
+                "transpose_keys_hd16_i8 needs the native level");
+  std::size_t p = 0;
+#if ORINSIM_SIMD_X86
+  for (; p + kScoreTile <= n_pos; p += kScoreTile) {
+    transpose_tile_hd16_i8_avx2(codes + p * key_stride, scales + p, key_stride,
+                                tiles + p * kScoreHeadDim);
   }
+#endif
+  transpose_tail_hd16(p, n_pos, tiles, [&](std::size_t i, std::size_t e) {
+    return static_cast<float>(codes[i * key_stride + e]) * scales[i];
+  });
 }
 
 void scores_hd16(const float* tiles, std::size_t n_pos, const float* q, std::size_t n_q,
@@ -583,14 +693,29 @@ void scores_hd16(const float* tiles, std::size_t n_pos, const float* q, std::siz
 #endif
 }
 
-void accumulate_values_hd16(const float* w, const float* v, std::size_t v_stride,
-                            std::size_t n_pos, float* out) {
+void accumulate_values_hd16(const float* w, std::size_t w_stride, std::size_t n_q,
+                            const float* v, std::size_t v_stride, std::size_t n_pos,
+                            float* out) {
   ORINSIM_CHECK(attention_hd16(kScoreHeadDim),
                 "accumulate_values_hd16 needs the native level");
 #if ORINSIM_SIMD_X86
-  accumulate_values_hd16_avx2(w, v, v_stride, n_pos, out);
+  accumulate_values_hd16_avx2(w, w_stride, n_q, F32Values{v, v_stride}, n_pos, out);
 #else
-  (void)w, (void)v, (void)v_stride, (void)n_pos, (void)out;
+  (void)w, (void)w_stride, (void)n_q, (void)v, (void)v_stride, (void)n_pos, (void)out;
+#endif
+}
+
+void accumulate_values_hd16_i8(const float* w, std::size_t w_stride, std::size_t n_q,
+                               const std::int8_t* codes, const float* scales,
+                               std::size_t v_stride, std::size_t n_pos, float* out) {
+  ORINSIM_CHECK(attention_hd16(kScoreHeadDim),
+                "accumulate_values_hd16_i8 needs the native level");
+#if ORINSIM_SIMD_X86
+  accumulate_values_hd16_avx2(w, w_stride, n_q, I8Values{codes, scales, v_stride}, n_pos,
+                              out);
+#else
+  (void)w, (void)w_stride, (void)n_q, (void)codes, (void)scales, (void)v_stride, (void)n_pos,
+      (void)out;
 #endif
 }
 

@@ -137,13 +137,22 @@ float quantize_row_i8(const float* x, std::size_t n, std::int8_t* codes);
 //
 // bit for bit at kNative: every position follows dot_f32_avx2's exact
 // sequence (fma-with-zero halves, lane add, 4+4 fold, movehl, the final ss
-// add), then the multiply. accumulate_values_hd16 adds the weighted values,
+// add), then the multiply. accumulate_values_hd16 adds the weighted values
+// of the same n_q heads (their weights w + h * w_stride, their outputs
+// [n_q, 16]), loading each value row once for all of them:
 //
-//   out[e] += w[p] * v[p * v_stride + e]   for p ascending, e < 16,
+//   out[h * 16 + e] += w[h * w_stride + p] * v[p * v_stride + e]
+//                                      for p ascending, h < n_q, e < 16,
 //
 // with the plain loop's multiply-then-add per element. Native only (CHECK);
 // callers test attention_hd16(head_dim) and keep the per-position dot and
 // the plain loop otherwise.
+//
+// The _i8 twins read an INT8 KV block in place: codes [n_pos, 16] (row
+// stride key_stride / v_stride) and one scale per position. Each key or
+// value is float(code) * scale[p], computed in registers — the one rounding
+// of KVCache's block read — so a twin equals dequantizing the block, then
+// running the fp32 kernel, bit for bit.
 inline constexpr std::size_t kScoreHeadDim = 16;
 inline constexpr std::size_t kScoreTile = 8;  // positions per transposed tile
 
@@ -160,8 +169,14 @@ void transpose_keys_hd16(const float* keys, std::size_t key_stride, std::size_t 
                          float* tiles);
 void scores_hd16(const float* tiles, std::size_t n_pos, const float* q, std::size_t n_q,
                  float scale, float* out, std::size_t out_stride);
-void accumulate_values_hd16(const float* w, const float* v, std::size_t v_stride,
-                            std::size_t n_pos, float* out);
+void accumulate_values_hd16(const float* w, std::size_t w_stride, std::size_t n_q,
+                            const float* v, std::size_t v_stride, std::size_t n_pos,
+                            float* out);
+void transpose_keys_hd16_i8(const std::int8_t* codes, const float* scales,
+                            std::size_t key_stride, std::size_t n_pos, float* tiles);
+void accumulate_values_hd16_i8(const float* w, std::size_t w_stride, std::size_t n_q,
+                               const std::int8_t* codes, const float* scales,
+                               std::size_t v_stride, std::size_t n_pos, float* out);
 
 // Roofline probe: runs `iters` iterations of 8 independent register-resident
 // fused multiply-add chains (8-lane AVX2/FMA when the CPU has it, scalar

@@ -1,0 +1,110 @@
+// Attention split pin: Model::forward splits each sequence's (KV head, row)
+// attention units over kernel_pool() at top level and runs them as one
+// range inline inside a pool shard. Both must give the same hidden rows bit
+// for bit, at both kernel levels, for fp32 and int8 KV, GQA groups of 4
+// (llama3-nano) and 1 (phi2-nano), and KV blocks of 16, 4 and 3 tokens, so
+// range boundaries fall mid-head, mid-block and on partial tail tiles.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "core/rng.h"
+#include "core/thread_pool.h"
+#include "model/transformer.h"
+#include "tensor/simd.h"
+
+namespace orinsim {
+namespace {
+
+// Restores the dispatch level on scope exit so test order never leaks state.
+class ScopedLevel {
+ public:
+  explicit ScopedLevel(simd::Level level) : prev_(simd::active_level()) {
+    simd::set_level(level);
+  }
+  ~ScopedLevel() { simd::set_level(prev_); }
+  ScopedLevel(const ScopedLevel&) = delete;
+  ScopedLevel& operator=(const ScopedLevel&) = delete;
+
+ private:
+  simd::Level prev_;
+};
+
+std::vector<simd::Level> levels_to_test() {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::native_available()) levels.push_back(simd::Level::kNative);
+  return levels;
+}
+
+// One forward of n_seqs runs of `run` rows over sequences holding `cached`
+// random K/V positions each; returns every row's final hidden state.
+std::vector<float> forward_rows(Model& model, const KVCacheOptions& opts, std::size_t n_seqs,
+                                std::size_t cached, std::size_t run) {
+  const TransformerConfig& cfg = model.config();
+  KVCache cache(cfg, n_seqs, cached + run, opts);
+  Rng rng(41);
+  std::vector<float> kv(cached * cfg.kv_dim());
+  std::vector<std::size_t> seqs(n_seqs);
+  for (std::size_t b = 0; b < n_seqs; ++b) {
+    seqs[b] = b;
+    for (auto& x : kv) x = static_cast<float>(rng.normal(0.0, 1.0));
+    for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, b, kv, kv, cached);
+    cache.commit(b, cached);
+  }
+  std::vector<TokenId> tokens(n_seqs * run);
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    tokens[i] = static_cast<TokenId>((i * 7 + 3) % cfg.vocab);
+  }
+  std::vector<float> hidden(tokens.size() * cfg.d_model);
+  InferenceWorkspace ws(cfg);
+  model.forward(tokens, seqs, cache, hidden, ws);
+  return hidden;
+}
+
+TEST(AttentionSplitTest, SplitIsBitIdenticalToInlineRun) {
+  if (kernel_pool().size() == 0) GTEST_SKIP() << "the kernel pool has no workers";
+  const std::size_t cached = 77;  // not a multiple of any block size
+  for (simd::Level level : levels_to_test()) {
+    ScopedLevel scoped(level);
+    for (const char* family : {"llama3", "phi2"}) {
+      const TransformerConfig cfg = make_nano_config(family, 64);
+      const std::size_t group = cfg.n_heads / cfg.n_kv_heads;
+      for (KVStorage storage : {KVStorage::kF32, KVStorage::kI8}) {
+        Model model(MasterWeights::init_random(cfg, 5), DType::kF32, storage);
+        for (std::size_t block : {16u, 4u, 3u}) {
+          KVCacheOptions opts;
+          opts.storage = storage;
+          opts.block_tokens = block;
+          // Prime runs: no shard count divides them.
+          for (std::size_t run : {7u, 13u}) {
+            const std::size_t work =
+                cfg.n_kv_heads * run * group * (cached + run) * cfg.head_dim() * 2;
+            ASSERT_GE(work, Model::kAttentionSplitWork) << "the split must run";
+            for (std::size_t n_seqs : {1u, 2u}) {
+              const std::vector<float> fanned = forward_rows(model, opts, n_seqs, cached, run);
+              std::vector<float> inline_run;
+              kernel_pool().parallel_for(0, 1, [&](std::size_t) {
+                inline_run = forward_rows(model, opts, n_seqs, cached, run);
+              });
+              ASSERT_EQ(fanned.size(), inline_run.size());
+              for (std::size_t i = 0; i < fanned.size(); ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(fanned[i]),
+                          std::bit_cast<std::uint32_t>(inline_run[i]))
+                    << simd::level_name(level) << ' ' << family
+                    << (storage == KVStorage::kI8 ? " int8" : " fp32") << " block " << block
+                    << " run " << run << " seqs " << n_seqs << " i " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace orinsim

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/error.h"
@@ -303,8 +304,9 @@ TEST(KVCacheTest, BlockReadsMatchPerPositionReads) {
 // 3, so tail blocks are partial), every KV head and every n_pos up to the
 // block's rows: each score must equal simd::dot_f32(q, k) * inv_sqrt_d per
 // position, and each weighted value sum the plain multiply-then-add loop,
-// bitwise, for a GQA group of 4 (llama3-nano) and of 1 (phi2-nano). Score
-// columns past n_pos stay untouched.
+// bitwise, for a GQA group of 4 (llama3-nano) and of 1 (phi2-nano); the
+// value kernel also over 1-6 heads per call. Score columns past n_pos and
+// floats past the value outputs stay untouched.
 TEST(KVCacheTest, Hd16AttentionKernelsMatchReferenceBitwise) {
   if (!simd::native_available()) GTEST_SKIP() << "no AVX2/FMA on this host";
   ScopedLevel native(simd::Level::kNative);
@@ -357,25 +359,136 @@ TEST(KVCacheTest, Hd16AttentionKernelsMatchReferenceBitwise) {
                       << " n_pos " << n_pos << " h " << h << " p " << p;
                 }
                 EXPECT_TRUE(std::isnan(out[h * stride + n_pos]));
+              }
 
-                // The scores as weights over this block's values.
-                const auto values = cache.value_block(1, 0, j, rows, vtile);
-                const float* vg = values.data() + g * hd;
-                std::vector<float> acc(hd), ref(hd);
-                for (std::size_t e = 0; e < hd; ++e) acc[e] = ref[e] = 0.25f * q[e];
-                simd::accumulate_values_hd16(out.data() + h * stride, vg, kv, n_pos, acc.data());
-                for (std::size_t p = 0; p < n_pos; ++p) {
-                  for (std::size_t e = 0; e < hd; ++e) {
-                    ref[e] += out[h * stride + p] * vg[p * kv + e];
+              // The scores as weights over this block's values, for n_q 1-6
+              // heads at once (every nano GQA group, and passes of at most
+              // four heads): head h weighs by the group's score row h % group.
+              const auto values = cache.value_block(1, 0, j, rows, vtile);
+              const float* vg = values.data() + g * hd;
+              for (std::size_t n_q = 1; n_q <= 6; ++n_q) {
+                std::vector<float> w(n_q * stride), acc(n_q * hd + 1), ref(n_q * hd + 1);
+                for (std::size_t h = 0; h < n_q; ++h) {
+                  std::copy_n(out.data() + h % group * stride, n_pos, w.data() + h * stride);
+                }
+                for (std::size_t i = 0; i < n_q * hd; ++i) acc[i] = ref[i] = 0.25f * q[i % q.size()];
+                acc[n_q * hd] = ref[n_q * hd] = std::numeric_limits<float>::quiet_NaN();
+                simd::accumulate_values_hd16(w.data(), stride, n_q, vg, kv, n_pos, acc.data());
+                for (std::size_t h = 0; h < n_q; ++h) {
+                  for (std::size_t p = 0; p < n_pos; ++p) {
+                    for (std::size_t e = 0; e < hd; ++e) {
+                      ref[h * hd + e] += w[h * stride + p] * vg[p * kv + e];
+                    }
                   }
                 }
-                for (std::size_t e = 0; e < hd; ++e) {
-                  ASSERT_EQ(std::bit_cast<std::uint32_t>(acc[e]),
-                            std::bit_cast<std::uint32_t>(ref[e]))
+                for (std::size_t i = 0; i < n_q * hd; ++i) {
+                  ASSERT_EQ(std::bit_cast<std::uint32_t>(acc[i]),
+                            std::bit_cast<std::uint32_t>(ref[i]))
                       << family << " block " << block << " j " << j << " g " << g
-                      << " n_pos " << n_pos << " h " << h << " e " << e;
+                      << " n_pos " << n_pos << " n_q " << n_q << " i " << i;
                 }
+                EXPECT_TRUE(std::isnan(acc[n_q * hd]));
               }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The int8 twins read a cache block's codes and scales in place. For every
+// block of an int8 cache (block_tokens 16, 4 and 3, so tail tiles are
+// partial), every KV head and every n_pos up to the block's rows, each must
+// equal dequantizing the block with value_block/key_block, then running the
+// fp32 kernel, bitwise: the transposed tiles (zero padding included), the
+// scores taken from them for GQA groups of 4 and 1, and the weighted value
+// sums of 1-6 heads per call. Tile storage past the padded n_pos, score
+// columns past n_pos and floats past the value outputs stay untouched.
+TEST(KVCacheTest, Hd16Int8TwinsMatchDequantizedKernelsBitwise) {
+  if (!simd::native_available()) GTEST_SKIP() << "no AVX2/FMA on this host";
+  ScopedLevel native(simd::Level::kNative);
+  Rng rng(89);
+  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(simd::kScoreHeadDim));
+  const std::size_t hd = simd::kScoreHeadDim;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto bits = [](float x) { return std::bit_cast<std::uint32_t>(x); };
+  for (const char* family : {"llama3", "phi2"}) {
+    const TransformerConfig cfg = make_nano_config(family, 64);
+    ASSERT_TRUE(simd::attention_hd16(cfg.head_dim()));
+    const std::size_t kv = cfg.kv_dim();
+    const std::size_t group = cfg.n_heads / cfg.n_kv_heads;
+    std::vector<float> q(cfg.n_heads * hd);
+    for (auto& x : q) x = static_cast<float>(rng.normal(0.0, 1.0));
+    for (std::size_t block : {16u, 4u, 3u}) {
+      KVCacheOptions opts;
+      opts.storage = KVStorage::kI8;
+      opts.block_tokens = block;
+      const std::size_t len = 37;
+      KVCache cache(cfg, 1, len, opts);
+      std::vector<float> k(len * kv), v(len * kv);
+      for (auto& x : k) x = static_cast<float>(rng.normal(0.0, 1.0));
+      for (auto& x : v) x = static_cast<float>(rng.normal(0.0, 1.0));
+      k[5] = 0.0f;  // a zero code keeps its sign through the scale
+      for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, 0, k, v, len);
+      cache.commit(0, len);
+
+      std::vector<float> ktile(block * kv), vtile(block * kv);
+      const std::size_t tiles_size = simd::transposed_keys_size(block);
+      for (std::size_t j = 0; j * block < len; ++j) {
+        const std::size_t rows = std::min(block, len - j * block);
+        const auto keys = cache.key_block(1, 0, j, rows, ktile);
+        const auto values = cache.value_block(1, 0, j, rows, vtile);
+        const KVCache::Int8Rows keys8 = cache.key_block_i8(1, 0, j, rows);
+        const KVCache::Int8Rows values8 = cache.value_block_i8(1, 0, j, rows);
+        for (std::size_t g = 0; g < cfg.n_kv_heads; ++g) {
+          for (std::size_t n_pos = 1; n_pos <= rows; ++n_pos) {
+            const std::string where = std::string(family) + " block " + std::to_string(block) +
+                                      " j " + std::to_string(j) + " g " + std::to_string(g) +
+                                      " n_pos " + std::to_string(n_pos);
+            std::vector<float> ref_tiles(tiles_size + 8, nan), tiles(tiles_size + 8, nan);
+            simd::transpose_keys_hd16(keys.data() + g * hd, kv, n_pos, ref_tiles.data());
+            simd::transpose_keys_hd16_i8(keys8.codes + g * hd, keys8.scales, kv, n_pos,
+                                         tiles.data());
+            const std::size_t written = simd::transposed_keys_size(n_pos);
+            for (std::size_t i = 0; i < tiles.size(); ++i) {
+              if (i < written) {
+                ASSERT_EQ(bits(tiles[i]), bits(ref_tiles[i])) << where << " i " << i;
+              } else {
+                ASSERT_TRUE(std::isnan(tiles[i])) << where << " i " << i;
+              }
+            }
+
+            const std::size_t stride = n_pos + 1;
+            std::vector<float> ref(group * stride, nan), out(group * stride, nan);
+            const float* qg = q.data() + g * group * hd;
+            simd::scores_hd16(ref_tiles.data(), n_pos, qg, group, inv_sqrt_d, ref.data(), stride);
+            simd::scores_hd16(tiles.data(), n_pos, qg, group, inv_sqrt_d, out.data(), stride);
+            for (std::size_t h = 0; h < group; ++h) {
+              for (std::size_t p = 0; p < n_pos; ++p) {
+                ASSERT_EQ(bits(out[h * stride + p]), bits(ref[h * stride + p]))
+                    << where << " h " << h << " p " << p;
+              }
+              EXPECT_TRUE(std::isnan(out[h * stride + n_pos])) << where;
+            }
+
+            // The scores as weights over this block's values, for n_q 1-6
+            // heads at once; a sentinel after the outputs must survive.
+            for (std::size_t n_q = 1; n_q <= 6; ++n_q) {
+              std::vector<float> w(n_q * stride), acc(n_q * hd + 1), acc_ref(n_q * hd + 1);
+              for (std::size_t h = 0; h < n_q; ++h) {
+                std::copy_n(ref.data() + h % group * stride, n_pos, w.data() + h * stride);
+              }
+              for (std::size_t i = 0; i < n_q * hd; ++i) acc[i] = acc_ref[i] = 0.5f * q[i % q.size()];
+              acc[n_q * hd] = acc_ref[n_q * hd] = nan;
+              simd::accumulate_values_hd16(w.data(), stride, n_q, values.data() + g * hd, kv,
+                                           n_pos, acc_ref.data());
+              simd::accumulate_values_hd16_i8(w.data(), stride, n_q, values8.codes + g * hd,
+                                              values8.scales, kv, n_pos, acc.data());
+              for (std::size_t i = 0; i < n_q * hd; ++i) {
+                ASSERT_EQ(bits(acc[i]), bits(acc_ref[i])) << where << " n_q " << n_q << " i " << i;
+              }
+              EXPECT_TRUE(std::isnan(acc[n_q * hd])) << where;
             }
           }
         }
