@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -50,6 +51,66 @@ void BM_Softmax(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows * cols);
 }
 BENCHMARK(BM_Softmax)->Arg(128)->Arg(1024);
+
+// Runs a benchmark body at one kernel level (0 scalar: libm exp; 1 native:
+// the vector exp), restoring the process level afterwards.
+class BenchLevel {
+ public:
+  explicit BenchLevel(benchmark::State& state, std::int64_t native)
+      : prev_(simd::active_level()) {
+    ok_ = native == 0 || simd::native_available();
+    if (!ok_) {
+      state.SkipWithError("no AVX2/FMA on this host");
+      return;
+    }
+    simd::set_level(native != 0 ? simd::Level::kNative : simd::Level::kScalar);
+    state.SetLabel(simd::level_name(simd::active_level()));
+  }
+  ~BenchLevel() { simd::set_level(prev_); }
+  BenchLevel(const BenchLevel&) = delete;
+  BenchLevel& operator=(const BenchLevel&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  simd::Level prev_;
+  bool ok_ = false;
+};
+
+// Attention's softmax call shape: one (row, head) of `cols` scores per call.
+void BM_SoftmaxRow(benchmark::State& state) {
+  const BenchLevel level(state, state.range(1));
+  if (!level.ok()) return;
+  const auto cols = static_cast<std::size_t>(state.range(0));
+  const auto x = random_vec(cols, 17, 2.0f);
+  std::vector<float> row(cols);
+  for (auto _ : state) {
+    std::copy(x.begin(), x.end(), row.begin());
+    kernels::softmax_rows(row, 1, cols);
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * cols));
+}
+BENCHMARK(BM_SoftmaxRow)
+    ->ArgNames({"cols", "native"})
+    ->ArgsProduct({{64, 256, 1024, 4096}, {0, 1}});
+
+// The MLP gate of llama3-nano (d_ff 448) over a decode row or a 32-row chunk.
+void BM_SwiGLU(benchmark::State& state) {
+  const BenchLevel level(state, state.range(1));
+  if (!level.ok()) return;
+  const std::size_t n = 448 * static_cast<std::size_t>(state.range(0));
+  const auto gate = random_vec(n, 18, 2.0f);
+  const auto up = random_vec(n, 19, 1.0f);
+  std::vector<float> out(n);
+  for (auto _ : state) {
+    kernels::swiglu(gate, up, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_SwiGLU)->ArgNames({"rows", "native"})->ArgsProduct({{1, 32}, {0, 1}});
 
 void BM_RmsNorm(benchmark::State& state) {
   const std::size_t rows = 32, cols = static_cast<std::size_t>(state.range(0));

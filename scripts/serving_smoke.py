@@ -3,6 +3,8 @@
 
 Exercises the daemon end to end over real sockets, stdlib only:
 
+  0. Flags: --help prints usage and exits 0; an unknown flag exits 2
+     (the usage status) naming it. Both before any daemon starts.
   1. Bit-identity: the concatenated SSE token stream equals the --offline
      reference for the same prompt/seed, with the prefix cache off and on
      (and on a cache-hit second request), and with --speculative serving
@@ -49,6 +51,18 @@ def offline_reference(binary, extra_flags):
     if not result.stdout.endswith("\n"):
         fail("--offline output missing trailing newline")
     return result.stdout[:-1]
+
+
+def check_flags(binary):
+    result = subprocess.run([binary, "--help"], capture_output=True, text=True, timeout=60)
+    if result.returncode != 0 or "usage: orinsim_serve" not in result.stdout:
+        fail(f"--help exited {result.returncode}: {result.stdout!r} {result.stderr!r}")
+    result = subprocess.run(
+        [binary, "--bogus-flag"], capture_output=True, text=True, timeout=60
+    )
+    if result.returncode != 2 or "--bogus-flag" not in result.stderr:
+        fail(f"--bogus-flag exited {result.returncode}: {result.stderr!r}")
+    print("ok: --help exits 0, --bogus-flag exits 2")
 
 
 def start_daemon(binary, extra_flags):
@@ -265,6 +279,7 @@ def main():
         print(__doc__, file=sys.stderr)
         return 2
     binary = sys.argv[1]
+    check_flags(binary)
     check_bit_identity(binary)
     check_backpressure_and_metrics(binary)
     check_sigterm_drains_in_flight(binary)

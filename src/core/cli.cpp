@@ -1,5 +1,6 @@
 #include "core/cli.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -18,12 +19,16 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
     arg = arg.substr(2);
     const std::size_t eq = arg.find('=');
     if (eq != std::string::npos) {
+      given_.emplace_back(arg.substr(0, eq), false);
       flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
     } else if (starts_with(arg, "no-")) {
+      given_.emplace_back(arg.substr(3), true);
       flags_[arg.substr(3)] = "false";
     } else if (i + 1 < argc && !starts_with(argv[i + 1], "--")) {
+      given_.emplace_back(arg, false);
       flags_[arg] = argv[++i];
     } else {
+      given_.emplace_back(arg, false);
       flags_[arg] = "true";
     }
   }
@@ -42,6 +47,20 @@ void CliArgs::usage_error(const std::string& name, const std::string& value,
                program_.empty() ? "orinsim" : program_.c_str(), name.c_str(),
                value.c_str(), expected);
   std::exit(kUsageExitCode);
+}
+
+void CliArgs::require_known(std::initializer_list<std::string_view> value_flags,
+                            std::initializer_list<std::string_view> bool_flags) const {
+  auto in = [](std::initializer_list<std::string_view> names, const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  for (const auto& [name, negated] : given_) {
+    if (in(bool_flags, name) || (!negated && in(value_flags, name))) continue;
+    std::fprintf(stderr, "%s: unknown flag --%s%s (see --help)\n",
+                 program_.empty() ? "orinsim" : program_.c_str(), negated ? "no-" : "",
+                 name.c_str());
+    std::exit(kUsageExitCode);
+  }
 }
 
 long long CliArgs::get_int(const std::string& name, long long default_value) const {

@@ -8,8 +8,11 @@
 // main.
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace orinsim {
@@ -27,6 +30,12 @@ class CliArgs {
   double get_double(const std::string& name, double default_value) const;
   bool get_bool(const std::string& name, bool default_value) const;
 
+  // Exits with kUsageExitCode, naming the first flag that is neither one of
+  // `value_flags` or `bool_flags` nor --no-<name> of a bool flag. For a
+  // binary that must reject a mistyped flag rather than ignore it.
+  void require_known(std::initializer_list<std::string_view> value_flags,
+                     std::initializer_list<std::string_view> bool_flags) const;
+
   // Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const noexcept { return positional_; }
   const std::string& program() const noexcept { return program_; }
@@ -37,6 +46,7 @@ class CliArgs {
 
   std::string program_;
   std::map<std::string, std::string> flags_;
+  std::vector<std::pair<std::string, bool>> given_;  // (name, spelled --no-<name>) in order
   std::vector<std::string> positional_;
 };
 

@@ -2,16 +2,8 @@
 // engine. Runs the functional nano engine (real greedy decode over a paged
 // KV cache) behind an OpenAI-style completions API with SSE streaming,
 // Prometheus metrics, queue-cap backpressure, and graceful drain on
-// SIGTERM/SIGINT.
-//
-//   ./orinsim_serve [--port=8080] [--host=127.0.0.1] [--model=llama3]
-//                   [--seed=7] [--vocab-words=400] [--max-concurrency=4]
-//                   [--kv-blocks=0] [--block-tokens=16] [--queue-cap=32]
-//                   [--max-tokens-cap=256] [--decode-workers=0]
-//                   [--prefix-cache] [--prefix-cache-blocks=0]
-//                   [--speculative] [--draft-tokens=4] [--draft-dtype=i8]
-//                   [--power-proxy-model=] [--power-cap-w=0] [--thermal]
-//                   [--max-connections=64]
+// SIGTERM/SIGINT. The flags are in kUsage below, which --help prints; any
+// other flag exits with CliArgs::kUsageExitCode.
 //
 // --speculative serves through draft/verify rounds: a draft model (the same
 // master quantized to --draft-dtype) proposes --draft-tokens tokens per
@@ -19,11 +11,9 @@
 // unchanged, so --offline prints the identical completion with or without
 // the flag (under scalar kernels, bit-for-bit).
 //
-// Offline reference mode (no HTTP): prints the completion for one prompt
+// Offline reference mode (no HTTP) prints the completion for one prompt
 // using the identical model/backend construction, so the SSE token stream
-// for the same prompt can be checked for bit-identity against it:
-//
-//   ./orinsim_serve --offline --prompt="..." [--max-tokens=16] [flags...]
+// for the same prompt can be checked for bit-identity against it.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -41,6 +31,18 @@ using namespace orinsim;
 using namespace orinsim::server;
 
 namespace {
+
+constexpr const char* kUsage = R"(usage: orinsim_serve [--port=8080] [--host=127.0.0.1]
+                     [--model=llama3] [--seed=7] [--vocab-words=400]
+                     [--max-concurrency=4] [--kv-blocks=0] [--block-tokens=16]
+                     [--queue-cap=32] [--max-tokens-cap=256] [--decode-workers=0]
+                     [--prefix-cache] [--prefix-cache-blocks=0]
+                     [--speculative] [--draft-tokens=4] [--draft-dtype=i8]
+                     [--power-proxy-model=] [--power-cap-w=0] [--thermal]
+                     [--max-connections=64]
+       orinsim_serve --offline --prompt="..." [--max-tokens=16] [flags...]
+Boolean flags also take --no-<flag>.
+)";
 
 // Everything deterministic about the serving stack in one place: the same
 // flags always build the same tokenizer, weights, and backend, which is
@@ -180,6 +182,16 @@ int run_server(const CliArgs& args) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.require_known({"port", "host", "model", "seed", "vocab-words", "max-concurrency",
+                      "kv-blocks", "block-tokens", "queue-cap", "max-tokens-cap",
+                      "decode-workers", "prefix-cache-blocks", "draft-tokens", "draft-dtype",
+                      "power-proxy-model", "power-cap-w", "max-connections", "prompt",
+                      "max-tokens"},
+                     {"help", "offline", "prefix-cache", "speculative", "thermal"});
+  if (args.get_bool("help", false)) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   if (args.get_bool("offline", false)) return run_offline(args);
   return run_server(args);
 }

@@ -36,18 +36,7 @@ void scale_inplace(std::span<float> x, float factor) {
 void softmax_rows(std::span<float> x, std::size_t rows, std::size_t cols) {
   ORINSIM_CHECK(x.size() == rows * cols, "softmax: shape mismatch");
   kernel_pool().parallel_rows(rows, kParallelRowThreshold, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      float* xr = x.data() + r * cols;
-      float mx = xr[0];
-      for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, xr[c]);
-      float sum = 0.0f;
-      for (std::size_t c = 0; c < cols; ++c) {
-        xr[c] = std::exp(xr[c] - mx);
-        sum += xr[c];
-      }
-      const float inv = 1.0f / sum;
-      for (std::size_t c = 0; c < cols; ++c) xr[c] *= inv;
-    }
+    for (std::size_t r = r0; r < r1; ++r) simd::softmax_f32(x.data() + r * cols, cols);
   });
 }
 
@@ -92,24 +81,13 @@ void layernorm_rows(std::span<const float> x, std::span<const float> gain,
   });
 }
 
-void silu_inplace(std::span<float> x) {
-  for (auto& v : x) v = v / (1.0f + std::exp(-v));
-}
+void silu_inplace(std::span<float> x) { simd::swiglu_f32(x.data(), nullptr, x.size(), x.data()); }
 
-void gelu_inplace(std::span<float> x) {
-  constexpr float kSqrt2OverPi = 0.7978845608f;
-  for (auto& v : x) {
-    const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-    v = 0.5f * v * (1.0f + std::tanh(inner));
-  }
-}
+void gelu_inplace(std::span<float> x) { simd::gelu_f32(x.data(), x.size()); }
 
 void swiglu(std::span<const float> gate, std::span<const float> up, std::span<float> out) {
   ORINSIM_CHECK(gate.size() == up.size() && out.size() == gate.size(), "swiglu: size mismatch");
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const float g = gate[i] / (1.0f + std::exp(-gate[i]));
-    out[i] = g * up[i];
-  }
+  simd::swiglu_f32(gate.data(), up.data(), out.size(), out.data());
 }
 
 void rope_inplace(std::span<float> qk, std::size_t heads, std::size_t head_dim,

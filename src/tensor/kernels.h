@@ -50,6 +50,9 @@ void add_inplace(std::span<float> y, std::span<const float> x);
 void scale_inplace(std::span<float> x, float factor);
 
 // In-place row-wise softmax over [rows, cols] with numerical stabilization.
+// This and the three activations below run simd.h's kernels: libm at the
+// scalar level, the in-tree vector exp at the native level (simd.h "Vector
+// exp").
 void softmax_rows(std::span<float> x, std::size_t rows, std::size_t cols);
 
 // RMSNorm (Llama-style): y = x / rms(x) * gain, per row.
@@ -61,7 +64,7 @@ void layernorm_rows(std::span<const float> x, std::span<const float> gain,
                     std::span<const float> bias, std::span<float> y, std::size_t rows,
                     std::size_t cols, float eps = 1e-5f);
 
-// SiLU (x * sigmoid(x)) applied element-wise.
+// SiLU (x * sigmoid(x)) applied element-wise; swiglu's element function.
 void silu_inplace(std::span<float> x);
 
 // GELU (tanh approximation) applied element-wise.

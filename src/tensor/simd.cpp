@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "core/error.h"
@@ -63,6 +64,36 @@ float quantize_row_i8_scalar(const float* x, std::size_t n, std::int8_t* codes) 
   const float scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
   for (std::size_t i = 0; i < n; ++i) codes[i] = quantize_code(x[i], scale);
   return scale;
+}
+
+void softmax_scalar(float* x, std::size_t n) {
+  float mx = x[0];
+  for (std::size_t c = 1; c < n; ++c) mx = std::max(mx, x[c]);
+  float sum = 0.0f;
+  for (std::size_t c = 0; c < n; ++c) {
+    x[c] = std::exp(x[c] - mx);
+    sum += x[c];
+  }
+  const float inv = 1.0f / sum;
+  for (std::size_t c = 0; c < n; ++c) x[c] *= inv;
+}
+
+// SiLU's one element function at the scalar level (SwiGLU and plain SiLU).
+float silu_scalar(float v) { return v / (1.0f + std::exp(-v)); }
+
+void swiglu_scalar(const float* gate, const float* up, std::size_t n, float* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = up == nullptr ? silu_scalar(gate[i]) : silu_scalar(gate[i]) * up[i];
+  }
+}
+
+void gelu_scalar(float* x, std::size_t n) {
+  constexpr float kSqrt2OverPi = 0.7978845608f;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
+    x[i] = 0.5f * v * (1.0f + std::tanh(inner));
+  }
 }
 
 #if ORINSIM_SIMD_X86
@@ -312,6 +343,139 @@ __attribute__((target("avx2"))) float quantize_row_i8_avx2(const float* x, std::
   }
   for (; i < n; ++i) codes[i] = quantize_code(x[i], scale);
   return scale;
+}
+
+// 8-lane exp (simd.h "Vector exp"). Cephes expf: x = n ln2 + r with
+// n = round(x log2e) and ln2 split in two constants, so |r| <= ln2 / 2;
+// exp(r) = 1 + r + r^2 P(r) with P of degree 5 (six coefficients); 2^n is
+// spliced into the exponent field in two halves, 2^(n/2) * 2^(n - n/2), so
+// n = 128 (x up to ln FLT_MAX) needs no special case and the last multiply
+// overflows to +inf as libm does.
+constexpr float kExpLog2e = 1.44269504088896341f;
+constexpr float kExpLn2Hi = 0.693359375f;
+constexpr float kExpLn2Lo = -2.12194440e-4f;
+constexpr float kExpP[6] = {1.9875691500e-4f, 1.3981999507e-3f, 8.3334519073e-3f,
+                            4.1665795894e-2f, 1.6666665459e-1f, 5.0000001201e-1f};
+
+__attribute__((target("avx2,fma"))) inline __m256 exp8_avx2(__m256 x) {
+  // The clamp keeps n in [-127, 128]. MAXPS/MINPS return their second
+  // operand when either is NaN, so a NaN lane stays NaN to the end.
+  const __m256 xc = _mm256_min_ps(_mm256_set1_ps(89.0f),
+                                  _mm256_max_ps(_mm256_set1_ps(-88.0f), x));
+  const __m256 fn = _mm256_round_ps(_mm256_mul_ps(xc, _mm256_set1_ps(kExpLog2e)),
+                                    _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fnmadd_ps(fn, _mm256_set1_ps(kExpLn2Hi), xc);
+  r = _mm256_fnmadd_ps(fn, _mm256_set1_ps(kExpLn2Lo), r);
+  __m256 p = _mm256_set1_ps(kExpP[0]);
+  for (int k = 1; k < 6; ++k) p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpP[k]));
+  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
+  p = _mm256_add_ps(p, _mm256_set1_ps(1.0f));
+  const __m256i n = _mm256_cvtps_epi32(fn);
+  const __m256i n1 = _mm256_srai_epi32(n, 1);
+  const __m256i bias = _mm256_set1_epi32(127);
+  const __m256 s1 = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_add_epi32(n1, bias), 23));
+  const __m256 s2 = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_add_epi32(_mm256_sub_epi32(n, n1), bias), 23));
+  const __m256 y = _mm256_mul_ps(_mm256_mul_ps(p, s1), s2);
+  // Below ln FLT_MIN (and -inf): +0. A NaN lane compares false and is kept.
+  const __m256 flush = _mm256_cmp_ps(x, _mm256_set1_ps(kExpFlushBelow), _CMP_LT_OQ);
+  return _mm256_andnot_ps(flush, y);
+}
+
+// Lanes [0, count) of x in a vector whose other lanes hold `pad`; and the
+// matching store. Tails run the full-vector code on this padded copy, so an
+// element's result never depends on where it falls in a vector.
+__attribute__((target("avx2"))) inline __m256 load_tail(const float* x, std::size_t count,
+                                                       float pad) {
+  alignas(32) float buf[8];
+  for (std::size_t k = 0; k < 8; ++k) buf[k] = k < count ? x[k] : pad;
+  return _mm256_load_ps(buf);
+}
+
+__attribute__((target("avx2"))) inline void store_tail(float* x, std::size_t count,
+                                                      __m256 v) {
+  alignas(32) float buf[8];
+  _mm256_store_ps(buf, v);
+  std::copy_n(buf, count, x);
+}
+
+__attribute__((target("avx2,fma"))) void exp_avx2(const float* x, std::size_t n, float* out) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(out + i, exp8_avx2(_mm256_loadu_ps(x + i)));
+  if (i < n) store_tail(out + i, n - i, exp8_avx2(load_tail(x + i, n - i, 0.0f)));
+}
+
+// One softmax row: vector max; exp(x - max) stored in place and summed in 8
+// lanes counted from the row's first element (tail lanes padded with -inf,
+// whose exp is +0); the lanes fold as dot_f32_avx2's do; one multiply by
+// 1 / sum. Every step depends only on the row's values and length.
+__attribute__((target("avx2,fma"))) void softmax_avx2(float* x, std::size_t n) {
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  const std::size_t full = n / 8 * 8;
+  __m256 vmax = _mm256_set1_ps(kNegInf);
+  for (std::size_t i = 0; i < full; i += 8) vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(x + i));
+  if (full < n) vmax = _mm256_max_ps(vmax, load_tail(x + full, n - full, kNegInf));
+  __m128 m = _mm_max_ps(_mm256_castps256_ps128(vmax), _mm256_extractf128_ps(vmax, 1));
+  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 0x55));
+  const __m256 mx = _mm256_set1_ps(_mm_cvtss_f32(m));
+
+  __m256 sum = _mm256_setzero_ps();
+  for (std::size_t i = 0; i < full; i += 8) {
+    const __m256 e = exp8_avx2(_mm256_sub_ps(_mm256_loadu_ps(x + i), mx));
+    _mm256_storeu_ps(x + i, e);
+    sum = _mm256_add_ps(sum, e);
+  }
+  if (full < n) {
+    const __m256 e = exp8_avx2(_mm256_sub_ps(load_tail(x + full, n - full, kNegInf), mx));
+    store_tail(x + full, n - full, e);
+    sum = _mm256_add_ps(sum, e);
+  }
+  __m128 s = _mm_add_ps(_mm256_castps256_ps128(sum), _mm256_extractf128_ps(sum, 1));
+  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
+  const float inv = 1.0f / _mm_cvtss_f32(s);
+  const __m256 vinv = _mm256_set1_ps(inv);
+  std::size_t i = 0;
+  for (; i < full; i += 8) _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), vinv));
+  for (; i < n; ++i) x[i] *= inv;
+}
+
+// SiLU's one element function at the native level: g / (1 + exp(-g)).
+__attribute__((target("avx2,fma"))) inline __m256 silu8_avx2(__m256 g) {
+  const __m256 e = exp8_avx2(_mm256_xor_ps(g, _mm256_set1_ps(-0.0f)));
+  return _mm256_div_ps(g, _mm256_add_ps(_mm256_set1_ps(1.0f), e));
+}
+
+__attribute__((target("avx2,fma"))) void swiglu_avx2(const float* gate, const float* up,
+                                                     std::size_t n, float* out) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 s = silu8_avx2(_mm256_loadu_ps(gate + i));
+    _mm256_storeu_ps(out + i, up == nullptr ? s : _mm256_mul_ps(s, _mm256_loadu_ps(up + i)));
+  }
+  if (i == n) return;
+  const __m256 s = silu8_avx2(load_tail(gate + i, n - i, 0.0f));
+  store_tail(out + i, n - i, up == nullptr ? s : _mm256_mul_ps(s, load_tail(up + i, n - i, 0.0f)));
+}
+
+// GELU (tanh form) with tanh(u) = 1 - 2 / (exp(2u) + 1); the other
+// operations round in the scalar loop's order.
+__attribute__((target("avx2,fma"))) inline __m256 gelu8_avx2(__m256 v) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 cube =
+      _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.044715f), v), v), v);
+  const __m256 u = _mm256_mul_ps(_mm256_set1_ps(0.7978845608f), _mm256_add_ps(v, cube));
+  const __m256 e = exp8_avx2(_mm256_add_ps(u, u));
+  const __m256 t =
+      _mm256_sub_ps(one, _mm256_div_ps(_mm256_set1_ps(2.0f), _mm256_add_ps(e, one)));
+  return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), v), _mm256_add_ps(one, t));
+}
+
+__attribute__((target("avx2,fma"))) void gelu_avx2(float* x, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(x + i, gelu8_avx2(_mm256_loadu_ps(x + i)));
+  if (i < n) store_tail(x + i, n - i, gelu8_avx2(load_tail(x + i, n - i, 0.0f)));
 }
 
 // Stores r[p] (positions p < 8, dims d0..d0+7) into a key tile as its
@@ -648,6 +812,35 @@ float quantize_row_i8(const float* x, std::size_t n, std::int8_t* codes) {
   if (active_level() == Level::kNative) return quantize_row_i8_avx2(x, n, codes);
 #endif
   return quantize_row_i8_scalar(x, n, codes);
+}
+
+void exp_f32(const float* x, std::size_t n, float* out) {
+#if ORINSIM_SIMD_X86
+  if (active_level() == Level::kNative) return exp_avx2(x, n, out);
+#endif
+  for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(x[i]);
+}
+
+void softmax_f32(float* x, std::size_t n) {
+  ORINSIM_DCHECK(n > 0, "softmax of an empty row");
+#if ORINSIM_SIMD_X86
+  if (active_level() == Level::kNative) return softmax_avx2(x, n);
+#endif
+  softmax_scalar(x, n);
+}
+
+void swiglu_f32(const float* gate, const float* up, std::size_t n, float* out) {
+#if ORINSIM_SIMD_X86
+  if (active_level() == Level::kNative) return swiglu_avx2(gate, up, n, out);
+#endif
+  swiglu_scalar(gate, up, n, out);
+}
+
+void gelu_f32(float* x, std::size_t n) {
+#if ORINSIM_SIMD_X86
+  if (active_level() == Level::kNative) return gelu_avx2(x, n);
+#endif
+  gelu_scalar(x, n);
 }
 
 bool attention_hd16(std::size_t head_dim) {

@@ -12,10 +12,13 @@
 //   anything else            warning to stderr, then auto (see init())
 //
 // Determinism contract: `scalar` is the bit-exact reference; `native` is
-// numerically equivalent within FMA/reassociation tolerance for fp32 kernels
-// and bit-exact for integer kernels (dot_i8 does the same exact integer math
-// in a different order). That tolerance is the only one: within one level
-// every kernel is a fixed float sequence per output.
+// numerically equivalent within one tolerance for fp32 kernels and bit-exact
+// for integer kernels (dot_i8 does the same exact integer math in a
+// different order). The tolerance has two sources: FMA/reassociation in the
+// dot products, and the in-tree vector exp (at most 2 ulp of libm's, see
+// "Vector exp" below) behind softmax, SiLU/SwiGLU and GELU. The scalar level
+// keeps libm's std::exp and std::tanh. Within one level every kernel is a
+// fixed float sequence per output.
 //
 // Multi-column kernels: one weight row is streamed against N activation
 // columns (the rows of a prefill chunk, decode lanes or a single row). Their
@@ -127,6 +130,45 @@ void dot_i4_i8_multi_ref(const std::uint8_t* w_packed, const float* scales,
 // codec of dynamic activation quantization and of the INT8 KV cache.
 float quantize_row_i8(const float* x, std::size_t n, std::int8_t* codes);
 
+// ---------------------------------------------------------------------------
+// Vector exp, and softmax / SiLU / SwiGLU / GELU on it. These are not twins:
+// at kScalar they run libm (std::exp, std::tanh), as the engine always has;
+// at kNative they run one in-tree 8-lane exp (Cephes-style range reduction
+// with a two-constant ln 2, exp(r) = 1 + r + r^2 P(r) with six coefficients,
+// a 2^n exponent splice; no table). Its rules at kNative:
+//
+//   - within 2 ulp of std::exp for x in [ln FLT_MIN, ln FLT_MAX];
+//   - exp(-inf) = +0, and x < kExpFlushBelow gives +0: results below
+//     FLT_MIN flush to zero where libm returns a subnormal;
+//   - x > ln FLT_MAX overflows to +inf, as libm does (no finite clamp);
+//   - NaN in, NaN out.
+//
+// Every element runs the same 8-lane code (tails on a padded copy), so an
+// element's SiLU/SwiGLU/GELU value does not depend on where it falls in a
+// vector or a call, and a softmax row depends only on its own values and
+// length (its 8 partial sums count lanes from the row's first element and
+// fold in a fixed order). Chunked, lane-batched and width-1 steps therefore
+// stay bit-identical within the native level.
+
+// The least float >= ln(FLT_MIN) (-87.33654): the native exp flushes below it.
+inline constexpr float kExpFlushBelow = -0x1.5d589ep+6f;
+
+// out[i] = exp(x[i]).
+void exp_f32(const float* x, std::size_t n, float* out);
+
+// In-place softmax of one row of n >= 1: exp(x - max), then one multiply by
+// 1 / sum.
+void softmax_f32(float* x, std::size_t n);
+
+// out[i] = silu(gate[i]) * up[i], silu(g) = g / (1 + exp(-g)); plain SiLU
+// when up is null. SwiGLU and SiLU share one element function per level.
+void swiglu_f32(const float* gate, const float* up, std::size_t n, float* out);
+
+// In-place GELU, tanh form: 0.5 v (1 + tanh(sqrt(2/pi) (v + 0.044715 v^3))),
+// with tanh(u) = 1 - 2 / (exp(2u) + 1) at kNative.
+void gelu_f32(float* x, std::size_t n);
+
+// ---------------------------------------------------------------------------
 // Attention kernels for head_dim 16 (every nano config).
 // transpose_keys_hd16 lays out keys [n_pos, 16] (row stride key_stride) as
 // ceil(n_pos / 8) tiles of [16 dims][8 positions], zero-padded; scores_hd16

@@ -103,6 +103,19 @@ TEST_F(CliUsageDeathTest, RejectsMalformedBool) {
               "invalid value for --prefix-cache: 'tru'");
 }
 
+// require_known: every spelling of a known flag passes; an unknown flag,
+// or --no- on a value flag, exits naming it.
+TEST_F(CliUsageDeathTest, RequireKnownNamesTheUnknownFlag) {
+  const CliArgs ok = make({"--port=0", "--host", "h", "--thermal", "--no-prefix-cache"});
+  ok.require_known({"port", "host"}, {"thermal", "prefix-cache"});
+  const CliArgs typo = make({"--port=0", "--bogus-flag"});
+  EXPECT_EXIT(typo.require_known({"port"}, {}),
+              ::testing::ExitedWithCode(CliArgs::kUsageExitCode), "unknown flag --bogus-flag");
+  const CliArgs negated = make({"--no-port"});
+  EXPECT_EXIT(negated.require_known({"port"}, {"thermal"}),
+              ::testing::ExitedWithCode(CliArgs::kUsageExitCode), "unknown flag --no-port");
+}
+
 TEST(CliTest, WellFormedValuesStillParse) {
   const CliArgs args = make({"--batch=-3", "--rps", "2.5e1", "--flag=ON"});
   EXPECT_EQ(args.get_int("batch", 0), -3);

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "core/error.h"
 #include "core/rng.h"
+#include "tensor/simd.h"
 
 namespace orinsim::kernels {
 namespace {
@@ -109,6 +113,61 @@ TEST(KernelsTest, SwigluMatchesDefinition) {
   swiglu(gate, up, out);
   EXPECT_NEAR(out[0], 3.0f * 0.7311f, 1e-3f);
   EXPECT_NEAR(out[1], 5.0f * (-2.0f / (1.0f + std::exp(2.0f))), 1e-3f);
+}
+
+// At the native level softmax, SiLU/SwiGLU and GELU run the vector exp.
+// A softmax row must give the same bits at every buffer offset and inside
+// a multi-row call; an activation element must give the same bits whether
+// it sits in a full vector, in a tail, or alone in a one-element call.
+TEST(KernelsTest, NativeSoftmaxAndActivationsIndependentOfPosition) {
+  if (!simd::native_available()) GTEST_SKIP() << "no AVX2/FMA on this host";
+  const simd::Level prev = simd::active_level();
+  simd::set_level(simd::Level::kNative);
+  auto same_bits = [](std::span<const float> a, std::span<const float> b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+  };
+  Rng rng(9);
+  std::vector<std::size_t> lengths(17);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{1});
+  lengths.push_back(448);
+  for (const std::size_t len : lengths) {
+    const auto row = random_vec(len, rng, 6.0f);
+    auto ref = row;
+    softmax_rows(ref, 1, len);
+    for (std::size_t offset = 1; offset < 12; ++offset) {
+      std::vector<float> buf(offset + len, 1.0f);
+      std::copy(row.begin(), row.end(), buf.begin() + static_cast<std::ptrdiff_t>(offset));
+      softmax_rows(std::span<float>(buf).subspan(offset), 1, len);
+      EXPECT_TRUE(same_bits(std::span<const float>(buf).subspan(offset), ref))
+          << "softmax len=" << len << " offset=" << offset;
+    }
+    std::vector<float> two(2 * len);
+    std::copy(row.begin(), row.end(), two.begin());
+    std::copy(row.begin(), row.end(), two.begin() + static_cast<std::ptrdiff_t>(len));
+    softmax_rows(two, 2, len);
+    EXPECT_TRUE(same_bits(std::span<const float>(two).last(len), ref)) << "rows len=" << len;
+
+    const auto gate = random_vec(len, rng, 8.0f);
+    const auto up = random_vec(len, rng, 2.0f);
+    std::vector<float> ff(len), silu = gate, gelu = gate;
+    swiglu(gate, up, ff);
+    silu_inplace(silu);
+    gelu_inplace(gelu);
+    const std::vector<float> ones(len, 1.0f);
+    std::vector<float> gated_by_one(len);
+    swiglu(gate, ones, gated_by_one);
+    EXPECT_TRUE(same_bits(gated_by_one, silu)) << "silu vs swiglu len=" << len;
+    for (std::size_t i = 0; i < len; ++i) {
+      float one_ff = 0.0f, one_silu = gate[i], one_gelu = gate[i];
+      swiglu({&gate[i], 1}, {&up[i], 1}, {&one_ff, 1});
+      silu_inplace({&one_silu, 1});
+      gelu_inplace({&one_gelu, 1});
+      EXPECT_TRUE(same_bits({&one_ff, 1}, {&ff[i], 1})) << "swiglu len=" << len << " i=" << i;
+      EXPECT_TRUE(same_bits({&one_silu, 1}, {&silu[i], 1})) << "silu len=" << len << " i=" << i;
+      EXPECT_TRUE(same_bits({&one_gelu, 1}, {&gelu[i], 1})) << "gelu len=" << len << " i=" << i;
+    }
+  }
+  simd::set_level(prev);
 }
 
 TEST(KernelsTest, RopePreservesNorm) {

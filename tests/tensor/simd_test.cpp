@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -252,6 +256,76 @@ TEST(SimdTest, AttentionHd16OnlyForNativeHeadDim16) {
   EXPECT_TRUE(simd::attention_hd16(16));
   for (std::size_t head_dim : {4u, 8u, 32u, 40u, 64u}) {
     EXPECT_FALSE(simd::attention_hd16(head_dim)) << head_dim;
+  }
+}
+
+// Distance in representable floats (+0 and -0 coincide); inf is one step
+// past FLT_MAX.
+std::int64_t ulp_distance(float a, float b) {
+  auto key = [](float f) {
+    std::int32_t bits = 0;
+    std::memcpy(&bits, &f, sizeof bits);
+    return bits < 0 ? -std::int64_t{bits & 0x7fffffff} : std::int64_t{bits};
+  };
+  return std::llabs(key(a) - key(b));
+}
+
+float from_bits(std::uint32_t bits) {
+  float f = 0.0f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+// The native vector exp against libm: a strided sweep of every float in
+// [ln FLT_MIN, ln FLT_MAX] (subnormal inputs included), then the edge rules
+// of simd.h "Vector exp".
+TEST(SimdTest, ExpF32WithinUlpOfLibm) {
+  if (!simd::native_available()) GTEST_SKIP() << "no AVX2/FMA on this host";
+  ScopedLevel native(simd::Level::kNative);
+  // kExpFlushBelow is the least float at or above ln FLT_MIN.
+  const double ln_min = std::log(static_cast<double>(FLT_MIN));
+  ASSERT_GE(static_cast<double>(simd::kExpFlushBelow), ln_min);
+  ASSERT_LT(static_cast<double>(std::nextafter(simd::kExpFlushBelow, -INFINITY)), ln_min);
+  const float hi = std::log(FLT_MAX);
+
+  std::vector<float> xs;
+  constexpr std::uint32_t kStride = 613;
+  for (std::uint32_t m = 0; from_bits(m) <= hi; m += kStride) xs.push_back(from_bits(m));
+  for (std::uint32_t m = 0; from_bits(m) <= -simd::kExpFlushBelow; m += kStride) {
+    xs.push_back(-from_bits(m));
+  }
+  xs.push_back(hi);
+  xs.push_back(simd::kExpFlushBelow);
+  std::vector<float> got(xs.size());
+  simd::exp_f32(xs.data(), xs.size(), got.data());
+  std::int64_t worst = 0;
+  float worst_x = 0.0f;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::int64_t d = ulp_distance(got[i], std::exp(xs[i]));
+    if (d > worst) worst = d, worst_x = xs[i];
+  }
+  EXPECT_LE(worst, 2) << "x=" << worst_x << " over " << xs.size() << " inputs";
+
+  // Edge rules, each at a full-vector lane and in a tail.
+  const float below = std::nextafter(simd::kExpFlushBelow, -INFINITY);
+  const std::vector<std::pair<float, float>> edges = {
+      {-INFINITY, 0.0f},  {below, 0.0f},       {-87.5f, 0.0f},     {-104.0f, 0.0f},
+      {-1e30f, 0.0f},     {88.7229f, INFINITY}, {89.0f, INFINITY}, {100.0f, INFINITY},
+      {1e30f, INFINITY},  {INFINITY, INFINITY}, {0.0f, 1.0f},      {-0.0f, 1.0f},
+      {1e-40f, 1.0f},     {-1e-40f, 1.0f},
+  };
+  for (std::size_t n : {8u, 3u}) {
+    for (const auto& [x, want] : edges) {
+      std::vector<float> in(n, x), out(n);
+      simd::exp_f32(in.data(), n, out.data());
+      for (float y : out) {
+        EXPECT_EQ(y, want) << "x=" << x << " n=" << n;
+        EXPECT_FALSE(std::signbit(y)) << "x=" << x;
+      }
+    }
+    std::vector<float> in(n, NAN), out(n);
+    simd::exp_f32(in.data(), n, out.data());
+    for (float y : out) EXPECT_TRUE(std::isnan(y)) << "n=" << n;
   }
 }
 
