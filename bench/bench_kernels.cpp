@@ -242,8 +242,10 @@ BENCHMARK(BM_NanoInt4Projection)
 // whose last row attends to `ctx` positions: a width-1 decode step or a
 // 32-row prefill chunk, over fp32 or int8 KV. Attention re-reads the whole
 // K/V prefix every step — the paper's Fig 2 sequence-length cost — so it
-// dominates at long contexts. Reported as the median and min-max of 5
-// repetitions.
+// dominates at long contexts. ctx 64 and 128 bracket the width-1 step's
+// attention split (Model::kAttentionSplitWork): inline at 64, split at 128
+// and above when the kernel pool has workers. Reported as the median and
+// min-max of 5 repetitions.
 void BM_AttentionForward(benchmark::State& state) {
   const auto ctx = static_cast<std::size_t>(state.range(0));
   const auto rows = static_cast<std::size_t>(state.range(1));
@@ -272,7 +274,7 @@ void BM_AttentionForward(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionForward)
     ->ArgNames({"ctx", "rows", "kv_i8"})
-    ->ArgsProduct({{256, 1024, 4096}, {1, 32}, {0, 1}})
+    ->ArgsProduct({{64, 128, 256, 1024, 4096}, {1, 32}, {0, 1}})
     ->Repetitions(5)
     ->ComputeStatistics("min",
                         [](const std::vector<double>& v) {

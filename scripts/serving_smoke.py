@@ -3,8 +3,9 @@
 
 Exercises the daemon end to end over real sockets, stdlib only:
 
-  0. Flags: --help prints usage and exits 0; an unknown flag exits 2
-     (the usage status) naming it. Both before any daemon starts.
+  0. Flags: --help prints usage and exits 0; an unknown flag, or a
+     positional argument (an unquoted multi-word prompt), exits 2 (the
+     usage status) naming it. All before any daemon starts.
   1. Bit-identity: the concatenated SSE token stream equals the --offline
      reference for the same prompt/seed, with the prefix cache off and on
      (and on a cache-hit second request), and with --speculative serving
@@ -62,7 +63,14 @@ def check_flags(binary):
     )
     if result.returncode != 2 or "--bogus-flag" not in result.stderr:
         fail(f"--bogus-flag exited {result.returncode}: {result.stderr!r}")
-    print("ok: --help exits 0, --bogus-flag exits 2")
+    # An unquoted multi-word prompt: the words after the first are positional.
+    result = subprocess.run(
+        [binary, "--offline", "--prompt", "the", "history", "of", "--max-tokens=4"],
+        capture_output=True, text=True, timeout=60,
+    )
+    if result.returncode != 2 or "'history'" not in result.stderr:
+        fail(f"a positional argument exited {result.returncode}: {result.stderr!r}")
+    print("ok: --help exits 0, --bogus-flag and a positional argument exit 2")
 
 
 def start_daemon(binary, extra_flags):

@@ -61,6 +61,11 @@ void CliArgs::require_known(std::initializer_list<std::string_view> value_flags,
                  name.c_str());
     std::exit(kUsageExitCode);
   }
+  if (!positional_.empty()) {
+    std::fprintf(stderr, "%s: unexpected argument '%s' (quote a value with spaces; see --help)\n",
+                 program_.empty() ? "orinsim" : program_.c_str(), positional_.front().c_str());
+    std::exit(kUsageExitCode);
+  }
 }
 
 long long CliArgs::get_int(const std::string& name, long long default_value) const {

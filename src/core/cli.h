@@ -31,8 +31,10 @@ class CliArgs {
   bool get_bool(const std::string& name, bool default_value) const;
 
   // Exits with kUsageExitCode, naming the first flag that is neither one of
-  // `value_flags` or `bool_flags` nor --no-<name> of a bool flag. For a
-  // binary that must reject a mistyped flag rather than ignore it.
+  // `value_flags` or `bool_flags` nor --no-<name> of a bool flag, or else
+  // the first positional argument. For a binary that takes flags only and
+  // must reject a mistyped flag or an unquoted multi-word value (the words
+  // after the first are positional) rather than ignore it.
   void require_known(std::initializer_list<std::string_view> value_flags,
                      std::initializer_list<std::string_view> bool_flags) const;
 

@@ -1,5 +1,6 @@
 #include "core/thread_pool.h"
 
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -30,23 +31,47 @@ void cpu_relax() {
 struct ThreadPool::Job {
   Body body;
   const void* fn;
-  std::atomic<std::size_t> next;
+  std::size_t begin;
   std::size_t end;
+  // An affinity call: bit k of claimed is set once index begin + k is
+  // taken. Otherwise next hands the indices out in order.
+  bool affinity;
+  std::atomic<std::uint64_t> claimed{0};
+  std::atomic<std::size_t> next;
   std::atomic<bool> failed{false};
   std::exception_ptr error{};
 
-  // Claims indices until the range is drained. Runs with the in-shard flag
-  // set, so parallel_for calls made by the body run inline.
+  void call(std::size_t shard, std::size_t i) {
+    try {
+      body(fn, shard, i);
+    } catch (...) {
+      if (!failed.exchange(true)) error = std::current_exception();
+    }
+  }
+
+  // Runs indices until none is left unclaimed: in an affinity call the
+  // shard's own index first, then the others in order; otherwise whatever
+  // the shared counter hands out. Runs with the in-shard flag set, so
+  // parallel_for calls made by the body run inline.
   void run_shard(std::size_t shard) {
     const bool outer = t_in_shard;
     t_in_shard = true;
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) break;
-      try {
-        body(fn, shard, i);
-      } catch (...) {
-        if (!failed.exchange(true)) error = std::current_exception();
+    if (affinity) {
+      const std::size_t count = end - begin;
+      auto claim = [&](std::size_t k) {
+        const std::uint64_t bit = std::uint64_t{1} << k;
+        if ((claimed.load(std::memory_order_relaxed) & bit) == 0 &&
+            (claimed.fetch_or(bit, std::memory_order_relaxed) & bit) == 0) {
+          call(shard, begin + k);
+        }
+      };
+      if (shard < count) claim(shard);
+      for (std::size_t k = 0; k < count; ++k) claim(k);
+    } else {
+      for (;;) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= end) break;
+        call(shard, i);
       }
     }
     t_in_shard = outer;
@@ -56,9 +81,10 @@ struct ThreadPool::Job {
 bool ThreadPool::in_shard() noexcept { return t_in_shard; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
+  threads = std::min(threads, kMaxWorkers);
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  for (std::size_t w = 1; w <= threads; ++w) {
+    workers_.emplace_back([this, w] { worker_loop(w); });
   }
 }
 
@@ -74,14 +100,15 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::run(std::size_t begin, std::size_t end, Body body, const void* fn) {
   if (begin >= end) return;
-  Job job{body, fn, begin, end};
-  const std::size_t helpers = std::min(workers_.size(), end - begin - 1);
+  const std::size_t count = end - begin;
+  Job job{body, fn, begin, end, count <= shard_count(), 0, begin};
+  const std::size_t helpers = std::min(workers_.size(), count - 1);
   if (helpers == 0 || t_in_shard || busy_.exchange(true, std::memory_order_acquire)) {
     job.run_shard(0);
   } else {
     job_ = &job;
     finished_.store(0, std::memory_order_relaxed);
-    seats_.store(static_cast<std::ptrdiff_t>(helpers), std::memory_order_release);
+    seats_.store(((std::uint64_t{1} << helpers) - 1) << 1, std::memory_order_release);
     // Pairs with the parked_ increment in worker_loop: either a parking
     // worker sees the new generation or this sees it parking.
     generation_.fetch_add(1);
@@ -91,9 +118,9 @@ void ThreadPool::run(std::size_t begin, std::size_t end, Body body, const void* 
     }
     job.run_shard(0);
     // Close the seats nobody took; wait only for the helpers that joined.
-    const std::ptrdiff_t open = seats_.exchange(0, std::memory_order_acq_rel);
     const std::size_t joined =
-        helpers - static_cast<std::size_t>(std::max<std::ptrdiff_t>(open, 0));
+        helpers - static_cast<std::size_t>(
+                      std::popcount(seats_.exchange(0, std::memory_order_acq_rel)));
     for (unsigned spins = 0; finished_.load(std::memory_order_acquire) != joined; ++spins) {
       if (spins < 4096) {
         cpu_relax();
@@ -106,7 +133,7 @@ void ThreadPool::run(std::size_t begin, std::size_t end, Body body, const void* 
   if (job.error) std::rethrow_exception(job.error);
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t shard) {
   // The generation at construction: a worker that starts late still sees
   // every bump made since, the destructor's included.
   std::uint64_t seen = 0;
@@ -126,12 +153,11 @@ void ThreadPool::worker_loop() {
     }
     seen = gen;
     if (stop_.load(std::memory_order_acquire)) return;
-    // Seats count down from the number of helpers; a seat number is the
-    // shard identity. Taking the seat orders this read of job_ after the
-    // caller's store of it.
-    const std::ptrdiff_t seat = seats_.fetch_sub(1, std::memory_order_acq_rel);
-    if (seat <= 0) continue;
-    job_->run_shard(static_cast<std::size_t>(seat));
+    // A call wants this worker only if it set its seat bit. Taking the seat
+    // orders this read of job_ after the caller's store of it.
+    const std::uint64_t seat = std::uint64_t{1} << shard;
+    if ((seats_.fetch_and(~seat, std::memory_order_acq_rel) & seat) == 0) continue;
+    job_->run_shard(shard);
     finished_.fetch_add(1, std::memory_order_release);
   }
 }

@@ -290,15 +290,15 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
       }
     };
     // Split the units over the kernel pool once the sequence's attention
-    // work reaches kAttentionSplitWork. One range (below it, or inline in a
-    // pool shard) works in the workspace's tiles; a split range owns its
-    // own.
+    // work reaches kAttentionSplitWork. The first range (the only one below
+    // it, or inline in a pool shard) works in the workspace's tiles; every
+    // other range owns its own.
     const std::size_t units = c.n_kv_heads * run;
     const std::size_t unit_work = group * len * head_dim * 2;
     kernel_pool().parallel_rows(
         units, (kAttentionSplitWork + unit_work - 1) / unit_work,
         [&](std::size_t u0, std::size_t u1) {
-          if (u1 - u0 == units) {
+          if (u0 == 0) {
             attend(u0, u1, ws.key_tiles.data(), ws.kv_tile);
             return;
           }

@@ -129,10 +129,11 @@ class Model {
 
   // Multiply-adds of one sequence's attention at which Model::forward splits
   // it over kernel_pool(): its units are (KV head, row) pairs of group ×
-  // context × head_dim × 2 each. A width-1 step at a few hundred tokens of
-  // context stays below it and inline, where a fork/join would cost more
-  // than it saves.
-  static constexpr std::size_t kAttentionSplitWork = std::size_t{1} << 17;
+  // context × head_dim × 2 each. A width-1 llama3-nano step (2 KV heads of
+  // 128 × context each) splits from 128 tokens of context and stays inline
+  // below, where a fork/join would cost more than it saves; see DESIGN.md
+  // "Threading model" for the measurement that chose it.
+  static constexpr std::size_t kAttentionSplitWork = std::size_t{1} << 15;
 
   // Default number of prompt tokens per chunked-prefill pass.
   static constexpr std::size_t kDefaultPrefillChunk = 32;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/error.h"
-#include "tensor/kernels.h"
 #include "tensor/simd.h"
 
 namespace orinsim::quant {
@@ -131,55 +130,53 @@ void int8_rows(const RowwiseInt8& q, std::size_t r0, std::size_t r1, const float
 }  // namespace
 
 void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
-                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens) {
-  ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows,
+                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens,
+                 std::size_t r0, std::size_t r1) {
+  ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows && r0 <= r1 &&
+                    r1 <= q.rows,
                 "int8 matmul: shape mismatch");
   ORINSIM_CHECK(acts.tokens == tokens && acts.cols == q.cols,
                 "int8 matmul: activation batch shape mismatch");
   if (simd::active_level() != simd::Level::kNative) {
-    kernels::parallel_projection(q.rows, tokens, q.cols, [&](std::size_t r_begin,
-                                                              std::size_t r_end) {
-      for (std::size_t r0 = r_begin; r0 < r_end; r0 += kRowChunk) {
-        for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
-          int8_rows(q, r0, std::min(r0 + kRowChunk, r_end), x.data() + t0 * q.cols,
-                    acts.codes.data() + t0 * q.cols, acts.scales.data() + t0,
-                    std::min(kTokenTile, tokens - t0), y.data() + t0 * q.rows, q.rows);
-        }
+    for (std::size_t r = r0; r < r1; r += kRowChunk) {
+      for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
+        int8_rows(q, r, std::min(r + kRowChunk, r1), x.data() + t0 * q.cols,
+                  acts.codes.data() + t0 * q.cols, acts.scales.data() + t0,
+                  std::min(kTokenTile, tokens - t0), y.data() + t0 * q.rows, q.rows);
       }
-    });
+    }
     return;
   }
 
-  // kNative: pack each token's outlier-column activations once per call, so
-  // the per-(row, token) correction is one SIMD dot over two contiguous
-  // arrays. (With the heavy-tailed init most columns of a large matrix carry
+  // kNative: pack each token's outlier-column activations once per call
+  // (per range of rows, into a per-thread buffer), so the per-(row, token)
+  // correction is one SIMD dot over two contiguous arrays. (With the heavy-tailed init most columns of a large matrix carry
   // at least one outlier element, so this rivals the int8 dots in work.)
   const std::size_t n_out = q.outlier_cols.size();
-  std::vector<float> x_out(tokens * n_out);
+  thread_local std::vector<float> x_out;
+  x_out.resize(tokens * n_out);
   for (std::size_t t = 0; t < tokens && n_out > 0; ++t) {
     const float* xt = x.data() + t * q.cols;
     float* dst = x_out.data() + t * n_out;
     for (std::size_t o = 0; o < n_out; ++o) dst[o] = xt[q.outlier_cols[o]];
   }
-  kernels::parallel_projection(q.rows, tokens, q.cols, [&](std::size_t r0, std::size_t r1) {
-    std::int64_t dots[kTokenTile];
-    float outliers[kTokenTile];
-    for (std::size_t r = r0; r < r1; ++r) {
-      const std::int8_t* codes = q.codes.data() + r * q.cols;
-      const float* w_out = q.outlier_f32.data() + r * n_out;
-      for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
-        const std::size_t tile = std::min(kTokenTile, tokens - t0);
-        // Both multi-column dots equal their single-column kernel per
-        // token, so a token's sum does not depend on the tile it lands in.
-        simd::dot_i8_multi(codes, acts.codes.data() + t0 * q.cols, q.cols, tile, q.cols, dots);
-        simd::dot_f32_multi(w_out, x_out.data() + t0 * n_out, n_out, tile, n_out, outliers);
-        for (std::size_t t = 0; t < tile; ++t) {
-          y[(t0 + t) * q.rows + r] =
-              static_cast<float>(dots[t]) * q.row_scale[r] * acts.scales[t0 + t] + outliers[t];
-        }
+  std::int64_t dots[kTokenTile];
+  float outliers[kTokenTile];
+  for (std::size_t r = r0; r < r1; ++r) {
+    const std::int8_t* codes = q.codes.data() + r * q.cols;
+    const float* w_out = q.outlier_f32.data() + r * n_out;
+    for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
+      const std::size_t tile = std::min(kTokenTile, tokens - t0);
+      // Both multi-column dots equal their single-column kernel per
+      // token, so a token's sum does not depend on the tile it lands in.
+      simd::dot_i8_multi(codes, acts.codes.data() + t0 * q.cols, q.cols, tile, q.cols, dots);
+      simd::dot_f32_multi(w_out, x_out.data() + t0 * n_out, n_out, tile, n_out, outliers);
+      for (std::size_t t = 0; t < tile; ++t) {
+        y[(t0 + t) * q.rows + r] =
+            static_cast<float>(dots[t]) * q.row_scale[r] * acts.scales[t0 + t] + outliers[t];
       }
     }
-  });
+  }
 }
 
 std::size_t BlockInt4::storage_bytes() const noexcept {
@@ -273,58 +270,56 @@ void dequantize_row(const BlockInt4& q, std::size_t row, std::span<float> out) {
 }
 
 void matmul_int4(const BlockInt4& q, std::span<const float> x,
-                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens) {
-  ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows,
+                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens,
+                 std::size_t r0, std::size_t r1) {
+  ORINSIM_CHECK(x.size() == tokens * q.cols && y.size() == tokens * q.rows && r0 <= r1 &&
+                    r1 <= q.rows,
                 "int4 matmul: shape mismatch");
   if (simd::active_level() == simd::Level::kNative) {
     ORINSIM_CHECK(acts.tokens == tokens && acts.cols == q.cols,
                   "int4 matmul: activation batch shape mismatch");
     // Packed kernel: one weight unpack serves a tile of tokens; per-token
     // results are independent of the tile.
-    kernels::parallel_projection(q.rows, tokens, q.cols, [&](std::size_t r0, std::size_t r1) {
-      float tmp[kTokenTile];
-      for (std::size_t r = r0; r < r1; ++r) {
-        for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
-          const std::size_t tile = std::min(kTokenTile, tokens - t0);
-          simd::dot_i4_i8_multi(
-              q.packed_kernel.data() + r * q.blocks_per_row * simd::kInt4KernelBlockBytes,
-              q.scale_f32.data() + r * q.blocks_per_row, q.blocks_per_row,
-              acts.codes.data() + t0 * q.cols, q.cols, tile, tmp);
-          for (std::size_t t = 0; t < tile; ++t) {
-            y[(t0 + t) * q.rows + r] = tmp[t] * acts.scales[t0 + t];
-          }
+    float tmp[kTokenTile];
+    for (std::size_t r = r0; r < r1; ++r) {
+      for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
+        const std::size_t tile = std::min(kTokenTile, tokens - t0);
+        simd::dot_i4_i8_multi(
+            q.packed_kernel.data() + r * q.blocks_per_row * simd::kInt4KernelBlockBytes,
+            q.scale_f32.data() + r * q.blocks_per_row, q.blocks_per_row,
+            acts.codes.data() + t0 * q.cols, q.cols, tile, tmp);
+        for (std::size_t t = 0; t < tile; ++t) {
+          y[(t0 + t) * q.rows + r] = tmp[t] * acts.scales[t0 + t];
         }
       }
-    });
+    }
     return;
   }
   // Scalar float reference: tile tokens so per-token block accumulators live
   // in registers/stack while each packed weight byte is unpacked once per
   // tile; every token runs the same float sequence.
-  kernels::parallel_projection(q.rows, tokens, q.cols, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
-        const std::size_t tile = std::min(kTokenTile, tokens - t0);
-        float acc[kTokenTile] = {};
-        for (std::size_t b = 0; b < q.blocks_per_row; ++b) {
-          const float scale = fp16_to_float(q.block_scale[r * q.blocks_per_row + b]);
-          float blk_acc[kTokenTile] = {};
-          for (std::size_t i = 0; i < kInt4Block; i += 2) {
-            const std::uint8_t byte = q.packed[(r * q.cols + b * kInt4Block + i) / 2];
-            const float lo = static_cast<float>(unpack_lo(byte));
-            const float hi = static_cast<float>(unpack_hi(byte));
-            for (std::size_t t = 0; t < tile; ++t) {
-              const float* xb = x.data() + (t0 + t) * q.cols + b * kInt4Block;
-              blk_acc[t] += lo * xb[i];
-              blk_acc[t] += hi * xb[i + 1];
-            }
+  for (std::size_t r = r0; r < r1; ++r) {
+    for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
+      const std::size_t tile = std::min(kTokenTile, tokens - t0);
+      float acc[kTokenTile] = {};
+      for (std::size_t b = 0; b < q.blocks_per_row; ++b) {
+        const float scale = fp16_to_float(q.block_scale[r * q.blocks_per_row + b]);
+        float blk_acc[kTokenTile] = {};
+        for (std::size_t i = 0; i < kInt4Block; i += 2) {
+          const std::uint8_t byte = q.packed[(r * q.cols + b * kInt4Block + i) / 2];
+          const float lo = static_cast<float>(unpack_lo(byte));
+          const float hi = static_cast<float>(unpack_hi(byte));
+          for (std::size_t t = 0; t < tile; ++t) {
+            const float* xb = x.data() + (t0 + t) * q.cols + b * kInt4Block;
+            blk_acc[t] += lo * xb[i];
+            blk_acc[t] += hi * xb[i + 1];
           }
-          for (std::size_t t = 0; t < tile; ++t) acc[t] += blk_acc[t] * scale;
         }
-        for (std::size_t t = 0; t < tile; ++t) y[(t0 + t) * q.rows + r] = acc[t];
+        for (std::size_t t = 0; t < tile; ++t) acc[t] += blk_acc[t] * scale;
       }
+      for (std::size_t t = 0; t < tile; ++t) y[(t0 + t) * q.rows + r] = acc[t];
     }
-  });
+  }
 }
 
 std::vector<fp16_t> quantize_fp16(std::span<const float> weights) {

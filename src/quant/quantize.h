@@ -11,10 +11,13 @@
 // Both codecs quantize *weights*; activations are quantized per-token inside
 // the INT8 matmul (dynamic absmax), as LLM.int8() does.
 //
-// Each codec has one projection entry, matmul_int8 / matmul_int4, over any
-// number of activation rows (a prefill chunk, decode lanes or one row). Row
-// t's result is bit-identical to a one-row call on row t at both kernel
-// levels, whatever rows share the call (composition independence).
+// Each codec has one projection body, matmul_int8 / matmul_int4: weight rows
+// [r0, r1) of Y over any number of activation rows (a prefill chunk, decode
+// lanes or one row), on the calling thread; quant::matmul_group splits the
+// rows over the kernel pool. Row t's result is bit-identical to a one-row
+// call on row t at both kernel levels, whatever rows share the call
+// (composition independence), and each Y element is the same op sequence
+// whatever range it falls in.
 #pragma once
 
 #include <cstdint>
@@ -73,16 +76,18 @@ struct ActivationBatchInt8 {
 void quantize_activations_int8(std::span<const float> x, std::size_t tokens,
                                std::size_t cols, ActivationBatchInt8& acts);
 
-// Y[t, r] = sum_c W[r,c] * X[t,c] over the int8 + outlier parts. X is
-// [tokens, cols], Y is [tokens, rows]; acts must be X quantized by
-// quantize_activations_int8 (the outlier columns read X itself). The int8
-// part accumulates exactly in integers, as LLM.int8() does; each weight row
-// is streamed once for every token. The outlier correction is one fixed
-// float sequence per (row, token): at kScalar the reference order (fp32
-// outlier weights added to the scaled int8 dot, outlier column ascending),
-// at kNative one SIMD dot over the token's packed outlier activations.
+// Y[t, r] = sum_c W[r,c] * X[t,c] over the int8 + outlier parts, for r in
+// [r0, r1). X is [tokens, cols], Y is [tokens, rows]; acts must be X
+// quantized by quantize_activations_int8 (the outlier columns read X
+// itself). The int8 part accumulates exactly in integers, as LLM.int8()
+// does; each weight row is streamed once for every token. The outlier
+// correction is one fixed float sequence per (row, token): at kScalar the
+// reference order (fp32 outlier weights added to the scaled int8 dot,
+// outlier column ascending), at kNative one SIMD dot over the token's
+// packed outlier activations.
 void matmul_int8(const RowwiseInt8& q, std::span<const float> x,
-                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens);
+                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens,
+                 std::size_t r0, std::size_t r1);
 
 // Block-wise INT4. Each block of kInt4Block consecutive weights (within a
 // row) shares one FP16 absmax scale; codes are signed 4-bit in [-8, 7].
@@ -111,7 +116,7 @@ BlockInt4 quantize_block_int4(std::span<const float> weights, std::size_t rows,
 
 void dequantize_row(const BlockInt4& q, std::size_t row, std::span<float> out);
 
-// Y = W X for X [tokens, cols], Y [tokens, rows]. At kScalar the float
+// Rows [r0, r1) of Y = W X for X [tokens, cols], Y [tokens, rows]. At kScalar the float
 // reference runs on X (unpack + dequantize per block — the bit-exact
 // reference, unchanged since the seed; acts is not read). At kNative the
 // packed-int4 kernel multiplies int4 weight codes against acts, the
@@ -121,7 +126,8 @@ void dequantize_row(const BlockInt4& q, std::size_t row, std::span<float> out);
 // (ppl_int4 > ppl_int8 holds at both levels). Each packed weight block is
 // unpacked once per tile of up to 8 tokens.
 void matmul_int4(const BlockInt4& q, std::span<const float> x,
-                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens);
+                 const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens,
+                 std::size_t r0, std::size_t r1);
 
 // FP16 cast of a full matrix (round-to-nearest-even).
 std::vector<fp16_t> quantize_fp16(std::span<const float> weights);

@@ -57,33 +57,32 @@ void WeightMatrix::matmul(std::span<const float> x, std::span<float> y, std::siz
 }
 
 void WeightMatrix::project(std::span<const float> x, const ActivationBatchInt8& act,
-                           std::span<float> y, std::size_t rows) const {
+                           std::span<float> y, std::size_t rows, std::size_t r0,
+                           std::size_t r1) const {
   switch (dtype_) {
     case DType::kF32:
-      kernels::matvec_multi(f32_, x, y, out_features_, in_features_, rows);
+      kernels::matvec_rows(f32_, x, y, out_features_, in_features_, rows, r0, r1);
       return;
-    case DType::kF16:
+    case DType::kF16: {
       // Dequantize each weight row once (the software fp16 conversion is
       // paid once per row, not per (row, token)), then dot it against every
       // row of X. A (row, token) result does not depend on the row count.
-      kernels::parallel_projection(out_features_, rows, in_features_,
-                                   [&](std::size_t r0, std::size_t r1) {
-        std::vector<float> row(in_features_);
-        for (std::size_t r = r0; r < r1; ++r) {
-          const fp16_t* wr = f16_.data() + r * in_features_;
-          for (std::size_t c = 0; c < in_features_; ++c) row[c] = fp16_to_float(wr[c]);
-          for (std::size_t t = 0; t < rows; ++t) {
-            y[t * out_features_ + r] =
-                simd::dot_f32(x.data() + t * in_features_, row.data(), in_features_);
-          }
+      std::vector<float> row(in_features_);
+      for (std::size_t r = r0; r < r1; ++r) {
+        const fp16_t* wr = f16_.data() + r * in_features_;
+        for (std::size_t c = 0; c < in_features_; ++c) row[c] = fp16_to_float(wr[c]);
+        for (std::size_t t = 0; t < rows; ++t) {
+          y[t * out_features_ + r] =
+              simd::dot_f32(x.data() + t * in_features_, row.data(), in_features_);
         }
-      });
+      }
       return;
+    }
     case DType::kI8:
-      matmul_int8(i8_, x, act, y, rows);
+      matmul_int8(i8_, x, act, y, rows, r0, r1);
       return;
     case DType::kI4:
-      matmul_int4(i4_, x, act, y, rows);
+      matmul_int4(i4_, x, act, y, rows, r0, r1);
       return;
   }
 }
@@ -130,13 +129,27 @@ std::size_t WeightMatrix::outlier_column_count() const noexcept {
 void matmul_group(std::span<const float> x, std::initializer_list<Projection> group,
                   std::size_t rows, ActivationBatchInt8& act_scratch) {
   bool quantize = false;
+  std::size_t out_rows = 0;
   for (const Projection& p : group) {
     ORINSIM_CHECK(x.size() == rows * p.w.in_features_ && p.y.size() == rows * p.w.out_features_,
                   "matmul_group: shape mismatch");
     quantize = quantize || p.w.reads_activation_codes();
+    out_rows += p.w.out_features_;
   }
-  if (quantize) quantize_activations_int8(x, rows, group.begin()->w.in_features_, act_scratch);
-  for (const Projection& p : group) p.w.project(x, act_scratch, p.y, rows);
+  if (group.size() == 0) return;
+  const std::size_t in_features = group.begin()->w.in_features_;
+  if (quantize) quantize_activations_int8(x, rows, in_features, act_scratch);
+  // One split over the group's output rows, concatenated in group order: a
+  // range may end inside one matrix and go on into the next.
+  kernels::parallel_projection(out_rows, rows, in_features, [&](std::size_t r0, std::size_t r1) {
+    std::size_t first = 0;  // the matrix's first row in the concatenation
+    for (const Projection& p : group) {
+      const std::size_t lo = std::max(r0, first);
+      const std::size_t hi = std::min(r1, first + p.w.out_features_);
+      if (lo < hi) p.w.project(x, act_scratch, p.y, rows, lo - first, hi - first);
+      first += p.w.out_features_;
+    }
+  });
 }
 
 }  // namespace orinsim::quant

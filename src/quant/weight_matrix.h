@@ -61,10 +61,11 @@ class WeightMatrix {
 
   // Whether project() reads activation codes at the active kernel level.
   bool reads_activation_codes() const noexcept;
-  // matmul's dispatch, with act already holding X's codes when
+  // Output rows [r0, r1) of matmul on the calling thread, dispatching on
+  // storage precision, with act already holding X's codes when
   // reads_activation_codes().
   void project(std::span<const float> x, const ActivationBatchInt8& act, std::span<float> y,
-               std::size_t rows) const;
+               std::size_t rows, std::size_t r0, std::size_t r1) const;
 
   std::size_t out_features_ = 0;
   std::size_t in_features_ = 0;
@@ -85,9 +86,13 @@ struct Projection {
 // Shared-input projection group: every matrix of the group multiplies the
 // same X ([rows, in]). X is quantized at most ONCE into act_scratch and
 // shared by whichever matrices read activation codes (the quantization is
-// deterministic), so each output is bit-identical to its own
-// WeightMatrix::matmul call. Serves Q/K/V, SwiGLU gate/up, and the
-// parallel block's Q/K/V plus fc1.
+// deterministic). The group is the one split site of the projections: its
+// output rows, concatenated in group order, split once by
+// kernels::parallel_projection, and each range runs its rows of each matrix
+// it covers. Every output element is the same op sequence whatever range
+// it falls in, so each output is bit-identical to its own
+// WeightMatrix::matmul call and to one-row calls. Serves Q/K/V, SwiGLU
+// gate/up, and the parallel block's Q/K/V plus fc1.
 void matmul_group(std::span<const float> x, std::initializer_list<Projection> group,
                   std::size_t rows, ActivationBatchInt8& act_scratch);
 

@@ -153,24 +153,30 @@ float dot(std::span<const float> a, std::span<const float> b) {
   return simd::dot_f32(a.data(), b.data(), a.size());
 }
 
-void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<float> out,
-                  std::size_t out_rows, std::size_t cols, std::size_t rows) {
+void matvec_rows(std::span<const float> a, std::span<const float> x, std::span<float> out,
+                 std::size_t out_rows, std::size_t cols, std::size_t rows, std::size_t r0,
+                 std::size_t r1) {
   ORINSIM_CHECK(a.size() == out_rows * cols && x.size() == rows * cols &&
-                    out.size() == rows * out_rows,
-                "matvec_multi: shape mismatch");
+                    out.size() == rows * out_rows && r0 <= r1 && r1 <= out_rows,
+                "matvec_rows: shape mismatch");
   // Rows go through dot_f32_multi in stack tiles (its per-column results do
   // not depend on the tile), so the hot loop never allocates.
   constexpr std::size_t kRowTile = 8;
-  parallel_projection(out_rows, rows, cols, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      const float* ar = a.data() + r * cols;
-      float tmp[kRowTile];
-      for (std::size_t t0 = 0; t0 < rows; t0 += kRowTile) {
-        const std::size_t tile = std::min(kRowTile, rows - t0);
-        simd::dot_f32_multi(ar, x.data() + t0 * cols, cols, tile, cols, tmp);
-        for (std::size_t t = 0; t < tile; ++t) out[(t0 + t) * out_rows + r] = tmp[t];
-      }
+  float tmp[kRowTile];
+  for (std::size_t r = r0; r < r1; ++r) {
+    const float* ar = a.data() + r * cols;
+    for (std::size_t t0 = 0; t0 < rows; t0 += kRowTile) {
+      const std::size_t tile = std::min(kRowTile, rows - t0);
+      simd::dot_f32_multi(ar, x.data() + t0 * cols, cols, tile, cols, tmp);
+      for (std::size_t t = 0; t < tile; ++t) out[(t0 + t) * out_rows + r] = tmp[t];
     }
+  }
+}
+
+void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<float> out,
+                  std::size_t out_rows, std::size_t cols, std::size_t rows) {
+  parallel_projection(out_rows, rows, cols, [&](std::size_t r0, std::size_t r1) {
+    matvec_rows(a, x, out, out_rows, cols, rows, r0, r1);
   });
 }
 

@@ -21,16 +21,20 @@
 namespace orinsim::kernels {
 
 // Multiply-adds below which a projection runs on the calling thread: under
-// it a kernel_pool() fork/join costs more than the split saves.
-inline constexpr std::size_t kProjectionSplitWork = std::size_t{1} << 15;
+// it a kernel_pool() fork/join (about a microsecond) costs more than the
+// split saves. At 2^14 a width-1 llama3-nano step splits every projection
+// group, wo included (16,384 multiply-adds); see DESIGN.md "Threading
+// model" for the measurement that chose it.
+inline constexpr std::size_t kProjectionSplitWork = std::size_t{1} << 14;
 
 // Runs fn(r0, r1) over the out_rows weight rows of a projection that dots
 // each of them against `rows` activation rows of in_features: split over
 // kernel_pool() when out_rows × rows × in_features reaches
 // kProjectionSplitWork, one fn(0, out_rows) on the calling thread otherwise.
-// Every projection kernel (matvec_multi here, the weight matmuls in quant/)
-// splits this way; output rows are independent, so the split never changes
-// a result.
+// Every projection splits this way, once per call: matvec_multi here, and
+// quant::matmul_group over a group's concatenated rows. Output rows are
+// independent, so the split never changes a result, and the pool's
+// affinity runs range k on the same thread every call.
 template <class Fn>
 void parallel_projection(std::size_t out_rows, std::size_t rows, std::size_t in_features,
                          Fn&& fn) {
@@ -106,11 +110,18 @@ class RopeTable {
 float dot(std::span<const float> a, std::span<const float> b);
 
 // Multi-row fp32 matvec: x is [rows, cols] activations, out is
-// [rows, out_rows], out[t, r] = dot(a[r, :], x[t, :]); each weight row is
-// streamed once for every activation row. Composition-independent
-// (simd::dot_f32_multi contract): row t's result is bit-identical to a
-// one-row call on x[t] at both kernel levels, whatever rows share the call.
-// The fp32 projection of WeightMatrix, the lm_head and the readout trainer.
+// [rows, out_rows], out[t, r] = dot(a[r, :], x[t, :]) for the weight rows
+// r in [r0, r1), on the calling thread; each weight row is streamed once
+// for every activation row. Composition-independent (simd::dot_f32_multi
+// contract): row t's result is bit-identical to a one-row call on x[t] at
+// both kernel levels, whatever rows share the call. The fp32 projection
+// body of WeightMatrix.
+void matvec_rows(std::span<const float> a, std::span<const float> x, std::span<float> out,
+                 std::size_t out_rows, std::size_t cols, std::size_t rows, std::size_t r0,
+                 std::size_t r1);
+
+// matvec_rows over every weight row, split by parallel_projection. The
+// lm_head and the readout trainer.
 void matvec_multi(std::span<const float> a, std::span<const float> x, std::span<float> out,
                   std::size_t out_rows, std::size_t cols, std::size_t rows);
 

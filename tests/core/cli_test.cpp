@@ -116,6 +116,16 @@ TEST_F(CliUsageDeathTest, RequireKnownNamesTheUnknownFlag) {
               ::testing::ExitedWithCode(CliArgs::kUsageExitCode), "unknown flag --no-port");
 }
 
+// require_known takes flags only: an unquoted multi-word value leaves its
+// later words positional, and the first one is named instead of dropped.
+TEST_F(CliUsageDeathTest, RequireKnownNamesTheFirstPositionalArgument) {
+  const CliArgs split = make({"--prompt", "the", "history", "of", "--max-tokens=4"});
+  EXPECT_EQ(split.get("prompt", ""), "the");
+  EXPECT_EXIT(split.require_known({"prompt", "max-tokens"}, {}),
+              ::testing::ExitedWithCode(CliArgs::kUsageExitCode),
+              "unexpected argument 'history'");
+}
+
 TEST(CliTest, WellFormedValuesStillParse) {
   const CliArgs args = make({"--batch=-3", "--rps", "2.5e1", "--flag=ON"});
   EXPECT_EQ(args.get_int("batch", 0), -3);

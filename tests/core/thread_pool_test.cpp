@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -179,6 +180,108 @@ TEST(ThreadPoolTest, ParallelRowsCoversRowsInContiguousRanges) {
     ++calls;
   });
   EXPECT_EQ(calls, 1u);
+}
+
+// Spins until `count` threads have arrived: a range that waits here cannot
+// finish before every other range has started, so no thread can run two.
+// Gives up at `deadline`, so a pool that never starts a range fails the
+// test instead of hanging it.
+bool arrive_and_wait(std::atomic<std::size_t>& arrived, std::size_t count,
+                     std::chrono::steady_clock::time_point deadline) {
+  arrived.fetch_add(1);
+  while (arrived.load() < count) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// Affinity: in a call with at most shard_count() indices, shard k takes
+// index k first. With a barrier in every range nothing can be stolen, so
+// range 0 runs on the caller and range k on the same worker in every call,
+// including a call with fewer ranges than shards.
+TEST(ThreadPoolTest, AffinityRunsRangeKOnTheSameThreadEveryCall) {
+  ThreadPool pool(3);
+  const auto caller = std::this_thread::get_id();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (std::size_t rows : {448u, 2u}) {
+    const std::size_t ranges = std::min(rows, pool.shard_count());
+    std::vector<std::thread::id> owner(ranges);
+    for (int call = 0; call < 50; ++call) {
+      std::atomic<std::size_t> arrived{0};
+      std::vector<std::thread::id> ran(ranges);
+      pool.parallel_rows(rows, 1, [&](std::size_t r0, std::size_t) {
+        const std::size_t k = r0 * ranges / rows;
+        ran[k] = std::this_thread::get_id();
+        EXPECT_TRUE(arrive_and_wait(arrived, ranges, deadline)) << "rows=" << rows;
+      });
+      EXPECT_EQ(ran[0], caller) << "rows=" << rows << " call=" << call;
+      for (std::size_t k = 1; k < ranges; ++k) {
+        EXPECT_NE(ran[k], caller) << "rows=" << rows << " k=" << k;
+        if (call == 0) owner[k] = ran[k];
+        EXPECT_EQ(ran[k], owner[k]) << "rows=" << rows << " call=" << call << " k=" << k;
+      }
+    }
+  }
+  // The shard-indexed overload names the owner: index k runs as shard k.
+  for (int call = 0; call < 50; ++call) {
+    std::atomic<std::size_t> arrived{0};
+    std::vector<std::size_t> shard_of(pool.shard_count());
+    pool.parallel_for(0, shard_of.size(), [&](std::size_t shard, std::size_t i) {
+      shard_of[i] = shard;
+      EXPECT_TRUE(arrive_and_wait(arrived, shard_of.size(), deadline));
+    });
+    for (std::size_t i = 0; i < shard_of.size(); ++i) EXPECT_EQ(shard_of[i], i);
+  }
+}
+
+// Stealing stays the fallback: every index of an affinity call runs exactly
+// once whether the workers spin, have parked (idle past their spin window)
+// or do not exist, and inside a shard the call runs inline.
+TEST(ThreadPoolTest, AffinityCallRunsEveryIndexOnce) {
+  for (std::size_t workers : {0u, 1u, 3u}) {
+    ThreadPool pool(workers);
+    for (int call = 0; call < 20; ++call) {
+      if (call % 2 == 1) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      for (std::size_t n = 1; n <= pool.shard_count(); ++n) {
+        std::vector<std::atomic<int>> hits(n);
+        pool.parallel_for(0, n, [&](std::size_t i) { hits[i].fetch_add(1); });
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(hits[i].load(), 1) << "workers=" << workers << " n=" << n << " i=" << i;
+        }
+      }
+    }
+    std::vector<std::atomic<int>> nested(4 * pool.shard_count());
+    pool.parallel_for(0, 4, [&](std::size_t outer) {
+      const auto self = std::this_thread::get_id();
+      pool.parallel_for(0, pool.shard_count(), [&](std::size_t shard, std::size_t i) {
+        EXPECT_EQ(shard, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        nested[outer * pool.shard_count() + i].fetch_add(1);
+      });
+    });
+    for (const auto& h : nested) EXPECT_EQ(h.load(), 1) << "workers=" << workers;
+  }
+}
+
+// In an affinity call the first exception still wins, after every index ran.
+TEST(ThreadPoolTest, AffinityCallRethrowsTheFirstException) {
+  ThreadPool pool(3);
+  std::atomic<bool> first_thrown{false};
+  std::atomic<int> runs{0};
+  EXPECT_THROW(pool.parallel_for(0, pool.shard_count(),
+                                 [&](std::size_t i) {
+                                   runs.fetch_add(1);
+                                   if (i == 0) {
+                                     first_thrown.store(true);
+                                     throw std::runtime_error("first");
+                                   }
+                                   while (!first_thrown.load()) std::this_thread::yield();
+                                   std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                                   throw std::logic_error("later");
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(runs.load(), static_cast<int>(pool.shard_count()));
 }
 
 TEST(ThreadPoolTest, ZeroWorkersRunsInline) {

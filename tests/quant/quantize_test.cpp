@@ -45,17 +45,17 @@ int canonical_int4_code(const BlockInt4& q, std::size_t r, std::size_t c) {
   return nib >= 8 ? static_cast<int>(nib) - 16 : static_cast<int>(nib);
 }
 
-// One-row projections through the codecs' single entries.
+// One-row projections through the codecs' row-range bodies, over every row.
 void matvec_int8(const RowwiseInt8& q, std::span<const float> x, std::span<float> out) {
   ActivationBatchInt8 acts;
   quantize_activations_int8(x, 1, q.cols, acts);
-  matmul_int8(q, x, acts, out, 1);
+  matmul_int8(q, x, acts, out, 1, 0, q.rows);
 }
 
 void matvec_int4(const BlockInt4& q, std::span<const float> x, std::span<float> out) {
   ActivationBatchInt8 acts;
   quantize_activations_int8(x, 1, q.cols, acts);
-  matmul_int4(q, x, acts, out, 1);
+  matmul_int4(q, x, acts, out, 1, 0, q.rows);
 }
 
 TEST(Int8Test, RoundTripErrorBounded) {
@@ -306,7 +306,7 @@ TEST(Int4Test, MatvecWithActSharedAcrossCallsMatchesSelfQuantized) {
     ScopedLevel scoped(level);
     ActivationBatchInt8 acts;
     quantize_activations_int8(x, tokens, cols, acts);
-    matmul_int4(q, x, acts, shared, tokens);
+    matmul_int4(q, x, acts, shared, tokens, 0, q.rows);
     for (std::size_t t = 0; t < tokens; ++t) {
       matvec_int4(q, std::span<const float>(x.data() + t * cols, cols), alone);
       for (std::size_t r = 0; r < rows; ++r) {

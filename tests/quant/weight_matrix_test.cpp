@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -184,33 +185,63 @@ TEST_P(WeightMatrixParamTest, MatvecMultiIsCompositionIndependent) {
   }
 }
 
-// A shared-input group quantizes its input once; quantization is
-// deterministic, so Q/K/V are bit-identical to three separate calls for
-// every row count.
+// A shared-input group quantizes its input once and splits its
+// concatenated output rows once over kernel_pool(). Both are invisible in
+// the bits: every output equals one-row calls per matrix, run inline, for
+// every row count, whether a range ends inside wk (Q/K/V, 16 + 64 + 64
+// rows) or runs from gate into up (40 + 56 rows).
 TEST_P(WeightMatrixParamTest, MatvecQkvMultiMatchesSeparateMatvecMulti) {
   Rng rng(23);
-  const std::size_t d = 64, kv = 32;
-  auto wq_w = random_weights(d * d, rng);
-  auto wk_w = random_weights(kv * d, rng);
-  auto wv_w = random_weights(kv * d, rng);
-  const auto wq = WeightMatrix::create(wq_w, d, d, GetParam());
-  const auto wk = WeightMatrix::create(wk_w, kv, d, GetParam());
-  const auto wv = WeightMatrix::create(wv_w, kv, d, GetParam());
+  const std::size_t in_f = 384;
+  std::vector<WeightMatrix> m;
+  for (std::size_t out_f : {16u, 64u, 64u, 40u, 56u}) {
+    m.push_back(WeightMatrix::create(random_weights(out_f * in_f, rng), out_f, in_f, GetParam()));
+  }
+  const WeightMatrix &wq = m[0], &wk = m[1], &wv = m[2], &gate = m[3], &up = m[4];
+  // Where parallel_rows cuts a group's concatenated rows: with pool
+  // workers, one range must end inside wk and one run across the gate/up
+  // boundary, or the split is not under test.
+  ASSERT_GE(96 * in_f, kernels::kProjectionSplitWork) << "both groups must split at 1 row";
+  const std::size_t shards = kernel_pool().shard_count();
+  auto cuts = [&](std::size_t out_rows) {
+    std::vector<std::size_t> at;
+    const std::size_t ranges = std::min(shards, out_rows);
+    for (std::size_t k = 1; k < ranges; ++k) at.push_back(k * out_rows / ranges);
+    return at;
+  };
+  if (shards > 1) {
+    const auto qkv_cuts = cuts(144), gate_up_cuts = cuts(96);
+    EXPECT_TRUE(std::any_of(qkv_cuts.begin(), qkv_cuts.end(),
+                            [](std::size_t c) { return c > 16 && c < 80; }));
+    EXPECT_EQ(std::count(gate_up_cuts.begin(), gate_up_cuts.end(), 40u), 0);
+  }
   for (simd::Level level : levels_to_test()) {
     ScopedLevel scoped(level);
-    for (std::size_t rows : {1u, 5u, 32u}) {
-      auto x = random_weights(rows * d, rng, 1.0);
-      std::vector<float> q(rows * d), k(rows * kv), v(rows * kv);
+    for (std::size_t rows : {1u, 2u, 32u}) {
+      const auto x = random_weights(rows * in_f, rng, 1.0);
+      std::vector<std::vector<float>> y(m.size()), ref(m.size());
+      for (std::size_t i = 0; i < m.size(); ++i) {
+        y[i].assign(rows * m[i].out_features(), 0.0f);
+        ref[i].assign(rows * m[i].out_features(), 0.0f);
+      }
       ActivationBatchInt8 act;
-      matmul_group(x, {{wq, q}, {wk, k}, {wv, v}}, rows, act);
-      std::vector<float> q_ref(rows * d), k_ref(rows * kv), v_ref(rows * kv);
-      ActivationBatchInt8 act_ref;
-      wq.matmul(x, q_ref, rows, act_ref);
-      wk.matmul(x, k_ref, rows, act_ref);
-      wv.matmul(x, v_ref, rows, act_ref);
-      for (std::size_t i = 0; i < q.size(); ++i) EXPECT_EQ(q[i], q_ref[i]) << i;
-      for (std::size_t i = 0; i < k.size(); ++i) EXPECT_EQ(k[i], k_ref[i]) << i;
-      for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(v[i], v_ref[i]) << i;
+      matmul_group(x, {{wq, y[0]}, {wk, y[1]}, {wv, y[2]}}, rows, act);
+      matmul_group(x, {{gate, y[3]}, {up, y[4]}}, rows, act);
+      kernel_pool().parallel_for(0, 1, [&](std::size_t) {
+        for (std::size_t i = 0; i < m.size(); ++i) {
+          const std::size_t out_f = m[i].out_features();
+          for (std::size_t t = 0; t < rows; ++t) {
+            matvec(m[i], std::span<const float>(x.data() + t * in_f, in_f),
+                   std::span<float>(ref[i].data() + t * out_f, out_f));
+          }
+        }
+      });
+      for (std::size_t i = 0; i < m.size(); ++i) {
+        for (std::size_t j = 0; j < y[i].size(); ++j) {
+          ASSERT_EQ(y[i][j], ref[i][j]) << simd::level_name(level) << " rows=" << rows
+                                        << " matrix=" << i << " j=" << j;
+        }
+      }
     }
   }
 }
