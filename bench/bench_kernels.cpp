@@ -238,6 +238,32 @@ BENCHMARK(BM_NanoInt4Projection)
     ->ArgsProduct({{448}, {128}, {1, 2, 8, 32}})
     ->ArgsProduct({{128}, {448}, {1, 2, 8, 32}});
 
+// FP32 projections at llama3-nano's width-1 decode shapes (out x in): the
+// Q/K/V group 192x128, wo 128x128, the gate/up group 896x128, down 128x448
+// and the served lm_head 400x128. One row runs simd::dot_f32_rows' four-row
+// tile at the native level; two rows run the multi-column kernel. Calls
+// split over kernel_pool() as in a decode step, so OMP_NUM_THREADS matters.
+void BM_NanoF32Projection(benchmark::State& state) {
+  const auto out_f = static_cast<std::size_t>(state.range(0));
+  const auto in_f = static_cast<std::size_t>(state.range(1));
+  const auto rows = static_cast<std::size_t>(state.range(2));
+  const auto wm =
+      quant::WeightMatrix::create(random_vec(out_f * in_f, 17), out_f, in_f, DType::kF32);
+  const auto x = random_vec(rows * in_f, 18, 1.0f);
+  std::vector<float> y(rows * out_f);
+  quant::ActivationBatchInt8 act;
+  for (auto _ : state) {
+    wm.matmul(x, y, rows, act);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * rows));
+}
+BENCHMARK(BM_NanoF32Projection)
+    ->ArgNames({"out", "in", "rows"})
+    ->ArgsProduct({{192, 128, 896, 400}, {128}, {1, 2}})
+    ->ArgsProduct({{128}, {448}, {1, 2}});
+
 // One-sequence Model::forward of llama3-nano (max_seq 4096, fp32 weights)
 // whose last row attends to `ctx` positions: a width-1 decode step or a
 // 32-row prefill chunk, over fp32 or int8 KV. Attention re-reads the whole

@@ -153,17 +153,17 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
   const std::size_t block_tokens = cache.block_tokens();
   // Native head_dim 16: scores run on a transposed copy of each key block,
   // one KV head at a time, shared by every row and every head of its group;
-  // the weighted values accumulate in registers. These kernels read an INT8
-  // block's codes in place (fold); every other INT8 read dequantizes a block
-  // into a tile.
+  // a block's weighted values accumulate in registers. These kernels read an
+  // INT8 block's codes in place (fold); every other INT8 read dequantizes a
+  // block into a tile.
   const bool hd16 = simd::attention_hd16(head_dim);
   const bool fold = hd16 && cache.storage() == KVStorage::kI8;
   const std::size_t key_tiles_size = hd16 ? simd::transposed_keys_size(block_tokens) : 0;
   const std::size_t kv_tile_size =
       cache.storage() == KVStorage::kI8 && !hd16 ? block_tokens * kv_dim : 0;
-  if (ws.key_tiles.size() < key_tiles_size) ws.key_tiles.resize(key_tiles_size);
-  if (ws.kv_tile.size() < kv_tile_size) ws.kv_tile.resize(kv_tile_size);
-  std::fill_n(ws.attn.begin(), rows * d, 0.0f);
+  // One unit's outputs: its row's group heads, head_dim apart.
+  const std::size_t unit_out = group * head_dim;
+  constexpr std::size_t kLineFloats = kCacheLineBytes / sizeof(float);
   for (std::size_t i = 0; i < seqs.size(); ++i) {
     const std::size_t b = seqs[i];
     const std::size_t r0 = i * run;
@@ -177,17 +177,24 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
                       v.subspan(r0 * kv_dim, run * kv_dim), run);
 
     // Causal: row t attends to positions 0..first+t. Scores of (t, h) live
-    // at ws.scores[(t * n_heads + h) * len].
+    // at ws.scores[(t * n_heads + h) * stride], each row padded to whole
+    // cache lines.
     const std::size_t len = first + run;
-    if (ws.scores.size() < run * c.n_heads * len) ws.scores.resize(run * c.n_heads * len);
+    const std::size_t stride = (len + kLineFloats - 1) / kLineFloats * kLineFloats;
+    if (ws.scores.size() < run * c.n_heads * stride) ws.scores.resize(run * c.n_heads * stride);
     auto scores = [&](std::size_t t, std::size_t h) {
-      return ws.scores.data() + (t * c.n_heads + h) * len;
+      return ws.scores.data() + (t * c.n_heads + h) * stride;
     };
     // The units [u0, u1) of (KV head g, row t), u = g * run + t. The range
-    // reads each block its rows reach once for K and once for V; its writes
-    // to the scores and ws.attn are its own (row, head) slices.
-    auto attend = [&](std::size_t u0, std::size_t u1, float* key_tiles,
-                      std::span<float> kv_tile) {
+    // reads each block its rows reach once for K and once for V. It writes
+    // its own score rows, sums its units' values in its own scratch and
+    // stores each unit's outputs to ws.attn once, so no cache line is
+    // written by two ranges.
+    auto attend = [&](std::size_t u0, std::size_t u1, float* scratch) {
+      float* key_tiles = scratch;
+      const std::span<float> kv_tile(scratch + key_tiles_size, kv_tile_size);
+      float* outs = scratch + key_tiles_size + kv_tile_size;
+      std::fill_n(outs, (u1 - u0) * unit_out, 0.0f);
       const std::size_t g0 = u0 / run;
       const std::size_t g1 = (u1 - 1) / run + 1;
       auto t_begin = [&](std::size_t g) { return std::max(u0, g * run) - g * run; };
@@ -222,7 +229,7 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
             for (std::size_t t = t_lo; t < t_end(g); ++t) {
               simd::scores_hd16(key_tiles, std::min(block_tokens, first + t + 1 - p0),
                                 ws.q.data() + (r0 + t) * d + g * group * head_dim, group,
-                                inv_sqrt_d, scores(t, g * group) + p0, len);
+                                inv_sqrt_d, scores(t, g * group) + p0, stride);
             }
             continue;
           }
@@ -265,45 +272,51 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
         for (std::size_t g = g0; g < g1; ++g) {
           for (std::size_t t = std::max(t_begin(g), t0); t < t_end(g); ++t) {
             const std::size_t n_pos = std::min(block_tokens, first + t + 1 - p0);
-            // The group's heads: weights len apart, outputs head_dim apart.
+            // The group's heads: weights stride apart, outputs head_dim apart.
             const float* w = scores(t, g * group) + p0;
-            float* out = ws.attn.data() + (r0 + t) * d + g * group * head_dim;
+            float* out = outs + (g * run + t - u0) * unit_out;
             if (fold) {
-              simd::accumulate_values_hd16_i8(w, len, group, values8.codes + g * head_dim,
+              simd::accumulate_values_hd16_i8(w, stride, group, values8.codes + g * head_dim,
                                               values8.scales, kv_dim, n_pos, out);
               continue;
             }
             const float* vg = values.data() + g * head_dim;
             if (hd16) {
-              simd::accumulate_values_hd16(w, len, group, vg, kv_dim, n_pos, out);
+              simd::accumulate_values_hd16(w, stride, group, vg, kv_dim, n_pos, out);
               continue;
             }
             for (std::size_t h = 0; h < group; ++h) {
               for (std::size_t p = 0; p < n_pos; ++p) {
                 const float* vp = vg + p * kv_dim;
-                const float sp = w[h * len + p];
+                const float sp = w[h * stride + p];
                 for (std::size_t e = 0; e < head_dim; ++e) out[h * head_dim + e] += sp * vp[e];
               }
             }
           }
         }
       }
+      for (std::size_t u = u0; u < u1; ++u) {
+        std::copy_n(outs + (u - u0) * unit_out, unit_out,
+                    ws.attn.data() + (r0 + u % run) * d + u / run * unit_out);
+      }
     };
     // Split the units over the kernel pool once the sequence's attention
     // work reaches kAttentionSplitWork. The first range (the only one below
-    // it, or inline in a pool shard) works in the workspace's tiles; every
-    // other range owns its own.
+    // it, or inline in a pool shard) works in the workspace's scratch;
+    // every other range owns its own.
     const std::size_t units = c.n_kv_heads * run;
     const std::size_t unit_work = group * len * head_dim * 2;
     kernel_pool().parallel_rows(
         units, (kAttentionSplitWork + unit_work - 1) / unit_work,
         [&](std::size_t u0, std::size_t u1) {
+          const std::size_t scratch_size = key_tiles_size + kv_tile_size + (u1 - u0) * unit_out;
           if (u0 == 0) {
-            attend(u0, u1, ws.key_tiles.data(), ws.kv_tile);
+            if (ws.attn_scratch.size() < scratch_size) ws.attn_scratch.resize(scratch_size);
+            attend(u0, u1, ws.attn_scratch.data());
             return;
           }
-          std::vector<float> key_tiles(key_tiles_size), kv_tile(kv_tile_size);
-          attend(u0, u1, key_tiles.data(), kv_tile);
+          std::vector<float> scratch(scratch_size);
+          attend(u0, u1, scratch.data());
         });
   }
 }

@@ -10,12 +10,35 @@
 // block size, so they grow on demand instead of being sized for max_seq.
 #pragma once
 
+#include <cstddef>
+#include <new>
 #include <vector>
 
 #include "model/config.h"
 #include "quant/quantize.h"
 
 namespace orinsim {
+
+inline constexpr std::size_t kCacheLineBytes = 64;
+
+// Allocator whose buffers start on a cache line, so buffers that split
+// ranges write in line-sized slices share no line between ranges.
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+  CacheLineAllocator() = default;
+  template <class U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{kCacheLineBytes}));
+  }
+  void deallocate(T* p, std::size_t) {
+    ::operator delete(p, std::align_val_t{kCacheLineBytes});
+  }
+  friend bool operator==(const CacheLineAllocator&, const CacheLineAllocator&) { return true; }
+};
+
+using LineAlignedFloats = std::vector<float, CacheLineAllocator<float>>;
 
 struct InferenceWorkspace {
   explicit InferenceWorkspace(const TransformerConfig& c)
@@ -43,21 +66,22 @@ struct InferenceWorkspace {
   }
 
   // Residual stream, projections and MLP activations, [rows, features].
-  std::vector<float> x, normed, q, k, v, attn, attn_proj, gate, up, ff, mlp_out;
-  // Causal scores of one sequence's run, [run, n_heads, prefix length];
-  // attention grows it on demand. Split attention ranges share it, each
-  // writing only its own (row, head) slices.
-  std::vector<float> scores;
-  // INT8 KV dequantization tile of one cache block, [block_tokens, kv_dim];
-  // attention grows it on demand. FP32 blocks are read in place, and the
-  // native head_dim-16 kernels read INT8 codes in place, so only the
-  // scalar level and other head_dims use it.
-  std::vector<float> kv_tile;
-  // One KV head's keys of one block, transposed for simd::scores_hd16;
-  // attention grows it on demand (native head_dim-16 configs only).
-  // kv_tile and key_tiles serve an attention call that runs as one range;
-  // ranges split over the kernel pool allocate their own.
-  std::vector<float> key_tiles;
+  std::vector<float> x, normed, q, k, v, attn_proj, gate, up, ff, mlp_out;
+  // Attention outputs, [rows, d_model]. Split attention ranges store their
+  // (row, KV group) slices here once each.
+  LineAlignedFloats attn;
+  // Causal scores of one sequence's run, [run, n_heads, prefix length
+  // rounded up to a cache line]; attention grows it on demand. Split
+  // attention ranges share it, each writing only its own (row, head) rows.
+  LineAlignedFloats scores;
+  // Scratch of the attention range that runs on this workspace (the only
+  // one of an inline call): one KV head's keys of one block transposed for
+  // simd::scores_hd16 (native head_dim-16 configs), the INT8 KV
+  // dequantization tile of one block (scalar level and other head_dims;
+  // FP32 blocks and the native INT8 kernels read the cache in place), and
+  // the range's value sums. Attention grows it on demand; ranges split
+  // over the kernel pool allocate their own.
+  std::vector<float> attn_scratch;
   // Final hidden state of the last row advanced through this workspace
   // (prefill() leaves the prompt's last position here).
   std::vector<float> hidden;

@@ -159,6 +159,13 @@ void matvec_rows(std::span<const float> a, std::span<const float> x, std::span<f
   ORINSIM_CHECK(a.size() == out_rows * cols && x.size() == rows * cols &&
                     out.size() == rows * out_rows && r0 <= r1 && r1 <= out_rows,
                 "matvec_rows: shape mismatch");
+  // One activation row (a width-1 step, the lm_head): the weight rows run
+  // through dot_f32_rows, whose native tile loads each slice of x once for
+  // four weight rows.
+  if (rows == 1) {
+    simd::dot_f32_rows(a.data() + r0 * cols, cols, r1 - r0, x.data(), cols, out.data() + r0);
+    return;
+  }
   // Rows go through dot_f32_multi in stack tiles (its per-column results do
   // not depend on the tile), so the hot loop never allocates.
   constexpr std::size_t kRowTile = 8;

@@ -114,8 +114,9 @@ float dot(std::span<const float> a, std::span<const float> b);
 // r in [r0, r1), on the calling thread; each weight row is streamed once
 // for every activation row. Composition-independent (simd::dot_f32_multi
 // contract): row t's result is bit-identical to a one-row call on x[t] at
-// both kernel levels, whatever rows share the call. The fp32 projection
-// body of WeightMatrix.
+// both kernel levels, whatever rows share the call. A one-row call runs
+// simd::dot_f32_rows (four weight rows per pass at the native level). The
+// fp32 projection body of WeightMatrix.
 void matvec_rows(std::span<const float> a, std::span<const float> x, std::span<float> out,
                  std::size_t out_rows, std::size_t cols, std::size_t rows, std::size_t r0,
                  std::size_t r1);

@@ -167,6 +167,61 @@ __attribute__((target("avx2,fma"))) void dot_f32_multi4_avx2(const float* w, con
   }
 }
 
+// Four weight rows per pass against one activation column: each 16-float
+// slice of x is loaded once for the four rows. Every row keeps
+// dot_f32_avx2's accumulator pair and 8-wide tail, and the four fold in one
+// transposed horizontal sum that performs each row's adds of dot_f32_avx2
+// (acc0 + acc1, lo + hi, movehl, the final lane add) on the same operands,
+// so out[r] is bit-identical to dot_f32_avx2(w + r * w_stride, x, n).
+__attribute__((target("avx2,fma"))) void dot_f32_rows4_avx2(const float* w,
+                                                            std::size_t w_stride,
+                                                            const float* x, std::size_t n,
+                                                            float* out) {
+  __m256 acc0[4];
+  __m256 acc1[4];
+  for (int r = 0; r < 4; ++r) {
+    acc0[r] = _mm256_setzero_ps();
+    acc1[r] = _mm256_setzero_ps();
+  }
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256 x0 = _mm256_loadu_ps(x + i);
+    const __m256 x1 = _mm256_loadu_ps(x + i + 8);
+    for (int r = 0; r < 4; ++r) {
+      const float* wr = w + static_cast<std::size_t>(r) * w_stride;
+      acc0[r] = _mm256_fmadd_ps(_mm256_loadu_ps(wr + i), x0, acc0[r]);
+      acc1[r] = _mm256_fmadd_ps(_mm256_loadu_ps(wr + i + 8), x1, acc1[r]);
+    }
+  }
+  for (; i + 8 <= n; i += 8) {
+    const __m256 x0 = _mm256_loadu_ps(x + i);
+    for (int r = 0; r < 4; ++r) {
+      const float* wr = w + static_cast<std::size_t>(r) * w_stride;
+      acc0[r] = _mm256_fmadd_ps(_mm256_loadu_ps(wr + i), x0, acc0[r]);
+    }
+  }
+  __m256 a[4];
+  for (int r = 0; r < 4; ++r) a[r] = _mm256_add_ps(acc0[r], acc1[r]);
+  // s02 = [lo + hi of row 0 | of row 2], s13 likewise for rows 1 and 3.
+  const __m256 s02 = _mm256_add_ps(_mm256_permute2f128_ps(a[0], a[2], 0x20),
+                                   _mm256_permute2f128_ps(a[0], a[2], 0x31));
+  const __m256 s13 = _mm256_add_ps(_mm256_permute2f128_ps(a[1], a[3], 0x20),
+                                   _mm256_permute2f128_ps(a[1], a[3], 0x31));
+  // movehl: m = [s0[0]+s0[2], s1[0]+s1[2], s0[1]+s0[3], s1[1]+s1[3] | rows 2, 3].
+  const __m256 m = _mm256_add_ps(_mm256_unpacklo_ps(s02, s13), _mm256_unpackhi_ps(s02, s13));
+  // The final lane add: f[r] = m_r[0] + m_r[1].
+  const __m128 m01 = _mm256_castps256_ps128(m);
+  const __m128 m23 = _mm256_extractf128_ps(m, 1);
+  alignas(16) float f[4];
+  _mm_store_ps(f, _mm_add_ps(_mm_movelh_ps(m01, m23), _mm_movehl_ps(m23, m01)));
+  for (int r = 0; r < 4; ++r) {
+    const float* wr = w + static_cast<std::size_t>(r) * w_stride;
+    float acc = f[r];
+    for (std::size_t j = i; j < n; ++j) acc += wr[j] * x[j];
+    out[r] = acc;
+  }
+}
+
 // u8×s8 trick: maddubs requires one unsigned operand, so move the sign of a
 // onto b (abs(a) * sign(b, a) == a * b element-wise). Pair sums fit i16:
 // 2 * 127 * 127 = 32258 < 32767. i32 lanes are flushed to i64 every
@@ -749,6 +804,17 @@ void dot_f32_multi(const float* w, const float* x, std::size_t x_stride, std::si
   }
 #endif
   for (std::size_t t = 0; t < n_cols; ++t) out[t] = dot_f32_scalar(w, x + t * x_stride, n);
+}
+
+void dot_f32_rows(const float* w, std::size_t w_stride, std::size_t n_rows, const float* x,
+                  std::size_t n, float* out) {
+  std::size_t r = 0;
+#if ORINSIM_SIMD_X86
+  if (active_level() == Level::kNative) {
+    for (; r + 4 <= n_rows; r += 4) dot_f32_rows4_avx2(w + r * w_stride, w_stride, x, n, out + r);
+  }
+#endif
+  for (; r < n_rows; ++r) out[r] = dot_f32(w + r * w_stride, x, n);
 }
 
 void dot_i8_multi(const std::int8_t* w, const std::int8_t* x, std::size_t x_stride,

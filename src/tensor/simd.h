@@ -18,7 +18,10 @@
 // dot products, and the in-tree vector exp (at most 2 ulp of libm's, see
 // "Vector exp" below) behind softmax, SiLU/SwiGLU and GELU. The scalar level
 // keeps libm's std::exp and std::tanh. Within one level every kernel is a
-// fixed float sequence per output.
+// fixed float sequence per output. "Bit-identical" below holds for every
+// non-NaN result; a NaN stays a NaN, but its payload is outside the
+// contract (the compiler may commute an add, and the payload of NaN + NaN
+// depends on the operand order).
 //
 // Multi-column kernels: one weight row is streamed against N activation
 // columns (the rows of a prefill chunk, decode lanes or a single row). Their
@@ -78,6 +81,14 @@ std::int64_t dot_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n);
 // lane's result — at kScalar AND kNative.
 void dot_f32_multi(const float* w, const float* x, std::size_t x_stride,
                    std::size_t n_cols, std::size_t n, float* out);
+
+// Multi-row fp32 dot: out[r] = dot_f32(w + r * w_stride, x, n) for
+// r < n_rows, the exact float sequence of dot_f32 per row at the active
+// level. The AVX2 path runs four rows per pass, loading each slice of x
+// once for all four; the rows fold in one transposed horizontal sum that
+// performs dot_f32_avx2's adds per row on the same operands.
+void dot_f32_rows(const float* w, std::size_t w_stride, std::size_t n_rows, const float* x,
+                  std::size_t n, float* out);
 
 // Multi-column int8 dot: out[t] = dot_i8(w, x + t*x_stride). Exact integer
 // math — bit-identical to per-column dot_i8 at both levels by construction.

@@ -3,13 +3,16 @@
 // range inline inside a pool shard. Both must give the same hidden rows bit
 // for bit, at both kernel levels, for fp32 and int8 KV, GQA groups of 4
 // (llama3-nano) and 1 (phi2-nano), and KV blocks of 16, 4 and 3 tokens, so
-// range boundaries fall mid-head, mid-block and on partial tail tiles.
+// range boundaries fall mid-head, mid-block and on partial tail tiles. Runs
+// of 7 and 13 rows cover prefill chunks; runs of 1 over a 131-token prefix
+// cover the width-1 decode split (one or a few KV heads per range).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -67,7 +70,6 @@ std::vector<float> forward_rows(Model& model, const KVCacheOptions& opts, std::s
 
 TEST(AttentionSplitTest, SplitIsBitIdenticalToInlineRun) {
   if (kernel_pool().size() == 0) GTEST_SKIP() << "the kernel pool has no workers";
-  const std::size_t cached = 77;  // not a multiple of any block size
   for (simd::Level level : levels_to_test()) {
     ScopedLevel scoped(level);
     for (const char* family : {"llama3", "phi2"}) {
@@ -79,8 +81,12 @@ TEST(AttentionSplitTest, SplitIsBitIdenticalToInlineRun) {
           KVCacheOptions opts;
           opts.storage = storage;
           opts.block_tokens = block;
-          // Prime runs: no shard count divides them.
-          for (std::size_t run : {7u, 13u}) {
+          // Prime runs (no shard count divides them) over 77 cached
+          // positions, and width-1 decode over 130; neither prefix is a
+          // multiple of any block size.
+          for (const auto& [run, cached] : {std::pair<std::size_t, std::size_t>{7, 77},
+                                            {13, 77},
+                                            {1, 130}}) {
             const std::size_t work =
                 cfg.n_kv_heads * run * group * (cached + run) * cfg.head_dim() * 2;
             ASSERT_GE(work, Model::kAttentionSplitWork) << "the split must run";

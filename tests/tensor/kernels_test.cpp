@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -165,6 +168,67 @@ TEST(KernelsTest, NativeSoftmaxAndActivationsIndependentOfPosition) {
       EXPECT_TRUE(same_bits({&one_ff, 1}, {&ff[i], 1})) << "swiglu len=" << len << " i=" << i;
       EXPECT_TRUE(same_bits({&one_silu, 1}, {&silu[i], 1})) << "silu len=" << len << " i=" << i;
       EXPECT_TRUE(same_bits({&one_gelu, 1}, {&gelu[i], 1})) << "gelu len=" << len << " i=" << i;
+    }
+  }
+  simd::set_level(prev);
+}
+
+// A one-row matvec_rows call runs simd::dot_f32_rows' four-row tile at the
+// native level: every row must be simd::dot_f32 of that row, bit for bit,
+// whichever tile slot it lands in and whatever the row count's remainder.
+// Rows carry signed zeros, infinities and NaNs. A NaN result only has to be
+// a NaN: which payload wins a NaN + NaN add depends on the operand order,
+// and the compiler may commute an add.
+TEST(KernelsTest, NativeMatvecRowTileMatchesDotPerRowBitwise) {
+  if (!simd::native_available()) GTEST_SKIP() << "no AVX2/FMA on this host";
+  const simd::Level prev = simd::active_level();
+  simd::set_level(simd::Level::kNative);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  constexpr std::size_t kRows = 16;
+  Rng rng(23);
+  for (const std::size_t n : {7u, 8u, 16u, 24u, 100u, 128u, 448u, 449u}) {
+    auto a = random_vec(kRows * n, rng);
+    auto x = random_vec(n, rng);
+    x[n / 2] = 0.0f;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      float* ar = a.data() + r * n;
+      switch (r % 6) {
+        case 0:  // all products are signed zeros
+          std::fill(ar, ar + n, r % 4 == 0 ? -0.0f : 0.0f);
+          break;
+        case 1:  // inf - inf: the default NaN
+          ar[0] = inf;
+          ar[n - 1] = -inf;
+          break;
+        case 2:
+          ar[std::min<std::size_t>(4, n - 1)] = nan;
+          break;
+        case 3:  // inf * 0
+          ar[n / 2] = inf;
+          break;
+        case 4:  // a lone inf
+          ar[n - 1] = -inf;
+          break;
+        default:
+          break;
+      }
+    }
+    for (const std::size_t r0 : {1u, 3u, 7u}) {
+      for (std::size_t len = 1; len <= 9; ++len) {
+        std::vector<float> out(kRows, 42.0f);
+        matvec_rows(a, x, out, kRows, n, 1, r0, r0 + len);
+        for (std::size_t r = 0; r < kRows; ++r) {
+          const bool in_range = r >= r0 && r < r0 + len;
+          const float want = in_range ? simd::dot_f32(a.data() + r * n, x.data(), n) : 42.0f;
+          if (std::isnan(want)) {
+            EXPECT_TRUE(std::isnan(out[r])) << "n=" << n << " r0=" << r0 << " r=" << r;
+            continue;
+          }
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(out[r]), std::bit_cast<std::uint32_t>(want))
+              << "n=" << n << " r0=" << r0 << " len=" << len << " r=" << r;
+        }
+      }
     }
   }
   simd::set_level(prev);
