@@ -215,8 +215,9 @@ BENCHMARK(BM_QuantizeActivations)
     ->ArgsProduct({{128, 448}, {1, 32}});
 
 // INT4 projections at llama3-nano's MLP shapes (out x in: 448x128 gate/up,
-// 128x448 down) over 1, 2, 8 and 32 activation rows — decode lanes through
-// a prefill chunk; includes the activation quantization the call runs.
+// 128x448 down) over 1, 2, 3, 4, 8 and 32 activation rows — decode lanes
+// through a prefill chunk (3 is a partial register tile, 4 offline_quant's
+// mean decode batch); includes the activation quantization the call runs.
 void BM_NanoInt4Projection(benchmark::State& state) {
   const auto out_f = static_cast<std::size_t>(state.range(0));
   const auto in_f = static_cast<std::size_t>(state.range(1));
@@ -235,8 +236,40 @@ void BM_NanoInt4Projection(benchmark::State& state) {
 }
 BENCHMARK(BM_NanoInt4Projection)
     ->ArgNames({"out", "in", "rows"})
-    ->ArgsProduct({{448}, {128}, {1, 2, 8, 32}})
-    ->ArgsProduct({{128}, {448}, {1, 2, 8, 32}});
+    ->ArgsProduct({{448}, {128}, {1, 2, 3, 4, 8, 32}})
+    ->ArgsProduct({{128}, {448}, {1, 2, 3, 4, 8, 32}});
+
+// One Model::decode step of llama3-nano at int4 weights and int8 KV over
+// `lanes` sequences of 160 cached tokens each, truncated back after every
+// step so the context stays fixed: offline_quant's decode step. It runs as
+// one forward whose projections and attention split over kernel_pool(),
+// so OMP_NUM_THREADS matters.
+void BM_DecodeStep(benchmark::State& state) {
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kCached = 160;
+  const TransformerConfig cfg = make_nano_config("llama3", 400);
+  Model model(MasterWeights::init_random(cfg, 13), DType::kI4, KVStorage::kI8);
+  KVCache cache(cfg, lanes, kCached + 1, model.kv_options());
+  std::vector<std::size_t> seqs(lanes);
+  std::vector<TokenId> tokens(lanes);
+  for (std::size_t b = 0; b < lanes; ++b) {
+    const auto kv = random_vec(kCached * cfg.kv_dim(), 30 + b);
+    for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append_many(l, b, kv, kv, kCached);
+    cache.commit(b, kCached);
+    seqs[b] = b;
+    tokens[b] = static_cast<TokenId>(b * 7 % cfg.vocab);
+  }
+  std::vector<float> logits(lanes * cfg.vocab);
+  InferenceWorkspace ws(cfg);
+  for (auto _ : state) {
+    model.decode(tokens, seqs, cache, logits, ws);
+    benchmark::DoNotOptimize(logits.data());
+    benchmark::ClobberMemory();
+    for (std::size_t b = 0; b < lanes; ++b) cache.truncate(b, kCached);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * lanes));
+}
+BENCHMARK(BM_DecodeStep)->ArgNames({"lanes"})->Arg(1)->Arg(4)->Arg(8);
 
 // FP32 projections at llama3-nano's width-1 decode shapes (out x in): the
 // Q/K/V group 192x128, wo 128x128, the gate/up group 896x128, down 128x448

@@ -8,8 +8,8 @@
 // LIFO and deterministic, so identical call sequences yield identical block
 // tables on every run.
 //
-// Thread-safe: Model::generate shards lanes across a thread pool and every
-// lane appends into its own sequence concurrently, so all mutating and
+// Thread-safe: Model::generate shards prefill lanes across a thread pool and
+// every lane appends into its own sequence concurrently, so all mutating and
 // counting calls take a mutex. The lock is uncontended on the serial paths.
 #pragma once
 

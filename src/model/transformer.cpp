@@ -164,6 +164,18 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
   // One unit's outputs: its row's group heads, head_dim apart.
   const std::size_t unit_out = group * head_dim;
   constexpr std::size_t kLineFloats = kCacheLineBytes / sizeof(float);
+  // Causal: row t of a sequence attends to its positions 0..first+t, and
+  // its score rows are padded to whole cache lines.
+  auto score_stride = [&](std::size_t first) {
+    return (first + run + kLineFloats - 1) / kLineFloats * kLineFloats;
+  };
+
+  // Serial per sequence: RoPE, then stage the run's K/V rows (forward
+  // commits once after all layers). Sequence i's scores start at
+  // ws.score_offset[i], a whole number of cache lines into ws.scores.
+  ws.score_offset.resize(seqs.size());
+  std::size_t score_floats = 0;
+  std::size_t work = 0;
   for (std::size_t i = 0; i < seqs.size(); ++i) {
     const std::size_t b = seqs[i];
     const std::size_t r0 = i * run;
@@ -172,153 +184,154 @@ void Model::attention(std::size_t layer, std::span<const std::size_t> seqs, std:
       rope_.apply(q.subspan((r0 + t) * d, d), c.n_heads, head_dim, first + t);
       rope_.apply(k.subspan((r0 + t) * kv_dim, kv_dim), c.n_kv_heads, head_dim, first + t);
     }
-    // Stage the run's K/V rows; forward commits once after all layers.
     cache.append_many(layer, b, k.subspan(r0 * kv_dim, run * kv_dim),
                       v.subspan(r0 * kv_dim, run * kv_dim), run);
+    ws.score_offset[i] = score_floats;
+    score_floats += run * c.n_heads * score_stride(first);
+    work += c.n_kv_heads * run * group * (first + run) * head_dim * 2;
+  }
+  if (ws.scores.size() < score_floats) ws.scores.resize(score_floats);
 
-    // Causal: row t attends to positions 0..first+t. Scores of (t, h) live
-    // at ws.scores[(t * n_heads + h) * stride], each row padded to whole
-    // cache lines.
-    const std::size_t len = first + run;
-    const std::size_t stride = (len + kLineFloats - 1) / kLineFloats * kLineFloats;
-    if (ws.scores.size() < run * c.n_heads * stride) ws.scores.resize(run * c.n_heads * stride);
+  // Units [u0, u1) of sequence i's (KV head g, row t), u = g * run + t,
+  // with `outs` holding their value sums. The range reads each block its
+  // rows reach once for K and once for V. It writes its own score rows,
+  // sums its units' values in its own scratch and stores each unit's
+  // outputs to ws.attn once, so no cache line is written by two ranges.
+  auto attend_seq = [&](std::size_t i, std::size_t u0, std::size_t u1, float* key_tiles,
+                        std::span<float> kv_tile, float* outs) {
+    const std::size_t b = seqs[i];
+    const std::size_t r0 = i * run;
+    const std::size_t first = cache.seq_len(b);
+    const std::size_t stride = score_stride(first);
+    // Scores of (t, h) live at (t * n_heads + h) * stride past the offset.
     auto scores = [&](std::size_t t, std::size_t h) {
-      return ws.scores.data() + (t * c.n_heads + h) * stride;
+      return ws.scores.data() + ws.score_offset[i] + (t * c.n_heads + h) * stride;
     };
-    // The units [u0, u1) of (KV head g, row t), u = g * run + t. The range
-    // reads each block its rows reach once for K and once for V. It writes
-    // its own score rows, sums its units' values in its own scratch and
-    // stores each unit's outputs to ws.attn once, so no cache line is
-    // written by two ranges.
-    auto attend = [&](std::size_t u0, std::size_t u1, float* scratch) {
-      float* key_tiles = scratch;
-      const std::span<float> kv_tile(scratch + key_tiles_size, kv_tile_size);
-      float* outs = scratch + key_tiles_size + kv_tile_size;
-      std::fill_n(outs, (u1 - u0) * unit_out, 0.0f);
-      const std::size_t g0 = u0 / run;
-      const std::size_t g1 = (u1 - 1) / run + 1;
-      auto t_begin = [&](std::size_t g) { return std::max(u0, g * run) - g * run; };
-      auto t_end = [&](std::size_t g) { return std::min(u1, (g + 1) * run) - g * run; };
-      // The range's furthest row is its first head's last (row run - 1
-      // unless the range ends inside that head).
-      const std::size_t reach = first + t_end(g0);
-      const std::size_t n_blocks = (reach + block_tokens - 1) / block_tokens;
-      for (std::size_t j = 0; j < n_blocks; ++j) {
-        const std::size_t p0 = j * block_tokens;
-        const std::size_t block_rows = std::min(block_tokens, reach - p0);
-        std::span<const float> keys;
-        KVCache::Int8Rows keys8{};
-        if (fold) {
-          keys8 = cache.key_block_i8(layer, b, j, block_rows);
-        } else {
-          keys = cache.key_block(layer, b, j, block_rows, kv_tile);
-        }
-        // Rows before position p0 see nothing of this block.
-        const std::size_t t0 = p0 > first ? p0 - first : 0;
-        for (std::size_t g = g0; g < g1; ++g) {
-          const std::size_t t_lo = std::max(t_begin(g), t0);
-          if (t_lo >= t_end(g)) continue;
-          if (hd16) {
-            if (fold) {
-              simd::transpose_keys_hd16_i8(keys8.codes + g * head_dim, keys8.scales, kv_dim,
-                                           block_rows, key_tiles);
-            } else {
-              simd::transpose_keys_hd16(keys.data() + g * head_dim, kv_dim, block_rows,
-                                        key_tiles);
-            }
-            for (std::size_t t = t_lo; t < t_end(g); ++t) {
-              simd::scores_hd16(key_tiles, std::min(block_tokens, first + t + 1 - p0),
-                                ws.q.data() + (r0 + t) * d + g * group * head_dim, group,
-                                inv_sqrt_d, scores(t, g * group) + p0, stride);
-            }
-            continue;
+    std::fill_n(outs, (u1 - u0) * unit_out, 0.0f);
+    const std::size_t g0 = u0 / run;
+    const std::size_t g1 = (u1 - 1) / run + 1;
+    auto t_begin = [&](std::size_t g) { return std::max(u0, g * run) - g * run; };
+    auto t_end = [&](std::size_t g) { return std::min(u1, (g + 1) * run) - g * run; };
+    // The range's furthest row is its first head's last (row run - 1
+    // unless the range ends inside that head).
+    const std::size_t reach = first + t_end(g0);
+    const std::size_t n_blocks = (reach + block_tokens - 1) / block_tokens;
+    for (std::size_t j = 0; j < n_blocks; ++j) {
+      const std::size_t p0 = j * block_tokens;
+      const std::size_t block_rows = std::min(block_tokens, reach - p0);
+      std::span<const float> keys;
+      KVCache::Int8Rows keys8{};
+      if (fold) {
+        keys8 = cache.key_block_i8(layer, b, j, block_rows);
+      } else {
+        keys = cache.key_block(layer, b, j, block_rows, kv_tile);
+      }
+      // Rows before position p0 see nothing of this block.
+      const std::size_t t0 = p0 > first ? p0 - first : 0;
+      for (std::size_t g = g0; g < g1; ++g) {
+        const std::size_t t_lo = std::max(t_begin(g), t0);
+        if (t_lo >= t_end(g)) continue;
+        if (hd16) {
+          if (fold) {
+            simd::transpose_keys_hd16_i8(keys8.codes + g * head_dim, keys8.scales, kv_dim,
+                                         block_rows, key_tiles);
+          } else {
+            simd::transpose_keys_hd16(keys.data() + g * head_dim, kv_dim, block_rows,
+                                      key_tiles);
           }
           for (std::size_t t = t_lo; t < t_end(g); ++t) {
-            const std::size_t n_pos = std::min(block_tokens, first + t + 1 - p0);
-            for (std::size_t h = g * group; h < (g + 1) * group; ++h) {
-              const std::span<const float> qh(ws.q.data() + (r0 + t) * d + h * head_dim,
-                                              head_dim);
-              float* s = scores(t, h) + p0;
-              for (std::size_t p = 0; p < n_pos; ++p) {
-                s[p] = kernels::dot(qh, keys.subspan(p * kv_dim + g * head_dim, head_dim)) *
-                       inv_sqrt_d;
-              }
-            }
+            simd::scores_hd16(key_tiles, std::min(block_tokens, first + t + 1 - p0),
+                              ws.q.data() + (r0 + t) * d + g * group * head_dim, group,
+                              inv_sqrt_d, scores(t, g * group) + p0, stride);
           }
+          continue;
         }
-      }
-      // The softmax runs per (row, head) over exactly its own prefix, so
-      // every (row, head) is the same op sequence whatever the step's shape.
-      for (std::size_t g = g0; g < g1; ++g) {
-        for (std::size_t t = t_begin(g); t < t_end(g); ++t) {
+        for (std::size_t t = t_lo; t < t_end(g); ++t) {
+          const std::size_t n_pos = std::min(block_tokens, first + t + 1 - p0);
           for (std::size_t h = g * group; h < (g + 1) * group; ++h) {
-            kernels::softmax_rows(std::span<float>(scores(t, h), first + t + 1), 1,
-                                  first + t + 1);
-          }
-        }
-      }
-      // Blocks in ascending order keep each output's accumulation order.
-      for (std::size_t j = 0; j < n_blocks; ++j) {
-        const std::size_t p0 = j * block_tokens;
-        const std::size_t block_rows = std::min(block_tokens, reach - p0);
-        std::span<const float> values;
-        KVCache::Int8Rows values8{};
-        if (fold) {
-          values8 = cache.value_block_i8(layer, b, j, block_rows);
-        } else {
-          values = cache.value_block(layer, b, j, block_rows, kv_tile);
-        }
-        const std::size_t t0 = p0 > first ? p0 - first : 0;
-        for (std::size_t g = g0; g < g1; ++g) {
-          for (std::size_t t = std::max(t_begin(g), t0); t < t_end(g); ++t) {
-            const std::size_t n_pos = std::min(block_tokens, first + t + 1 - p0);
-            // The group's heads: weights stride apart, outputs head_dim apart.
-            const float* w = scores(t, g * group) + p0;
-            float* out = outs + (g * run + t - u0) * unit_out;
-            if (fold) {
-              simd::accumulate_values_hd16_i8(w, stride, group, values8.codes + g * head_dim,
-                                              values8.scales, kv_dim, n_pos, out);
-              continue;
-            }
-            const float* vg = values.data() + g * head_dim;
-            if (hd16) {
-              simd::accumulate_values_hd16(w, stride, group, vg, kv_dim, n_pos, out);
-              continue;
-            }
-            for (std::size_t h = 0; h < group; ++h) {
-              for (std::size_t p = 0; p < n_pos; ++p) {
-                const float* vp = vg + p * kv_dim;
-                const float sp = w[h * stride + p];
-                for (std::size_t e = 0; e < head_dim; ++e) out[h * head_dim + e] += sp * vp[e];
-              }
+            const std::span<const float> qh(ws.q.data() + (r0 + t) * d + h * head_dim,
+                                            head_dim);
+            float* s = scores(t, h) + p0;
+            for (std::size_t p = 0; p < n_pos; ++p) {
+              s[p] = kernels::dot(qh, keys.subspan(p * kv_dim + g * head_dim, head_dim)) *
+                     inv_sqrt_d;
             }
           }
         }
       }
-      for (std::size_t u = u0; u < u1; ++u) {
-        std::copy_n(outs + (u - u0) * unit_out, unit_out,
-                    ws.attn.data() + (r0 + u % run) * d + u / run * unit_out);
+    }
+    // The softmax runs per (row, head) over exactly its own prefix, so
+    // every (row, head) is the same op sequence whatever the step's shape.
+    for (std::size_t g = g0; g < g1; ++g) {
+      for (std::size_t t = t_begin(g); t < t_end(g); ++t) {
+        for (std::size_t h = g * group; h < (g + 1) * group; ++h) {
+          kernels::softmax_rows(std::span<float>(scores(t, h), first + t + 1), 1,
+                                first + t + 1);
+        }
       }
-    };
-    // Split the units over the kernel pool once the sequence's attention
-    // work reaches kAttentionSplitWork. The first range (the only one below
-    // it, or inline in a pool shard) works in the workspace's scratch;
-    // every other range owns its own.
-    const std::size_t units = c.n_kv_heads * run;
-    const std::size_t unit_work = group * len * head_dim * 2;
-    kernel_pool().parallel_rows(
-        units, (kAttentionSplitWork + unit_work - 1) / unit_work,
-        [&](std::size_t u0, std::size_t u1) {
-          const std::size_t scratch_size = key_tiles_size + kv_tile_size + (u1 - u0) * unit_out;
-          if (u0 == 0) {
-            if (ws.attn_scratch.size() < scratch_size) ws.attn_scratch.resize(scratch_size);
-            attend(u0, u1, ws.attn_scratch.data());
-            return;
+    }
+    // Blocks in ascending order keep each output's accumulation order.
+    for (std::size_t j = 0; j < n_blocks; ++j) {
+      const std::size_t p0 = j * block_tokens;
+      const std::size_t block_rows = std::min(block_tokens, reach - p0);
+      std::span<const float> values;
+      KVCache::Int8Rows values8{};
+      if (fold) {
+        values8 = cache.value_block_i8(layer, b, j, block_rows);
+      } else {
+        values = cache.value_block(layer, b, j, block_rows, kv_tile);
+      }
+      const std::size_t t0 = p0 > first ? p0 - first : 0;
+      for (std::size_t g = g0; g < g1; ++g) {
+        for (std::size_t t = std::max(t_begin(g), t0); t < t_end(g); ++t) {
+          const std::size_t n_pos = std::min(block_tokens, first + t + 1 - p0);
+          // The group's heads: weights stride apart, outputs head_dim apart.
+          const float* w = scores(t, g * group) + p0;
+          float* out = outs + (g * run + t - u0) * unit_out;
+          if (fold) {
+            simd::accumulate_values_hd16_i8(w, stride, group, values8.codes + g * head_dim,
+                                            values8.scales, kv_dim, n_pos, out);
+            continue;
           }
-          std::vector<float> scratch(scratch_size);
-          attend(u0, u1, scratch.data());
-        });
-  }
+          const float* vg = values.data() + g * head_dim;
+          if (hd16) {
+            simd::accumulate_values_hd16(w, stride, group, vg, kv_dim, n_pos, out);
+            continue;
+          }
+          for (std::size_t h = 0; h < group; ++h) {
+            for (std::size_t p = 0; p < n_pos; ++p) {
+              const float* vp = vg + p * kv_dim;
+              const float sp = w[h * stride + p];
+              for (std::size_t e = 0; e < head_dim; ++e) out[h * head_dim + e] += sp * vp[e];
+            }
+          }
+        }
+      }
+    }
+    for (std::size_t u = u0; u < u1; ++u) {
+      std::copy_n(outs + (u - u0) * unit_out, unit_out,
+                  ws.attn.data() + (r0 + u % run) * d + u / run * unit_out);
+    }
+  };
+  // Every sequence's units in one list, u = i * seq_units + g * run + t,
+  // split into contiguous ranges over the kernel pool once the step's
+  // summed attention work reaches kAttentionSplitWork. A range walks each
+  // sequence it touches in turn, in scratch of its own thread.
+  const std::size_t seq_units = c.n_kv_heads * run;
+  const std::size_t units = seqs.size() * seq_units;
+  kernel_pool().parallel_rows(
+      units, work >= kAttentionSplitWork ? 1 : units + 1, [&](std::size_t u0, std::size_t u1) {
+        thread_local std::vector<float> scratch;
+        const std::size_t outs_size = std::min(u1 - u0, seq_units) * unit_out;
+        scratch.resize(std::max(scratch.size(), key_tiles_size + kv_tile_size + outs_size));
+        const std::span<float> kv_tile(scratch.data() + key_tiles_size, kv_tile_size);
+        float* outs = scratch.data() + key_tiles_size + kv_tile_size;
+        for (std::size_t i = u0 / seq_units; i * seq_units < u1; ++i) {
+          attend_seq(i, std::max(u0, i * seq_units) - i * seq_units,
+                     std::min(u1, (i + 1) * seq_units) - i * seq_units, scratch.data(), kv_tile,
+                     outs);
+        }
+      });
 }
 
 void Model::forward(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
@@ -427,29 +440,15 @@ void Model::prefill(std::span<const TokenId> prompt, std::size_t b, KVCache& cac
 }
 
 void Model::decode(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
-                   KVCache& cache, std::span<float> logits_rows,
-                   std::span<InferenceWorkspace> workspaces, ThreadPool* pool) {
+                   KVCache& cache, std::span<float> logits_rows, InferenceWorkspace& ws) {
   const TransformerConfig& c = master_->config;
   const std::size_t rows = tokens.size();
   ORINSIM_CHECK(rows > 0 && seqs.size() == rows && logits_rows.size() == rows * c.vocab,
                 "decode: need one sequence and one logits row per token");
-  const std::size_t groups = pool != nullptr ? std::min(pool->shard_count(), rows) : 1;
-  ORINSIM_CHECK(workspaces.size() >= groups, "decode: need one workspace per shard");
-  auto run_group = [&](InferenceWorkspace& ws, std::size_t begin, std::size_t len) {
-    ws.ensure_rows(c, len);
-    const std::span<float> hidden(ws.hidden_rows.data(), len * c.d_model);
-    forward(tokens.subspan(begin, len), seqs.subspan(begin, len), cache, hidden, ws);
-    logits_from_hidden_rows(hidden, logits_rows.subspan(begin * c.vocab, len * c.vocab), len);
-  };
-  if (groups == 1) {
-    run_group(workspaces[0], 0, rows);
-    return;
-  }
-  const std::size_t base = rows / groups;
-  const std::size_t rem = rows % groups;
-  pool->parallel_for(0, groups, [&](std::size_t shard, std::size_t g) {
-    run_group(workspaces[shard], g * base + std::min(g, rem), base + (g < rem ? 1 : 0));
-  });
+  ws.ensure_rows(c, rows);
+  const std::span<float> hidden(ws.hidden_rows.data(), rows * c.d_model);
+  forward(tokens, seqs, cache, hidden, ws);
+  logits_from_hidden_rows(hidden, logits_rows, rows);
 }
 
 Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& prompts,
@@ -478,8 +477,9 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
     return std::span<float>(logits.data() + i * c.vocab, c.vocab);
   };
 
-  // One workspace per shard; shard identity comes from parallel_for, with at
-  // most one lane group running per shard at a time. Serial runs use shard 0.
+  // One workspace per prefill shard; shard identity comes from parallel_for,
+  // with at most one lane running per shard at a time. Serial prefill and
+  // every decode step use workspace 0.
   const std::size_t shard_count =
       options.pool != nullptr ? std::min(options.pool->shard_count(), lanes) : 1;
   std::vector<InferenceWorkspace> ws;
@@ -538,7 +538,7 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
     result.output_tokens += active;
     if (step + 1 < max_new_tokens) {  // no need to forward the final token
       decode(batch_tokens, active_ids, cache, std::span<float>(logits.data(), active * c.vocab),
-             ws, options.pool);
+             ws[0]);
       // Sampling replays serially in lane order: the same sequence of
       // sampler->sample() calls as a fully serial run.
       for (std::size_t i = 0; i < active; ++i) last[active_ids[i]] = pick(logits_row(i));

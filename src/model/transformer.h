@@ -10,8 +10,8 @@
 //
 // Every prefill chunk, decode step and verify pass goes through one entry
 // point, Model::forward, over rows of (sequence, token), and every decode or
-// draft step through Model::decode's lane groups; see DESIGN.md "One forward
-// step".
+// draft step through Model::decode, one forward over all its lanes; see
+// DESIGN.md "One forward step".
 //
 // Threading model: a Model's weights are immutable after construction and
 // shared-read; all mutable forward-pass state lives in an InferenceWorkspace.
@@ -119,18 +119,18 @@ class Model {
                                std::span<float> logits_rows, std::size_t lanes) const;
 
   // One decode step: row i feeds tokens[i] to distinct sequence seqs[i] and
-  // gets its logits in logits_rows[i] ([rows, vocab]). The rows split into
-  // min(shards, rows) contiguous lane groups (one group without a pool), one
-  // forward + logits_from_hidden_rows per group on workspaces[shard]; lane
-  // rows make every grouping bitwise equal to width-1 steps.
+  // gets its logits in logits_rows[i] ([rows, vocab]): one forward of every
+  // row plus one logits_from_hidden_rows, on ws. The projections and
+  // attention split over kernel_pool(); lane rows make the step bitwise
+  // equal to width-1 steps.
   void decode(std::span<const TokenId> tokens, std::span<const std::size_t> seqs,
-              KVCache& cache, std::span<float> logits_rows,
-              std::span<InferenceWorkspace> workspaces, ThreadPool* pool);
+              KVCache& cache, std::span<float> logits_rows, InferenceWorkspace& ws);
 
-  // Multiply-adds of one sequence's attention at which Model::forward splits
-  // it over kernel_pool(): its units are (KV head, row) pairs of group ×
-  // context × head_dim × 2 each. A width-1 llama3-nano step (2 KV heads of
-  // 128 × context each) splits from 128 tokens of context and stays inline
+  // Multiply-adds of a step's attention at which Model::forward splits it
+  // over kernel_pool(): its units are (sequence, KV head, row) triples of
+  // group × context × head_dim × 2 each, summed over every sequence of the
+  // step. A width-1 llama3-nano step of one sequence (2 KV heads of 128 ×
+  // context each) splits from 128 tokens of context and stays inline
   // below, where a fork/join would cost more than it saves; see DESIGN.md
   // "Threading model" for the measurement that chose it.
   static constexpr std::size_t kAttentionSplitWork = std::size_t{1} << 15;
@@ -162,11 +162,11 @@ class Model {
   struct GenerateOptions {
     Sampler* sampler = nullptr;               // nullptr: greedy argmax
     trace::ExecutionTimeline* timeline = nullptr;
-    // Non-null: prefill runs lanes in parallel on the pool, and each decode
-    // step runs the active lanes through decode's contiguous groups, with
-    // one workspace per shard. Sampling stays serialized in lane
-    // order after each parallel section, so outputs are bit-identical to a
-    // serial run (pool == nullptr) for any worker count.
+    // Non-null: prefill runs lanes in parallel on the pool, one workspace
+    // per shard. Decode steps do not use it: each runs the active lanes as
+    // one Model::decode, split over kernel_pool(). Sampling stays serialized
+    // in lane order after each parallel section, so outputs are
+    // bit-identical to a serial run (pool == nullptr) for any worker count.
     ThreadPool* pool = nullptr;
   };
 
@@ -205,11 +205,12 @@ class Model {
   // RoPE and KV append for every row of the projected ws.q/ws.k/ws.v, then
   // causal attention per row over its sequence's prefix into ws.attn;
   // seqs[i] owns rows [i*run, (i+1)*run). Per sequence, the RoPE and append
-  // run serially; its (KV head, row) units then split into contiguous
-  // ranges over kernel_pool() once their work reaches kAttentionSplitWork,
-  // each range walking the block table once for K and once for V. Every
-  // (row, head) keeps its score → softmax → V op order, so the split never
-  // changes a bit.
+  // run serially. Then the (sequence, KV head, row) units of every sequence
+  // split once into contiguous ranges over kernel_pool() when their summed
+  // work reaches kAttentionSplitWork, each range walking the block table of
+  // each sequence it touches once for K and once for V. Every (row, head)
+  // keeps its score → softmax → V op order, so the split never changes a
+  // bit.
   void attention(std::size_t layer, std::span<const std::size_t> seqs, std::size_t run,
                  KVCache& cache, InferenceWorkspace& ws);
 

@@ -3,11 +3,11 @@
 // A Model shares immutable quantized weights; everything Model::forward
 // mutates lives here, as row-major [rows, features] buffers — one row per
 // token of a prefill chunk or per decode lane. One workspace per
-// concurrently-executing caller makes forward re-entrant: Model::decode runs
-// lane groups in parallel on a ThreadPool with one workspace per shard, while
-// serial callers use the Model's built-in default workspace. Attention's
-// score buffer and INT8 KV tile depend on the step's context and the cache's
-// block size, so they grow on demand instead of being sized for max_seq.
+// concurrently-executing caller makes forward re-entrant: prefill waves
+// shard lanes over a ThreadPool with one workspace per shard, while serial
+// callers use the Model's built-in default workspace. Attention's score
+// buffer depends on the step's contexts, so it grows on demand instead of
+// being sized for max_seq.
 #pragma once
 
 #include <cstddef>
@@ -70,22 +70,17 @@ struct InferenceWorkspace {
   // Attention outputs, [rows, d_model]. Split attention ranges store their
   // (row, KV group) slices here once each.
   LineAlignedFloats attn;
-  // Causal scores of one sequence's run, [run, n_heads, prefix length
-  // rounded up to a cache line]; attention grows it on demand. Split
-  // attention ranges share it, each writing only its own (row, head) rows.
+  // Causal scores of every sequence of the step: sequence i's run of
+  // [run, n_heads, prefix length rounded up to a cache line] starts at
+  // score_offset[i], a whole number of lines in. Attention grows it on
+  // demand; split attention ranges share it, each writing only its own
+  // (row, head) rows.
   LineAlignedFloats scores;
-  // Scratch of the attention range that runs on this workspace (the only
-  // one of an inline call): one KV head's keys of one block transposed for
-  // simd::scores_hd16 (native head_dim-16 configs), the INT8 KV
-  // dequantization tile of one block (scalar level and other head_dims;
-  // FP32 blocks and the native INT8 kernels read the cache in place), and
-  // the range's value sums. Attention grows it on demand; ranges split
-  // over the kernel pool allocate their own.
-  std::vector<float> attn_scratch;
+  std::vector<std::size_t> score_offset;
   // Final hidden state of the last row advanced through this workspace
   // (prefill() leaves the prompt's last position here).
   std::vector<float> hidden;
-  // Final hidden states of a Model::decode lane group, [rows, d_model].
+  // Final hidden states of a Model::decode step, [rows, d_model].
   std::vector<float> hidden_rows;
   // INT8 activation codes of a projection's input (one quantization serves
   // every matrix of a quant::matmul_group).

@@ -278,21 +278,8 @@ void matmul_int4(const BlockInt4& q, std::span<const float> x,
   if (simd::active_level() == simd::Level::kNative) {
     ORINSIM_CHECK(acts.tokens == tokens && acts.cols == q.cols,
                   "int4 matmul: activation batch shape mismatch");
-    // Packed kernel: one weight unpack serves a tile of tokens; per-token
-    // results are independent of the tile.
-    float tmp[kTokenTile];
-    for (std::size_t r = r0; r < r1; ++r) {
-      for (std::size_t t0 = 0; t0 < tokens; t0 += kTokenTile) {
-        const std::size_t tile = std::min(kTokenTile, tokens - t0);
-        simd::dot_i4_i8_multi(
-            q.packed_kernel.data() + r * q.blocks_per_row * simd::kInt4KernelBlockBytes,
-            q.scale_f32.data() + r * q.blocks_per_row, q.blocks_per_row,
-            acts.codes.data() + t0 * q.cols, q.cols, tile, tmp);
-        for (std::size_t t = 0; t < tile; ++t) {
-          y[(t0 + t) * q.rows + r] = tmp[t] * acts.scales[t0 + t];
-        }
-      }
-    }
+    simd::matmul_i4_i8(q.packed_kernel.data(), q.scale_f32.data(), q.blocks_per_row, r0, r1,
+                       acts.codes.data(), acts.scales.data(), tokens, y.data(), q.rows);
     return;
   }
   // Scalar float reference: tile tokens so per-token block accumulators live

@@ -100,7 +100,7 @@ struct BlockInt4 {
   std::vector<std::uint8_t> packed;  // two codes per byte, row-major blocks
   std::vector<fp16_t> block_scale;   // [rows * blocks_per_row]
   // Quantize-time mirrors in the kernel layout consumed by
-  // simd::dot_i4_i8_multi: per 32-code block, byte j holds code[j]+8 in its
+  // simd::matmul_i4_i8: per 32-code block, byte j holds code[j]+8 in its
   // low nibble and code[j+16]+8 in its high nibble (nibble-plane layout — a
   // vpand/vpsrlw pair unpacks straight to activation order, no shuffles),
   // plus fp32 block scales so the per-block fixup skips fp16 conversion.
@@ -123,8 +123,9 @@ void dequantize_row(const BlockInt4& q, std::size_t row, std::span<float> out);
 // int8-QUANTIZED X (dynamic absmax, same codec as the int8 path), so native
 // int4 carries an extra activation-quantization error beyond FMA tolerance —
 // documented, and covered by the Table 3 perplexity ordering pin
-// (ppl_int4 > ppl_int8 holds at both levels). Each packed weight block is
-// unpacked once per tile of up to 8 tokens.
+// (ppl_int4 > ppl_int8 holds at both levels). The native branch is one
+// simd::matmul_i4_i8 call over the range, which unpacks each packed weight
+// block once per register tile of up to 8 tokens.
 void matmul_int4(const BlockInt4& q, std::span<const float> x,
                  const ActivationBatchInt8& acts, std::span<float> y, std::size_t tokens,
                  std::size_t r0, std::size_t r1);

@@ -41,7 +41,9 @@ constexpr const char* kUsage = R"(usage: orinsim_serve [--port=8080] [--host=127
                      [--power-proxy-model=] [--power-cap-w=0] [--thermal]
                      [--max-connections=64]
        orinsim_serve --offline --prompt="..." [--max-tokens=16] [flags...]
-Boolean flags also take --no-<flag>.
+Boolean flags also take --no-<flag>. --decode-workers sizes the pool that
+shards each prefill wave's lanes; decode steps run on the kernel pool
+(OMP_NUM_THREADS threads) whatever it is.
 )";
 
 // Everything deterministic about the serving stack in one place: the same
@@ -71,6 +73,7 @@ ServingStack build_stack(const CliArgs& args) {
   stack.model = std::make_unique<Model>(stack.master, DType::kF32);
   stack.max_seq = config.max_seq;
 
+  // The pool shards prefill waves only (the flag keeps its old name).
   const long long workers = args.get_int("decode-workers", 0);
   if (workers > 0) {
     stack.decode_pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(workers));

@@ -936,8 +936,7 @@ FunctionalTokenBackend::FunctionalTokenBackend(Model& model, const Config& confi
                   "functional backend: draft max_seq shorter than the serving cache");
     draft_ = draft;
     const std::size_t k = config_.speculation.draft_tokens;
-    draft_workspaces_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) draft_workspaces_.emplace_back(d);
+    draft_ws_.emplace(d);
     // Every lane's verify chunk can run at once through workspace 0.
     workspaces_[0].ensure_rows(t, config_.max_lanes * (k + 1));
     plan_slot_.assign(config_.max_lanes, 0);
@@ -1129,7 +1128,7 @@ StepCost FunctionalTokenBackend::decode_step(const std::vector<Request*>& active
     const std::size_t rows = step_tokens_.size();
     if (rows == 0) break;
     draft_->decode(step_tokens_, std::span<const std::size_t>(step_seqs_).first(rows), cache_,
-                   logits_rows(0, rows), draft_workspaces_, pool_);
+                   logits_rows(0, rows), *draft_ws_);
     for (std::size_t j = 0; j < rows; ++j) {
       proposals_[plan_slot_[verify_lanes_[j]] + i + 1] =
           static_cast<TokenId>(kernels::argmax(logits_rows(j, 1)));
@@ -1152,11 +1151,10 @@ StepCost FunctionalTokenBackend::decode_step(const std::vector<Request*>& active
     step_tokens_.push_back(r->output.back());
     step_seqs_.push_back(r->lane);
   }
-  if (!step_tokens_.empty()) {
-    model_.decode(step_tokens_, step_seqs_, cache_, logits_rows(0, step_tokens_.size()),
-                  workspaces_, pool_);
-  }
   InferenceWorkspace& ws = workspaces_[0];
+  if (!step_tokens_.empty()) {
+    model_.decode(step_tokens_, step_seqs_, cache_, logits_rows(0, step_tokens_.size()), ws);
+  }
   for (std::size_t j0 = 0; j0 < verify_lanes_.size();) {
     const std::size_t k = plan_k_[verify_lanes_[j0]];
     std::size_t j1 = j0 + 1;

@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -472,11 +473,12 @@ class SimTokenBackend : public TokenBackend {
 
 // Real token-by-token decoding over a paged KVCache: each step runs the
 // active lanes as rows of one Model::decode (the step Model::generate
-// takes, lane groups sharded across an optional ThreadPool), greedy argmax
-// sampling (deterministic, so preemption recompute is lossless) replayed
-// serially in active order, and measured wall-clock costs. Outputs are
-// bit-identical for any worker count, and a preempted request resumes with
-// one chunked prefill of its history.
+// takes, split over kernel_pool()), greedy argmax sampling (deterministic,
+// so preemption recompute is lossless) replayed serially in active order,
+// and measured wall-clock costs. An optional ThreadPool shards the lanes of
+// a prefill wave, one workspace per shard. Outputs are bit-identical for
+// any worker count, and a preempted request resumes with one chunked
+// prefill of its history.
 class FunctionalTokenBackend : public TokenBackend {
  public:
   struct Config {
@@ -517,7 +519,8 @@ class FunctionalTokenBackend : public TokenBackend {
     SpeculationConfig speculation;
   };
 
-  // `model` must outlive the backend; `pool` may be null (serial decode).
+  // `model` must outlive the backend; `pool` may be null (serial prefill
+  // waves).
   // `draft` is required iff config.speculation.enabled: it must share the
   // target's geometry (layers, heads, d_model, vocab) so draft and target
   // can read the same paged KV sequences — the same-master quantized
@@ -562,7 +565,7 @@ class FunctionalTokenBackend : public TokenBackend {
   KVCache cache_;
   std::unique_ptr<PrefixCache> prefix_cache_;   // null: cache disabled
   ThreadPool* pool_ = nullptr;
-  std::vector<InferenceWorkspace> workspaces_;  // one per shard
+  std::vector<InferenceWorkspace> workspaces_;  // one per prefill shard; decode uses [0]
   std::vector<std::size_t> free_lanes_;         // LIFO, deterministic
   // [lanes, vocab]: prefill writes row `lane`, a decode step row i for its
   // i-th row (step_tokens_[i] fed to sequence step_seqs_[i]).
@@ -575,7 +578,7 @@ class FunctionalTokenBackend : public TokenBackend {
 
   // Speculative state (sized only when a draft model is attached).
   Model* draft_ = nullptr;
-  std::vector<InferenceWorkspace> draft_workspaces_;  // one per shard
+  std::optional<InferenceWorkspace> draft_ws_;
   // Speculating lanes in verify order (k descending), and each lane's
   // first slot: a lane owns slots [plan_slot_, plan_slot_ + k] of
   // proposals_ (the fed token, then its proposals) and the same rows of
@@ -599,7 +602,9 @@ struct FunctionalEngineConfig {
   // run builds a draft Model from the same master quantized to
   // speculation.draft_dtype (the self-draft pairing).
   FunctionalTokenBackend::Config backend;
-  std::size_t decode_workers = 0;  // 0: serial decode loop
+  // Workers of the pool that shards each prefill wave's lanes (0: serial
+  // waves). Decode steps run on kernel_pool() whatever this is.
+  std::size_t decode_workers = 0;
   std::uint64_t prompt_seed = 11;
   // Governor over the continuous policy (off by default).
   GovernorConfig governor;

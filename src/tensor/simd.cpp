@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "core/error.h"
 
@@ -34,6 +35,9 @@ std::atomic<Level>& level_storage() {
   static std::atomic<Level> level{resolve_level(std::getenv("ORINSIM_KERNELS"))};
   return level;
 }
+
+// Tokens per tile of matmul_i4_i8.
+constexpr std::size_t kInt4TokenTile = 8;
 
 // ---------------------------------------------------------------------------
 // Scalar reference kernels. These loops ARE the determinism contract: they
@@ -100,6 +104,23 @@ void gelu_scalar(float* x, std::size_t n) {
 // ---------------------------------------------------------------------------
 // AVX2/FMA kernels. Per-function target attributes keep the rest of the
 // binary free of AVX instructions, so auto-dispatch is safe on older CPUs.
+
+// Lanes [0, count) of x in a vector whose other lanes hold `pad`; and the
+// matching store. Tails run the full-vector code on this padded copy, so an
+// element's result never depends on where it falls in a vector.
+__attribute__((target("avx2"))) inline __m256 load_tail(const float* x, std::size_t count,
+                                                       float pad) {
+  alignas(32) float buf[8];
+  for (std::size_t k = 0; k < 8; ++k) buf[k] = k < count ? x[k] : pad;
+  return _mm256_load_ps(buf);
+}
+
+__attribute__((target("avx2"))) inline void store_tail(float* x, std::size_t count,
+                                                      __m256 v) {
+  alignas(32) float buf[8];
+  _mm256_store_ps(buf, v);
+  std::copy_n(buf, count, x);
+}
 
 __attribute__((target("avx2,fma"))) float dot_f32_avx2(const float* a, const float* b,
                                                        std::size_t n) {
@@ -318,7 +339,7 @@ __attribute__((target("avx2"))) void dot_i8_multi4_avx2(const std::int8_t* w,
 // horizontal-sum sequence as dot_f32_avx2 — independent of how many other
 // columns share the weight unpack, and mirrored exactly (std::fma, same lane
 // grouping, same hsum order) by dot_i4_i8_multi_ref.
-__attribute__((target("avx2,fma"))) void dot_i4_i8_multi_avx2(
+__attribute__((target("avx2,fma"), noipa)) void dot_i4_i8_multi_avx2(
     const std::uint8_t* w_packed, const float* scales, std::size_t blocks,
     const std::int8_t* x, std::size_t x_stride, std::size_t n_cols, float* out) {
   const __m256i ones = _mm256_set1_epi16(1);
@@ -358,6 +379,119 @@ __attribute__((target("avx2,fma"))) void dot_i4_i8_multi_avx2(
     }
   }
 }
+
+// Rows [r0, r1) of a packed-int4 projection against one token: the
+// one-column dot_i4_i8_multi_avx2, then the activation scale. That kernel
+// is noipa: called here with a constant one column, GCC would clone it
+// for one column, keep the accumulator in a register and make one-token
+// calls about 1.8x faster. That speeds up the per-lane baseline of the
+// --strict int4 batched bar, so, like the int4 narrow-call tile, it waits
+// for the bar to be redefined (DESIGN.md "Narrow-call row tile").
+__attribute__((target("avx2,fma"))) void i4_rows_one_avx2(
+    const std::uint8_t* w_packed, const float* scales, std::size_t blocks, std::size_t r0,
+    std::size_t r1, const std::int8_t* x, std::size_t x_stride, const float* x_scales,
+    float* y, std::size_t y_stride) {
+  (void)y_stride;
+  for (std::size_t r = r0; r < r1; ++r) {
+    float dot;
+    dot_i4_i8_multi_avx2(w_packed + r * blocks * kInt4KernelBlockBytes, scales + r * blocks,
+                         blocks, x, x_stride, 1, &dot);
+    y[r] = dot * x_scales[0];
+  }
+}
+
+// Rows [r0, r1) of a packed-int4 projection against a tile of W tokens
+// (2 <= W <= 8). Per row, each block is unpacked once for the tile and
+// every token keeps dot_i4_i8_multi_avx2's fma chain (blocks in order) in
+// its own register. The block's i32 quad sums are the same integers by
+// another route: maddubs takes the biased codes w + 8 in [0, 15] as its
+// unsigned operand (no sign/abs pass), and 8 × the activations' quad sums,
+// computed once per tile for every row, come off after madd; both routes
+// are exact. The chains fold in one transposed horizontal sum that
+// performs dot_f32_avx2's adds per token on the same operands (a token's
+// lanes never meet another's; the slots past W hold zeros and are
+// dropped), then one multiply applies the W activation scales, so
+// y[t * y_stride + r] equals the one-token kernel's result for token t.
+template <int W>
+__attribute__((target("avx2,fma"))) void i4_rows_tile_avx2(
+    const std::uint8_t* w_packed, const float* scales, std::size_t blocks, std::size_t r0,
+    std::size_t r1, const std::int8_t* x, std::size_t x_stride, const float* x_scales,
+    float* y, std::size_t y_stride) {
+  static_assert(W >= 2 && W <= 8, "tiles of 2-8 tokens");
+  const __m256i ones = _mm256_set1_epi16(1);
+  const __m128i nib_mask = _mm_set1_epi8(0x0F);
+  // bias[b * W + t]: 8 × token t's quad sums over block b.
+  thread_local std::vector<std::int32_t> bias_lanes;
+  bias_lanes.resize(blocks * W * 8);
+  auto* bias = reinterpret_cast<__m256i*>(bias_lanes.data());
+  const __m256i eights = _mm256_set1_epi8(8);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    for (int t = 0; t < W; ++t) {
+      const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+          x + static_cast<std::size_t>(t) * x_stride + b * kInt4KernelBlock));
+      _mm256_storeu_si256(bias + b * W + t,
+                          _mm256_madd_epi16(_mm256_maddubs_epi16(eights, vx), ones));
+    }
+  }
+  const __m256 act_scale = load_tail(x_scales, W, 0.0f);
+  for (std::size_t r = r0; r < r1; ++r) {
+    const std::uint8_t* wr = w_packed + r * blocks * kInt4KernelBlockBytes;
+    const float* sr = scales + r * blocks;
+    __m256 facc[8];
+    for (auto& v : facc) v = _mm256_setzero_ps();
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const __m128i w16 =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(wr + b * kInt4KernelBlockBytes));
+      const __m128i lo = _mm_and_si128(w16, nib_mask);
+      const __m128i hi = _mm_and_si128(_mm_srli_epi16(w16, 4), nib_mask);
+      const __m256i wb = _mm256_set_m128i(hi, lo);  // w + 8, activation order
+      const __m256 scale = _mm256_broadcast_ss(sr + b);
+#pragma GCC unroll 8
+      for (int t = 0; t < W; ++t) {
+        const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+            x + static_cast<std::size_t>(t) * x_stride + b * kInt4KernelBlock));
+        const __m256i isum =
+            _mm256_sub_epi32(_mm256_madd_epi16(_mm256_maddubs_epi16(wb, vx), ones),
+                             _mm256_loadu_si256(bias + b * W + t));
+        facc[t] = _mm256_fmadd_ps(_mm256_cvtepi32_ps(isum), scale, facc[t]);
+      }
+    }
+    // lo + hi: s04 = [token 0 | token 4], and likewise s15, s26, s37.
+    __m256 s[4];
+    for (int t = 0; t < 4; ++t) {
+      s[t] = _mm256_add_ps(_mm256_permute2f128_ps(facc[t], facc[t + 4], 0x20),
+                           _mm256_permute2f128_ps(facc[t], facc[t + 4], 0x31));
+    }
+    // movehl: m01 = [t0 (s0+s2), t1 (s0+s2), t0 (s1+s3), t1 (s1+s3) | t4, t5],
+    // m23 likewise for tokens 2, 3 | 6, 7.
+    const __m256 m01 = _mm256_add_ps(_mm256_unpacklo_ps(s[0], s[1]),
+                                     _mm256_unpackhi_ps(s[0], s[1]));
+    const __m256 m23 = _mm256_add_ps(_mm256_unpacklo_ps(s[2], s[3]),
+                                     _mm256_unpackhi_ps(s[2], s[3]));
+    // The final lane add, in token order 0-3 | 4-7.
+    const __m256 f = _mm256_add_ps(_mm256_shuffle_ps(m01, m23, 0x44),
+                                   _mm256_shuffle_ps(m01, m23, 0xEE));
+    alignas(32) float out[8];
+    _mm256_store_ps(out, _mm256_mul_ps(f, act_scale));
+    for (int t = 0; t < W; ++t) y[static_cast<std::size_t>(t) * y_stride + r] = out[t];
+  }
+}
+
+using I4RowsFn = void (*)(const std::uint8_t*, const float*, std::size_t, std::size_t,
+                          std::size_t, const std::int8_t*, std::size_t, const float*, float*,
+                          std::size_t);
+// Indexed by tile width.
+constexpr I4RowsFn kI4RowsAvx2[kInt4TokenTile + 1] = {
+    nullptr,
+    i4_rows_one_avx2,
+    i4_rows_tile_avx2<2>,
+    i4_rows_tile_avx2<3>,
+    i4_rows_tile_avx2<4>,
+    i4_rows_tile_avx2<5>,
+    i4_rows_tile_avx2<6>,
+    i4_rows_tile_avx2<7>,
+    i4_rows_tile_avx2<8>,
+};
 
 // quantize_row_i8_scalar, 8 elements per step. max_ps(|x|, acc) keeps acc
 // when x is NaN, as std::max(acc, |x|) does. v - trunc(v) is exact, so the
@@ -435,23 +569,6 @@ __attribute__((target("avx2,fma"))) inline __m256 exp8_avx2(__m256 x) {
   // Below ln FLT_MIN (and -inf): +0. A NaN lane compares false and is kept.
   const __m256 flush = _mm256_cmp_ps(x, _mm256_set1_ps(kExpFlushBelow), _CMP_LT_OQ);
   return _mm256_andnot_ps(flush, y);
-}
-
-// Lanes [0, count) of x in a vector whose other lanes hold `pad`; and the
-// matching store. Tails run the full-vector code on this padded copy, so an
-// element's result never depends on where it falls in a vector.
-__attribute__((target("avx2"))) inline __m256 load_tail(const float* x, std::size_t count,
-                                                       float pad) {
-  alignas(32) float buf[8];
-  for (std::size_t k = 0; k < 8; ++k) buf[k] = k < count ? x[k] : pad;
-  return _mm256_load_ps(buf);
-}
-
-__attribute__((target("avx2"))) inline void store_tail(float* x, std::size_t count,
-                                                      __m256 v) {
-  alignas(32) float buf[8];
-  _mm256_store_ps(buf, v);
-  std::copy_n(buf, count, x);
 }
 
 __attribute__((target("avx2,fma"))) void exp_avx2(const float* x, std::size_t n, float* out) {
@@ -861,16 +978,28 @@ void dot_i4_i8_multi_ref(const std::uint8_t* w_packed, const float* scales, std:
   }
 }
 
-void dot_i4_i8_multi(const std::uint8_t* w_packed, const float* scales, std::size_t blocks,
-                     const std::int8_t* x, std::size_t x_stride, std::size_t n_cols,
-                     float* out) {
+void matmul_i4_i8(const std::uint8_t* w_packed, const float* scales, std::size_t blocks,
+                  std::size_t r0, std::size_t r1, const std::int8_t* x, const float* x_scales,
+                  std::size_t tokens, float* y, std::size_t y_stride) {
+  const std::size_t x_stride = blocks * kInt4KernelBlock;
+  for (std::size_t t0 = 0; t0 < tokens; t0 += kInt4TokenTile) {
+    const std::size_t width = std::min(kInt4TokenTile, tokens - t0);
+    const std::int8_t* xt = x + t0 * x_stride;
+    float* yt = y + t0 * y_stride;
 #if ORINSIM_SIMD_X86
-  if (cpu_has_avx2_fma()) {
-    dot_i4_i8_multi_avx2(w_packed, scales, blocks, x, x_stride, n_cols, out);
-    return;
-  }
+    if (cpu_has_avx2_fma()) {
+      kI4RowsAvx2[width](w_packed, scales, blocks, r0, r1, xt, x_stride, x_scales + t0, yt,
+                         y_stride);
+      continue;
+    }
 #endif
-  dot_i4_i8_multi_ref(w_packed, scales, blocks, x, x_stride, n_cols, out);
+    float dots[kInt4TokenTile];
+    for (std::size_t r = r0; r < r1; ++r) {
+      dot_i4_i8_multi_ref(w_packed + r * blocks * kInt4KernelBlockBytes, scales + r * blocks,
+                          blocks, xt, x_stride, width, dots);
+      for (std::size_t t = 0; t < width; ++t) yt[t * y_stride + r] = dots[t] * x_scales[t0 + t];
+    }
+  }
 }
 
 float quantize_row_i8(const float* x, std::size_t n, std::int8_t* codes) {

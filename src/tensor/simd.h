@@ -103,27 +103,39 @@ void dot_i8_multi(const std::int8_t* w, const std::int8_t* x, std::size_t x_stri
 // activation order with no shuffles, and the +8 bias is removed with one
 // vpsubb. Codes are in [-8, 7]; activations are int8 codes in [-127, 127]
 // (same domain contract as dot_i8), so the maddubs u8*s8 pair sums peak at
-// 2 * 8 * 127 = 2032 — far inside i16.
+// 2 * 8 * 127 = 2032 — far inside i16. One weight row against token t:
 //
 //   out[t] = sum_b float(idot(w_block_b, x_t_block_b)) * scales[b]
 //
-// The caller applies the activation scale. Per-column math is independent of
-// n_cols (composition independence, same contract as the *_multi kernels).
 // This kernel IS the int4 native path; the scalar level never calls it.
 
 // Codes per block and packed bytes per block of the kernel layout.
 inline constexpr std::size_t kInt4KernelBlock = 32;
 inline constexpr std::size_t kInt4KernelBlockBytes = 16;
 
-// Dispatching entry: AVX2 when the CPU has it, else the portable mirror.
-void dot_i4_i8_multi(const std::uint8_t* w_packed, const float* scales,
-                     std::size_t blocks, const std::int8_t* x, std::size_t x_stride,
-                     std::size_t n_cols, float* out);
+// Rows [r0, r1) of a packed-int4 projection over `tokens` activation rows:
+//
+//   y[t * y_stride + r] = out[t] of row r * x_scales[t]
+//
+// where row r is w_packed + r * blocks * kInt4KernelBlockBytes with scales
+// + r * blocks, and token t is x + t * blocks * kInt4KernelBlock. Tokens run
+// in tiles of 8. A tile of 2-8 tokens keeps its accumulators in registers
+// (one instantiation per width), unpacks each weight block once for the
+// tile and folds the tile in one transposed horizontal sum that performs
+// each token's adds of the one-token kernel; a one-token tile runs the
+// one-token kernel. Every (row, token) is therefore bit-identical to a
+// one-token call (composition independence, same contract as the *_multi
+// kernels), and y outside rows [r0, r1) is not written. AVX2 when the CPU
+// has it, else the portable mirror.
+void matmul_i4_i8(const std::uint8_t* w_packed, const float* scales, std::size_t blocks,
+                  std::size_t r0, std::size_t r1, const std::int8_t* x, const float* x_scales,
+                  std::size_t tokens, float* y, std::size_t y_stride);
 
-// Portable mirror of the AVX2 packed-int4 kernel: same 8 per-lane fma chains
-// (std::fma — single rounding, like vfmaddps) and the same horizontal-sum
-// order, so it is bit-identical to the AVX2 variant on any host. Slow;
-// non-x86 fallback and test reference only.
+// Portable mirror of the AVX2 kernel for one weight row against n_cols
+// tokens (x + t * x_stride), without the activation scale: the same 8
+// per-lane fma chains (std::fma — single rounding, like vfmaddps) and the
+// same horizontal-sum order, so it is bit-identical to the AVX2 variant on
+// any host. Slow; non-x86 fallback and test reference only.
 void dot_i4_i8_multi_ref(const std::uint8_t* w_packed, const float* scales,
                          std::size_t blocks, const std::int8_t* x, std::size_t x_stride,
                          std::size_t n_cols, float* out);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -204,40 +205,60 @@ TEST(SimdTest, DotI8MultiMatchesSingleColumnBitwise) {
   }
 }
 
-// Packed-int4 kernel: the AVX2 variant must be bit-identical to the portable
-// mirror (dot_i4_i8_multi_ref replicates its fma chains and hsum order), and
-// both must be composition-independent — slicing a batch into single columns
-// never changes a column's value.
-TEST(SimdTest, DotI4I8MultiAvx2MatchesPortableMirrorBitwise) {
+// The packed-int4 range kernel: every (row, token) of rows [r0, r1) must be
+// the portable mirror's bits (dot_i4_i8_multi_ref replicates the AVX2 fma
+// chains and hsum order) times the token's activation scale, whatever tile
+// the token lands in (token counts cover every partial width, full tiles
+// and tails after them), equal to a one-token range call, and rows outside
+// the range must stay untouched.
+TEST(SimdTest, MatmulI4I8RangeMatchesOneTokenBitwise) {
   if (!simd::native_available()) GTEST_SKIP() << "no AVX2/FMA on this host";
-  Rng rng(37);
-  for (std::size_t blocks : {1u, 2u, 5u, 16u}) {
-    for (std::size_t n_cols : {1u, 4u, 8u, 9u, 17u}) {
-      const std::size_t n = blocks * simd::kInt4KernelBlock;
-      // Any byte is a valid packed pair: nibbles decode to codes in [-8, 7].
-      std::vector<std::uint8_t> packed(blocks * simd::kInt4KernelBlockBytes);
-      for (auto& b : packed) {
-        b = static_cast<std::uint8_t>(rng.uniform() * 256.0);
-      }
-      std::vector<float> scales(blocks);
-      for (auto& s : scales) s = static_cast<float>(rng.uniform() + 0.5);
-      const std::size_t stride = n + 32;
-      const auto x = random_codes(stride * n_cols, rng);
-
-      std::vector<float> got(n_cols), ref(n_cols);
-      simd::dot_i4_i8_multi(packed.data(), scales.data(), blocks, x.data(), stride,
-                            n_cols, got.data());
-      simd::dot_i4_i8_multi_ref(packed.data(), scales.data(), blocks, x.data(),
-                                stride, n_cols, ref.data());
-      for (std::size_t t = 0; t < n_cols; ++t) {
-        EXPECT_EQ(got[t], ref[t])
-            << "blocks=" << blocks << " n_cols=" << n_cols << " t=" << t;
-        // Composition independence: the same column alone gives the same bits.
-        float alone = 0.0f;
-        simd::dot_i4_i8_multi(packed.data(), scales.data(), blocks,
-                              x.data() + t * stride, stride, 1, &alone);
-        EXPECT_EQ(got[t], alone)
-            << "blocks=" << blocks << " n_cols=" << n_cols << " t=" << t;
+  constexpr std::size_t kRows = 17;
+  constexpr float kUntouched = 42.0f;
+  Rng rng(43);
+  for (std::size_t blocks : {1u, 2u, 4u, 5u, 14u, 16u}) {
+    const std::size_t cols = blocks * simd::kInt4KernelBlock;
+    const std::size_t row_bytes = blocks * simd::kInt4KernelBlockBytes;
+    std::vector<std::uint8_t> packed(kRows * row_bytes);
+    for (auto& b : packed) b = static_cast<std::uint8_t>(rng.uniform() * 256.0);
+    std::vector<float> scales(kRows * blocks);
+    for (auto& s : scales) s = static_cast<float>(rng.uniform() + 0.5);
+    for (std::size_t tokens : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 15u, 16u, 17u, 33u}) {
+      const auto x = random_codes(tokens * cols, rng);
+      std::vector<float> x_scales(tokens);
+      for (auto& s : x_scales) s = static_cast<float>(rng.uniform() * 0.1 + 0.01);
+      for (std::size_t r0 : {1u, 3u, 7u}) {
+        for (std::size_t len = 1; len <= 9; ++len) {
+          const std::size_t r1 = r0 + len;
+          std::vector<float> y(tokens * kRows, kUntouched);
+          simd::matmul_i4_i8(packed.data(), scales.data(), blocks, r0, r1, x.data(),
+                             x_scales.data(), tokens, y.data(), kRows);
+          for (std::size_t t = 0; t < tokens; ++t) {
+            std::vector<float> alone(kRows, kUntouched);
+            simd::matmul_i4_i8(packed.data(), scales.data(), blocks, r0, r1,
+                               x.data() + t * cols, x_scales.data() + t, 1, alone.data(),
+                               kRows);
+            for (std::size_t r = 0; r < kRows; ++r) {
+              const float got = y[t * kRows + r];
+              if (r < r0 || r >= r1) {
+                ASSERT_EQ(got, kUntouched) << "row " << r << " outside [" << r0 << ", " << r1
+                                           << ") written, tokens=" << tokens;
+                continue;
+              }
+              float dot = 0.0f;
+              simd::dot_i4_i8_multi_ref(packed.data() + r * row_bytes,
+                                        scales.data() + r * blocks, blocks,
+                                        x.data() + t * cols, cols, 1, &dot);
+              const float want = dot * x_scales[t];
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(got), std::bit_cast<std::uint32_t>(want))
+                  << "blocks=" << blocks << " tokens=" << tokens << " r0=" << r0
+                  << " len=" << len << " r=" << r << " t=" << t;
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(got),
+                        std::bit_cast<std::uint32_t>(alone[r]))
+                  << "blocks=" << blocks << " tokens=" << tokens << " r=" << r << " t=" << t;
+            }
+          }
+        }
       }
     }
   }
