@@ -1,24 +1,18 @@
-// Microbench for the batched-decode hot path: an 8-lane greedy batch on the
-// functional nano engine, run by Model::generate serially and then with a
-// ThreadPool. The pool shards the prefill lanes; every decode step, in both
-// runs, is one Model::decode over the active lanes, split over
-// kernel_pool() (OMP_NUM_THREADS), so the decode tok/s columns measure the
-// same path and should read about 1x. Outputs must be bit-identical (the
-// engine serializes sampling in lane order); the run exits 1 if they are
-// not. No speed bar is enforced here.
+// Microbench for the batched-decode hot path on the functional nano engine.
 //
-// A second section compares serving policies on the same functional engine:
-// the paper's static batching (batch runs to completion) against the
+// A lane-batched section compares a loop of width-1 Model::forward calls
+// against generate()'s one multi-lane forward per step (Model::decode, split
+// over kernel_pool()) and against the same prompts served through
+// FunctionalTokenBackend, on one thread per dtype; int4 batched must reach
+// >= 2x under --strict, and every dtype's generate and served token streams
+// must match the loop bit for bit (the run exits 1 if they do not).
+//
+// A serving section compares policies on the same functional engine: the
+// paper's static batching (batch runs to completion) against the
 // continuous request-lifecycle engine over the paged KV cache, reporting
 // measured tokens/s and the peak KV bytes each policy actually touches.
 // Exits non-zero if the continuous run drops a request or its paged cache
 // peaks above the static policy's dense reservation.
-//
-// A lane-batched section compares a loop of width-1 Model::forward calls
-// against generate()'s one multi-lane forward per step and against the same
-// prompts served through FunctionalTokenBackend, on one thread per dtype;
-// int4 batched must reach >= 2x under --strict, and every dtype's generate
-// and served token streams must match the loop bit for bit.
 //
 // A prefix-cache section serves chat traffic with the cache off and on:
 // tokens must match, counters must conserve, and the median hit/miss TTFT
@@ -30,9 +24,8 @@
 // --strict the rounds must deliver >= 1.3x decode tok/s at >= 80%
 // acceptance.
 //
-//   bench_decode_throughput [--lanes=8] [--workers=8] [--new-tokens=64]
-//                           [--family=llama3] [--serving-requests=24] [--csv]
-//                           [--strict]
+//   bench_decode_throughput [--lanes=8] [--new-tokens=64] [--family=llama3]
+//                           [--serving-requests=24] [--csv] [--strict]
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -44,7 +37,6 @@
 #include "core/stats.h"
 #include "core/stopwatch.h"
 #include "core/table.h"
-#include "core/thread_pool.h"
 #include "core/units.h"
 #include "model/transformer.h"
 #include "serving/engine.h"
@@ -62,14 +54,13 @@ struct RunStats {
   std::vector<std::vector<TokenId>> outputs;
 };
 
-RunStats run_once(Model& model, const std::vector<std::vector<TokenId>>& prompts,
-                  std::size_t new_tokens, ThreadPool* pool) {
-  Model::GenerateOptions options;
-  options.pool = pool;
+// generate()'s greedy batch: each decode step is one Model::decode over the
+// active lanes.
+RunStats run_batched(Model& model, const std::vector<std::vector<TokenId>>& prompts,
+                     std::size_t new_tokens) {
   trace::ExecutionTimeline tl;
-  options.timeline = &tl;
   Stopwatch watch;
-  Model::GenerateResult r = model.generate(prompts, new_tokens, options);
+  Model::GenerateResult r = model.generate(prompts, new_tokens, nullptr, &tl);
   const double total_s = watch.elapsed_s();
   RunStats s;
   s.decode_s = tl.phase_time_s(trace::Phase::kDecode);
@@ -157,13 +148,11 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const bool csv = args.get_bool("csv", false);
   const std::size_t lanes = static_cast<std::size_t>(args.get_int("lanes", 8));
-  const std::size_t workers = static_cast<std::size_t>(args.get_int("workers", 8));
   const std::size_t new_tokens =
       static_cast<std::size_t>(args.get_int("new-tokens", 64));
   const std::string family = args.get("family", "llama3");
 
   const TransformerConfig cfg = make_nano_config(family, 512);
-  auto master = MasterWeights::init_random(cfg, 7);
 
   std::vector<std::vector<TokenId>> prompts(lanes);
   for (std::size_t b = 0; b < lanes; ++b) {
@@ -171,50 +160,6 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < prompts[b].size(); ++i) {
       prompts[b][i] = static_cast<TokenId>((b * 31 + i * 7) % cfg.vocab);
     }
-  }
-
-  std::printf("== Batched decode throughput: %s, %zu lanes, %zu new tokens ==\n",
-              cfg.name.c_str(), lanes, new_tokens);
-  Table table({"Dtype", "KV", "Serial tok/s", "Pooled tok/s", "Ratio", "Bit-identical"});
-  bool all_identical = true;
-  struct Case {
-    DType dtype;
-    KVStorage kv;
-    const char* dtype_name;
-    const char* kv_name;
-  };
-  const Case cases[] = {
-      {DType::kF32, KVStorage::kF32, "fp32", "fp32"},
-      {DType::kF16, KVStorage::kF32, "fp16", "fp32"},
-      {DType::kI8, KVStorage::kI8, "int8", "int8"},
-  };
-  for (const Case& c : cases) {
-    Model model(master, c.dtype, c.kv);
-    run_once(model, prompts, new_tokens, nullptr);  // warm-up
-    const RunStats serial = run_once(model, prompts, new_tokens, nullptr);
-    ThreadPool pool(workers);
-    const RunStats pooled = run_once(model, prompts, new_tokens, &pool);
-    const bool identical = serial.outputs == pooled.outputs;
-    all_identical = all_identical && identical;
-    table.new_row()
-        .add_cell(c.dtype_name)
-        .add_cell(c.kv_name)
-        .add_number(serial.decode_tps, 0)
-        .add_number(pooled.decode_tps, 0)
-        .add_cell(format_double(pooled.decode_tps / serial.decode_tps, 2) + "x")
-        .add_cell(identical ? "yes" : "NO");
-  }
-  std::fputs((csv ? table.to_csv() : table.to_markdown()).c_str(), stdout);
-  std::printf("\nThe pooled run shards prefill lanes across %zu workers, one workspace\n",
-              workers);
-  std::printf("per shard. Decode steps in both runs are one Model::decode on the kernel\n");
-  std::printf("pool (%zu threads), so the decode tok/s columns measure the same path.\n",
-              kernel_pool().shard_count());
-  std::printf("Sampling is replayed serially in lane order, so the token streams above\n");
-  std::printf("must match the serial run exactly.\n");
-  if (!all_identical) {
-    std::printf("ERROR: pooled outputs diverged from serial outputs\n");
-    return 1;
   }
 
   // -- Lane-batched decode: width-1 loop vs one multi-lane forward ----------
@@ -232,12 +177,18 @@ int main(int argc, char** argv) {
   batched_cfg.d_ff = 1792;
   batched_cfg.validate();
   auto batched_master = MasterWeights::init_random(batched_cfg, 7);
-  std::printf("\n== Lane-batched decode: %s, %zu lanes, looped vs batched (1 thread) ==\n",
+  std::printf("== Lane-batched decode: %s, %zu lanes, looped vs batched (1 thread) ==\n",
               batched_cfg.name.c_str(), lanes);
   Table batched_table({"Dtype", "KV", "Looped tok/s", "Batched tok/s", "Served tok/s",
                        "Speedup", "Bit-identical"});
   double int4_batched_speedup = 0.0;
   bool batched_identity_ok = true;
+  struct Case {
+    DType dtype;
+    KVStorage kv;
+    const char* dtype_name;
+    const char* kv_name;
+  };
   const Case batched_cases[] = {
       {DType::kF32, KVStorage::kF32, "fp32", "fp32"},
       {DType::kF16, KVStorage::kF32, "fp16", "fp32"},
@@ -255,7 +206,7 @@ int main(int argc, char** argv) {
     const int reps = c.dtype == DType::kI4 ? 3 : 1;  // only int4 carries a bar
     for (int rep = 0; rep < reps; ++rep) {
       RunStats lo = run_looped(model, prompts, new_tokens);
-      RunStats ba = run_once(model, prompts, new_tokens, nullptr);
+      RunStats ba = run_batched(model, prompts, new_tokens);
       RunStats se = run_served(model, prompts, new_tokens);
       identical = identical && lo.outputs == ba.outputs && lo.outputs == se.outputs;
       if (rep == 0 || lo.decode_tps > looped.decode_tps) looped = std::move(lo);

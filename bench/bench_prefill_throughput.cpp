@@ -15,7 +15,7 @@
 // token-at-a-time path (the nibble-unpack microkernel acceptance bar).
 //
 // The `forward digest` line after the table is an FNV-1a hash of
-// scalar-level greedy generate outputs (pooled, chunked prefill) and
+// scalar-level greedy generate outputs (chunked prefill) and
 // sequence_nll bits over three nano families x 4 weight dtypes x 2 KV
 // storages; the `native forward digest` line hashes the same grid at the
 // native level when this CPU has it. A refactor of the forward path that
@@ -33,7 +33,6 @@
 #include "core/cli.h"
 #include "core/stopwatch.h"
 #include "core/table.h"
-#include "core/thread_pool.h"
 #include "core/units.h"
 #include "model/transformer.h"
 #include "tensor/simd.h"
@@ -98,15 +97,12 @@ struct Fnv1a {
   }
 };
 
-// The forward digest at `level`: greedy generate on a 3-thread pool with
-// 32-token prefill chunks, so the prompts cross 16-token KV blocks and chunk
-// boundaries, plus sequence_nll of one prompt.
+// The forward digest at `level`: greedy generate with 32-token prefill
+// chunks, so the prompts cross 16-token KV blocks and chunk boundaries, plus
+// sequence_nll of one prompt.
 std::uint64_t forward_digest(simd::Level level) {
   const simd::Level entry_level = simd::active_level();
   simd::set_level(level);
-  ThreadPool pool(3);
-  Model::GenerateOptions options;
-  options.pool = &pool;
   Fnv1a fnv;
   for (const char* family : {"llama3", "phi2", "mistral"}) {
     const TransformerConfig cfg = make_nano_config(family, 256);
@@ -123,7 +119,7 @@ std::uint64_t forward_digest(simd::Level level) {
       for (KVStorage kv : {KVStorage::kF32, KVStorage::kI8}) {
         Model model(master, dtype, kv);
         model.set_prefill_chunk(32);
-        for (const auto& out : model.generate(prompts, 20, options).outputs) {
+        for (const auto& out : model.generate(prompts, 20).outputs) {
           fnv.add(out.data(), out.size() * sizeof(TokenId));
         }
         const auto nll = model.sequence_nll(prompts[2], 1);

@@ -1,6 +1,7 @@
 // The one parallel runtime: a fixed-size fork/join pool. The kernels fan
-// their row loops out on the process-wide kernel_pool(); prefill waves
-// shard lanes on pools their callers own. A parallel_for issued from inside
+// their row loops out on the process-wide kernel_pool(); the one other pool
+// is the optional one a FunctionalTokenBackend is built with, which shards
+// the lanes of each prefill wave. A parallel_for issued from inside
 // any pool's shard runs its whole range inline on the calling thread, so
 // the two levels never oversubscribe the cores: lane shards run their
 // kernels serially, a lone caller fans kernel rows out.

@@ -5,6 +5,7 @@
 
 #include "core/rng.h"
 #include "core/stopwatch.h"
+#include "core/thread_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/simd.h"
 
@@ -452,8 +453,8 @@ void Model::decode(std::span<const TokenId> tokens, std::span<const std::size_t>
 }
 
 Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& prompts,
-                                      std::size_t max_new_tokens,
-                                      const GenerateOptions& options) {
+                                      std::size_t max_new_tokens, Sampler* sampler,
+                                      trace::ExecutionTimeline* timeline) {
   ORINSIM_CHECK(!prompts.empty(), "generate: no prompts");
   const TransformerConfig& c = master_->config;
   const std::size_t lanes = prompts.size();
@@ -469,26 +470,17 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
   result.outputs.resize(lanes);
   std::vector<TokenId> last(lanes);
   // Logits rows: prefill fills row b for lane b, each decode step rows
-  // [0, n_active) for the active lanes in ascending order. Sampling replays
-  // serially in lane order after each parallel section (identical RNG
-  // sequence regardless of workers).
+  // [0, n_active) for the active lanes in ascending order. Sampling runs in
+  // lane order.
   std::vector<float> logits(lanes * c.vocab);
   auto logits_row = [&](std::size_t i) {
     return std::span<float>(logits.data() + i * c.vocab, c.vocab);
   };
 
-  // One workspace per prefill shard; shard identity comes from parallel_for,
-  // with at most one lane running per shard at a time. Serial prefill and
-  // every decode step use workspace 0.
-  const std::size_t shard_count =
-      options.pool != nullptr ? std::min(options.pool->shard_count(), lanes) : 1;
-  std::vector<InferenceWorkspace> ws;
-  ws.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) ws.emplace_back(c);
+  InferenceWorkspace ws(c);
 
   auto pick = [&](std::span<const float> l) {
-    return options.sampler != nullptr ? options.sampler->sample(l)
-                                      : static_cast<TokenId>(kernels::argmax(l));
+    return sampler != nullptr ? sampler->sample(l) : static_cast<TokenId>(kernels::argmax(l));
   };
 
   // Decode scratch: active lane ids (ascending) and their last tokens.
@@ -497,29 +489,17 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
   active_ids.reserve(lanes);
   batch_tokens.reserve(lanes);
 
-  // Prefill: lanes touch disjoint cache sequences and per-lane logits, so
-  // they shard across the pool with one workspace per shard.
-  auto prefill_lane = [&](InferenceWorkspace& w, std::size_t b) {
-    prefill(prompts[b], b, cache, {}, w);
-    logits_from_hidden(w.hidden, logits_row(b));
-  };
   Stopwatch watch;
-  if (options.pool != nullptr) {
-    options.pool->parallel_for(
-        0, lanes, [&](std::size_t shard, std::size_t b) { prefill_lane(ws[shard], b); });
-  } else {
-    for (std::size_t b = 0; b < lanes; ++b) prefill_lane(ws[0], b);
-  }
   for (std::size_t b = 0; b < lanes; ++b) {
+    prefill(prompts[b], b, cache, {}, ws);
+    logits_from_hidden(ws.hidden, logits_row(b));
     last[b] = pick(logits_row(b));
     result.input_tokens += prompts[b].size();
   }
-  if (options.timeline != nullptr) {
-    options.timeline->emit(trace::Phase::kPrefill, watch.elapsed_s(), lanes,
-                           static_cast<double>(result.input_tokens) /
-                               static_cast<double>(lanes),
-                           trace::kPowerUnset, {},
-                           prefill_chunk_ >= 2 ? prefill_chunk_ : 0);
+  if (timeline != nullptr) {
+    timeline->emit(trace::Phase::kPrefill, watch.elapsed_s(), lanes,
+                   static_cast<double>(result.input_tokens) / static_cast<double>(lanes),
+                   trace::kPowerUnset, {}, prefill_chunk_ >= 2 ? prefill_chunk_ : 0);
   }
   for (std::size_t step = 0; step < max_new_tokens; ++step) {
     watch.reset();
@@ -538,16 +518,13 @@ Model::GenerateResult Model::generate(const std::vector<std::vector<TokenId>>& p
     result.output_tokens += active;
     if (step + 1 < max_new_tokens) {  // no need to forward the final token
       decode(batch_tokens, active_ids, cache, std::span<float>(logits.data(), active * c.vocab),
-             ws[0]);
-      // Sampling replays serially in lane order: the same sequence of
-      // sampler->sample() calls as a fully serial run.
+             ws);
       for (std::size_t i = 0; i < active; ++i) last[active_ids[i]] = pick(logits_row(i));
     }
-    if (options.timeline != nullptr) {
-      options.timeline->emit(trace::Phase::kDecode, watch.elapsed_s(), active,
-                             static_cast<double>(result.input_tokens) /
-                                     static_cast<double>(lanes) +
-                                 static_cast<double>(step));
+    if (timeline != nullptr) {
+      timeline->emit(trace::Phase::kDecode, watch.elapsed_s(), active,
+                     static_cast<double>(result.input_tokens) / static_cast<double>(lanes) +
+                         static_cast<double>(step));
     }
   }
   return result;

@@ -25,7 +25,6 @@
 #include <span>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "model/config.h"
 #include "model/kv_cache.h"
 #include "model/sampler.h"
@@ -159,33 +158,17 @@ class Model {
     std::size_t output_tokens = 0;
   };
 
-  struct GenerateOptions {
-    Sampler* sampler = nullptr;               // nullptr: greedy argmax
-    trace::ExecutionTimeline* timeline = nullptr;
-    // Non-null: prefill runs lanes in parallel on the pool, one workspace
-    // per shard. Decode steps do not use it: each runs the active lanes as
-    // one Model::decode, split over kernel_pool(). Sampling stays serialized
-    // in lane order after each parallel section, so outputs are
-    // bit-identical to a serial run (pool == nullptr) for any worker count.
-    ThreadPool* pool = nullptr;
-  };
-
   // Batched generation: each prompt is prefilled, then up to max_new_tokens
   // are decoded per sequence; the decode loop exits early once every lane
-  // has hit the cache limit (no zero-active steps).
+  // has hit the cache limit (no zero-active steps). Lanes prefill one after
+  // another on one workspace; each decode step runs the active lanes as one
+  // Model::decode, split over kernel_pool(). `sampler` nullptr: greedy argmax.
   // A non-null `timeline` receives real wall-clock StepEvents (one kPrefill
   // covering prompt ingestion, one kDecode per step) with power unset: this
   // host has no board sensor, so the simulator owns power.
   GenerateResult generate(const std::vector<std::vector<TokenId>>& prompts,
-                          std::size_t max_new_tokens, const GenerateOptions& options);
-  GenerateResult generate(const std::vector<std::vector<TokenId>>& prompts,
                           std::size_t max_new_tokens, Sampler* sampler = nullptr,
-                          trace::ExecutionTimeline* timeline = nullptr) {
-    GenerateOptions options;
-    options.sampler = sampler;
-    options.timeline = timeline;
-    return generate(prompts, max_new_tokens, options);
-  }
+                          trace::ExecutionTimeline* timeline = nullptr);
 
   // Sum of negative log-likelihoods of tokens[i] given tokens[0..i) for
   // i in [predict_from, tokens.size()), plus the count of predicted tokens.

@@ -3,11 +3,11 @@
 // A Model shares immutable quantized weights; everything Model::forward
 // mutates lives here, as row-major [rows, features] buffers — one row per
 // token of a prefill chunk or per decode lane. One workspace per
-// concurrently-executing caller makes forward re-entrant: prefill waves
-// shard lanes over a ThreadPool with one workspace per shard, while serial
-// callers use the Model's built-in default workspace. Attention's score
-// buffer depends on the step's contexts, so it grows on demand instead of
-// being sized for max_seq.
+// concurrently-executing caller makes forward re-entrant: a
+// FunctionalTokenBackend built with a lane pool keeps one per shard for its
+// prefill waves, while serial callers use one (the Model's built-in default
+// workspace, or their own). Attention's score buffer depends on the step's
+// contexts, so it grows on demand instead of being sized for max_seq.
 #pragma once
 
 #include <cstddef>

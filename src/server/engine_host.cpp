@@ -111,7 +111,8 @@ EngineHost::Submission EngineHost::submit(const std::string& prompt,
   serving::StreamCallbacks callbacks;
   // Both callbacks run on the engine thread with mu_ held: bare counter
   // updates are already serialized, and stream pushes take only the
-  // stream's own lock.
+  // stream's own lock. The engine destroys them when the request retires,
+  // so the client's Submission then holds the only reference to the stream.
   callbacks.on_token = [this, stream](const serving::Request& req, TokenId token) {
     (void)req;
     ++completion_tokens_;
@@ -146,8 +147,6 @@ EngineHost::Submission EngineHost::submit(const std::string& prompt,
     const std::size_t id = engine_.submit(std::move(req), std::move(callbacks));
     ORINSIM_CHECK(id != serving::ContinuousEngine::kRejected,
                   "engine host: engine rejected a gated submission");
-    ORINSIM_CHECK(id == streams_.size(), "engine host: stream table out of sync");
-    streams_.push_back(stream);
   }
   cv_.notify_all();
   out.status = SubmitStatus::kOk;

@@ -149,7 +149,6 @@ class EngineHost {
   mutable std::mutex mu_;  // guards engine_ and all counters below
   std::condition_variable cv_;
   serving::ContinuousEngine engine_;
-  std::vector<std::shared_ptr<CompletionStream>> streams_;  // by request id
   std::size_t rejected_ = 0;
   std::size_t completed_ = 0;
   std::size_t completion_tokens_ = 0;

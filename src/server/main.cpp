@@ -35,15 +35,14 @@ namespace {
 constexpr const char* kUsage = R"(usage: orinsim_serve [--port=8080] [--host=127.0.0.1]
                      [--model=llama3] [--seed=7] [--vocab-words=400]
                      [--max-concurrency=4] [--kv-blocks=0] [--block-tokens=16]
-                     [--queue-cap=32] [--max-tokens-cap=256] [--decode-workers=0]
+                     [--queue-cap=32] [--max-tokens-cap=256]
                      [--prefix-cache] [--prefix-cache-blocks=0]
                      [--speculative] [--draft-tokens=4] [--draft-dtype=i8]
                      [--power-proxy-model=] [--power-cap-w=0] [--thermal]
                      [--max-connections=64]
        orinsim_serve --offline --prompt="..." [--max-tokens=16] [flags...]
-Boolean flags also take --no-<flag>. --decode-workers sizes the pool that
-shards each prefill wave's lanes; decode steps run on the kernel pool
-(OMP_NUM_THREADS threads) whatever it is.
+Boolean flags also take --no-<flag>. Prefill waves run serially; each
+decode step runs on the kernel pool (OMP_NUM_THREADS threads).
 )";
 
 // Everything deterministic about the serving stack in one place: the same
@@ -55,7 +54,6 @@ struct ServingStack {
   std::shared_ptr<const MasterWeights> master;
   std::unique_ptr<Model> model;
   std::unique_ptr<Model> draft;  // --speculative only (same master, draft dtype)
-  std::unique_ptr<ThreadPool> decode_pool;
   std::unique_ptr<serving::FunctionalTokenBackend> backend;
   std::size_t max_seq = 0;
 };
@@ -72,12 +70,6 @@ ServingStack build_stack(const CliArgs& args) {
       config, static_cast<std::uint64_t>(args.get_int("seed", 7)));
   stack.model = std::make_unique<Model>(stack.master, DType::kF32);
   stack.max_seq = config.max_seq;
-
-  // The pool shards prefill waves only (the flag keeps its old name).
-  const long long workers = args.get_int("decode-workers", 0);
-  if (workers > 0) {
-    stack.decode_pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(workers));
-  }
 
   serving::FunctionalTokenBackend::Config bc;
   bc.max_lanes = static_cast<std::size_t>(args.get_int("max-concurrency", 4));
@@ -100,7 +92,7 @@ ServingStack build_stack(const CliArgs& args) {
         std::make_unique<Model>(stack.master, bc.speculation.draft_dtype);
   }
   stack.backend = std::make_unique<serving::FunctionalTokenBackend>(
-      *stack.model, bc, stack.decode_pool.get(), stack.draft.get());
+      *stack.model, bc, nullptr, stack.draft.get());
   return stack;
 }
 
@@ -187,9 +179,8 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   args.require_known({"port", "host", "model", "seed", "vocab-words", "max-concurrency",
                       "kv-blocks", "block-tokens", "queue-cap", "max-tokens-cap",
-                      "decode-workers", "prefix-cache-blocks", "draft-tokens", "draft-dtype",
-                      "power-proxy-model", "power-cap-w", "max-connections", "prompt",
-                      "max-tokens"},
+                      "prefix-cache-blocks", "draft-tokens", "draft-dtype", "power-proxy-model",
+                      "power-cap-w", "max-connections", "prompt", "max-tokens"},
                      {"help", "offline", "prefix-cache", "speculative", "thermal"});
   if (args.get_bool("help", false)) {
     std::fputs(kUsage, stdout);

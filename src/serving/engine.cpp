@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
+#include <utility>
 
 #include "core/error.h"
 #include "core/rng.h"
@@ -462,7 +463,10 @@ struct ContinuousEngine::Impl {
         r.state = RequestState::kFinished;
         ++retired;
         it = active.erase(it);
-        if (callbacks[r.id].on_finish) callbacks[r.id].on_finish(r);
+        // The callbacks leave the table here and die after on_finish: what
+        // they own (a served request's stream) is freed at retirement.
+        const StreamCallbacks cb = std::exchange(callbacks[r.id], {});
+        if (cb.on_finish) cb.on_finish(r);
       } else {
         ++it;
       }
@@ -1327,14 +1331,9 @@ EngineResult run_functional_continuous(std::shared_ptr<const MasterWeights> mast
   if (config.backend.speculation.enabled) {
     draft = std::make_unique<Model>(master, config.backend.speculation.draft_dtype);
   }
-  std::unique_ptr<ThreadPool> decode_pool;
-  if (config.decode_workers > 0) {
-    decode_pool = std::make_unique<ThreadPool>(config.decode_workers);
-  }
-
   FunctionalTokenBackend::Config bc = config.backend;
   bc.max_seq = config.seq.input + config.seq.output;
-  FunctionalTokenBackend backend(model, bc, decode_pool.get(), draft.get());
+  FunctionalTokenBackend backend(model, bc, nullptr, draft.get());
 
   ContinuousPolicy policy(backend, config.governor);
   return policy.run(std::move(requests));

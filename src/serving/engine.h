@@ -475,8 +475,9 @@ class SimTokenBackend : public TokenBackend {
 // active lanes as rows of one Model::decode (the step Model::generate
 // takes, split over kernel_pool()), greedy argmax sampling (deterministic,
 // so preemption recompute is lossless) replayed serially in active order,
-// and measured wall-clock costs. An optional ThreadPool shards the lanes of
-// a prefill wave, one workspace per shard. Outputs are bit-identical for
+// and measured wall-clock costs. The constructor's optional ThreadPool is
+// the one place a prefill lane pool enters the engine: it shards the lanes
+// of a prefill wave, one workspace per shard. Outputs are bit-identical for
 // any worker count, and a preempted request resumes with one chunked
 // prefill of its history.
 class FunctionalTokenBackend : public TokenBackend {
@@ -520,7 +521,9 @@ class FunctionalTokenBackend : public TokenBackend {
   };
 
   // `model` must outlive the backend; `pool` may be null (serial prefill
-  // waves).
+  // waves). A non-null pool costs one workspace per shard; measured on
+  // offline_quant it pays for itself in TTFT and tok/s (DESIGN.md,
+  // "Threading model").
   // `draft` is required iff config.speculation.enabled: it must share the
   // target's geometry (layers, heads, d_model, vocab) so draft and target
   // can read the same paged KV sequences — the same-master quantized
@@ -593,7 +596,9 @@ class FunctionalTokenBackend : public TokenBackend {
 // arrival model and prompt pool, runs ContinuousPolicy over a
 // FunctionalTokenBackend, returns the executed schedule. This is the
 // "dedicated inference engine" counterpart the paper's conclusion points
-// to, measured on the real engine rather than the roofline model.
+// to, measured on the real engine rather than the roofline model. Prefill
+// waves run serially; a caller that shards them builds the backend with
+// its own pool.
 struct FunctionalEngineConfig {
   workload::ArrivalConfig arrivals;
   workload::SeqConfig seq = workload::seq_config_default();
@@ -602,9 +607,6 @@ struct FunctionalEngineConfig {
   // run builds a draft Model from the same master quantized to
   // speculation.draft_dtype (the self-draft pairing).
   FunctionalTokenBackend::Config backend;
-  // Workers of the pool that shards each prefill wave's lanes (0: serial
-  // waves). Decode steps run on kernel_pool() whatever this is.
-  std::size_t decode_workers = 0;
   std::uint64_t prompt_seed = 11;
   // Governor over the continuous policy (off by default).
   GovernorConfig governor;

@@ -58,10 +58,9 @@ ServingDevice::ServingDevice(const SimConfig& config)
 }
 
 ServingDevice::ServingDevice(Model& model, const FunctionalTokenBackend::Config& config,
-                             GovernorConfig governor, std::string name, ThreadPool* pool,
-                             Model* draft)
+                             GovernorConfig governor, std::string name, Model* draft)
     : name_(std::move(name)), governor_(std::move(governor)) {
-  fn_backend_ = std::make_unique<FunctionalTokenBackend>(model, config, pool, draft);
+  fn_backend_ = std::make_unique<FunctionalTokenBackend>(model, config, nullptr, draft);
   backend_ = fn_backend_.get();
   engine_ = std::make_unique<ContinuousEngine>(*backend_, governor_);
 }

@@ -8,7 +8,8 @@
 //    sim::scaled_power_mode), so heterogeneous fleets get roofline-consistent
 //    per-device step costs from one catalog key.
 //  - The functional constructor wraps a real Model behind
-//    FunctionalTokenBackend (paged KV, optional prefix cache), for fleets
+//    FunctionalTokenBackend (paged KV, optional prefix cache, serial
+//    prefill waves), for fleets
 //    that decode actual tokens.
 //
 // The device exposes exactly the stepping surface the fleet router needs
@@ -57,13 +58,13 @@ class ServingDevice {
   // device/power-mode/model keys.
   explicit ServingDevice(const SimConfig& config);
 
-  // Functional device over a real model. `model` must outlive the device;
-  // `pool` may be null (serial decode); `draft` is required iff
+  // Functional device over a real model, prefill waves run serially.
+  // `model` must outlive the device; `draft` is required iff
   // config.speculation.enabled (see FunctionalTokenBackend) and must outlive
   // the device too.
   ServingDevice(Model& model, const FunctionalTokenBackend::Config& config,
                 GovernorConfig governor = {}, std::string name = "functional",
-                ThreadPool* pool = nullptr, Model* draft = nullptr);
+                Model* draft = nullptr);
 
   ServingDevice(const ServingDevice&) = delete;
   ServingDevice& operator=(const ServingDevice&) = delete;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/rng.h"
-#include "core/thread_pool.h"
 #include "quant/weight_matrix.h"
 #include "tensor/simd.h"
 #include "trace/timeline.h"
@@ -187,10 +186,9 @@ TEST(ChunkedPrefillTest, SequenceNllBitIdenticalUnderScalar) {
   }
 }
 
-TEST(ChunkedPrefillTest, GenerateMatchesTokenPathAndPoolSharding) {
-  // Chunked prefill inside generate() — serial and sharded across ThreadPool
-  // lanes — must produce the exact token-path outputs under scalar. The
-  // pooled variant is the TSan coverage for concurrent chunked prefill.
+TEST(ChunkedPrefillTest, GenerateMatchesTokenPath) {
+  // Chunked prefill inside generate() must produce the exact token-path
+  // outputs under scalar.
   ScopedLevel scalar(simd::Level::kScalar);
   const auto cfg = test_config(BlockStyle::kPreNormSwiGLU);
   auto master = MasterWeights::init_random(cfg, 31);
@@ -201,18 +199,9 @@ TEST(ChunkedPrefillTest, GenerateMatchesTokenPathAndPoolSharding) {
   stepped.set_prefill_chunk(0);
   const auto ref = stepped.generate(prompts, 5);
 
-  Model serial(master, DType::kF32);
-  serial.set_prefill_chunk(4);
-  const auto serial_out = serial.generate(prompts, 5);
-  EXPECT_EQ(serial_out.outputs, ref.outputs);
-
-  Model pooled(master, DType::kF32);
-  pooled.set_prefill_chunk(4);
-  ThreadPool pool(3);
-  Model::GenerateOptions options;
-  options.pool = &pool;
-  const auto pooled_out = pooled.generate(prompts, 5, options);
-  EXPECT_EQ(pooled_out.outputs, ref.outputs);
+  Model chunked(master, DType::kF32);
+  chunked.set_prefill_chunk(4);
+  EXPECT_EQ(chunked.generate(prompts, 5).outputs, ref.outputs);
 }
 
 TEST(ChunkedPrefillTest, PrefillEventCarriesChunkSize) {
@@ -224,9 +213,7 @@ TEST(ChunkedPrefillTest, PrefillEventCarriesChunkSize) {
     Model model(master, DType::kF32);
     model.set_prefill_chunk(chunk);
     trace::ExecutionTimeline timeline;
-    Model::GenerateOptions options;
-    options.timeline = &timeline;
-    model.generate(prompts, 2, options);
+    model.generate(prompts, 2, nullptr, &timeline);
     // Trace conservation: exactly one kPrefill event per generate().
     EXPECT_EQ(timeline.count(trace::Phase::kPrefill), 1u);
     for (const auto& e : timeline.events()) {

@@ -1,17 +1,14 @@
 // Lane-batched decode: a Model::forward over n lane rows (or several
 // sequences' chunks) must equal width-1 forwards bit for bit, in hidden
 // states and cache contents, at both kernel levels for every dtype (the lane
-// kernels are composition-independent), and generate() must be invariant under
-// serial-vs-pooled group sharding. These are the contracts that let
+// kernels are composition-independent). These are the contracts that let
 // generate() batch whichever lanes are active without changing any lane's
 // tokens.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "model/transformer.h"
 #include "tensor/simd.h"
 
@@ -49,24 +46,6 @@ TransformerConfig decode_test_config() {
   c.max_seq = 64;
   c.validate();
   return c;
-}
-
-std::vector<std::vector<TokenId>> five_prompts() {
-  return {{3, 9, 27},
-          {81, 12, 36, 11},
-          {5, 6, 7, 8, 9},
-          {44, 2},
-          {1, 90, 13, 60, 31, 18}};
-}
-
-Model::GenerateResult run_generate(Model& model, std::size_t workers = 0) {
-  Model::GenerateOptions options;
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 0) {
-    pool = std::make_unique<ThreadPool>(workers);
-    options.pool = pool.get();
-  }
-  return model.generate(five_prompts(), 12, options);
 }
 
 std::size_t argmax_row(std::span<const float> logits) {
@@ -239,21 +218,6 @@ TEST(LaneBatchedDecodeTest, MultiSequenceChunkMatchesWidth1AllDtypes) {
     check_multi_sequence_chunk_matches_width1(DType::kF16, KVStorage::kF32);
     check_multi_sequence_chunk_matches_width1(DType::kI8, KVStorage::kI8);
     check_multi_sequence_chunk_matches_width1(DType::kI4, KVStorage::kI8);
-  }
-}
-
-// Composition independence at the generate level: pooled batched decode
-// shards active lanes into contiguous groups whose sizes depend on the
-// worker count; outputs must not.
-TEST(LaneBatchedDecodeTest, BatchedSerialVsPooledBitIdentical) {
-  const auto cfg = decode_test_config();
-  auto master = MasterWeights::init_random(cfg, 73);
-  Model model(master, DType::kI4, KVStorage::kI8);
-  const auto serial = run_generate(model);
-  ASSERT_EQ(serial.outputs.size(), 5u);
-  for (std::size_t workers : {1u, 2u, 3u, 8u}) {
-    const auto pooled = run_generate(model, workers);
-    EXPECT_EQ(pooled.outputs, serial.outputs) << "workers=" << workers;
   }
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/error.h"
-#include "core/thread_pool.h"
 #include "model/kv_cache.h"
 #include "model/transformer.h"
 
@@ -46,10 +45,11 @@ struct GridCase {
 
 class PagedVsDenseTest : public ::testing::TestWithParam<GridCase> {};
 
-// The acceptance grid: every weight precision x both KV storages. Each
-// prompt generated alone owns a dense block table (0, 1, 2, ...); batched,
-// the lanes' tables interleave. The tables only re-address the same
-// bit-exact rows, so outputs must match exactly.
+// The acceptance grid: every weight precision x both KV storages. Serial:
+// each prompt generated alone owns a dense block table (0, 1, 2, ...).
+// Pooled: the prompts batched as lanes of one block pool, whose tables
+// interleave. The tables only re-address the same bit-exact rows, so
+// outputs must match exactly.
 TEST_P(PagedVsDenseTest, BitIdenticalSerialAndPooled) {
   const auto cfg = paged_test_config();
   auto master = MasterWeights::init_random(cfg, 61);
@@ -62,11 +62,6 @@ TEST_P(PagedVsDenseTest, BitIdenticalSerialAndPooled) {
     ASSERT_EQ(solo.back().size(), kPagedTestNewTokens);
   }
   EXPECT_EQ(model.generate(prompts, kPagedTestNewTokens).outputs, solo);
-
-  ThreadPool pool(4);
-  Model::GenerateOptions options;
-  options.pool = &pool;
-  EXPECT_EQ(model.generate(prompts, kPagedTestNewTokens, options).outputs, solo);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,12 +1,10 @@
-// Parallel batched decode: Model::generate with a ThreadPool must be
-// bit-identical to the serial loop for any worker count (the engine
-// serializes sampling in lane order), and the decode loop must exit early
-// once every lane has hit the cache limit.
+// Batched decode in Model::generate: sampled outputs repeat for one seed,
+// the decode loop must exit early once every lane has hit the cache limit,
+// and its timeline must conserve the tokens it produced.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "model/transformer.h"
 #include "trace/timeline.h"
 
@@ -34,62 +32,19 @@ std::vector<std::vector<TokenId>> five_prompts() {
           {1, 90, 13, 60, 31, 18}};
 }
 
-Model::GenerateResult run_with_workers(Model& model, std::size_t workers,
-                                       Sampler* sampler = nullptr) {
-  Model::GenerateOptions options;
-  options.sampler = sampler;
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 0) {
-    pool = std::make_unique<ThreadPool>(workers);
-    options.pool = pool.get();
-  }
-  return model.generate(five_prompts(), 12, options);
-}
-
-TEST(ParallelDecodeTest, GreedyBitIdenticalAcrossWorkerCountsF32) {
-  const auto cfg = decode_test_config();
-  auto master = MasterWeights::init_random(cfg, 31);
-  Model model(master, DType::kF32, KVStorage::kF32);
-  const auto serial = run_with_workers(model, 0);
-  ASSERT_EQ(serial.outputs.size(), 5u);
-  EXPECT_EQ(serial.output_tokens, 5u * 12u);
-  for (std::size_t workers : {1u, 2u, 8u}) {
-    const auto parallel = run_with_workers(model, workers);
-    EXPECT_EQ(parallel.outputs, serial.outputs) << "workers=" << workers;
-  }
-}
-
-TEST(ParallelDecodeTest, GreedyBitIdenticalAcrossWorkerCountsQuantizedKv) {
-  const auto cfg = decode_test_config();
-  auto master = MasterWeights::init_random(cfg, 37);
-  Model model(master, DType::kF32, KVStorage::kI8);
-  const auto serial = run_with_workers(model, 0);
-  for (std::size_t workers : {1u, 4u}) {
-    const auto parallel = run_with_workers(model, workers);
-    EXPECT_EQ(parallel.outputs, serial.outputs) << "workers=" << workers;
-  }
-}
-
-// INT8 weights route QKV through the fused prequantized-activation path;
-// the parallel result must still match the serial one bit for bit.
-TEST(ParallelDecodeTest, GreedyBitIdenticalWithInt8Weights) {
-  const auto cfg = decode_test_config();
-  auto master = MasterWeights::init_random(cfg, 41);
-  Model model(master, DType::kI8, KVStorage::kI8);
-  const auto serial = run_with_workers(model, 0);
-  const auto parallel = run_with_workers(model, 4);
-  EXPECT_EQ(parallel.outputs, serial.outputs);
-}
-
-TEST(ParallelDecodeTest, SampledOutputsIdenticalSerialVsParallel) {
+// A sampler sees its calls in lane order, once per lane per step, so one
+// seed reproduces one batch of sampled outputs.
+TEST(ParallelDecodeTest, SampledOutputsRepeatForOneSeed) {
   const auto cfg = decode_test_config();
   auto master = MasterWeights::init_random(cfg, 43);
   Model model(master, DType::kF32, KVStorage::kF32);
-  Sampler serial_sampler({0.8f, 0, 1.0f}, 1234);
-  const auto serial = run_with_workers(model, 0, &serial_sampler);
-  Sampler parallel_sampler({0.8f, 0, 1.0f}, 1234);
-  const auto parallel = run_with_workers(model, 4, &parallel_sampler);
-  EXPECT_EQ(parallel.outputs, serial.outputs);
+  Sampler first_sampler({0.8f, 0, 1.0f}, 1234);
+  const auto first = model.generate(five_prompts(), 12, &first_sampler);
+  Sampler second_sampler({0.8f, 0, 1.0f}, 1234);
+  const auto second = model.generate(five_prompts(), 12, &second_sampler);
+  EXPECT_EQ(first.output_tokens, 5u * 12u);
+  EXPECT_EQ(second.outputs, first.outputs);
+  EXPECT_NE(model.generate(five_prompts(), 12).outputs, first.outputs);  // not greedy
 }
 
 // Regression: generate used to spin all max_new_tokens steps after every
@@ -105,9 +60,7 @@ TEST(ParallelDecodeTest, StopsOnceAllLanesHitMaxSeq) {
   prompts[0].assign(12, 7);  // room for 4 tokens
   prompts[1].assign(14, 9);  // room for 2 tokens
   trace::ExecutionTimeline tl;
-  Model::GenerateOptions options;
-  options.timeline = &tl;
-  const auto r = model.generate(prompts, 20, options);
+  const auto r = model.generate(prompts, 20, nullptr, &tl);
 
   EXPECT_EQ(r.outputs[0].size(), 4u);
   EXPECT_EQ(r.outputs[1].size(), 2u);
@@ -123,16 +76,12 @@ TEST(ParallelDecodeTest, StopsOnceAllLanesHitMaxSeq) {
   EXPECT_EQ(decode_token_sum, r.output_tokens);  // trace conserves tokens
 }
 
-TEST(ParallelDecodeTest, TimelineConservesTokensUnderPool) {
+TEST(ParallelDecodeTest, TimelineConservesTokens) {
   const auto cfg = decode_test_config();
   auto master = MasterWeights::init_random(cfg, 53);
   Model model(master, DType::kF32, KVStorage::kF32);
-  ThreadPool pool(4);
   trace::ExecutionTimeline tl;
-  Model::GenerateOptions options;
-  options.pool = &pool;
-  options.timeline = &tl;
-  const auto r = model.generate(five_prompts(), 12, options);
+  const auto r = model.generate(five_prompts(), 12, nullptr, &tl);
 
   EXPECT_EQ(tl.count(trace::Phase::kDecode), 12u);
   std::size_t decode_token_sum = 0;

@@ -445,5 +445,24 @@ TEST_F(ServerE2ETest, RoutingAndValidationErrors) {
   EXPECT_EQ(roundtrip(port, "BROKEN\r\n\r\n").status, 400);
 }
 
+// A finished request's stream lives only as long as its client holds it:
+// the host keeps no table of streams, and the engine drops the request's
+// callbacks at retirement. Otherwise a long-running daemon keeps every
+// stream it ever served.
+TEST_F(ServerE2ETest, FinishedStreamIsFreedOnceClientDropsIt) {
+  auto backend = make_backend(false);
+  EngineHost host(*backend, tokenizer_, config_.max_seq, {});
+  EngineHost::Submission sub = host.submit("the history of the", 4);
+  ASSERT_EQ(sub.status, EngineHost::SubmitStatus::kOk);
+  const std::weak_ptr<CompletionStream> weak = sub.stream;
+  std::string text;
+  std::size_t tokens = 0;
+  while (sub.stream->next_token(text)) ++tokens;
+  EXPECT_EQ(tokens, 4u);
+  host.drain();  // the retiring step has returned on the engine thread
+  sub.stream.reset();
+  EXPECT_TRUE(weak.expired());
+}
+
 }  // namespace
 }  // namespace orinsim::server

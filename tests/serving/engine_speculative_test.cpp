@@ -1,8 +1,9 @@
 // Speculative decoding through the request-lifecycle engine. The contract
 // under test: serving with a draft model emits exactly the token streams
 // plain greedy serving emits — across weight precisions, KV storages,
-// serial and pooled decode, preemption mid-round, and prefix-cache hits —
-// while retiring those tokens in strictly fewer target passes.
+// serial and lane-pool prefill waves, preemption mid-round, and
+// prefix-cache hits — while retiring those tokens in strictly fewer target
+// passes.
 //
 // Every identity comparison runs under scalar kernels (ScopedLevel), the
 // reference level. Forward rows are composition-independent at both levels,
@@ -22,6 +23,8 @@
 #include "tensor/simd.h"
 #include "trace/timeline.h"
 #include "workload/corpus.h"
+
+#include "lane_pool_run.h"
 
 namespace orinsim::serving {
 namespace {
@@ -81,9 +84,9 @@ class SpeculativeEngineTest : public ::testing::Test {
 };
 
 // The identity grid: speculation on vs off across every weight precision
-// the engine serves and both KV storages, serial and pooled. One plain
-// baseline per (dtype, storage) cell; the speculative runs must reproduce
-// its streams token for token.
+// the engine serves and both KV storages, with prefill waves serial and on
+// a 4-worker lane pool. One plain baseline per (dtype, storage) cell; the
+// speculative runs must reproduce its streams token for token.
 TEST_F(SpeculativeEngineTest, BitIdenticalAcrossPrecisionsStoragesAndPools) {
   ScopedLevel scalar(simd::Level::kScalar);
   for (DType dtype : {DType::kF32, DType::kF16, DType::kI8, DType::kI4}) {
@@ -97,12 +100,17 @@ TEST_F(SpeculativeEngineTest, BitIdenticalAcrossPrecisionsStoragesAndPools) {
       cfg.backend.speculation.enabled = true;
       cfg.backend.speculation.draft_tokens = 4;
       cfg.backend.speculation.draft_dtype = DType::kI8;
-      for (std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
-        cfg.decode_workers = workers;
-        const EngineResult spec = run_functional_continuous(master_, dtype, pool_, cfg);
+      const EngineResult serial = run_functional_continuous(master_, dtype, pool_, cfg);
+      Model model(master_, dtype);
+      Model draft(master_, cfg.backend.speculation.draft_dtype);
+      ThreadPool lanes(4);
+      const EngineResult pooled =
+          serve_on_lane_pool(model, cfg, plain.requests, &lanes, &draft);
+      for (const EngineResult* run : {&serial, &pooled}) {
+        const EngineResult& spec = *run;
         const std::string label = dtype_name(dtype) + "/" +
                                   (storage == KVStorage::kF32 ? "kvf32" : "kvi8") +
-                                  "/workers=" + std::to_string(workers);
+                                  (run == &pooled ? "/lane pool" : "/serial");
         expect_same_streams(spec, plain, label.c_str());
         // Self-drafting (same master, quantized) agrees often enough that
         // rounds actually retire multiple tokens — the grid must exercise

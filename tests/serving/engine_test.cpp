@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,8 @@
 #include "tensor/simd.h"
 #include "trace/export.h"
 #include "workload/corpus.h"
+
+#include "lane_pool_run.h"
 
 namespace orinsim::serving {
 namespace {
@@ -510,17 +513,67 @@ TEST_F(FunctionalEngineTest, ParallelDecodeMatchesSerialUnderPreemption) {
     // admission timing), but under a flooded queue every run must hit
     // pressure.
     EXPECT_GT(serial.preemptions, 0u);
-    // 1, 2 and 4 workers run the 3 lanes as 2 uneven groups, as 3 groups,
-    // and on more shards than lanes.
+    // A lane pool of 1, 2 and 4 workers shards each prefill wave (at most 3
+    // lanes) over fewer shards than lanes, as many, and more.
+    Model model(master_, p.dtype);
     for (std::size_t workers : {1u, 2u, 4u}) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
-      cfg.decode_workers = workers;
-      const EngineResult pooled = run_functional_continuous(master_, p.dtype, pool_, cfg);
+      ThreadPool lanes(workers);
+      const EngineResult pooled = serve_on_lane_pool(model, cfg, serial.requests, &lanes);
       ASSERT_EQ(pooled.requests.size(), serial.requests.size());
       for (std::size_t i = 0; i < serial.requests.size(); ++i) {
         EXPECT_EQ(pooled.requests[i].output, serial.requests[i].output) << "request " << i;
       }
       EXPECT_GT(pooled.preemptions, 0u);
+    }
+  }
+}
+
+// A wave with more admissions than shards, prefilled in 4-token chunks: six
+// requests due at t = 0 take six lanes in one wave, and a 1-worker lane pool
+// (2 shards) hands them out from its shared counter, so both shards run
+// chunked prefill at once (the TSan coverage of concurrent chunked
+// prefill). Pooled, serial and generate agree bit for bit.
+TEST_F(FunctionalEngineTest, PooledChunkedPrefillWaveMatchesSerial) {
+  constexpr std::size_t kLanes = 6;
+  FunctionalEngineConfig cfg;
+  cfg.seq = workload::SeqConfig{24, 14, 10};
+  cfg.backend.max_lanes = kLanes;
+  cfg.backend.block_tokens = 4;
+  Rng rng(9);
+  const std::vector<std::vector<TokenId>> prompts =
+      pool_.sample_batch(kLanes, cfg.seq.input, rng);
+  std::vector<Request> requests(kLanes);
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    requests[i].prompt = prompts[i];
+    requests[i].prompt_tokens = prompts[i].size();
+    requests[i].max_new_tokens = cfg.seq.output;
+  }
+
+  for (const PrecisionCase& p : kPrecisions) {
+    SCOPED_TRACE(dtype_name(p.dtype));
+    cfg.backend.kv_storage = p.kv;
+    Model model(master_, p.dtype, p.kv);
+    model.set_prefill_chunk(4);
+    const Model::GenerateResult want = model.generate(prompts, cfg.seq.output);
+    const EngineResult serial = serve_on_lane_pool(model, cfg, requests, nullptr);
+    ThreadPool lanes(1);
+    const EngineResult pooled = serve_on_lane_pool(model, cfg, requests, &lanes);
+
+    std::size_t first_wave = 0;
+    for (const trace::StepEvent& ev : pooled.timeline.events()) {
+      if (ev.phase == trace::Phase::kPrefill) {
+        first_wave = ev.batch;
+        break;
+      }
+    }
+    EXPECT_EQ(first_wave, kLanes);
+    ASSERT_GT(first_wave, lanes.shard_count());
+    ASSERT_EQ(pooled.requests.size(), kLanes);
+    ASSERT_EQ(serial.requests.size(), kLanes);
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      EXPECT_EQ(pooled.requests[i].output, serial.requests[i].output) << "request " << i;
+      EXPECT_EQ(pooled.requests[i].output, want.outputs[i]) << "request " << i;
     }
   }
 }
@@ -790,6 +843,51 @@ TEST_F(FunctionalEngineTest, StreamCallbacksDeliverEveryTokenOnceUnderPreemption
     EXPECT_EQ(streamed[i], result.requests[i].output) << "request " << i;
     EXPECT_EQ(streamed[i].size(), 16u);
   }
+}
+
+// What a request's callbacks own (a served request's stream) is freed when
+// the request retires, not when the engine is destroyed: a daemon's memory
+// must not grow with every finished request's stream. The short request
+// retires while the long one still runs.
+TEST_F(FunctionalEngineTest, RetiredRequestCallbacksAreReleased) {
+  Rng rng(3);
+  const std::vector<std::vector<TokenId>> prompts = pool_.sample_batch(2, 12, rng);
+  Model model(master_, DType::kF32);
+  FunctionalTokenBackend::Config bc;
+  bc.max_lanes = 2;
+  bc.max_seq = 24;
+  FunctionalTokenBackend backend(model, bc);
+  ContinuousEngine engine(backend);
+
+  const std::size_t max_new[] = {2, 8};
+  std::vector<std::shared_ptr<int>> sentinels;  // each counts its tokens
+  std::vector<int> finished_after = {-1, -1};     // tokens seen at on_finish
+  for (std::size_t i = 0; i < 2; ++i) {
+    sentinels.push_back(std::make_shared<int>(0));
+    Request r;
+    r.prompt = prompts[i];
+    r.prompt_tokens = prompts[i].size();
+    r.max_new_tokens = max_new[i];
+    StreamCallbacks cb;
+    cb.on_token = [sentinel = sentinels[i]](const Request&, TokenId) { ++*sentinel; };
+    cb.on_finish = [sentinel = sentinels[i], &finished_after, i](const Request&) {
+      finished_after[i] = *sentinel;
+    };
+    engine.submit(std::move(r), std::move(cb));
+    EXPECT_EQ(sentinels[i].use_count(), 3);  // the test plus both callbacks
+  }
+  while (finished_after[0] < 0) {
+    ASSERT_EQ(engine.step(), ContinuousEngine::Step::kWorked);
+  }
+  EXPECT_EQ(finished_after[1], -1);
+  EXPECT_EQ(sentinels[0].use_count(), 1);
+  EXPECT_EQ(sentinels[1].use_count(), 3);
+  while (engine.step() == ContinuousEngine::Step::kWorked) {
+  }
+  EXPECT_EQ(sentinels[1].use_count(), 1);
+  EXPECT_EQ(finished_after[0], 2);
+  EXPECT_EQ(finished_after[1], 8);
+  engine.finish();
 }
 
 }  // namespace

@@ -21,6 +21,8 @@
 #include "trace/export.h"
 #include "workload/corpus.h"
 
+#include "lane_pool_run.h"
+
 namespace orinsim::serving {
 namespace {
 
@@ -395,8 +397,9 @@ TEST_F(PrefixCacheEngineTest, PooledDecodeBitIdenticalWithCache) {
   FunctionalEngineConfig cfg = chat_config();
   cfg.backend.prefix_cache = true;
   const EngineResult serial = run_functional_continuous(master_, DType::kF32, pool_, cfg);
-  cfg.decode_workers = 4;
-  const EngineResult pooled = run_functional_continuous(master_, DType::kF32, pool_, cfg);
+  Model model(master_, DType::kF32);
+  ThreadPool lanes(4);
+  const EngineResult pooled = serve_on_lane_pool(model, cfg, serial.requests, &lanes);
   ASSERT_EQ(pooled.requests.size(), serial.requests.size());
   for (std::size_t i = 0; i < serial.requests.size(); ++i) {
     EXPECT_EQ(pooled.requests[i].output, serial.requests[i].output) << "request " << i;
